@@ -187,34 +187,22 @@ def energy(state: State, ops: AssembledOperators, k: float,
     store0 = float(vel @ apply_blocks(ops.vector_mass, vel))
     store1 = float(dvel @ apply_blocks(ops.vector_mass, dvel))
 
-    topo = tab.topo
-    wf = tab.facet_rule.weights
-    mu = tab.mu
-    pf = lay.dim_facet
-    jump0 = jump1 = 0.0
-    psi_e = state.psi.reshape(ne, d)
-    dpsi_e = state.dpsi.reshape(ne, d)
-    lam_f = state.lam.reshape(-1, pf)
-    dlam_f = state.dlam.reshape(-1, pf)
-    for t in range(ne):
-        for lf in range(3):
-            tau = ops.tau[t, lf]
-            if tau == 0.0:
-                continue
-            fid = topo.elem_facets[t, lf]
-            length = topo.facet_lengths[fid]
-            trace = tab.trace[lf, int(topo.elem_facet_forward[t, lf])]
-            psi_f = trace @ psi_e[t]
-            dpsi_f = trace @ dpsi_e[t]
-            if topo.is_interior[fid]:
-                fi = topo.interior_index[fid]
-                lam_v = mu @ lam_f[fi]
-                dlam_v = mu @ dlam_f[fi]
-                jump0 += tau * length * float(wf @ (lam_v - psi_f) ** 2)
-                jump1 += tau * length * float(wf @ (dlam_v - dpsi_f) ** 2)
-            else:
-                jump0 += tau * length * float(wf @ psi_f**2)
-                jump1 += tau * length * float(wf @ dpsi_f**2)
+    # tau (lam - psi)^2 on every side, lam = 0 on boundary facets; the
+    # difference is taken at the facet quadrature points, because on a
+    # smooth state the jump is far smaller than psi S psi or lam G lam and
+    # their quadratic-form expansion would cancel it away
+    traces = tab.trace[tab.sides]  # (ne, 3, nq, d)
+    jump_w = ((ops.tau * tab.topo.facet_lengths[tab.topo.elem_facets])
+              [:, :, None] * tab.facet_rule.weights)
+
+    def jump(psi, lam):
+        psi_q = np.einsum("elqi,ei->elq", traces, psi.reshape(ne, d))
+        # index -1 (boundary facets) picks the appended zero trace
+        lam_q = np.append(lam, 0.0)[tab.facet_dofs].reshape(ne, 3, -1) @ tab.mu.T
+        return float(np.sum(jump_w * (lam_q - psi_q) ** 2))
+
+    jump0 = jump(state.psi, state.lam)
+    jump1 = jump(state.dpsi, state.dlam)
     c2 = c * c
     e0 = kin0 + 0.5 * c2 * (store0 + jump0)
     e1 = kin1 + 0.5 * c2 * (store1 + jump1)

@@ -18,7 +18,13 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .operators import AssembledOperators, apply_blocks
+from .operators import (
+    AssembledOperators,
+    apply_blocks,
+    element_dofs,
+    facet_columns,
+    scatter_csr,
+)
 
 
 class CondensationError(Exception):
@@ -54,11 +60,8 @@ class CondensedOperators:
     coupling: sp.csr_matrix  # (n_scalar, n_facet) R
     facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
     facet_schur: sp.csr_matrix  # (n_facet, n_facet) A - mu Rt (M + mu Ks)^-1 R
-    vec_elim: sp.csr_matrix  # X with Mv X = E - B Y
-    sca_elim: sp.csr_matrix  # Y = (M + mu Ks)^-1 mu R
     static_schur: sp.csr_matrix | None  # dt-independent analog (needs Ks^-1)
-    static_vec_elim: sp.csr_matrix | None
-    static_sca_elim: sp.csr_matrix | None
+    static_sca_elim: sp.csr_matrix | None  # Ks^-1 R
     stiffness_inv: np.ndarray | None
     static_error: str | None = None
     facet_solver: object = field(default=None, repr=False)
@@ -92,8 +95,7 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
     mu = c * c * dt * dt * beta + delta * gamma * dt
 
     lay = ops.layout
-    tab = ops.tables
-    ne, d, pf = lay.n_elements, lay.dim_scalar, lay.dim_facet
+    ne, d = lay.n_elements, lay.dim_scalar
     nfac = lay.n_facet
 
     bt_minv = np.matmul(ops.divergence.transpose(0, 2, 1), ops.vector_mass_inv)
@@ -108,61 +110,36 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
         np.linalg.cholesky(stiffness)
         stiffness_inv = np.linalg.inv(stiffness)
     except np.linalg.LinAlgError:
-        bad = [t for t in range(ne)
-               if np.linalg.eigvalsh(stiffness[t]).min() <= 0.0]
+        bad = np.flatnonzero(np.linalg.eigvalsh(stiffness).min(axis=1) <= 0.0)
         static_error = (
-            f"condensed stiffness block singular on elements {bad[:8]}")
+            f"condensed stiffness block singular on elements {bad[:8].tolist()}")
 
-    # interior facets per element as (interior index, side) in local order
-    elem_ifacets: list[list[tuple[int, int]]] = [[] for _ in range(ne)]
-    for fi, sides in enumerate(tab.interior_sides):
-        for side, (t, _lf) in enumerate(sides):
-            elem_ifacets[t].append((fi, side))
+    # element blocks against the element's 3 pf facet columns; columns of
+    # boundary facets are zero and dropped by the scatter
+    e_loc = facet_columns(ops.trace_vector_local)  # (ne, 2d, 3pf)
+    f_loc = facet_columns(ops.trace_scalar_local)  # (ne, d, 3pf)
+    e_t, f_t = e_loc.transpose(0, 2, 1), f_loc.transpose(0, 2, 1)
+    r_loc = f_loc + bt_minv @ e_loc
+    y_loc = shifted_inv @ (mu * r_loc)
+    x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
 
-    schur = sp.lil_matrix((nfac, nfac))
-    gram = sp.lil_matrix((nfac, nfac))
-    static = sp.lil_matrix((nfac, nfac)) if stiffness_inv is not None else None
-    coupling = sp.lil_matrix((lay.n_scalar, nfac))
-    vec_elim = sp.lil_matrix((lay.n_vector, nfac))
-    sca_elim = sp.lil_matrix((lay.n_scalar, nfac))
-    static_vec = sp.lil_matrix((lay.n_vector, nfac)) if static is not None else None
-    static_sca = sp.lil_matrix((lay.n_scalar, nfac)) if static is not None else None
+    cols = ops.tables.facet_dofs
+    rows = element_dofs(ne, d)
+    facet_diag = element_dofs(lay.n_interior_facets, lay.dim_facet)
+    penalty = (ops.trace_penalty, facet_diag, facet_diag)
+    shape = (nfac, nfac)
+    schur = scatter_csr(shape, penalty, (e_t @ x_loc - f_t @ y_loc, cols, cols))
+    gram = scatter_csr(shape, penalty,
+                       (e_t @ ops.vector_mass_inv @ e_loc, cols, cols))
+    coupling = scatter_csr((lay.n_scalar, nfac), (r_loc, rows, cols))
+    static = static_sca = None
+    if stiffness_inv is not None:
+        ybar = stiffness_inv @ r_loc
+        xbar = ops.vector_mass_inv @ (e_loc - ops.divergence @ ybar)
+        static = scatter_csr(shape, penalty,
+                             (e_t @ xbar - f_t @ ybar, cols, cols))
+        static_sca = scatter_csr((lay.n_scalar, nfac), (ybar, rows, cols))
 
-    for fi in range(lay.n_interior_facets):
-        sl = lay.facet_slice(fi)
-        schur[sl, sl] = ops.trace_penalty[fi]
-        gram[sl, sl] = ops.trace_penalty[fi]
-        if static is not None:
-            static[sl, sl] = ops.trace_penalty[fi]
-
-    for t in range(ne):
-        if not elem_ifacets[t]:
-            continue
-        cols = np.concatenate([
-            np.arange(fi * pf, (fi + 1) * pf) for fi, _ in elem_ifacets[t]])
-        e_loc = np.hstack([ops.trace_vector_blocks[fi][side]
-                           for fi, side in elem_ifacets[t]])
-        f_loc = np.hstack([ops.trace_scalar_blocks[fi][side]
-                           for fi, side in elem_ifacets[t]])
-        r_loc = f_loc + bt_minv[t] @ e_loc
-        y_loc = shifted_inv[t] @ (mu * r_loc)
-        x_loc = ops.vector_mass_inv[t] @ (e_loc - ops.divergence[t] @ y_loc)
-        contrib = e_loc.T @ x_loc - f_loc.T @ y_loc
-        schur[np.ix_(cols, cols)] += contrib
-        gram[np.ix_(cols, cols)] += e_loc.T @ ops.vector_mass_inv[t] @ e_loc
-        coupling[lay.scalar_slice(t), cols] = r_loc
-        sca_elim[lay.scalar_slice(t), cols] = y_loc
-        vec_elim[lay.vector_slice(t), cols] = x_loc
-        if static is not None:
-            ybar = stiffness_inv[t] @ r_loc
-            xbar = ops.vector_mass_inv[t] @ (e_loc - ops.divergence[t] @ ybar)
-            static[np.ix_(cols, cols)] += e_loc.T @ xbar - f_loc.T @ ybar
-            static_sca[lay.scalar_slice(t), cols] = ybar
-            static_vec[lay.vector_slice(t), cols] = xbar
-
-    schur = schur.tocsr()
-    gram = gram.tocsr()
-    coupling = coupling.tocsr()
     cond = CondensedOperators(
         c=c, delta=delta, dt=dt, gamma=gamma, beta=beta, mu=mu,
         stiffness=stiffness,
@@ -170,11 +147,8 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
         coupling=coupling,
         facet_gram=gram,
         facet_schur=schur,
-        vec_elim=vec_elim.tocsr(),
-        sca_elim=sca_elim.tocsr(),
-        static_schur=None if static is None else static.tocsr(),
-        static_vec_elim=None if static_vec is None else static_vec.tocsr(),
-        static_sca_elim=None if static_sca is None else static_sca.tocsr(),
+        static_schur=static,
+        static_sca_elim=static_sca,
         stiffness_inv=stiffness_inv,
         static_error=static_error,
     )

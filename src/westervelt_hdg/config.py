@@ -4,9 +4,17 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, replace
 
+from .basis import MAX_QUADRATURE_ORDER
+
 KINDS = ("h_convergence", "delta_convergence", "wavefront")
+
+# a degree-p study needs quadrature up to order max(3p, 2p + 6): 3p for the
+# nonlinear mass, 2(p + 1) + 4 for the error of the postprocessed field
+MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
+                 if max(3 * p, 2 * p + 6) <= MAX_QUADRATURE_ORDER)
 
 
 class ConfigError(Exception):
@@ -38,6 +46,13 @@ class RunConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, "
                               f"expected one of {KINDS}")
+        for name in ("c", "k", "delta", "final_time", "tau", "gamma", "beta",
+                     "tol", "dt"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        if not all(math.isfinite(t) for t in self.snapshot_times):
+            raise ConfigError("snapshot_times must be finite")
         if self.c <= 0.0:
             raise ConfigError(f"c must be positive, got {self.c}")
         if self.delta < 0.0:
@@ -46,6 +61,10 @@ class RunConfig:
             raise ConfigError(f"final_time must be positive, got {self.final_time}")
         if self.degree < 0:
             raise ConfigError(f"degree must be >= 0, got {self.degree}")
+        if self.degree > MAX_DEGREE:
+            raise ConfigError(
+                f"degree must be <= {MAX_DEGREE} (quadrature is available up "
+                f"to order {MAX_QUADRATURE_ORDER}), got {self.degree}")
         if not self.levels or any(n < 1 for n in self.levels):
             raise ConfigError(f"levels must be positive integers, got {self.levels}")
         if self.tau <= 0.0:
@@ -117,7 +136,7 @@ def _parse_int(section, key, raw):
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Overlay a config file onto defaults; rejects unknown sections/keys."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -157,7 +176,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         elif key == "tau_mode":
             cfg = replace(cfg, tau_mode=raw)
         elif key == "dt":
-            cfg = replace(cfg, dt=None if raw == "none" else
+            cfg = replace(cfg, dt=None if raw in ("", "none") else
                           _parse_float(section, key, raw))
         elif key == "directory":
             cfg = replace(cfg, output_dir=raw)

@@ -9,13 +9,18 @@ test functions:
     vector_mass      (v, r)_K                      element blocks
     divergence       (psi, div r)_K                element blocks, rows = r
     boundary_penalty (tau psi, w)_{dK}             element blocks, all facets
-    trace_vector     -(lam, [r . n])_F             sparse, interior facets
-    trace_scalar     -(tau lam, w)_{dK interior}   sparse
+    trace_vector     -(lam, [r . n])_F             (element, local facet)
+                                                   blocks and sparse
+    trace_scalar     -(tau lam, w)_{dK interior}   (element, local facet)
+                                                   blocks and sparse
     trace_penalty    (tau lam, mu)_{dK interior}   facet blocks
 
-Vector dofs are stored per element as [x-component coeffs, y-component
-coeffs]. Facet dofs exist on interior facets only; homogeneous Dirichlet
-traces are hard zeros and never enter the system.
+The (element, local facet) blocks of the two trace couplings are zero on
+boundary facets and, for trace_scalar, on unstabilized sides; they scatter
+to global facet dofs through ElementTables.facet_dofs. Vector dofs are
+stored per element as [x-component coeffs, y-component coeffs]. Facet dofs
+exist on interior facets only; homogeneous Dirichlet traces are hard zeros
+and never enter the system.
 """
 
 from __future__ import annotations
@@ -158,21 +163,17 @@ class ElementTables:
             self.trace[lf, 1] = self.basis.eval_values(fwd)
             self.trace[lf, 0] = self.basis.eval_values(rev)
 
-        # sides of each interior facet as (element, local facet) pairs
-        sides: list[list[tuple[int, int]]] = [[] for _ in range(topo.n_interior)]
-        for t in range(mesh.n_triangles):
-            for lf in range(3):
-                f = topo.elem_facets[t, lf]
-                if topo.is_interior[f]:
-                    sides[topo.interior_index[f]].append((t, lf))
-        self.interior_sides = sides
+        # picks each element's own (local facet, orientation) entry from the
+        # leading axes of trace and of tables built from it
+        self.sides = (np.arange(3)[None, :], topo.elem_facet_forward.astype(int))
         self.interior_facets = np.flatnonzero(topo.is_interior)
-
-    def facet_points(self, fid: int) -> np.ndarray:
-        """Physical quadrature points on facet fid, global orientation."""
-        lo, hi = self.topo.facets[fid]
-        plo, phi_v = self.mesh.vertices[lo], self.mesh.vertices[hi]
-        return plo[None, :] + self.facet_rule.points[:, None] * (phi_v - plo)[None, :]
+        # global facet dof of every (element, local facet, facet mode),
+        # flattened to (ne, 3 pf); -1 on boundary facets
+        pf = layout.dim_facet
+        ifac = topo.interior_index[topo.elem_facets]
+        self.facet_dofs = np.where(ifac[:, :, None] >= 0,
+                                   ifac[:, :, None] * pf + np.arange(pf),
+                                   -1).reshape(-1, 3 * pf)
 
 
 def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarray:
@@ -191,10 +192,8 @@ def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarra
 
 def count_unstabilized_facets(topo: FacetTopology, tau: np.ndarray) -> int:
     """Interior facets carrying zero stabilization from both sides."""
-    total = np.zeros(topo.n_facets)
-    for t in range(tau.shape[0]):
-        for lf in range(3):
-            total[topo.elem_facets[t, lf]] += tau[t, lf]
+    total = np.bincount(topo.elem_facets.ravel(), weights=tau.ravel(),
+                        minlength=topo.n_facets)
     return int(np.count_nonzero(total[topo.is_interior] == 0.0))
 
 
@@ -212,11 +211,11 @@ class AssembledOperators:
     vector_mass_inv: np.ndarray  # (ne, 2d, 2d)
     divergence: np.ndarray  # (ne, 2d, d)
     boundary_penalty: np.ndarray  # (ne, d, d)
+    trace_vector_local: np.ndarray  # (ne, 3, 2d, pf) E per local facet
+    trace_scalar_local: np.ndarray  # (ne, 3, d, pf) F per local facet
     trace_vector: sp.csr_matrix  # (n_vector, n_facet)
     trace_scalar: sp.csr_matrix  # (n_scalar, n_facet)
     trace_penalty: np.ndarray  # (n_interior, pf, pf)
-    trace_vector_blocks: np.ndarray  # (n_interior, 2, 2d, pf) per-side blocks
-    trace_scalar_blocks: np.ndarray  # (n_interior, 2, d, pf)
     n_unstabilized_facets: int = 0
 
     def scalar_mass_apply(self, u: np.ndarray) -> np.ndarray:
@@ -235,15 +234,54 @@ def apply_blocks(blocks: np.ndarray, u) -> np.ndarray:
     return np.matmul(blocks, u.reshape(ne, d, -1)).reshape(ne * blocks.shape[1], -1)
 
 
+def facet_columns(local: np.ndarray) -> np.ndarray:
+    """(ne, 3, r, pf) per-facet blocks as (ne, r, 3 pf) element blocks whose
+    columns follow ElementTables.facet_dofs."""
+    ne, _, r, pf = local.shape
+    return local.transpose(0, 2, 1, 3).reshape(ne, r, 3 * pf)
+
+
+def element_dofs(n_elements: int, dim: int) -> np.ndarray:
+    """Global indices (ne, dim) of the element-blocked unknowns."""
+    return np.arange(n_elements * dim).reshape(n_elements, dim)
+
+
+def scatter_csr(shape, *parts) -> sp.csr_matrix:
+    """Sum blocks into one sparse matrix.
+
+    Each part is (blocks (n, r, c), rows (n, r), cols (n, c)) with the global
+    row and column index of every block entry. Entries with a negative index
+    are dropped, duplicates are summed in the order given, and sums that
+    vanish are not stored.
+    """
+    data, keys = [], []
+    for blocks, rows, cols in parts:
+        rr = np.broadcast_to(rows[:, :, None], blocks.shape)
+        cc = np.broadcast_to(cols[:, None, :], blocks.shape)
+        keep = (rr >= 0) & (cc >= 0)
+        data.append(blocks[keep])
+        keys.append(rr[keep] * shape[1] + cc[keep])
+    keys = np.concatenate(keys)
+    if keys.size == 0:
+        return sp.csr_matrix(shape)
+    order = np.argsort(keys, kind="stable")
+    keys, data = keys[order], np.concatenate(data)[order]
+    first = np.r_[True, keys[1:] != keys[:-1]]
+    # add.at adds repeated indices one at a time in the given order, so each
+    # sum is formed left to right like an element-by-element accumulation
+    sums = data[first]
+    np.add.at(sums, np.cumsum(first)[~first] - 1, data[~first])
+    keep = sums != 0.0
+    keys = keys[first][keep]
+    return sp.csr_matrix((sums[keep], (keys // shape[1], keys % shape[1])),
+                         shape=shape)
+
+
 def block_diag_csr(blocks: np.ndarray) -> sp.csr_matrix:
     """Expand (ne, r, c) blocks into the global block-diagonal sparse matrix."""
     ne, r, c = blocks.shape
-    rows = np.repeat(np.arange(ne * r).reshape(ne, r, 1), c, axis=2)
-    cols = np.repeat(np.arange(ne * c).reshape(ne, 1, c), r, axis=1)
-    return sp.coo_matrix(
-        (blocks.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(ne * r, ne * c),
-    ).tocsr()
+    return scatter_csr((ne * r, ne * c), (blocks, element_dofs(ne, r),
+                                          element_dofs(ne, c)))
 
 
 def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
@@ -270,70 +308,35 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
     div = np.einsum("q,qj,eqic->ecij", w, phi, gphys) * detj[:, None, None, None]
     divergence = div.reshape(ne, 2 * d, d)
 
+    # reference facet integrals per (local facet, orientation), gathered to
+    # every (element, local facet) and scaled by the facet length
     wf = tab.facet_rule.weights
-    mu = tab.mu
-    boundary_penalty = np.zeros((ne, d, d))
+    trace_t = tab.trace.transpose(0, 1, 3, 2)
+    trace_mu = trace_t @ (wf[:, None] * tab.mu)
+    trace_trace = trace_t @ (wf[:, None] * tab.trace)
+    length = topo.facet_lengths[topo.elem_facets]  # (ne, 3)
+    interior = topo.is_interior[topo.elem_facets]  # (ne, 3)
+    tau_len = (tau * length)[:, :, None, None]
+    # C[t, lf, i, m] = int_F phi_i mu_m
+    cmat = length[:, :, None, None] * trace_mu[tab.sides]
+    boundary_penalty = (tau_len * trace_trace[tab.sides]).sum(axis=1)
+    normals = interior[:, :, None] * topo.normals  # (ne, 3, 2)
+    trace_vector_local = -(normals[:, :, :, None, None] * cmat[:, :, None]
+                           ).reshape(ne, 3, 2 * d, pf)
+    trace_scalar_local = -(tau * interior)[:, :, None, None] * cmat
+    # both sides of each interior facet, in element order
     trace_penalty = np.zeros((topo.n_interior, pf, pf))
-    mu_mass = mu.T @ (wf[:, None] * mu)
+    mu_mass = tab.mu.T @ (wf[:, None] * tab.mu)
+    np.add.at(trace_penalty, topo.interior_index[topo.elem_facets][interior],
+              tau_len[interior] * mu_mass)
 
-    e_rows: list[np.ndarray] = []
-    e_cols: list[np.ndarray] = []
-    e_data: list[np.ndarray] = []
-    f_rows: list[np.ndarray] = []
-    f_cols: list[np.ndarray] = []
-    f_data: list[np.ndarray] = []
-    e_blocks = np.zeros((topo.n_interior, 2, 2 * d, pf))
-    f_blocks = np.zeros((topo.n_interior, 2, d, pf))
-    side_count = np.zeros(topo.n_interior, dtype=int)
-
-    for t in range(ne):
-        for lf in range(3):
-            fid = topo.elem_facets[t, lf]
-            length = topo.facet_lengths[fid]
-            trace = tab.trace[lf, int(topo.elem_facet_forward[t, lf])]
-            if tau[t, lf] != 0.0:
-                boundary_penalty[t] += tau[t, lf] * length * (
-                    trace.T @ (wf[:, None] * trace))
-            if not topo.is_interior[fid]:
-                continue
-            fi = topo.interior_index[fid]
-            side = side_count[fi]
-            side_count[fi] += 1
-            # C[i, m] = int_F phi_i mu_m
-            cmat = length * (trace.T @ (wf[:, None] * mu))
-            nvec = topo.normals[t, lf]
-            e_blocks[fi, side, :d] = -nvec[0] * cmat
-            e_blocks[fi, side, d:] = -nvec[1] * cmat
-            rows_x = np.arange(t * 2 * d, t * 2 * d + d)
-            rows_y = rows_x + d
-            cols = np.arange(fi * pf, (fi + 1) * pf)
-            rr, cc = np.meshgrid(rows_x, cols, indexing="ij")
-            e_rows.append(rr.ravel())
-            e_cols.append(cc.ravel())
-            e_data.append((-nvec[0] * cmat).ravel())
-            rr, cc = np.meshgrid(rows_y, cols, indexing="ij")
-            e_rows.append(rr.ravel())
-            e_cols.append(cc.ravel())
-            e_data.append((-nvec[1] * cmat).ravel())
-            if tau[t, lf] != 0.0:
-                f_blocks[fi, side] = -tau[t, lf] * cmat
-                rows_s = np.arange(t * d, (t + 1) * d)
-                rr, cc = np.meshgrid(rows_s, cols, indexing="ij")
-                f_rows.append(rr.ravel())
-                f_cols.append(cc.ravel())
-                f_data.append((-tau[t, lf] * cmat).ravel())
-                trace_penalty[fi] += tau[t, lf] * length * mu_mass
-
-    def to_csr(rows, cols, data, shape):
-        if rows:
-            return sp.coo_matrix(
-                (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-                shape=shape,
-            ).tocsr()
-        return sp.csr_matrix(shape)
-
-    trace_vector = to_csr(e_rows, e_cols, e_data, (layout.n_vector, layout.n_facet))
-    trace_scalar = to_csr(f_rows, f_cols, f_data, (layout.n_scalar, layout.n_facet))
+    cols = tab.facet_dofs
+    trace_vector = scatter_csr(
+        (layout.n_vector, layout.n_facet),
+        (facet_columns(trace_vector_local), element_dofs(ne, 2 * d), cols))
+    trace_scalar = scatter_csr(
+        (layout.n_scalar, layout.n_facet),
+        (facet_columns(trace_scalar_local), element_dofs(ne, d), cols))
 
     return AssembledOperators(
         layout=layout,
@@ -346,11 +349,11 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
         vector_mass_inv=np.linalg.inv(vector_mass),
         divergence=divergence,
         boundary_penalty=boundary_penalty,
+        trace_vector_local=trace_vector_local,
+        trace_scalar_local=trace_scalar_local,
         trace_vector=trace_vector,
         trace_scalar=trace_scalar,
         trace_penalty=trace_penalty,
-        trace_vector_blocks=e_blocks,
-        trace_scalar_blocks=f_blocks,
         n_unstabilized_facets=count_unstabilized_facets(topo, tau),
     )
 

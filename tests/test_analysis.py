@@ -277,6 +277,30 @@ class TestEnergy:
         assert abs(e0 - want0) <= 1e-12 * max(abs(want0), 1.0)
         assert abs(e1 - want1) <= 1e-12 * max(abs(want1), 1.0)
 
+    @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
+    def test_jump_part_matches_dense_oracle(self, tau_mode):
+        # with dpsi = 0 and c = 1, 2 e0 is the vector field term plus the
+        # stabilization jumps psi S psi + 2 psi F lam + lam G lam
+        rng = np.random.default_rng(29)
+        msh = oracles.perturbed_mesh(3, seed=12)
+        topo = compute_facet_topology(msh)
+        lay = build_layout(msh, topo, 2)
+        ops = assemble_operators(msh, topo, lay, tau_bar=1.5,
+                                 tau_mode=tau_mode)
+        seven = oracles.dense_seven(msh, topo, 2, tau_bar=1.5,
+                                    tau_mode=tau_mode)
+        state = self.zero_state(lay)
+        state.psi = rng.standard_normal(lay.n_scalar)
+        state.lam = rng.standard_normal(lay.n_facet)
+        flux = seven["B"] @ state.psi + seven["E"] @ state.lam
+        store = flux @ np.linalg.solve(seven["Mv"], flux)
+        want = (state.psi @ seven["S"] @ state.psi
+                + 2.0 * state.psi @ seven["F"] @ state.lam
+                + state.lam @ seven["G"] @ state.lam)
+        e0, _ = energy(state, ops, 0.0, 1.0)
+        assert want > 0.0
+        assert abs((2.0 * e0 - store) - want) <= 1e-12 * want
+
     def test_nonlinear_kinetic_correction(self):
         # e0(k) - e0(0) = k * integral of (d psi)^3
         rng = np.random.default_rng(13)

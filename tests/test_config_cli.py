@@ -2,12 +2,15 @@
 and the command line front end (exit codes, file outputs, determinism)."""
 
 import math
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from westervelt_hdg.cli import main
 from westervelt_hdg.config import (
+    MAX_DEGREE,
     ConfigError,
     RunConfig,
     default_config,
@@ -119,6 +122,17 @@ class TestConfig:
         ("dt", -0.1, "dt must be positive"),
         ("snapshot_times", (-1.0,), "snapshot_times"),
         ("profile_samples", 1, "profile_samples"),
+        ("degree", MAX_DEGREE + 1, "degree must be <="),
+        ("c", math.nan, "c must be finite"),
+        ("k", math.inf, "k must be finite"),
+        ("delta", math.nan, "delta must be finite"),
+        ("final_time", math.inf, "final_time must be finite"),
+        ("tau", math.inf, "tau must be finite"),
+        ("gamma", math.nan, "gamma must be finite"),
+        ("beta", math.nan, "beta must be finite"),
+        ("tol", math.inf, "tol must be finite"),
+        ("dt", math.nan, "dt must be finite"),
+        ("snapshot_times", (1.0, math.inf), "snapshot_times must be finite"),
     ])
     def test_validate_rejects_bad_fields(self, field, value, match):
         import dataclasses
@@ -126,6 +140,23 @@ class TestConfig:
                                   **{field: value})
         with pytest.raises(ConfigError, match=match):
             cfg.validate()
+
+    def test_readme_config_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8")
+        block = readme.split("Config file structure (all keys optional):\n",
+                             1)[1].split("\nOutputs:", 1)[0]
+        cfg = parse_config(textwrap.dedent(block))
+        assert cfg.kind == "h_convergence" and cfg.c == 100.0
+        assert cfg.levels == (4, 8, 16, 32)
+        assert cfg.tau_mode == "single_facet"
+        assert cfg.max_iterations == 100
+        assert cfg.dt is None
+        assert cfg.snapshot_times == (5.0e-5, 2.0e-4)
+
+    def test_hash_inline_comments(self):
+        cfg = parse_config("[problem]\nc = 3.0  # wave speed\n")
+        assert cfg.c == 3.0
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -474,6 +505,23 @@ class TestCli:
         assert main(["h-convergence", "--config", str(cfg),
                      "--levels", "2,elephants"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("line", ["[problem]\nc = nan\n",
+                                      "[problem]\nfinal_time = inf\n"])
+    def test_exit_2_on_non_finite_values(self, tmp_path, capsys, line):
+        cfg = self.write(tmp_path, "nonfinite.ini", line)
+        assert main(["h-convergence", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+
+    def test_exit_2_on_unsupported_degree(self, tmp_path, capsys):
+        assert main(["h-convergence", "--p", "40", "--levels", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: degree must be <=")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_exit_3_on_nonconvergence(self, tmp_path, capsys):
         text = TINY_H + "max_iterations = 1\ntol = 1e-16\n"

@@ -25,6 +25,7 @@ from westervelt_hdg.operators import (
     build_layout,
     count_unstabilized_facets,
     hdg_project,
+    scatter_csr,
     tau_pattern,
 )
 
@@ -140,16 +141,20 @@ class TestSevenMatrices:
     def test_trace_blocks_consistent_with_sparse_matrices(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops = build(msh, 2)
-        tab = ops.tables
         e_dense = np.zeros((lay.n_vector, lay.n_facet))
         f_dense = np.zeros((lay.n_scalar, lay.n_facet))
-        for fi, sides in enumerate(tab.interior_sides):
-            cols = lay.facet_slice(fi)
-            for s, (t, lf) in enumerate(sides):
-                e_dense[lay.vector_slice(t), cols] += \
-                    ops.trace_vector_blocks[fi, s]
-                f_dense[lay.scalar_slice(t), cols] += \
-                    ops.trace_scalar_blocks[fi, s]
+        for t in range(lay.n_elements):
+            for lf in range(3):
+                fid = topo.elem_facets[t, lf]
+                e_blk = ops.trace_vector_local[t, lf]
+                f_blk = ops.trace_scalar_local[t, lf]
+                if not topo.is_interior[fid]:
+                    assert np.max(np.abs(e_blk)) == 0.0
+                    assert np.max(np.abs(f_blk)) == 0.0
+                    continue
+                cols = lay.facet_slice(topo.interior_index[fid])
+                e_dense[lay.vector_slice(t), cols] += e_blk
+                f_dense[lay.scalar_slice(t), cols] += f_blk
         assert np.max(np.abs(e_dense
                              - np.asarray(ops.trace_vector.todense()))) == 0.0
         assert np.max(np.abs(f_dense
@@ -216,6 +221,17 @@ class TestMatrixStructure:
         e1 = np.asarray(ops1.trace_vector.todense())
         e2 = np.asarray(ops2.trace_vector.todense())
         assert np.array_equal(e1, e2)
+
+    def test_scatter_sums_duplicates_in_given_order(self):
+        # (1e-17 + 1) - 1 is exactly zero in the given order, so the entry
+        # is not stored; the entry with a negative column index is dropped
+        blocks = np.array([[[1.0e-17, 4.0]], [[1.0, 0.0]], [[-1.0, 0.0]],
+                           [[2.0, 5.0]]])
+        rows = np.array([[0], [0], [0], [1]])
+        cols = np.array([[1, 0], [1, 0], [1, 0], [-1, 1]])
+        mat = scatter_csr((2, 2), (blocks, rows, cols))
+        assert mat.nnz == 2
+        assert mat.toarray().tolist() == [[4.0, 0.0], [0.0, 5.0]]
 
     def test_tau_pattern_single_facet_one_entry_per_element(self):
         msh = generate_structured_mesh(3)
