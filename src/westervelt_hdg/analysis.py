@@ -8,20 +8,13 @@ import numpy as np
 
 from .basis import TriangleBasis, scalar_space_dim, triangle_quadrature
 from .condensation import reconstruct_velocity
-from .mesh import Mesh
+from .mesh import Mesh, element_geometry
 from .newmark import State
 from .operators import (
     AssembledOperators,
     NondegeneracyError,
     apply_blocks,
 )
-
-
-def _jacobians(mesh: Mesh):
-    tri = mesh.vertices[mesh.triangles]
-    jac = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
-    detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    return tri[:, 0], jac, detj
 
 
 @dataclass
@@ -53,7 +46,7 @@ class DiscreteScalarField:
     def eval_at(self, points: np.ndarray) -> np.ndarray:
         """Values at arbitrary physical points (brute-force element lookup)."""
         points = np.atleast_2d(points)
-        vert0, jac, _ = _jacobians(self.mesh)
+        vert0, jac, _ = element_geometry(self.mesh)
         jinv = np.linalg.inv(jac)
         out = np.empty(points.shape[0])
         coeffs = self.coeffs.reshape(self.mesh.n_triangles, -1)
@@ -112,7 +105,7 @@ def l2_error(fld, exact, t: float = 0.0, quad_order: int | None = None) -> float
     """
     order = 2 * fld.degree + 4 if quad_order is None else quad_order
     rule = triangle_quadrature(order)
-    vert0, jac, detj = _jacobians(fld.mesh)
+    vert0, jac, detj = element_geometry(fld.mesh)
     xq = vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
     wdet = rule.weights[None, :] * detj[:, None]
     if isinstance(fld, DiscreteVectorField):
@@ -138,15 +131,13 @@ def postprocess(psi: np.ndarray, v: np.ndarray,
     basis_hi = TriangleBasis(p + 1)
     dhi = basis_hi.dim
     rule = triangle_quadrature(2 * (p + 1))
-    phi_lo = ops.tables.basis.eval_values(rule.points)
     _, gphi_hi = basis_hi.eval(rule.points)
-    vert0, jac, detj = _jacobians(ops.tables.mesh)
-    jinv_t = np.linalg.inv(jac).transpose(0, 2, 1)
+    tab = ops.tables
     # physical gradients of the enriched basis (ne, nq, dhi, 2)
-    ghi = np.einsum("eab,qib->eqia", jinv_t, gphi_hi)
-    wdet = rule.weights[None, :] * detj[:, None]
+    ghi = np.einsum("eab,qib->eqia", tab.jinv_t, gphi_hi)
+    wdet = rule.weights[None, :] * tab.detj[:, None]
     gram = np.einsum("eq,eqia,eqja->eij", wdet, ghi, ghi)
-    vq = DiscreteVectorField(ops.tables.mesh, p, np.asarray(v, dtype=float)
+    vq = DiscreteVectorField(tab.mesh, p, np.asarray(v, dtype=float)
                              ).eval_reference(rule.points)
     rhs = np.einsum("eq,eqa,eqia->ei", wdet, vq, ghi)
     ne = lay.n_elements
@@ -155,7 +146,7 @@ def postprocess(psi: np.ndarray, v: np.ndarray,
     # preserves the element means, the rest solve the gradient system
     coeffs[:, 0] = psi.reshape(ne, d)[:, 0]
     coeffs[:, 1:] = np.linalg.solve(gram[:, 1:, 1:], rhs[:, 1:, None])[..., 0]
-    return DiscreteScalarField(ops.tables.mesh, p + 1, coeffs.reshape(-1))
+    return DiscreteScalarField(tab.mesh, p + 1, coeffs.reshape(-1))
 
 
 def energy(state: State, ops: AssembledOperators, k: float,
@@ -197,8 +188,7 @@ def energy(state: State, ops: AssembledOperators, k: float,
 
     def jump(psi, lam):
         psi_q = np.einsum("elqi,ei->elq", traces, psi.reshape(ne, d))
-        # index -1 (boundary facets) picks the appended zero trace
-        lam_q = np.append(lam, 0.0)[tab.facet_dofs].reshape(ne, 3, -1) @ tab.mu.T
+        lam_q = tab.facet_values(lam).reshape(ne, 3, -1) @ tab.mu.T
         return float(np.sum(jump_w * (lam_q - psi_q) ** 2))
 
     jump0 = jump(state.psi, state.lam)

@@ -1,8 +1,9 @@
 """Command line front end for the study recipes.
 
 Exit codes: 0 on success, 2 for configuration problems (including argparse
-usage errors), 3 when the nonlinear solver fails to converge or degenerates,
-4 for filesystem problems.
+usage errors), 3 when the solver fails (the corrector does not converge,
+1 + 2k d(psi)/dt loses positivity, or a facet system is singular), 4 for
+filesystem problems.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
+from .condensation import CondensationError
 from .config import (
     ConfigError,
     RunConfig,
@@ -27,7 +29,7 @@ from .experiments import (
     single_run_study,
     wavefront_study,
 )
-from .newmark import NonconvergenceError
+from .newmark import InitializationError, NonconvergenceError
 from .operators import NondegeneracyError
 
 _KIND_BY_COMMAND = {
@@ -188,7 +190,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonconvergenceError, NondegeneracyError) as exc:
+    except (NonconvergenceError, NondegeneracyError, CondensationError,
+            InitializationError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -22,7 +22,6 @@ from .operators import (
     AssembledOperators,
     apply_blocks,
     element_dofs,
-    facet_columns,
     scatter_csr,
 )
 
@@ -38,10 +37,15 @@ class _EmptySolver:
         return np.zeros_like(b)
 
 
-def _factorize(matrix: sp.spmatrix):
+def _factorize(name: str, matrix: sp.spmatrix):
     if matrix.shape[0] == 0:
         return _EmptySolver()
-    return spla.splu(matrix.tocsc())
+    try:
+        return spla.splu(matrix.tocsc())
+    except RuntimeError as err:
+        raise CondensationError(
+            f"cannot factorize the {name} ({matrix.shape[0]} facet dofs): "
+            f"{err}") from err
 
 
 @dataclass
@@ -102,7 +106,11 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
     stiffness = ops.boundary_penalty + np.matmul(bt_minv, ops.divergence)
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
     shifted = ops.scalar_mass + mu * stiffness
-    shifted_inv = np.linalg.inv(shifted)
+    try:
+        shifted_inv = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError as err:
+        raise CondensationError(
+            f"element block M + mu Ks singular (mu = {mu:g})") from err
 
     stiffness_inv = None
     static_error = None
@@ -116,8 +124,7 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
 
     # element blocks against the element's 3 pf facet columns; columns of
     # boundary facets are zero and dropped by the scatter
-    e_loc = facet_columns(ops.trace_vector_local)  # (ne, 2d, 3pf)
-    f_loc = facet_columns(ops.trace_scalar_local)  # (ne, d, 3pf)
+    e_loc, f_loc = ops.trace_vector_local, ops.trace_scalar_local
     e_t, f_t = e_loc.transpose(0, 2, 1), f_loc.transpose(0, 2, 1)
     r_loc = f_loc + bt_minv @ e_loc
     y_loc = shifted_inv @ (mu * r_loc)
@@ -152,10 +159,11 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
         stiffness_inv=stiffness_inv,
         static_error=static_error,
     )
-    cond.facet_solver = _factorize(cond.facet_schur)
-    cond.gram_solver = _factorize(cond.facet_gram)
-    if cond.static_schur is not None:
-        cond.static_solver = _factorize(cond.static_schur)
+    cond.facet_solver = _factorize("facet Schur complement", schur)
+    cond.gram_solver = _factorize("facet Gram matrix", gram)
+    if static is not None:
+        cond.static_solver = _factorize("stationary facet Schur complement",
+                                        static)
     return cond
 
 
@@ -176,5 +184,7 @@ def condensed_solve(cond: CondensedOperators,
 def reconstruct_velocity(ops: AssembledOperators, psi: np.ndarray,
                          lam: np.ndarray) -> np.ndarray:
     """Element-wise velocity solve Mv v = -(B psi + E lam)."""
-    rhs = apply_blocks(ops.divergence, psi) + ops.trace_vector @ lam
+    lam_e = ops.tables.facet_values(lam).ravel()
+    rhs = (apply_blocks(ops.divergence, psi)
+           + apply_blocks(ops.trace_vector_local, lam_e))
     return -ops.vector_mass_solve(rhs)

@@ -55,6 +55,9 @@ class RunConfig:
             raise ConfigError("snapshot_times must be finite")
         if self.c <= 0.0:
             raise ConfigError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c * self.c < math.inf:
+            raise ConfigError(f"c^2 must be a positive finite number, got "
+                              f"c = {self.c}")
         if self.delta < 0.0:
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if self.final_time <= 0.0:
@@ -83,8 +86,11 @@ class RunConfig:
             raise ConfigError(f"coarse_steps must be >= 1")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
-        if any(t < 0.0 for t in self.snapshot_times):
-            raise ConfigError("snapshot_times must be nonnegative")
+        if self.dt is not None and not math.isfinite(self.final_time / self.dt):
+            raise ConfigError(f"final_time / dt overflows, got final_time = "
+                              f"{self.final_time}, dt = {self.dt}")
+        if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
+            raise ConfigError("snapshot_times must lie in [0, final_time]")
         if self.profile_samples < 2:
             raise ConfigError("profile_samples must be >= 2")
         return self

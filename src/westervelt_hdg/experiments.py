@@ -20,9 +20,10 @@ from .analysis import (
     scalar_field,
     vector_field,
 )
+from .basis import triangle_quadrature
 from .condensation import reconstruct_velocity
 from .config import RunConfig
-from .mesh import Mesh, generate_structured_mesh, mesh_metrics
+from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
 from .newmark import (
     InitializationError,
     NewmarkConfig,
@@ -353,14 +354,11 @@ def export_field(fld: DiscreteScalarField, path, fmt: str = "csv") -> None:
     re-parsing reproduces the doubles exactly. VTK output carries
     vertex-averaged values on the triangulation.
     """
-    from .basis import triangle_quadrature
-
     mesh = fld.mesh
     if fmt == "csv":
         rule = triangle_quadrature(2 * fld.degree + 2)
-        tri = mesh.vertices[mesh.triangles]
-        jac = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
-        xq = tri[:, 0][:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
+        vert0, jac, _ = element_geometry(mesh)
+        xq = vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
         vals = fld.eval_reference(rule.points)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("x,y,value\n")

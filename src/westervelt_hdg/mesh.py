@@ -56,10 +56,20 @@ class Mesh:
         return self.triangles.shape[0]
 
     def areas(self) -> np.ndarray:
-        a = self.vertices[self.triangles[:, 0]]
-        b = self.vertices[self.triangles[:, 1]]
-        c = self.vertices[self.triangles[:, 2]]
-        return 0.5 * _cross2(b - a, c - a)
+        return 0.5 * element_geometry(self)[2]
+
+
+def element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Affine maps x = vert0 + jac @ xhat from the reference triangle.
+
+    Returns the first vertex (ne, 2), the Jacobian (ne, 2, 2) whose columns
+    are the edges from it to the second and third vertex, and its
+    determinant (ne,).
+    """
+    tri = mesh.vertices[mesh.triangles]  # (ne, 3, 2)
+    jac = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
+    detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    return tri[:, 0], jac, detj
 
 
 def generate_structured_mesh(n: int, bbox=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
@@ -99,7 +109,6 @@ class FacetTopology:
     """
 
     facets: np.ndarray  # (n_facets, 2) vertex ids, lo < hi
-    facet_elements: np.ndarray  # (n_facets, 2), -1 for the missing neighbor
     is_interior: np.ndarray  # (n_facets,) bool
     elem_facets: np.ndarray  # (n_triangles, 3) global facet id per local facet
     elem_facet_forward: np.ndarray  # (n_triangles, 3) local orientation == global
@@ -114,7 +123,8 @@ class FacetTopology:
         return self.facets.shape[0]
 
 
-_LOCAL_FACETS = ((0, 1), (1, 2), (2, 0))
+# local facet lf joins local vertices lf and lf + 1 (mod 3)
+LOCAL_FACETS = ((0, 1), (1, 2), (2, 0))
 
 
 def compute_facet_topology(mesh: Mesh) -> FacetTopology:
@@ -122,12 +132,12 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
     nt = mesh.n_triangles
     facet_id: dict[tuple[int, int], int] = {}
     facets: list[tuple[int, int]] = []
-    facet_elements: list[list[int]] = []
+    neighbors: list[list[int]] = []
     seen_directions: list[set[tuple[int, int]]] = []
     elem_facets = np.empty((nt, 3), dtype=np.int64)
     forward = np.empty((nt, 3), dtype=bool)
     for t, tri in enumerate(mesh.triangles):
-        for lf, (la, lb) in enumerate(_LOCAL_FACETS):
+        for lf, (la, lb) in enumerate(LOCAL_FACETS):
             va, vb = int(tri[la]), int(tri[lb])
             key = (min(va, vb), max(va, vb))
             fid = facet_id.get(key)
@@ -135,9 +145,9 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
                 fid = len(facets)
                 facet_id[key] = fid
                 facets.append(key)
-                facet_elements.append([])
+                neighbors.append([])
                 seen_directions.append(set())
-            if len(facet_elements[fid]) >= 2:
+            if len(neighbors[fid]) >= 2:
                 raise MeshError(
                     f"facet {key} shared by more than two triangles: mesh is "
                     f"nonconforming"
@@ -148,21 +158,19 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
                     f"inconsistent element orientation"
                 )
             seen_directions[fid].add((va, vb))
-            facet_elements[fid].append(t)
+            neighbors[fid].append(t)
             elem_facets[t, lf] = fid
             forward[t, lf] = (va, vb) == key
     nf = len(facets)
     facets_arr = np.array(facets, dtype=np.int64)
-    elems_arr = np.full((nf, 2), -1, dtype=np.int64)
-    for fid, elems in enumerate(facet_elements):
-        elems_arr[fid, : len(elems)] = elems
-    is_interior = elems_arr[:, 1] >= 0
+    is_interior = np.array([len(elems) == 2 for elems in neighbors],
+                           dtype=bool)
     lengths = np.linalg.norm(
         mesh.vertices[facets_arr[:, 1]] - mesh.vertices[facets_arr[:, 0]], axis=1
     )
     # outward normals: ccw traversal leaves the interior on the left
     normals = np.empty((nt, 3, 2))
-    for lf, (la, lb) in enumerate(_LOCAL_FACETS):
+    for lf, (la, lb) in enumerate(LOCAL_FACETS):
         tang = (
             mesh.vertices[mesh.triangles[:, lb]] - mesh.vertices[mesh.triangles[:, la]]
         )
@@ -178,12 +186,11 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
         lens = lengths[fids]
         best = max(range(3), key=lambda lf: (lens[lf], -fids[lf]))
         stab[t] = best
-    for arr in (facets_arr, elems_arr, is_interior, elem_facets, forward, normals,
+    for arr in (facets_arr, is_interior, elem_facets, forward, normals,
                 lengths, interior_index, stab):
         arr.setflags(write=False)
     return FacetTopology(
         facets=facets_arr,
-        facet_elements=elems_arr,
         is_interior=is_interior,
         elem_facets=elem_facets,
         elem_facet_forward=forward,

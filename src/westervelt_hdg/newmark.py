@@ -190,13 +190,11 @@ def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
 
 def compute_initial_acceleration(state: State, prob: ProblemDefinition,
                                  ops: AssembledOperators,
-                                 cond: CondensedOperators,
-                                 include_forcing: bool = True) -> State:
+                                 cond: CondensedOperators) -> State:
     """Fill consistent initial accelerations into the state (in place).
 
-    Solves the nonlinear-mass system driven by the stiffness residual of the
-    initial data; include_forcing=False drops the t=0 load term (reproducing
-    the plain stiffness-only variant of the initialization).
+    Solves the nonlinear-mass system driven by the t=0 load minus the
+    stiffness residual of the initial data.
     """
     cond.check_params(prob.c, prob.delta, cond.dt, cond.gamma, cond.beta)
     c2 = prob.c * prob.c
@@ -204,7 +202,7 @@ def compute_initial_acceleration(state: State, prob: ProblemDefinition,
     psi_t = state.psi + w * state.dpsi
     lam_t = state.lam + w * state.dlam
     rhs = -c2 * (apply_blocks(cond.stiffness, psi_t) + cond.coupling @ lam_t)
-    if include_forcing and prob.forcing is not None:
+    if prob.forcing is not None:
         rhs = rhs + assemble_load(prob.forcing, state.t, ops.tables)
     nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
     lay = ops.layout
@@ -341,8 +339,8 @@ def number_of_steps(final_time: float, dt: float) -> int:
 
 def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
         observers: Mapping[str, Callable[[State], object]] | None = None,
-        *, degree: int, tau_bar: float = 1.0, tau_mode: str = "single_facet",
-        include_forcing_in_initial_acceleration: bool = True) -> RunResult:
+        *, degree: int, tau_bar: float = 1.0,
+        tau_mode: str = "single_facet") -> RunResult:
     """Assemble, initialize and march the scheme to the final time.
 
     Observers are read-only callables of the state, sampled at t=0 and after
@@ -355,9 +353,7 @@ def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
     cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
                            cfg.beta)
     state = compute_initial_state(prob, ops, cond)
-    compute_initial_acceleration(
-        state, prob, ops, cond,
-        include_forcing=include_forcing_in_initial_acceleration)
+    compute_initial_acceleration(state, prob, ops, cond)
     n_steps = number_of_steps(prob.final_time, cfg.dt)
     result = RunResult(state=state, ops=ops, cond=cond, n_steps=n_steps,
                        observations={name: [] for name in (observers or {})})

@@ -3,24 +3,22 @@
 Unknowns per element: a scalar polynomial (the acoustic potential), a vector
 polynomial (its gradient proxy), and per interior facet a polynomial trace.
 The assembled bilinear forms, with w/r/mu running over scalar/vector/facet
-test functions:
+test functions, all stored as blocks:
 
-    scalar_mass      (psi, w)_K                    element blocks
-    vector_mass      (v, r)_K                      element blocks
-    divergence       (psi, div r)_K                element blocks, rows = r
-    boundary_penalty (tau psi, w)_{dK}             element blocks, all facets
-    trace_vector     -(lam, [r . n])_F             (element, local facet)
-                                                   blocks and sparse
-    trace_scalar     -(tau lam, w)_{dK interior}   (element, local facet)
-                                                   blocks and sparse
-    trace_penalty    (tau lam, mu)_{dK interior}   facet blocks
+    scalar_mass        (psi, w)_K                   element, (ne, d, d)
+    vector_mass        (v, r)_K                     element, (ne, 2d, 2d)
+    divergence         (psi, div r)_K               element, (ne, 2d, d)
+    boundary_penalty   (tau psi, w)_{dK}            element, (ne, d, d)
+    trace_vector_local -(lam, [r . n])_F            element, (ne, 2d, 3pf)
+    trace_scalar_local -(tau lam, w)_{dK interior}  element, (ne, d, 3pf)
+    trace_penalty      (tau lam, mu)_{dK interior}  facet, (n_interior, pf, pf)
 
-The (element, local facet) blocks of the two trace couplings are zero on
-boundary facets and, for trace_scalar, on unstabilized sides; they scatter
-to global facet dofs through ElementTables.facet_dofs. Vector dofs are
-stored per element as [x-component coeffs, y-component coeffs]. Facet dofs
-exist on interior facets only; homogeneous Dirichlet traces are hard zeros
-and never enter the system.
+The columns of the two trace couplings run over the element's three facets
+in the order of ElementTables.facet_dofs, which maps them to global facet
+dofs; they are zero on boundary facets and, for trace_scalar_local, on
+unstabilized sides. Vector dofs are stored per element as [x-component
+coeffs, y-component coeffs]. Facet dofs exist on interior facets only;
+homogeneous Dirichlet traces are hard zeros and never enter the system.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from .basis import (
     segment_quadrature,
     triangle_quadrature,
 )
-from .mesh import FacetTopology, Mesh
+from .mesh import LOCAL_FACETS, FacetTopology, Mesh, element_geometry
 
 
 class AssemblyError(Exception):
@@ -56,9 +54,8 @@ class ProjectionError(Exception):
     """A local projection system could not be solved."""
 
 
-# reference triangle vertices; local facet lf joins vertices lf, lf+1 (mod 3)
+# reference triangle vertices, numbered like the local vertices
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_LOCAL_FACETS = ((0, 1), (1, 2), (2, 0))
 
 TAU_MODES = ("single_facet", "uniform")
 
@@ -114,12 +111,23 @@ def build_layout(mesh: Mesh, topo: FacetTopology, degree: int) -> DofLayout:
     )
 
 
+def facet_traces(basis: TriangleBasis, s: np.ndarray) -> np.ndarray:
+    """Element basis values (3, 2, nq, d) on each local facet at the segment
+    points s, for both orientations: index 1 runs the facet from its first
+    to its second local vertex, index 0 the other way round."""
+    first, second = _REF_VERTS[np.array(LOCAL_FACETS).T][:, :, None, None]
+    # (3, 2, nq, 2) reference points: reversed, then forward
+    lo = np.concatenate([second, first], axis=1)
+    hi = np.concatenate([first, second], axis=1)
+    ref = lo + s[:, None] * (hi - lo)
+    return basis.eval_values(ref.reshape(-1, 2)).reshape(3, 2, s.shape[0], -1)
+
+
 class ElementTables:
     """Geometry and basis evaluations shared by all assembly routines."""
 
     def __init__(self, mesh: Mesh, topo: FacetTopology, layout: DofLayout,
-                 quad_order: int | None = None,
-                 nonlinear_order: int | None = None):
+                 quad_order: int | None = None):
         p = layout.degree
         self.mesh = mesh
         self.topo = topo
@@ -128,8 +136,7 @@ class ElementTables:
         self.facet_basis = SegmentBasis(p)
         self.cell_rule = triangle_quadrature(2 * p + 2 if quad_order is None
                                              else quad_order)
-        self.nonlinear_rule = triangle_quadrature(
-            max(3 * p, 2) if nonlinear_order is None else nonlinear_order)
+        self.nonlinear_rule = triangle_quadrature(max(3 * p, 2))
         self.facet_rule = segment_quadrature(2 * p + 2 if quad_order is None
                                              else quad_order)
 
@@ -137,36 +144,18 @@ class ElementTables:
         self.phi_nl = self.basis.eval_values(self.nonlinear_rule.points)
         self.mu = self.facet_basis.eval(self.facet_rule.points)
 
-        tri = mesh.vertices[mesh.triangles]  # (ne, 3, 2)
-        jac = np.stack([tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]], axis=2)
-        self.detj = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-        self.jinv_t = np.linalg.inv(jac).transpose(0, 2, 1)
-        self.vert0 = tri[:, 0]
-        self.jac = jac
-
-        # physical quadrature points (ne, nq, 2) for both volume rules
+        self.vert0, self.jac, self.detj = element_geometry(mesh)
+        self.jinv_t = np.linalg.inv(self.jac).transpose(0, 2, 1)
+        # physical quadrature points (ne, nq, 2) of the cell rule
         self.xq = self.vert0[:, None, :] + np.einsum(
-            "eab,qb->eqa", jac, self.cell_rule.points)
-        self.xq_nl = self.vert0[:, None, :] + np.einsum(
-            "eab,qb->eqa", jac, self.nonlinear_rule.points)
-
+            "eab,qb->eqa", self.jac, self.cell_rule.points)
         # physical gradients (ne, nq, d, 2)
         self.gphys = np.einsum("eab,qib->eqia", self.jinv_t, self.gphi)
 
-        # element basis traces on each local facet for both facet
-        # orientations, evaluated at the facet quadrature points
-        s = self.facet_rule.points
-        self.trace = np.empty((3, 2, s.shape[0], layout.dim_scalar))
-        for lf, (la, lb) in enumerate(_LOCAL_FACETS):
-            fwd = _REF_VERTS[la] + s[:, None] * (_REF_VERTS[lb] - _REF_VERTS[la])
-            rev = _REF_VERTS[lb] + s[:, None] * (_REF_VERTS[la] - _REF_VERTS[lb])
-            self.trace[lf, 1] = self.basis.eval_values(fwd)
-            self.trace[lf, 0] = self.basis.eval_values(rev)
-
+        self.trace = facet_traces(self.basis, self.facet_rule.points)
         # picks each element's own (local facet, orientation) entry from the
         # leading axes of trace and of tables built from it
         self.sides = (np.arange(3)[None, :], topo.elem_facet_forward.astype(int))
-        self.interior_facets = np.flatnonzero(topo.is_interior)
         # global facet dof of every (element, local facet, facet mode),
         # flattened to (ne, 3 pf); -1 on boundary facets
         pf = layout.dim_facet
@@ -174,6 +163,12 @@ class ElementTables:
         self.facet_dofs = np.where(ifac[:, :, None] >= 0,
                                    ifac[:, :, None] * pf + np.arange(pf),
                                    -1).reshape(-1, 3 * pf)
+
+    def facet_values(self, lam: np.ndarray) -> np.ndarray:
+        """Facet coefficients seen by each element, (ne, 3 pf) in the order
+        of facet_dofs; zero on boundary facets."""
+        # index -1 (boundary facets) picks the appended zero
+        return np.append(lam, 0.0)[self.facet_dofs]
 
 
 def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarray:
@@ -211,10 +206,8 @@ class AssembledOperators:
     vector_mass_inv: np.ndarray  # (ne, 2d, 2d)
     divergence: np.ndarray  # (ne, 2d, d)
     boundary_penalty: np.ndarray  # (ne, d, d)
-    trace_vector_local: np.ndarray  # (ne, 3, 2d, pf) E per local facet
-    trace_scalar_local: np.ndarray  # (ne, 3, d, pf) F per local facet
-    trace_vector: sp.csr_matrix  # (n_vector, n_facet)
-    trace_scalar: sp.csr_matrix  # (n_scalar, n_facet)
+    trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E, facet_dofs columns
+    trace_scalar_local: np.ndarray  # (ne, d, 3pf) F, facet_dofs columns
     trace_penalty: np.ndarray  # (n_interior, pf, pf)
     n_unstabilized_facets: int = 0
 
@@ -232,13 +225,6 @@ def apply_blocks(blocks: np.ndarray, u) -> np.ndarray:
     if u.ndim == 1:
         return (blocks @ u.reshape(ne, d, 1)).reshape(-1)
     return np.matmul(blocks, u.reshape(ne, d, -1)).reshape(ne * blocks.shape[1], -1)
-
-
-def facet_columns(local: np.ndarray) -> np.ndarray:
-    """(ne, 3, r, pf) per-facet blocks as (ne, r, 3 pf) element blocks whose
-    columns follow ElementTables.facet_dofs."""
-    ne, _, r, pf = local.shape
-    return local.transpose(0, 2, 1, 3).reshape(ne, r, 3 * pf)
 
 
 def element_dofs(n_elements: int, dim: int) -> np.ndarray:
@@ -317,26 +303,19 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
     length = topo.facet_lengths[topo.elem_facets]  # (ne, 3)
     interior = topo.is_interior[topo.elem_facets]  # (ne, 3)
     tau_len = (tau * length)[:, :, None, None]
-    # C[t, lf, i, m] = int_F phi_i mu_m
-    cmat = length[:, :, None, None] * trace_mu[tab.sides]
+    # C[t, i, lf, m] = int_F phi_i mu_m on local facet lf
+    cmat = (length[:, :, None, None] * trace_mu[tab.sides]).transpose(0, 2, 1, 3)
     boundary_penalty = (tau_len * trace_trace[tab.sides]).sum(axis=1)
-    normals = interior[:, :, None] * topo.normals  # (ne, 3, 2)
-    trace_vector_local = -(normals[:, :, :, None, None] * cmat[:, :, None]
-                           ).reshape(ne, 3, 2 * d, pf)
-    trace_scalar_local = -(tau * interior)[:, :, None, None] * cmat
+    normals = (interior[:, :, None] * topo.normals).transpose(0, 2, 1)
+    trace_vector_local = -(normals[:, :, None, :, None] * cmat[:, None]
+                           ).reshape(ne, 2 * d, 3 * pf)
+    trace_scalar_local = -((tau * interior)[:, None, :, None] * cmat
+                           ).reshape(ne, d, 3 * pf)
     # both sides of each interior facet, in element order
     trace_penalty = np.zeros((topo.n_interior, pf, pf))
     mu_mass = tab.mu.T @ (wf[:, None] * tab.mu)
     np.add.at(trace_penalty, topo.interior_index[topo.elem_facets][interior],
               tau_len[interior] * mu_mass)
-
-    cols = tab.facet_dofs
-    trace_vector = scatter_csr(
-        (layout.n_vector, layout.n_facet),
-        (facet_columns(trace_vector_local), element_dofs(ne, 2 * d), cols))
-    trace_scalar = scatter_csr(
-        (layout.n_scalar, layout.n_facet),
-        (facet_columns(trace_scalar_local), element_dofs(ne, d), cols))
 
     return AssembledOperators(
         layout=layout,
@@ -351,8 +330,6 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
         boundary_penalty=boundary_penalty,
         trace_vector_local=trace_vector_local,
         trace_scalar_local=trace_scalar_local,
-        trace_vector=trace_vector,
-        trace_scalar=trace_scalar,
         trace_penalty=trace_penalty,
         n_unstabilized_facets=count_unstabilized_facets(topo, tau),
     )
@@ -399,34 +376,16 @@ def assemble_load(f, t: float, tables: ElementTables) -> np.ndarray:
 def assemble_penalty_load(g, tables: ElementTables, tau: np.ndarray,
                           quad_order: int | None = None) -> np.ndarray:
     """Boundary moments sum_F tau_F (g, phi_i)_F of a callable g(x, y)."""
-    lay = tables.layout
     rule = tables.facet_rule if quad_order is None else segment_quadrature(quad_order)
-    out = np.zeros(lay.n_scalar)
-    topo, mesh = tables.topo, tables.mesh
-    for t in range(lay.n_elements):
-        for lf in range(3):
-            if tau[t, lf] == 0.0:
-                continue
-            fid = topo.elem_facets[t, lf]
-            lo, hi = topo.facets[fid]
-            plo, phi_v = mesh.vertices[lo], mesh.vertices[hi]
-            pts = plo[None, :] + rule.points[:, None] * (phi_v - plo)[None, :]
-            trace = _trace_at(tables, t, lf, topo.elem_facet_forward[t, lf],
-                              rule.points)
-            gv = g(pts[:, 0], pts[:, 1])
-            out[lay.scalar_slice(t)] += tau[t, lf] * topo.facet_lengths[fid] * (
-                trace.T @ (rule.weights * gv))
-    return out
-
-
-def _trace_at(tables: ElementTables, t: int, lf: int, forward: bool,
-              s: np.ndarray) -> np.ndarray:
-    la, lb = _LOCAL_FACETS[lf]
-    if forward:
-        ref = _REF_VERTS[la] + s[:, None] * (_REF_VERTS[lb] - _REF_VERTS[la])
-    else:
-        ref = _REF_VERTS[lb] + s[:, None] * (_REF_VERTS[la] - _REF_VERTS[lb])
-    return tables.basis.eval_values(ref)
+    topo = tables.topo
+    # end points of every side's facet, in the global facet direction
+    ends = tables.mesh.vertices[topo.facets[topo.elem_facets]]  # (ne, 3, 2, 2)
+    lo, hi = ends[:, :, :1], ends[:, :, 1:]
+    pts = lo + rule.points[:, None] * (hi - lo)
+    traces = facet_traces(tables.basis, rule.points)[tables.sides]
+    wg = ((tau * topo.facet_lengths[topo.elem_facets])[:, :, None]
+          * rule.weights * g(pts[..., 0], pts[..., 1]))
+    return np.einsum("elq,elqi->ei", wg, traces).ravel()
 
 
 def hdg_project(psi, v, ops: AssembledOperators,
@@ -448,6 +407,7 @@ def hdg_project(psi, v, ops: AssembledOperators,
                   else segment_quadrature(min(quad_order, 60)))
     phi = tab.basis.eval_values(cell_rule.points)
     mu = tab.facet_basis.eval(facet_rule.points)
+    traces = facet_traces(tab.basis, facet_rule.points)[tab.sides]
     topo, mesh = tab.topo, tab.mesh
 
     psi_coef = np.zeros(lay.n_scalar)
@@ -480,10 +440,8 @@ def hdg_project(psi, v, ops: AssembledOperators,
             lo, hi = topo.facets[fid]
             plo, phi_v = mesh.vertices[lo], mesh.vertices[hi]
             pts = plo[None, :] + facet_rule.points[:, None] * (phi_v - plo)[None, :]
-            trace = _trace_at(tab, t, lf, topo.elem_facet_forward[t, lf],
-                              facet_rule.points)
             wlen = facet_rule.weights * topo.facet_lengths[fid]
-            cmat = trace.T @ (wlen[:, None] * mu)  # (d, pf)
+            cmat = traces[t, lf].T @ (wlen[:, None] * mu)  # (d, pf)
             nvec = topo.normals[t, lf]
             tau = ops.tau[t, lf]
             psi_f = psi(pts[:, 0], pts[:, 1])

@@ -18,6 +18,7 @@ import oracles
 from test_operators import (
     build as build_ops,
     commutativity_residual,
+    dense_trace_couplings,
     polyder2d,
     rand_poly2,
 )
@@ -119,14 +120,15 @@ def test_criterion_4_oracle_equivalence():
             rng = np.random.default_rng(100 * mi + degree)
             topo, lay, ops = build_ops(msh, degree, tau_bar=1.5)
             seven = oracles.dense_seven(msh, topo, degree, tau_bar=1.5)
+            e_dense, f_dense = dense_trace_couplings(ops)
             pairs = [
                 (block_diag_csr(ops.scalar_mass).toarray(), seven["M"]),
                 (block_diag_csr(ops.vector_mass).toarray(), seven["Mv"]),
                 (block_diag_csr(ops.divergence).toarray(), seven["B"]),
                 (block_diag_csr(ops.boundary_penalty).toarray(),
                  seven["S"]),
-                (np.asarray(ops.trace_vector.todense()), seven["E"]),
-                (np.asarray(ops.trace_scalar.todense()), seven["F"]),
+                (e_dense, seven["E"]),
+                (f_dense, seven["F"]),
                 (block_diag_csr(ops.trace_penalty).toarray(), seven["G"]),
             ]
             for got, want in pairs:

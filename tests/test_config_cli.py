@@ -2,11 +2,13 @@
 and the command line front end (exit codes, file outputs, determinism)."""
 
 import math
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from westervelt_hdg.cli import main
 from westervelt_hdg.config import (
@@ -133,6 +135,10 @@ class TestConfig:
         ("tol", math.inf, "tol must be finite"),
         ("dt", math.nan, "dt must be finite"),
         ("snapshot_times", (1.0, math.inf), "snapshot_times must be finite"),
+        ("c", 1.0e-300, r"c\^2 must be a positive finite number"),
+        ("c", 1.0e200, r"c\^2 must be a positive finite number"),
+        ("dt", 1.0e-320, "final_time / dt overflows"),
+        ("snapshot_times", (0.5, 2.0), r"must lie in \[0, final_time\]"),
     ])
     def test_validate_rejects_bad_fields(self, field, value, match):
         import dataclasses
@@ -409,6 +415,29 @@ profile_samples = 16
 """
 
 
+# config keys whose edge values the CLI must survive, with their sections
+EDGE_KEYS = {"c": "problem", "k": "problem", "delta": "problem",
+             "final_time": "problem", "tau": "discretization",
+             "gamma": "newmark", "beta": "newmark", "tol": "newmark",
+             "dt": "newmark"}
+EDGE_VALUES = (0.0, -1.0, math.nan, math.inf, 1.0e-320, 1.0e-300, 1.0e150,
+               1.0e200, 1.0e300)
+CLI_COMMANDS = ("h-convergence", "delta-convergence", "wavefront", "run")
+
+
+def edge_config(key, value):
+    """Config text with final_time = 0.01 and at most 10 steps per run
+    (coarse_steps = 10 under the dt rule), overridden by key = value."""
+    values = {"final_time": repr(0.01), "coarse_steps": "10", "dt": ""}
+    values[key] = repr(value)
+    sections = {}
+    for name, text in values.items():
+        section = EDGE_KEYS.get(name, "newmark")
+        sections.setdefault(section, []).append(f"{name} = {text}")
+    return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
+                   for section, lines in sections.items())
+
+
 class TestCli:
     def write(self, tmp_path, name, text):
         path = tmp_path / name
@@ -523,6 +552,25 @@ class TestCli:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,key,value,degree,code", [
+        ("h-convergence", "c", 1.0e200, 0, 2),
+        ("h-convergence", "c", 1.0e-300, 0, 2),
+        ("h-convergence", "dt", 1.0e300, 0, 3),
+        ("h-convergence", "tau", 1.0e-320, 0, 3),
+        ("h-convergence", "tau", 1.0e200, 2, 3),
+        ("h-convergence", "tau", 1.0e150, 1, 3),
+        ("wavefront", "final_time", 1.0e-320, 0, 2),
+        ("run", "dt", 1.0e-320, 0, 2),
+    ])
+    def test_edge_values_exit_with_one_line(self, tmp_path, capsys, command,
+                                            key, value, degree, code):
+        cfg = self.write(tmp_path, "edge.ini", edge_config(key, value))
+        assert main([command, "--config", str(cfg), "--p", str(degree),
+                     "--levels", "1", "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        prefix = "configuration error: " if code == 2 else "solver failure: "
+        assert err.startswith(prefix) and err.count("\n") == 1
+
     def test_exit_3_on_nonconvergence(self, tmp_path, capsys):
         text = TINY_H + "max_iterations = 1\ntol = 1e-16\n"
         cfg = self.write(tmp_path, "stall.ini", text)
@@ -551,3 +599,19 @@ class TestCli:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "westervelt-hdg" in capsys.readouterr().out
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(command=st.sampled_from(CLI_COMMANDS),
+       key=st.sampled_from(sorted(EDGE_KEYS)),
+       value=st.sampled_from(EDGE_VALUES),
+       level=st.integers(1, 2), degree=st.integers(0, 2))
+def test_cli_survives_edge_values(command, key, value, level, degree):
+    # a dt this small asks for more than 1e4 steps: valid, merely long
+    assume(not (key == "dt" and value > 0.0 and 0.01 / value > 1.0e4))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "edge.ini"
+        cfg.write_text(edge_config(key, value), encoding="utf-8")
+        code = main([command, "--config", str(cfg), "--levels", str(level),
+                     "--p", str(degree), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4)

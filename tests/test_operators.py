@@ -24,6 +24,7 @@ from westervelt_hdg.operators import (
     block_diag_csr,
     build_layout,
     count_unstabilized_facets,
+    element_dofs,
     hdg_project,
     scatter_csr,
     tau_pattern,
@@ -35,6 +36,18 @@ def build(msh, degree, tau_bar=1.0, tau_mode="single_facet"):
     lay = build_layout(msh, topo, degree)
     ops = assemble_operators(msh, topo, lay, tau_bar=tau_bar, tau_mode=tau_mode)
     return topo, lay, ops
+
+
+def dense_trace_couplings(ops):
+    """E and F as dense global matrices, scattered from their element
+    blocks through the facet dof map."""
+    lay, cols = ops.layout, ops.tables.facet_dofs
+    ne, d = lay.n_elements, lay.dim_scalar
+    e = scatter_csr((lay.n_vector, lay.n_facet),
+                    (ops.trace_vector_local, element_dofs(ne, 2 * d), cols))
+    f = scatter_csr((lay.n_scalar, lay.n_facet),
+                    (ops.trace_scalar_local, element_dofs(ne, d), cols))
+    return e.toarray(), f.toarray()
 
 
 def unit_right_triangle():
@@ -101,13 +114,14 @@ class TestSevenMatrices:
         topo, lay, ops = build(msh, degree, tau_bar=2.5, tau_mode=tau_mode)
         ora = oracles.dense_seven(msh, topo, degree, tau_bar=2.5,
                                   tau_mode=tau_mode)
+        e_dense, f_dense = dense_trace_couplings(ops)
         pairs = [
             (block_diag_csr(ops.scalar_mass).toarray(), ora["M"]),
             (block_diag_csr(ops.vector_mass).toarray(), ora["Mv"]),
             (block_diag_csr(ops.divergence).toarray(), ora["B"]),
             (block_diag_csr(ops.boundary_penalty).toarray(), ora["S"]),
-            (np.asarray(ops.trace_vector.todense()), ora["E"]),
-            (np.asarray(ops.trace_scalar.todense()), ora["F"]),
+            (e_dense, ora["E"]),
+            (f_dense, ora["F"]),
             (block_diag_csr(ops.trace_penalty).toarray(), ora["G"]),
         ]
         for got, want in pairs:
@@ -123,10 +137,9 @@ class TestSevenMatrices:
                              - ora["M"])) <= 1e-12
         assert np.max(np.abs(block_diag_csr(ops.divergence).toarray()
                              - ora["B"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(ops.trace_vector.todense())
-                             - ora["E"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(ops.trace_scalar.todense())
-                             - ora["F"])) <= 1e-12
+        e_dense, f_dense = dense_trace_couplings(ops)
+        assert np.max(np.abs(e_dense - ora["E"])) <= 1e-12
+        assert np.max(np.abs(f_dense - ora["F"])) <= 1e-12
         assert np.max(np.abs(block_diag_csr(ops.boundary_penalty).toarray()
                              - ora["S"])) <= 1e-12
         assert np.max(np.abs(block_diag_csr(ops.trace_penalty).toarray()
@@ -143,11 +156,12 @@ class TestSevenMatrices:
         topo, lay, ops = build(msh, 2)
         e_dense = np.zeros((lay.n_vector, lay.n_facet))
         f_dense = np.zeros((lay.n_scalar, lay.n_facet))
+        pf = lay.dim_facet
         for t in range(lay.n_elements):
             for lf in range(3):
                 fid = topo.elem_facets[t, lf]
-                e_blk = ops.trace_vector_local[t, lf]
-                f_blk = ops.trace_scalar_local[t, lf]
+                e_blk = ops.trace_vector_local[t, :, lf * pf:(lf + 1) * pf]
+                f_blk = ops.trace_scalar_local[t, :, lf * pf:(lf + 1) * pf]
                 if not topo.is_interior[fid]:
                     assert np.max(np.abs(e_blk)) == 0.0
                     assert np.max(np.abs(f_blk)) == 0.0
@@ -155,10 +169,9 @@ class TestSevenMatrices:
                 cols = lay.facet_slice(topo.interior_index[fid])
                 e_dense[lay.vector_slice(t), cols] += e_blk
                 f_dense[lay.scalar_slice(t), cols] += f_blk
-        assert np.max(np.abs(e_dense
-                             - np.asarray(ops.trace_vector.todense()))) == 0.0
-        assert np.max(np.abs(f_dense
-                             - np.asarray(ops.trace_scalar.todense()))) == 0.0
+        e_scat, f_scat = dense_trace_couplings(ops)
+        assert np.max(np.abs(e_dense - e_scat)) == 0.0
+        assert np.max(np.abs(f_dense - f_scat)) == 0.0
 
 
 class TestMatrixStructure:
@@ -210,16 +223,14 @@ class TestMatrixStructure:
         topo, lay, ops2 = build(msh, 1, tau_bar=3.5)
         assert np.max(np.abs(ops2.boundary_penalty
                              - 3.5 * ops1.boundary_penalty)) <= 1e-13
-        f1 = np.asarray(ops1.trace_scalar.todense())
-        f2 = np.asarray(ops2.trace_scalar.todense())
+        e1, f1 = dense_trace_couplings(ops1)
+        e2, f2 = dense_trace_couplings(ops2)
         assert np.max(np.abs(f2 - 3.5 * f1)) <= 1e-13
         assert np.max(np.abs(ops2.trace_penalty
                              - 3.5 * ops1.trace_penalty)) <= 1e-13
         # mass, divergence, and the vector trace do not involve tau
         assert np.array_equal(ops1.scalar_mass, ops2.scalar_mass)
         assert np.array_equal(ops1.divergence, ops2.divergence)
-        e1 = np.asarray(ops1.trace_vector.todense())
-        e2 = np.asarray(ops2.trace_vector.todense())
         assert np.array_equal(e1, e2)
 
     def test_scatter_sums_duplicates_in_given_order(self):
@@ -457,7 +468,7 @@ class TestProjection:
         _, _, lam_c = hdg_project(psi, v, ops, quad_order=40)
         pts, wts = oracles.oracle_segment_rule(24)
         pf = lay.dim_facet
-        for fi, fid in enumerate(ops.tables.interior_facets):
+        for fi, fid in enumerate(np.flatnonzero(topo.is_interior)):
             lo, hi = topo.facets[fid]
             a, b = msh.vertices[lo], msh.vertices[hi]
             xy = a[None, :] + pts[:, None] * (b - a)[None, :]
