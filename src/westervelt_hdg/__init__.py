@@ -69,12 +69,10 @@ from .operators import (
     AssembledOperators,
     AssemblyError,
     NondegeneracyError,
-    ProjectionError,
     assemble_load,
     assemble_nonlinear_mass,
     assemble_operators,
     build_layout,
-    hdg_project,
 )
 from .problems import (
     delta_study_problem,
@@ -102,7 +100,6 @@ __all__ = [
     "NonconvergenceError",
     "NondegeneracyError",
     "ProblemDefinition",
-    "ProjectionError",
     "QuadratureRule",
     "RunConfig",
     "RunResult",
@@ -128,7 +125,6 @@ __all__ = [
     "export_field",
     "generate_structured_mesh",
     "h_convergence_study",
-    "hdg_project",
     "l2_error",
     "load_config",
     "load_mesh",

@@ -160,8 +160,7 @@ def energy(state: State, ops: AssembledOperators, k: float,
     """
     tab, lay = ops.tables, ops.layout
     ne, d = lay.n_elements, lay.dim_scalar
-    phi_nl = tab.phi_nl
-    wdet_nl = tab.nonlinear_rule.weights[None, :] * tab.detj[:, None]
+    phi_nl, wdet_nl = tab.phi_nl, tab.weights_nl
     dpsi_q = state.dpsi.reshape(ne, d) @ phi_nl.T
     ddpsi_q = state.ddpsi.reshape(ne, d) @ phi_nl.T
     weight = 1.0 + 2.0 * k * dpsi_q

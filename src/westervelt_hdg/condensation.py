@@ -41,7 +41,9 @@ def _factorize(name: str, matrix: sp.spmatrix):
     if matrix.shape[0] == 0:
         return _EmptySolver()
     try:
-        return spla.splu(matrix.tocsc())
+        # the facet matrices are symmetric, so a minimum degree ordering of
+        # A^T + A fills in less than the default COLAMD
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as err:
         raise CondensationError(
             f"cannot factorize the {name} ({matrix.shape[0]} facet dofs): "

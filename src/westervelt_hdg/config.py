@@ -16,6 +16,9 @@ KINDS = ("h_convergence", "delta_convergence", "wavefront")
 MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
                  if max(3 * p, 2 * p + 6) <= MAX_QUADRATURE_ORDER)
 
+# the most time steps one run may ask for, through dt or coarse_steps
+MAX_STEPS = 10**7
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -84,11 +87,18 @@ class RunConfig:
             raise ConfigError(f"max_iterations must be >= 1")
         if self.coarse_steps < 1:
             raise ConfigError(f"coarse_steps must be >= 1")
+        if self.coarse_steps > MAX_STEPS:
+            raise ConfigError(f"coarse_steps must be <= {MAX_STEPS}, got "
+                              f"{self.coarse_steps}")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.dt is not None and not math.isfinite(self.final_time / self.dt):
             raise ConfigError(f"final_time / dt overflows, got final_time = "
                               f"{self.final_time}, dt = {self.dt}")
+        if self.dt is not None and round(self.final_time / self.dt) > MAX_STEPS:
+            raise ConfigError(
+                f"final_time / dt must be <= {MAX_STEPS} steps, got "
+                f"final_time = {self.final_time}, dt = {self.dt}")
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if self.profile_samples < 2:

@@ -10,7 +10,9 @@ Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
 implicit Newmark equations, lagging the nonlinear mass: every pass solves one
 condensed linear system whose matrix is frozen in the CondensedOperators.
 Convergence is judged by the relative Euclidean change of the new-time
-solution iterate.
+solution iterate, after at least two passes. run() starts the iteration of
+each step after the first from the extrapolated acceleration
+2 ddPsi_n - ddPsi_{n-1}.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .operators import (
     assemble_nonlinear_mass,
     assemble_operators,
     build_layout,
+    nonlinear_defect,
 )
 
 
@@ -226,12 +229,12 @@ def corrector_step(pred: Prediction, ddpsi: np.ndarray, ddlam: np.ndarray,
                    ops: AssembledOperators, cond: CondensedOperators):
     """One fixed-point pass of the implicit Newmark equations.
 
-    Lags the nonlinear mass at the current velocity iterate and solves the
-    condensed linear system; ln is the prediction-adjusted load from
+    Lags the nonlinear mass at the current velocity iterate, applies its
+    defect M - N to ddpsi without forming N, and solves the condensed
+    linear system; ln is the prediction-adjusted load from
     stiffness_load. Returns the next (ddpsi, ddlam, dpsi) iterates.
     """
-    nmass = assemble_nonlinear_mass(dpsi_iter, prob.k, ops.tables)
-    rhs = ops.scalar_mass_apply(ddpsi) - apply_blocks(nmass, ddpsi) + ln
+    rhs = nonlinear_defect(dpsi_iter, ddpsi, prob.k, ops.tables) + ln
     ddpsi_new, ddlam_new = condensed_solve(cond, rhs)
     dpsi_new = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi_new
     return ddpsi_new, ddlam_new, dpsi_new
@@ -258,8 +261,14 @@ def _change_metric(cfg: NewmarkConfig, pred: Prediction, ddpsi_old,
 
 def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                  ops: AssembledOperators, cond: CondensedOperators,
-                 step_index: int = 0) -> tuple[State, int]:
-    """Advance one time step; returns the new state and the corrector count."""
+                 step_index: int = 0,
+                 start: np.ndarray | None = None) -> tuple[State, int]:
+    """Advance one time step; returns the new state and the corrector count.
+
+    The corrector starts from the acceleration start, by default
+    state.ddpsi, and stops once the change falls below the tolerance, but
+    never before its second pass.
+    """
     cond.check_params(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
@@ -268,7 +277,7 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     else:
         load_next = np.zeros(ops.layout.n_scalar)
     ln = stiffness_load(pred, load_next, prob.c, cond)
-    ddpsi = state.ddpsi
+    ddpsi = state.ddpsi if start is None else start
     ddlam = state.ddlam
     dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
     change = np.inf
@@ -286,7 +295,7 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
         change = _change_metric(cfg, pred, ddpsi, ddpsi_new)
         ddpsi, ddlam, dpsi_iter = ddpsi_new, ddlam_new, dpsi_new
         iterations = s
-        if change < cfg.tol:
+        if change < cfg.tol and s >= 2:
             converged = True
             break
     if not converged:
@@ -359,9 +368,12 @@ def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
                        observations={name: [] for name in (observers or {})})
     for name, fn in (observers or {}).items():
         result.observations[name].append(fn(state))
+    previous = None  # acceleration one step back
     for step in range(n_steps):
+        start = None if previous is None else 2.0 * state.ddpsi - previous
+        previous = state.ddpsi
         state, iters = advance_step(state, cfg, prob, ops, cond,
-                                    step_index=step)
+                                    step_index=step, start=start)
         result.iterations.append(iters)
         for name, fn in (observers or {}).items():
             result.observations[name].append(fn(state))

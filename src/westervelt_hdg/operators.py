@@ -50,10 +50,6 @@ class NondegeneracyError(Exception):
         self.elements = tuple(int(e) for e in elements)
 
 
-class ProjectionError(Exception):
-    """A local projection system could not be solved."""
-
-
 # reference triangle vertices, numbered like the local vertices
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
@@ -146,6 +142,8 @@ class ElementTables:
 
         self.vert0, self.jac, self.detj = element_geometry(mesh)
         self.jinv_t = np.linalg.inv(self.jac).transpose(0, 2, 1)
+        # nonlinear-rule weights times |det J|, (ne, nq)
+        self.weights_nl = self.nonlinear_rule.weights[None, :] * self.detj[:, None]
         # physical quadrature points (ne, nq, 2) of the cell rule
         self.xq = self.vert0[:, None, :] + np.einsum(
             "eab,qb->eqa", self.jac, self.cell_rule.points)
@@ -210,9 +208,6 @@ class AssembledOperators:
     trace_scalar_local: np.ndarray  # (ne, d, 3pf) F, facet_dofs columns
     trace_penalty: np.ndarray  # (n_interior, pf, pf)
     n_unstabilized_facets: int = 0
-
-    def scalar_mass_apply(self, u: np.ndarray) -> np.ndarray:
-        return apply_blocks(self.scalar_mass, u)
 
     def vector_mass_solve(self, u: np.ndarray) -> np.ndarray:
         return apply_blocks(self.vector_mass_inv, u)
@@ -335,22 +330,17 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
     )
 
 
-def assemble_nonlinear_mass(theta: np.ndarray, k: float,
-                            tables: ElementTables) -> np.ndarray:
-    """Element blocks of ((1 + 2 k theta) phi_i, phi_j)_K.
-
-    theta holds scalar-field coefficients. Raises NondegeneracyError when
-    1 + 2 k theta is not strictly positive at every quadrature point of the
-    nonlinear rule.
-    """
+def _nonlinear_coefficient(theta: np.ndarray, k: float,
+                           tables: ElementTables):
+    """theta and 1 + 2 k theta at the points of the nonlinear rule, both
+    (ne, nq). Raises NondegeneracyError where 1 + 2 k theta is not strictly
+    positive."""
     lay = tables.layout
-    ne, d = lay.n_elements, lay.dim_scalar
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (lay.n_scalar,):
         raise AssemblyError(
             f"coefficient vector has shape {theta.shape}, expected ({lay.n_scalar},)")
-    phi = tables.phi_nl
-    theta_q = theta.reshape(ne, d) @ phi.T  # (ne, nq)
+    theta_q = theta.reshape(lay.n_elements, lay.dim_scalar) @ tables.phi_nl.T
     coeff = 1.0 + 2.0 * k * theta_q
     if np.min(coeff) <= 0.0:
         bad = np.flatnonzero(np.min(coeff, axis=1) <= 0.0)
@@ -359,10 +349,37 @@ def assemble_nonlinear_mass(theta: np.ndarray, k: float,
             f"{bad[:8].tolist()}",
             elements=bad,
         )
-    weights = coeff * (tables.nonlinear_rule.weights[None, :]
-                       * tables.detj[:, None])
+    return theta_q, coeff
+
+
+def assemble_nonlinear_mass(theta: np.ndarray, k: float,
+                            tables: ElementTables) -> np.ndarray:
+    """Element blocks of ((1 + 2 k theta) phi_i, phi_j)_K.
+
+    theta holds scalar-field coefficients. Raises NondegeneracyError when
+    1 + 2 k theta is not strictly positive at every quadrature point of the
+    nonlinear rule.
+    """
+    _, coeff = _nonlinear_coefficient(theta, k, tables)
+    phi = tables.phi_nl
+    weights = coeff * tables.weights_nl
     return np.matmul((weights[:, :, None] * phi[None, :, :]).transpose(0, 2, 1),
                      phi)
+
+
+def nonlinear_defect(theta: np.ndarray, a: np.ndarray, k: float,
+                     tables: ElementTables) -> np.ndarray:
+    """The vector (M - N(theta)) a = -2k ((theta a) phi_i)_K, evaluated at
+    the points of the nonlinear rule without forming N(theta).
+
+    Raises NondegeneracyError under the same condition as
+    assemble_nonlinear_mass.
+    """
+    theta_q, _ = _nonlinear_coefficient(theta, k, tables)
+    lay = tables.layout
+    a_q = np.reshape(a, (lay.n_elements, lay.dim_scalar)) @ tables.phi_nl.T
+    return ((-2.0 * k) * (tables.weights_nl * theta_q * a_q)
+            @ tables.phi_nl).ravel()
 
 
 def assemble_load(f, t: float, tables: ElementTables) -> np.ndarray:
@@ -371,97 +388,3 @@ def assemble_load(f, t: float, tables: ElementTables) -> np.ndarray:
     vals = f(xq[..., 0], xq[..., 1], t)
     weights = (tables.cell_rule.weights[None, :] * tables.detj[:, None]) * vals
     return (weights @ tables.phi).ravel()
-
-
-def assemble_penalty_load(g, tables: ElementTables, tau: np.ndarray,
-                          quad_order: int | None = None) -> np.ndarray:
-    """Boundary moments sum_F tau_F (g, phi_i)_F of a callable g(x, y)."""
-    rule = tables.facet_rule if quad_order is None else segment_quadrature(quad_order)
-    topo = tables.topo
-    # end points of every side's facet, in the global facet direction
-    ends = tables.mesh.vertices[topo.facets[topo.elem_facets]]  # (ne, 3, 2, 2)
-    lo, hi = ends[:, :, :1], ends[:, :, 1:]
-    pts = lo + rule.points[:, None] * (hi - lo)
-    traces = facet_traces(tables.basis, rule.points)[tables.sides]
-    wg = ((tau * topo.facet_lengths[topo.elem_facets])[:, :, None]
-          * rule.weights * g(pts[..., 0], pts[..., 1]))
-    return np.einsum("elq,elqi->ei", wg, traces).ravel()
-
-
-def hdg_project(psi, v, ops: AssembledOperators,
-                quad_order: int | None = None):
-    """Elementwise HDG projection of a smooth pair (psi, v).
-
-    Returns coefficients (scalar, vector, facet-trace) where the scalar and
-    vector parts match (psi, v) against all polynomials one degree lower and
-    the projected normal flux v.n - tau psi matches facet-wise against the
-    full trace space. The facet part is the plain facet L2 projection of psi
-    on interior facets.
-    """
-    lay, tab = ops.layout, ops.tables
-    p, d, pf = lay.degree, lay.dim_scalar, lay.dim_facet
-    d_lo = scalar_space_dim(p - 1) if p > 0 else 0
-    cell_rule = (tab.cell_rule if quad_order is None
-                 else triangle_quadrature(quad_order))
-    facet_rule = (tab.facet_rule if quad_order is None
-                  else segment_quadrature(min(quad_order, 60)))
-    phi = tab.basis.eval_values(cell_rule.points)
-    mu = tab.facet_basis.eval(facet_rule.points)
-    traces = facet_traces(tab.basis, facet_rule.points)[tab.sides]
-    topo, mesh = tab.topo, tab.mesh
-
-    psi_coef = np.zeros(lay.n_scalar)
-    v_coef = np.zeros(lay.n_vector)
-    lam_coef = np.zeros(lay.n_facet)
-
-    for t in range(lay.n_elements):
-        if not np.any(ops.tau[t] > 0.0):
-            raise ProjectionError(
-                f"element {t} has no positively stabilized facet")
-        xq = tab.vert0[t][None, :] + cell_rule.points @ tab.jac[t].T
-        psi_q = psi(xq[:, 0], xq[:, 1])
-        v_q = np.asarray(v(xq[:, 0], xq[:, 1]))
-        wdet = cell_rule.weights * tab.detj[t]
-        n_unk = 3 * d
-        amat = np.zeros((n_unk, n_unk))
-        rhs = np.zeros(n_unk)
-        mass = phi.T @ (wdet[:, None] * phi)
-        # volume moment rows against the degree p-1 subspace
-        for comp in range(2):
-            rows = slice(comp * d_lo, (comp + 1) * d_lo)
-            amat[rows, comp * d : comp * d + d] = mass[:d_lo]
-            rhs[rows] = phi[:, :d_lo].T @ (wdet * v_q[comp])
-        amat[2 * d_lo : 3 * d_lo, 2 * d :] = mass[:d_lo]
-        rhs[2 * d_lo : 3 * d_lo] = phi[:, :d_lo].T @ (wdet * psi_q)
-        # facet flux rows
-        row = 3 * d_lo
-        for lf in range(3):
-            fid = topo.elem_facets[t, lf]
-            lo, hi = topo.facets[fid]
-            plo, phi_v = mesh.vertices[lo], mesh.vertices[hi]
-            pts = plo[None, :] + facet_rule.points[:, None] * (phi_v - plo)[None, :]
-            wlen = facet_rule.weights * topo.facet_lengths[fid]
-            cmat = traces[t, lf].T @ (wlen[:, None] * mu)  # (d, pf)
-            nvec = topo.normals[t, lf]
-            tau = ops.tau[t, lf]
-            psi_f = psi(pts[:, 0], pts[:, 1])
-            v_f = np.asarray(v(pts[:, 0], pts[:, 1]))
-            flux = v_f[0] * nvec[0] + v_f[1] * nvec[1] - tau * psi_f
-            block = slice(row, row + pf)
-            amat[block, 0:d] = nvec[0] * cmat.T
-            amat[block, d : 2 * d] = nvec[1] * cmat.T
-            amat[block, 2 * d :] = -tau * cmat.T
-            rhs[block] = mu.T @ (wlen * flux)
-            row += pf
-            if topo.is_interior[fid]:
-                fi = topo.interior_index[fid]
-                lam_coef[lay.facet_slice(fi)] = mu.T @ (
-                    facet_rule.weights * psi_f)
-        try:
-            sol = np.linalg.solve(amat, rhs)
-        except np.linalg.LinAlgError as err:
-            raise ProjectionError(
-                f"singular projection system on element {t}") from err
-        v_coef[lay.vector_slice(t)] = sol[: 2 * d]
-        psi_coef[lay.scalar_slice(t)] = sol[2 * d :]
-    return psi_coef, v_coef, lam_coef

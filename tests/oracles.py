@@ -18,7 +18,13 @@ import numpy as np
 import sympy as sp
 from scipy.special import eval_legendre
 
+from westervelt_hdg.basis import (
+    scalar_space_dim,
+    segment_quadrature,
+    triangle_quadrature,
+)
 from westervelt_hdg.mesh import Mesh, generate_structured_mesh
+from westervelt_hdg.operators import AssembledOperators, ElementTables, facet_traces
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +362,8 @@ def dense_advance(seven: dict, mesh: Mesh, degree: int, state: dict,
     state maps the keys psi/dpsi/ddpsi/lam/dlam/ddlam to vectors; returns the
     advanced state dict and the iteration count. Mirrors the fixed-point
     semantics (warm start from the previous accelerations, relative change
-    of the monitored Newmark iterate) without reusing package solvers.
+    of the monitored Newmark iterate, at least two passes) without reusing
+    package solvers.
     """
     c2 = c * c
     mu = c2 * dt * dt * beta + delta * gamma * dt
@@ -393,7 +400,7 @@ def dense_advance(seven: dict, mesh: Mesh, degree: int, state: dict,
         ddpsi, ddlam = ddpsi_new, ddlam_new
         dpsi_iter = dpsi_hat + gamma * dt * ddpsi
         iterations = s
-        if change < tol:
+        if change < tol and s >= 2:
             break
     else:
         raise RuntimeError("dense oracle corrector did not converge")
@@ -463,3 +470,107 @@ def l2_project_vector(mesh: Mesh, degree: int, f, order: int = 30) -> np.ndarray
         out[base:base + d] = vals.T @ (wts * fx)
         out[base + d:base + 2 * d] = vals.T @ (wts * fy)
     return out
+
+
+# ----------------------------------------------------------------------
+# HDG projection of smooth fields (test data for the convergence checks).
+# Unlike the oracles above, these read the package's ElementTables and
+# facet traces.
+
+
+class ProjectionError(Exception):
+    """A local projection system could not be solved."""
+
+
+def assemble_penalty_load(g, tables: ElementTables, tau: np.ndarray,
+                          quad_order: int | None = None) -> np.ndarray:
+    """Boundary moments sum_F tau_F (g, phi_i)_F of a callable g(x, y)."""
+    rule = tables.facet_rule if quad_order is None else segment_quadrature(quad_order)
+    topo = tables.topo
+    # end points of every side's facet, in the global facet direction
+    ends = tables.mesh.vertices[topo.facets[topo.elem_facets]]  # (ne, 3, 2, 2)
+    lo, hi = ends[:, :, :1], ends[:, :, 1:]
+    pts = lo + rule.points[:, None] * (hi - lo)
+    traces = facet_traces(tables.basis, rule.points)[tables.sides]
+    wg = ((tau * topo.facet_lengths[topo.elem_facets])[:, :, None]
+          * rule.weights * g(pts[..., 0], pts[..., 1]))
+    return np.einsum("elq,elqi->ei", wg, traces).ravel()
+
+
+def hdg_project(psi, v, ops: AssembledOperators,
+                quad_order: int | None = None):
+    """Elementwise HDG projection of a smooth pair (psi, v).
+
+    Returns coefficients (scalar, vector, facet-trace) where the scalar and
+    vector parts match (psi, v) against all polynomials one degree lower and
+    the projected normal flux v.n - tau psi matches facet-wise against the
+    full trace space. The facet part is the plain facet L2 projection of psi
+    on interior facets.
+    """
+    lay, tab = ops.layout, ops.tables
+    p, d, pf = lay.degree, lay.dim_scalar, lay.dim_facet
+    d_lo = scalar_space_dim(p - 1) if p > 0 else 0
+    cell_rule = (tab.cell_rule if quad_order is None
+                 else triangle_quadrature(quad_order))
+    facet_rule = (tab.facet_rule if quad_order is None
+                  else segment_quadrature(min(quad_order, 60)))
+    phi = tab.basis.eval_values(cell_rule.points)
+    mu = tab.facet_basis.eval(facet_rule.points)
+    traces = facet_traces(tab.basis, facet_rule.points)[tab.sides]
+    topo, mesh = tab.topo, tab.mesh
+
+    psi_coef = np.zeros(lay.n_scalar)
+    v_coef = np.zeros(lay.n_vector)
+    lam_coef = np.zeros(lay.n_facet)
+
+    for t in range(lay.n_elements):
+        if not np.any(ops.tau[t] > 0.0):
+            raise ProjectionError(
+                f"element {t} has no positively stabilized facet")
+        xq = tab.vert0[t][None, :] + cell_rule.points @ tab.jac[t].T
+        psi_q = psi(xq[:, 0], xq[:, 1])
+        v_q = np.asarray(v(xq[:, 0], xq[:, 1]))
+        wdet = cell_rule.weights * tab.detj[t]
+        n_unk = 3 * d
+        amat = np.zeros((n_unk, n_unk))
+        rhs = np.zeros(n_unk)
+        mass = phi.T @ (wdet[:, None] * phi)
+        # volume moment rows against the degree p-1 subspace
+        for comp in range(2):
+            rows = slice(comp * d_lo, (comp + 1) * d_lo)
+            amat[rows, comp * d : comp * d + d] = mass[:d_lo]
+            rhs[rows] = phi[:, :d_lo].T @ (wdet * v_q[comp])
+        amat[2 * d_lo : 3 * d_lo, 2 * d :] = mass[:d_lo]
+        rhs[2 * d_lo : 3 * d_lo] = phi[:, :d_lo].T @ (wdet * psi_q)
+        # facet flux rows
+        row = 3 * d_lo
+        for lf in range(3):
+            fid = topo.elem_facets[t, lf]
+            lo, hi = topo.facets[fid]
+            plo, phi_v = mesh.vertices[lo], mesh.vertices[hi]
+            pts = plo[None, :] + facet_rule.points[:, None] * (phi_v - plo)[None, :]
+            wlen = facet_rule.weights * topo.facet_lengths[fid]
+            cmat = traces[t, lf].T @ (wlen[:, None] * mu)  # (d, pf)
+            nvec = topo.normals[t, lf]
+            tau = ops.tau[t, lf]
+            psi_f = psi(pts[:, 0], pts[:, 1])
+            v_f = np.asarray(v(pts[:, 0], pts[:, 1]))
+            flux = v_f[0] * nvec[0] + v_f[1] * nvec[1] - tau * psi_f
+            block = slice(row, row + pf)
+            amat[block, 0:d] = nvec[0] * cmat.T
+            amat[block, d : 2 * d] = nvec[1] * cmat.T
+            amat[block, 2 * d :] = -tau * cmat.T
+            rhs[block] = mu.T @ (wlen * flux)
+            row += pf
+            if topo.is_interior[fid]:
+                fi = topo.interior_index[fid]
+                lam_coef[lay.facet_slice(fi)] = mu.T @ (
+                    facet_rule.weights * psi_f)
+        try:
+            sol = np.linalg.solve(amat, rhs)
+        except np.linalg.LinAlgError as err:
+            raise ProjectionError(
+                f"singular projection system on element {t}") from err
+        v_coef[lay.vector_slice(t)] = sol[: 2 * d]
+        psi_coef[lay.scalar_slice(t)] = sol[2 * d :]
+    return psi_coef, v_coef, lam_coef

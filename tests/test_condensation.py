@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import oracles
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
@@ -126,6 +127,19 @@ class TestSparsity:
                     cond.coupling):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
+
+
+    @pytest.mark.parametrize("degree", [1, 2])
+    def test_factors_fill_less_than_colamd(self, degree):
+        # the facet matrices are symmetric; a minimum degree ordering of
+        # A^T + A leaves fewer L + U nonzeros than splu's default COLAMD
+        msh = generate_structured_mesh(8)
+        topo, lay, ops, cond = build(msh, degree)
+        for mat, lu in ((cond.facet_schur, cond.facet_solver),
+                        (cond.facet_gram, cond.gram_solver),
+                        (cond.static_schur, cond.static_solver)):
+            colamd = spla.splu(mat.tocsc())
+            assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 class TestSpectralStructure:

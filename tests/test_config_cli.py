@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from westervelt_hdg.cli import main
 from westervelt_hdg.config import (
     MAX_DEGREE,
+    MAX_STEPS,
     ConfigError,
     RunConfig,
     default_config,
@@ -139,6 +140,9 @@ class TestConfig:
         ("c", 1.0e200, r"c\^2 must be a positive finite number"),
         ("dt", 1.0e-320, "final_time / dt overflows"),
         ("snapshot_times", (0.5, 2.0), r"must lie in \[0, final_time\]"),
+        ("dt", 1.0e-300, r"final_time / dt must be <= 10000000 steps"),
+        ("dt", 9.0e-8, r"final_time / dt must be <= 10000000 steps"),
+        ("coarse_steps", MAX_STEPS + 1, "coarse_steps must be <= 10000000"),
     ])
     def test_validate_rejects_bad_fields(self, field, value, match):
         import dataclasses
@@ -146,6 +150,12 @@ class TestConfig:
                                   **{field: value})
         with pytest.raises(ConfigError, match=match):
             cfg.validate()
+
+    def test_step_cap_is_inclusive(self):
+        import dataclasses
+        base = default_config("h_convergence")  # final_time = 1
+        dataclasses.replace(base, dt=1.0 / MAX_STEPS).validate()
+        dataclasses.replace(base, coarse_steps=MAX_STEPS).validate()
 
     def test_readme_config_block_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -561,6 +571,8 @@ class TestCli:
         ("h-convergence", "tau", 1.0e150, 1, 3),
         ("wavefront", "final_time", 1.0e-320, 0, 2),
         ("run", "dt", 1.0e-320, 0, 2),
+        ("h-convergence", "dt", 1.0e-300, 0, 2),
+        ("run", "coarse_steps", MAX_STEPS + 1, 0, 2),
     ])
     def test_edge_values_exit_with_one_line(self, tmp_path, capsys, command,
                                             key, value, degree, code):

@@ -36,6 +36,7 @@ from westervelt_hdg.newmark import (
     run,
     stiffness_load,
 )
+from westervelt_hdg.problems import manufactured_problem
 
 
 def build(msh, degree, *, c=1.0, delta=1.0e-3, dt=0.01, gamma=0.5, beta=0.25):
@@ -451,6 +452,38 @@ class TestDriver:
         assert abs(result.state.t - 0.05) <= 1e-12
         assert result.mean_iterations == pytest.approx(
             np.mean(result.iterations))
+
+    def test_extrapolated_start_saves_passes(self):
+        # run() starts each step after the first from 2 a_n - a_{n-1}; a
+        # chain of advance_step calls starts from a_n and must reach the
+        # same solution, to the corrector tolerance, in more passes
+        msh = generate_structured_mesh(4)
+        prob = manufactured_problem(c=1.0, k=0.3, delta=1.0e-3,
+                                    omega=2.0 * np.pi, final_time=0.2)
+        cfg = NewmarkConfig(dt=0.01)
+        result = run(prob, msh, cfg, degree=1)
+        topo, lay, ops, cond = build(msh, 1, c=prob.c, delta=prob.delta,
+                                     dt=cfg.dt)
+        state = compute_initial_state(prob, ops, cond)
+        compute_initial_acceleration(state, prob, ops, cond)
+        chain = []
+        for step in range(result.n_steps):
+            state, iters = advance_step(state, cfg, prob, ops, cond,
+                                        step_index=step)
+            chain.append(iters)
+        scale = np.max(np.abs(state.psi))
+        assert np.max(np.abs(result.state.psi - state.psi)) <= 1e-8 * scale
+        assert result.iterations[0] == chain[0]
+        assert sum(result.iterations) < sum(chain)
+
+    def test_linear_run_takes_two_passes_every_step(self):
+        # at this step size the extrapolated start is already within the
+        # tolerance, so the first pass alone would pass the change test
+        msh = generate_structured_mesh(4)
+        prob = manufactured_problem(c=1.0, k=0.0, delta=1.0e-3,
+                                    omega=2.0 * np.pi, final_time=0.01)
+        result = run(prob, msh, NewmarkConfig(dt=5.0e-4), degree=1)
+        assert result.iterations == [2] * 20
 
     def test_run_without_observers(self):
         msh = generate_structured_mesh(1)

@@ -10,22 +10,21 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import oracles
+from oracles import ProjectionError, assemble_penalty_load, hdg_project
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import (
     AssemblyError,
     NondegeneracyError,
-    ProjectionError,
     ElementTables,
     apply_blocks,
     assemble_load,
     assemble_nonlinear_mass,
     assemble_operators,
-    assemble_penalty_load,
     block_diag_csr,
     build_layout,
     count_unstabilized_facets,
     element_dofs,
-    hdg_project,
+    nonlinear_defect,
     scatter_csr,
     tau_pattern,
 )
@@ -352,6 +351,32 @@ class TestNonlinearMass:
         with pytest.raises(AssemblyError, match="shape"):
             assemble_nonlinear_mass(np.zeros(lay.n_scalar + 1), 0.1,
                                     ops.tables)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_defect_matches_dense_oracle(self, degree):
+        rng = np.random.default_rng(71 + degree)
+        msh = oracles.perturbed_mesh(2, seed=23)
+        topo, lay, ops = build(msh, degree)
+        theta = 0.05 * rng.standard_normal(lay.n_scalar)
+        accel = rng.standard_normal(lay.n_scalar)
+        k = 0.6
+        got = nonlinear_defect(theta, accel, k, ops.tables)
+        mass = oracles.dense_seven(msh, topo, degree)["M"]
+        nmass = oracles.dense_nonlinear_mass(msh, degree, theta, k)
+        want = (mass - nmass) @ accel
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_defect_degenerate_state_names_same_elements(self):
+        msh = generate_structured_mesh(2)
+        topo, lay, ops = build(msh, 1)
+        theta = np.zeros(lay.n_scalar)
+        for t in (3, 5):
+            theta[lay.scalar_slice(t).start] = -5.0
+        with pytest.raises(NondegeneracyError, match="nonpositive") as mass:
+            assemble_nonlinear_mass(theta, 0.5, ops.tables)
+        with pytest.raises(NondegeneracyError, match="nonpositive") as defect:
+            nonlinear_defect(theta, np.ones(lay.n_scalar), 0.5, ops.tables)
+        assert defect.value.elements == mass.value.elements == (3, 5)
 
 
 class TestLoads:
