@@ -8,6 +8,15 @@ with mu = c^2 dt^2 beta + delta gamma dt, Ks = S + Bt Mv^-1 B (element
 blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. Eliminating a_psi element
 by element leaves one sparse facet system; its matrix and the dt-independent
 analog used by the stationary initial-data solves are factorized once.
+
+With W = (M + mu Ks)^-1 R stored once, a corrector solve is
+
+    z = (M + mu Ks)^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),
+    a_psi = z - mu W a_lam,
+
+one element-block apply and one facet solve. A right side equal bit for bit
+to the one of the previous solve with the same operators returns that
+solve's result without solving again; a NaN never compares equal.
 """
 
 from __future__ import annotations
@@ -64,6 +73,9 @@ class CondensedOperators:
     stiffness: np.ndarray  # (ne, d, d) condensed element stiffness Ks
     shifted_inv: np.ndarray  # (ne, d, d) inverse of M + mu Ks
     coupling: sp.csr_matrix  # (n_scalar, n_facet) R
+    coupling_t: sp.csr_matrix  # (n_facet, n_scalar) Rt
+    shifted_elim: sp.csr_matrix  # (n_scalar, n_facet) W = (M + mu Ks)^-1 R
+    shifted_elim_t: sp.csr_matrix  # (n_facet, n_scalar) Wt
     facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
     facet_schur: sp.csr_matrix  # (n_facet, n_facet) A - mu Rt (M + mu Ks)^-1 R
     static_schur: sp.csr_matrix | None  # dt-independent analog (needs Ks^-1)
@@ -73,6 +85,9 @@ class CondensedOperators:
     facet_solver: object = field(default=None, repr=False)
     gram_solver: object = field(default=None, repr=False)
     static_solver: object = field(default=None, repr=False)
+    # (rhs, a_psi, a_lam) of the last condensed_solve; the arrays are the
+    # ones that call returned
+    last_solve: tuple | None = field(default=None, repr=False)
 
     def check_params(self, c: float, delta: float, dt: float,
                      gamma: float, beta: float) -> None:
@@ -129,6 +144,7 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
     e_loc, f_loc = ops.trace_vector_local, ops.trace_scalar_local
     e_t, f_t = e_loc.transpose(0, 2, 1), f_loc.transpose(0, 2, 1)
     r_loc = f_loc + bt_minv @ e_loc
+    w_loc = shifted_inv @ r_loc
     y_loc = shifted_inv @ (mu * r_loc)
     x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
 
@@ -141,6 +157,7 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
     gram = scatter_csr(shape, penalty,
                        (e_t @ ops.vector_mass_inv @ e_loc, cols, cols))
     coupling = scatter_csr((lay.n_scalar, nfac), (r_loc, rows, cols))
+    shifted_elim = scatter_csr((lay.n_scalar, nfac), (w_loc, rows, cols))
     static = static_sca = None
     if stiffness_inv is not None:
         ybar = stiffness_inv @ r_loc
@@ -154,6 +171,9 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
         stiffness=stiffness,
         shifted_inv=shifted_inv,
         coupling=coupling,
+        coupling_t=coupling.T.tocsr(),
+        shifted_elim=shifted_elim,
+        shifted_elim_t=shifted_elim.T.tocsr(),
         facet_gram=gram,
         facet_schur=schur,
         static_schur=static,
@@ -174,12 +194,17 @@ def condensed_solve(cond: CondensedOperators,
     """Solve the corrector linear system for a scalar-field right side.
 
     Returns accelerations (scalar, facet) of the coupled system
-    (M + mu Ks) a_psi + mu R a_lam = rhs with Rt a_psi + A a_lam = 0.
+    (M + mu Ks) a_psi + mu R a_lam = rhs with Rt a_psi + A a_lam = 0. A
+    right side equal bit for bit to the previous call's returns the previous
+    arrays again, so callers must not modify the results in place.
     """
+    last = cond.last_solve
+    if last is not None and np.array_equal(rhs, last[0]):
+        return last[1], last[2]
     z = apply_blocks(cond.shifted_inv, rhs)
-    a_lam = cond.facet_solver.solve(-(cond.coupling.T @ z))
-    a_psi = apply_blocks(cond.shifted_inv,
-                         rhs - cond.mu * (cond.coupling @ a_lam))
+    a_lam = cond.facet_solver.solve(-(cond.shifted_elim_t @ rhs))
+    a_psi = z - cond.mu * (cond.shifted_elim @ a_lam)
+    cond.last_solve = (rhs.copy(), a_psi, a_lam)
     return a_psi, a_lam
 
 

@@ -16,12 +16,23 @@ KINDS = ("h_convergence", "delta_convergence", "wavefront")
 MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
                  if max(3 * p, 2 * p + 6) <= MAX_QUADRATURE_ORDER)
 
-# the most time steps one run may ask for, through dt or coarse_steps
+# the most time steps one run may ask for, through dt, coarse_steps or the
+# h-rule
 MAX_STEPS = 10**7
+
+# the mesh level at which the delta study anchors the h-rule
+DELTA_ANCHOR_LEVEL = 4
 
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
+
+
+def h_rule_steps(coarse_steps: int, degree: int, h_ratio: float) -> int:
+    """Time steps of the h-rule, dt proportional to h^((p+2)/2) with
+    coarse_steps steps on the anchor level, on a level whose mesh size is
+    h_ratio times smaller than the anchor's."""
+    return math.ceil(coarse_steps * h_ratio ** (0.5 * (degree + 2)) - 1.0e-9)
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,8 @@ class RunConfig:
         if self.coarse_steps > MAX_STEPS:
             raise ConfigError(f"coarse_steps must be <= {MAX_STEPS}, got "
                               f"{self.coarse_steps}")
+        if self.dt is None and self.kind != "wavefront":
+            self._check_h_rule()
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.dt is not None and not math.isfinite(self.final_time / self.dt):
@@ -104,6 +117,27 @@ class RunConfig:
         if self.profile_samples < 2:
             raise ConfigError("profile_samples must be >= 2")
         return self
+
+    def _check_h_rule(self) -> None:
+        """Refuse a level whose h-rule step count exceeds MAX_STEPS. The
+        refinement study anchors the rule at its first level, the delta
+        study runs its first level against DELTA_ANCHOR_LEVEL; on the
+        structured meshes the ratio of mesh sizes is the ratio of levels."""
+        if self.kind == "h_convergence":
+            anchor, levels = self.levels[0], self.levels
+        else:
+            anchor, levels = DELTA_ANCHOR_LEVEL, self.levels[:1]
+        for n in levels:
+            try:
+                steps = h_rule_steps(self.coarse_steps, self.degree, n / anchor)
+            except OverflowError:
+                steps = math.inf
+            if steps > MAX_STEPS:
+                raise ConfigError(
+                    f"level {n} needs {float(steps):.3g} time steps under the "
+                    f"h-rule (coarse_steps = {self.coarse_steps}, degree = "
+                    f"{self.degree}), more than {MAX_STEPS}; set dt or use "
+                    f"coarser levels")
 
 
 def default_config(kind: str) -> RunConfig:

@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .basis import triangle_quadrature
 from .condensation import reconstruct_velocity
-from .config import RunConfig
+from .config import DELTA_ANCHOR_LEVEL, RunConfig, h_rule_steps
 from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
 from .newmark import (
     InitializationError,
@@ -48,14 +48,13 @@ def time_step(cfg: RunConfig, h: float, h_coarse: float) -> float:
     coarsest level; an explicit cfg.dt short-circuits the rule."""
     if cfg.dt is not None:
         return cfg.dt
-    exponent = 0.5 * (cfg.degree + 2)
-    n = math.ceil(cfg.coarse_steps * (h_coarse / h) ** exponent - 1.0e-9)
-    return cfg.final_time / n
+    return cfg.final_time / h_rule_steps(cfg.coarse_steps, cfg.degree,
+                                         h_coarse / h)
 
 
 # the damping study runs on a single mesh, so its step size is anchored to
 # the same four-element-per-side baseline the refinement study starts from
-_H_ANCHOR = mesh_metrics(generate_structured_mesh(4)).h
+_H_ANCHOR = mesh_metrics(generate_structured_mesh(DELTA_ANCHOR_LEVEL)).h
 
 
 def _newmark_config(cfg: RunConfig, dt: float) -> NewmarkConfig:

@@ -8,11 +8,18 @@ velocity field eliminated element-wise):
 
 Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
 implicit Newmark equations, lagging the nonlinear mass: every pass solves one
-condensed linear system whose matrix is frozen in the CondensedOperators.
-Convergence is judged by the relative Euclidean change of the new-time
-solution iterate, after at least two passes. run() starts the iteration of
-each step after the first from the extrapolated acceleration
-2 ddPsi_n - ddPsi_{n-1}.
+condensed linear system whose matrix is frozen in the CondensedOperators,
+through W = (M + mu Ks)^-1 R stored there. A pass whose right side repeats
+the previous pass's bit for bit reuses that solve (condensed_solve), so a
+linear step (k = 0) solves once in its two passes. Convergence is judged by
+the relative Euclidean change of the new-time solution iterate, after at
+least two passes; a change that is not finite stops the step at once.
+run() starts the iteration of each step after the first from the
+extrapolated acceleration 2 ddPsi_n - ddPsi_{n-1}.
+
+The load of a forcing with terms ((g_i, f_i), ...), f = sum_i g_i(t)
+f_i(x, y), is assembled once per spatial factor; any other forcing callable
+is assembled at every step (load_function).
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from .condensation import (
 from .mesh import Mesh, compute_facet_topology
 from .operators import (
     AssembledOperators,
+    ElementTables,
     NondegeneracyError,
     apply_blocks,
     assemble_load,
@@ -46,13 +54,16 @@ class InitializationError(Exception):
 
 
 class NonconvergenceError(Exception):
-    """Corrector failed to reach tolerance within the iteration budget."""
+    """Corrector failed to reach tolerance within the iteration budget, or
+    its change stopped being finite."""
 
-    def __init__(self, message, step=None, iterations=None, last_change=None):
+    def __init__(self, message, step=None, iterations=None, last_change=None,
+                 elements=()):
         super().__init__(message)
         self.step = step
         self.iterations = iterations
         self.last_change = last_change
+        self.elements = tuple(int(e) for e in elements)
 
 
 @dataclass(frozen=True)
@@ -83,7 +94,8 @@ class ProblemDefinition:
 
     Initial data enter through the fields psi0/psi1 and their Laplacians
     (vectorized callables of (x, y)); None means identically zero. The
-    forcing is a vectorized callable of (x, y, t) or None.
+    forcing is a vectorized callable of (x, y, t) or None; see
+    load_function for forcings that also carry separable terms.
     """
 
     c: float
@@ -158,7 +170,7 @@ def predictor(state: State, cfg: NewmarkConfig, delta: float,
 
 def consistent_traces(cond: CondensedOperators, psi: np.ndarray) -> np.ndarray:
     """Facet values satisfying the trace constraint for given scalar data."""
-    return cond.gram_solver.solve(-(cond.coupling.T @ psi))
+    return cond.gram_solver.solve(-(cond.coupling_t @ psi))
 
 
 def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
@@ -215,6 +227,33 @@ def compute_initial_acceleration(state: State, prob: ProblemDefinition,
     return state
 
 
+def load_function(forcing: Callable | None,
+                  tables: ElementTables) -> Callable[[float], np.ndarray]:
+    """The load vector (f(., t), phi_i)_K as a function of t.
+
+    A forcing with an attribute terms = ((g_i, f_i), ...), meaning
+    f(x, y, t) = sum_i g_i(t) f_i(x, y), has the load L_i of every space
+    factor assembled here, once; the load at t is then sum_i g_i(t) L_i.
+    Any other callable is assembled at every t.
+    """
+    n = tables.layout.n_scalar
+    if forcing is None:
+        return lambda t: np.zeros(n)
+    terms = getattr(forcing, "terms", None)
+    if terms is None:
+        return lambda t: assemble_load(forcing, t, tables)
+    loads = [(g, assemble_load(lambda x, y, t, f=f: f(x, y), 0.0, tables))
+             for g, f in terms]
+
+    def load(t):
+        total = np.zeros(n)
+        for g, vec in loads:
+            total += g(t) * vec
+        return total
+
+    return load
+
+
 def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
                    cond: CondensedOperators) -> np.ndarray:
     """Corrector load: forcing minus stiffness applied to the predictions."""
@@ -223,7 +262,7 @@ def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
                              + cond.coupling @ pred.lam_tilde)
 
 
-def corrector_step(pred: Prediction, ddpsi: np.ndarray, ddlam: np.ndarray,
+def corrector_step(pred: Prediction, ddpsi: np.ndarray,
                    dpsi_iter: np.ndarray, ln: np.ndarray,
                    cfg: NewmarkConfig, prob: ProblemDefinition,
                    ops: AssembledOperators, cond: CondensedOperators):
@@ -262,23 +301,23 @@ def _change_metric(cfg: NewmarkConfig, pred: Prediction, ddpsi_old,
 def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                  ops: AssembledOperators, cond: CondensedOperators,
                  step_index: int = 0,
-                 start: np.ndarray | None = None) -> tuple[State, int]:
+                 start: np.ndarray | None = None,
+                 load: Callable[[float], np.ndarray] | None = None,
+                 ) -> tuple[State, int]:
     """Advance one time step; returns the new state and the corrector count.
 
     The corrector starts from the acceleration start, by default
     state.ddpsi, and stops once the change falls below the tolerance, but
-    never before its second pass.
+    never before its second pass. load is the load_function of
+    prob.forcing, built here when not given.
     """
     cond.check_params(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
+    if load is None:
+        load = load_function(prob.forcing, ops.tables)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
-    if prob.forcing is not None:
-        load_next = assemble_load(prob.forcing, t_next, ops.tables)
-    else:
-        load_next = np.zeros(ops.layout.n_scalar)
-    ln = stiffness_load(pred, load_next, prob.c, cond)
+    ln = stiffness_load(pred, load(t_next), prob.c, cond)
     ddpsi = state.ddpsi if start is None else start
-    ddlam = state.ddlam
     dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
     change = np.inf
     converged = False
@@ -286,13 +325,15 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     for s in range(1, cfg.max_iterations + 1):
         try:
             ddpsi_new, ddlam_new, dpsi_new = corrector_step(
-                pred, ddpsi, ddlam, dpsi_iter, ln, cfg, prob, ops, cond)
+                pred, ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
         except NondegeneracyError as err:
             raise NondegeneracyError(
                 f"step {step_index}, corrector iteration {s}: {err}",
                 elements=err.elements,
             ) from err
         change = _change_metric(cfg, pred, ddpsi, ddpsi_new)
+        if not np.isfinite(change):
+            raise _nonfinite_error(change, ddpsi_new, ops, step_index, s)
         ddpsi, ddlam, dpsi_iter = ddpsi_new, ddlam_new, dpsi_new
         iterations = s
         if change < cfg.tol and s >= 2:
@@ -316,6 +357,21 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
         ddlam=ddlam,
     )
     return new, iterations
+
+
+def _nonfinite_error(change: float, ddpsi: np.ndarray,
+                     ops: AssembledOperators, step_index: int,
+                     iteration: int) -> NonconvergenceError:
+    lay = ops.layout
+    bad = np.flatnonzero(~np.isfinite(
+        ddpsi.reshape(lay.n_elements, lay.dim_scalar)).all(axis=1))
+    return NonconvergenceError(
+        f"corrector change {change} is not finite at step {step_index}, "
+        f"corrector iteration {iteration}; non-finite accelerations on "
+        f"elements {bad[:8].tolist()}",
+        step=step_index, iterations=iteration, last_change=change,
+        elements=bad,
+    )
 
 
 @dataclass
@@ -363,6 +419,7 @@ def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
                            cfg.beta)
     state = compute_initial_state(prob, ops, cond)
     compute_initial_acceleration(state, prob, ops, cond)
+    load = load_function(prob.forcing, ops.tables)
     n_steps = number_of_steps(prob.final_time, cfg.dt)
     result = RunResult(state=state, ops=ops, cond=cond, n_steps=n_steps,
                        observations={name: [] for name in (observers or {})})
@@ -373,7 +430,7 @@ def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
         start = None if previous is None else 2.0 * state.ddpsi - previous
         previous = state.ddpsi
         state, iters = advance_step(state, cfg, prob, ops, cond,
-                                    step_index=step, start=start)
+                                    step_index=step, start=start, load=load)
         result.iterations.append(iters)
         for name, fn in (observers or {}).items():
             result.observations[name].append(fn(state))

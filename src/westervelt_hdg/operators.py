@@ -218,7 +218,8 @@ def apply_blocks(blocks: np.ndarray, u) -> np.ndarray:
     ne, d = blocks.shape[0], blocks.shape[2]
     u = np.asarray(u)
     if u.ndim == 1:
-        return (blocks @ u.reshape(ne, d, 1)).reshape(-1)
+        # einsum beats the batched matmul on these small blocks
+        return np.einsum("eij,ej->ei", blocks, u.reshape(ne, d)).reshape(-1)
     return np.matmul(blocks, u.reshape(ne, d, -1)).reshape(ne * blocks.shape[1], -1)
 
 
@@ -254,8 +255,11 @@ def scatter_csr(shape, *parts) -> sp.csr_matrix:
     np.add.at(sums, np.cumsum(first)[~first] - 1, data[~first])
     keep = sums != 0.0
     keys = keys[first][keep]
-    return sp.csr_matrix((sums[keep], (keys // shape[1], keys % shape[1])),
-                         shape=shape)
+    # the keys are sorted and unique: row-major CSR order already
+    indptr = np.zeros(shape[0] + 1, dtype=keys.dtype)
+    np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]),
+              out=indptr[1:])
+    return sp.csr_matrix((sums[keep], keys % shape[1], indptr), shape=shape)
 
 
 def block_diag_csr(blocks: np.ndarray) -> sp.csr_matrix:

@@ -9,6 +9,21 @@ import numpy as np
 from .newmark import ProblemDefinition
 
 
+class SeparableForcing:
+    """A forcing sum_i g_i(t) f_i(x, y), callable as f(x, y, t).
+
+    terms holds the pairs (g_i, f_i) of a scalar time factor and a
+    vectorized space factor. newmark.run assembles the load of every f_i
+    once and forms each step's load as sum_i g_i(t) L_i.
+    """
+
+    def __init__(self, *terms):
+        self.terms = tuple(terms)
+
+    def __call__(self, x, y, t):
+        return sum(g(t) * f(x, y) for g, f in self.terms)
+
+
 def manufactured_problem(c: float = 100.0, k: float = 0.5,
                          delta: float = 6.0e-9, amplitude: float = 1.0e-2,
                          omega: float = 3.5 * math.pi, ell: float = math.pi,
@@ -31,13 +46,20 @@ def manufactured_problem(c: float = 100.0, k: float = 0.5,
         return (s * np.cos(l * x) * np.sin(l * y),
                 s * np.sin(l * x) * np.cos(l * y))
 
-    def forcing(x, y, t):
-        sh = shape(x, y)
-        dpsi = a * w * math.cos(w * t) * sh
-        ddpsi = -a * w * w * math.sin(w * t) * sh
-        lap = -2.0 * l * l * a * math.sin(w * t) * sh
-        lap_dpsi = -2.0 * l * l * a * w * math.cos(w * t) * sh
-        return (1.0 + 2.0 * k * dpsi) * ddpsi - c * c * lap - delta * lap_dpsi
+    # the forcing (1 + 2k psi_t) psi_tt - c^2 Lap psi - delta Lap psi_t of
+    # psi = a sin(w t) shape is linear in shape, plus 2k psi_t psi_tt in
+    # shape^2
+    def linear_factor(t):
+        return (-a * w * w * math.sin(w * t)
+                + c * c * 2.0 * l * l * a * math.sin(w * t)
+                + delta * 2.0 * l * l * a * w * math.cos(w * t))
+
+    def quadratic_factor(t):
+        return 2.0 * k * (a * w * math.cos(w * t)) * (-a * w * w
+                                                      * math.sin(w * t))
+
+    def shape_squared(x, y):
+        return shape(x, y) ** 2
 
     def psi1(x, y):
         return a * w * shape(x, y)
@@ -48,7 +70,9 @@ def manufactured_problem(c: float = 100.0, k: float = 0.5,
     return ProblemDefinition(
         c=c, k=k, delta=delta, final_time=final_time,
         psi0=None, lap_psi0=None, psi1=psi1, lap_psi1=lap_psi1,
-        forcing=forcing, exact_psi=exact_psi, exact_dpsi=exact_dpsi,
+        forcing=SeparableForcing((linear_factor, shape),
+                                 (quadratic_factor, shape_squared)),
+        exact_psi=exact_psi, exact_dpsi=exact_dpsi,
         exact_v=exact_v,
     )
 
@@ -92,13 +116,15 @@ def wavefront_problem(k: float = -10.0, c: float = 1500.0,
     center; strong self-steepening for negative k."""
     x0, y0 = center
 
-    def forcing(x, y, t):
+    def decay_factor(t):
+        return math.exp(-decay * t)
+
+    def source(x, y):
         r2 = (x - x0) ** 2 + (y - y0) ** 2
-        return (strength / math.sqrt(width) * math.exp(-decay * t)
-                * np.exp(-r2 / (2.0 * width * width)))
+        return strength / math.sqrt(width) * np.exp(-r2 / (2.0 * width * width))
 
     return ProblemDefinition(
         c=c, k=k, delta=delta, final_time=final_time,
         psi0=None, lap_psi0=None, psi1=None, lap_psi1=None,
-        forcing=forcing,
+        forcing=SeparableForcing((decay_factor, source)),
     )

@@ -189,6 +189,54 @@ class TestSolves:
         assert np.max(np.abs(a_psi - want_psi)) <= 1e-10 * scale
         assert np.max(np.abs(a_lam - want_lam)) <= 1e-10 * scale
 
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_condensed_solve_through_w_matches_dense_solves(self, degree):
+        # the solve goes through the stored W = (M + mu Ks)^-1 R and Wt; both
+        # and the solution match dense solves of the monolithic system
+        rng = np.random.default_rng(90 + degree)
+        msh = oracles.perturbed_mesh(3, seed=11)
+        topo, lay, ops, cond = build(msh, degree, c=1.5, delta=2.0e-2,
+                                     dt=0.02)
+        seven, dc = dense_pieces(msh, degree, cond.mu)
+        w = np.linalg.solve(dc["shifted"], dc["R"])
+        assert np.max(np.abs(cond.shifted_elim.toarray() - w)) <= 1e-12 * (
+            np.max(np.abs(w)))
+        assert np.max(np.abs(cond.shifted_elim_t.toarray() - w.T)) <= 1e-12 * (
+            np.max(np.abs(w)))
+        rhs = rng.standard_normal(lay.n_scalar)
+        a_psi, a_lam = condensed_solve(cond, rhs)
+        want_psi, want_lam = oracles.dense_corrector_solve(seven, cond.mu, rhs)
+        scale = max(np.max(np.abs(want_psi)), np.max(np.abs(want_lam)))
+        assert np.max(np.abs(a_psi - want_psi)) <= 1e-12 * scale
+        assert np.max(np.abs(a_lam - want_lam)) <= 1e-12 * scale
+
+    def test_repeated_right_side_reuses_the_facet_solve(self):
+        msh = generate_structured_mesh(2)
+        topo, lay, ops, cond = build(msh, 1)
+        solver, calls = cond.facet_solver, []
+
+        class Counting:
+            def solve(self, b):
+                calls.append(b.copy())
+                return solver.solve(b)
+
+        cond.facet_solver = Counting()
+        rhs = np.random.default_rng(4).standard_normal(lay.n_scalar)
+        first = condensed_solve(cond, rhs)
+        again = condensed_solve(cond, rhs.copy())
+        assert len(calls) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        # a change in the last bit of one entry solves again, and so does a
+        # NaN right side, which never equals itself
+        changed = rhs.copy()
+        changed[0] = np.nextafter(changed[0], np.inf)
+        condensed_solve(cond, changed)
+        assert len(calls) == 2
+        nan_rhs = np.full(lay.n_scalar, np.nan)
+        condensed_solve(cond, nan_rhs)
+        condensed_solve(cond, nan_rhs)
+        assert len(calls) == 4
+
     def test_condensed_solve_satisfies_monolithic_equations(self):
         rng = np.random.default_rng(21)
         msh = oracles.perturbed_mesh(2, seed=3)

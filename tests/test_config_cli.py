@@ -14,9 +14,11 @@ from westervelt_hdg.cli import main
 from westervelt_hdg.config import (
     MAX_DEGREE,
     MAX_STEPS,
+    DELTA_ANCHOR_LEVEL,
     ConfigError,
     RunConfig,
     default_config,
+    h_rule_steps,
     load_config,
     parse_config,
     serialize_config,
@@ -31,7 +33,7 @@ from westervelt_hdg.experiments import (
     time_step,
 )
 from westervelt_hdg.analysis import DiscreteScalarField
-from westervelt_hdg.mesh import generate_structured_mesh
+from westervelt_hdg.mesh import generate_structured_mesh, mesh_metrics
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -143,6 +145,10 @@ class TestConfig:
         ("dt", 1.0e-300, r"final_time / dt must be <= 10000000 steps"),
         ("dt", 9.0e-8, r"final_time / dt must be <= 10000000 steps"),
         ("coarse_steps", MAX_STEPS + 1, "coarse_steps must be <= 10000000"),
+        ("levels", (1, 2000), r"level 2000 needs 1\.79e\+07 time steps under "
+                              r"the h-rule"),
+        ("levels", (4, 10**400), "needs inf time steps under the h-rule"),
+        ("degree", MAX_DEGREE, "level 16 needs .* under the h-rule"),
     ])
     def test_validate_rejects_bad_fields(self, field, value, match):
         import dataclasses
@@ -155,7 +161,34 @@ class TestConfig:
         import dataclasses
         base = default_config("h_convergence")  # final_time = 1
         dataclasses.replace(base, dt=1.0 / MAX_STEPS).validate()
-        dataclasses.replace(base, coarse_steps=MAX_STEPS).validate()
+        # one level: the h-rule asks for coarse_steps steps on it
+        dataclasses.replace(base, coarse_steps=MAX_STEPS,
+                            levels=(4,)).validate()
+        # at p = 0 the h-rule doubles the steps per level:
+        # 1250 * 2^13 = 10240000 is refused, 1220 * 2^13 = 9994240 is not
+        levels = tuple(2 ** i for i in range(14))
+        h_rule = dataclasses.replace(base, degree=0, levels=levels,
+                                     coarse_steps=1220)
+        h_rule.validate()
+        with pytest.raises(ConfigError, match="level 8192 needs"):
+            dataclasses.replace(h_rule, coarse_steps=1250).validate()
+
+    def test_h_rule_cap_counts_the_study_steps(self):
+        # validate counts the steps time_step gives each level of the study
+        import dataclasses
+        cfg = dataclasses.replace(default_config("h_convergence"), degree=2,
+                                  levels=(4, 8, 16), coarse_steps=200)
+        h0 = mesh_metrics(generate_structured_mesh(4)).h
+        for n in cfg.levels:
+            h = mesh_metrics(generate_structured_mesh(n)).h
+            assert round(cfg.final_time / time_step(cfg, h, h0)) == \
+                h_rule_steps(cfg.coarse_steps, cfg.degree, n / 4)
+        # the delta study anchors its single level at DELTA_ANCHOR_LEVEL
+        delta = dataclasses.replace(default_config("delta_convergence"),
+                                    degree=20, levels=(64,))
+        with pytest.raises(ConfigError, match="level 64 needs"):
+            delta.validate()
+        dataclasses.replace(delta, levels=(DELTA_ANCHOR_LEVEL,)).validate()
 
     def test_readme_config_block_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -220,6 +253,57 @@ class TestProblemFamilies:
             worst = max(worst, abs(got - want))
             scale = max(scale, abs(got))
         assert worst <= 1.0e-6 * scale
+
+    @pytest.mark.parametrize("family,params", [
+        ("manufactured", {}),
+        ("manufactured", {"c": 1.0, "k": 0.3, "delta": 0.5, "omega": 7.0}),
+        ("manufactured", {"c": 3.0, "k": -2.0, "delta": 1.0e-3,
+                          "amplitude": 0.2, "ell": 2.0 * math.pi}),
+        ("wavefront", {}),
+        ("wavefront", {"strength": 7.0, "decay": 3.0, "width": 0.2,
+                       "center": (0.3, 0.6)}),
+    ])
+    def test_separable_terms_reproduce_the_forcing(self, family, params):
+        # sum_i g_i(t) f_i(x, y) over the terms equals the forcing callable
+        # and the closed form the forcing had before it was split
+        rng = np.random.default_rng(6)
+        x, y = rng.uniform(0.0, 1.0, size=(2, 50))
+        if family == "manufactured":
+            p = {"c": 100.0, "k": 0.5, "delta": 6.0e-9, "amplitude": 1.0e-2,
+                 "omega": 3.5 * math.pi, "ell": math.pi, **params}
+            prob = manufactured_problem(**params)
+            times = rng.uniform(0.0, 1.0, size=8)
+            a, w, l = p["amplitude"], p["omega"], p["ell"]
+
+            def closed(x, y, t):
+                sh = np.sin(l * x) * np.sin(l * y)
+                dpsi = a * w * math.cos(w * t) * sh
+                ddpsi = -a * w * w * math.sin(w * t) * sh
+                lap = -2.0 * l * l * a * math.sin(w * t) * sh
+                lap_dpsi = -2.0 * l * l * a * w * math.cos(w * t) * sh
+                return ((1.0 + 2.0 * p["k"] * dpsi) * ddpsi
+                        - p["c"] ** 2 * lap - p["delta"] * lap_dpsi)
+        else:
+            p = {"strength": 400.0, "decay": 5.0e4, "width": 3.0e-2,
+                 "center": (0.5, 0.5), **params}
+            prob = wavefront_problem(**params)
+            times = rng.uniform(0.0, 5.0 / p["decay"], size=8)
+            (x0, y0), width = p["center"], p["width"]
+
+            def closed(x, y, t):
+                r2 = (x - x0) ** 2 + (y - y0) ** 2
+                return (p["strength"] / math.sqrt(width)
+                        * math.exp(-p["decay"] * t)
+                        * np.exp(-r2 / (2.0 * width * width)))
+        assert len(prob.forcing.terms) == (2 if family == "manufactured"
+                                           else 1)
+        for t in times:
+            summed = sum(g(t) * f(x, y) for g, f in prob.forcing.terms)
+            want = closed(x, y, t)
+            scale = np.max(np.abs(want))
+            assert scale > 0.0
+            assert np.max(np.abs(summed - want)) <= 1e-13 * scale
+            assert np.max(np.abs(prob.forcing(x, y, t) - want)) <= 1e-13 * scale
 
     def test_manufactured_exact_fields_are_consistent(self):
         prob = manufactured_problem()
@@ -573,15 +657,34 @@ class TestCli:
         ("run", "dt", 1.0e-320, 0, 2),
         ("h-convergence", "dt", 1.0e-300, 0, 2),
         ("run", "coarse_steps", MAX_STEPS + 1, 0, 2),
+        ("run", "delta", 1.0e300, 0, 3),
+        ("h-convergence", "levels", "1,64", 20, 2),
     ])
     def test_edge_values_exit_with_one_line(self, tmp_path, capsys, command,
                                             key, value, degree, code):
-        cfg = self.write(tmp_path, "edge.ini", edge_config(key, value))
+        # key "levels" passes its value to --levels instead of the file
+        levels = value if key == "levels" else "1"
+        text = edge_config(*((key, value) if key != "levels"
+                             else ("final_time", 0.01)))
+        cfg = self.write(tmp_path, "edge.ini", text)
         assert main([command, "--config", str(cfg), "--p", str(degree),
-                     "--levels", "1", "--out", str(tmp_path / "out")]) == code
+                     "--levels", levels, "--out", str(tmp_path / "out")]) == code
         err = capsys.readouterr().err
         prefix = "configuration error: " if code == 2 else "solver failure: "
         assert err.startswith(prefix) and err.count("\n") == 1
+
+    def test_exit_3_on_non_finite_corrector_change(self, tmp_path, capsys):
+        # delta = 1e300 turns the first corrector pass into NaN; the run
+        # stops there with one line naming the step, the pass and elements
+        text = ("[problem]\nk = 0.0\ndelta = 1e300\nfinal_time = 0.01\n"
+                "[newmark]\ndt = 1e-3\n")
+        cfg = self.write(tmp_path, "nan.ini", text)
+        assert main(["run", "--config", str(cfg), "--p", "0", "--levels", "2",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: corrector change nan is not "
+                              "finite at step 0, corrector iteration 1;")
+        assert "elements [" in err and err.count("\n") == 1
 
     def test_exit_3_on_nonconvergence(self, tmp_path, capsys):
         text = TINY_H + "max_iterations = 1\ntol = 1e-16\n"

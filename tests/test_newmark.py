@@ -36,7 +36,8 @@ from westervelt_hdg.newmark import (
     run,
     stiffness_load,
 )
-from westervelt_hdg.problems import manufactured_problem
+from westervelt_hdg import newmark
+from westervelt_hdg.problems import manufactured_problem, wavefront_problem
 
 
 def build(msh, degree, *, c=1.0, delta=1.0e-3, dt=0.01, gamma=0.5, beta=0.25):
@@ -236,8 +237,7 @@ class TestCorrector:
         ln = stiffness_load(pred, np.zeros(lay.n_scalar), prob.c, cond)
         dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * state.ddpsi
         got_psi, got_lam, got_dpsi = corrector_step(
-            pred, state.ddpsi, state.ddlam, dpsi_iter, ln, cfg, prob, ops,
-            cond)
+            pred, state.ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
 
         seven = oracles.dense_seven(msh, topo, 1)
         nmass = oracles.dense_nonlinear_mass(msh, 1, dpsi_iter, prob.k)
@@ -366,6 +366,24 @@ class TestAdvance:
         assert err.last_change > 0.0
 
 
+    def test_non_finite_change_stops_at_once(self):
+        # delta = 1e300 overflows the element blocks of M + mu Ks: the first
+        # pass already yields NaN, and the corrector must not spend its
+        # remaining 99 passes on it
+        prob = manufactured_problem(c=100.0, k=0.0, delta=1.0e300,
+                                    final_time=0.01)
+        with pytest.raises(NonconvergenceError, match="not finite") as exc:
+            run(prob, generate_structured_mesh(2), NewmarkConfig(dt=1.0e-3),
+                degree=0)
+        err = exc.value
+        assert err.step == 0
+        assert err.iterations <= 2
+        assert not np.isfinite(err.last_change)
+        assert len(err.elements) > 0
+        assert f"corrector iteration {err.iterations}" in str(err)
+        assert str(err.elements[0]) in str(err)
+
+
 class TestLinearLimit:
     def test_matches_classical_newmark_on_reduced_system(self):
         # with k = 0 and consistent traces the condensed update is exactly
@@ -484,6 +502,66 @@ class TestDriver:
                                     omega=2.0 * np.pi, final_time=0.01)
         result = run(prob, msh, NewmarkConfig(dt=5.0e-4), degree=1)
         assert result.iterations == [2] * 20
+
+    def test_linear_run_solves_once_per_step(self, monkeypatch):
+        # with k = 0 the second pass repeats the first pass's right side bit
+        # for bit, so it reuses the facet solve but still counts as a pass
+        calls = []
+
+        def counting_build(*args, **kwargs):
+            cond = build_condensed(*args, **kwargs)
+            solver = cond.facet_solver
+
+            class Counting:
+                def solve(self, b):
+                    calls.append(1)
+                    return solver.solve(b)
+
+            cond.facet_solver = Counting()
+            return cond
+
+        monkeypatch.setattr(newmark, "build_condensed", counting_build)
+        msh = generate_structured_mesh(4)
+        prob = manufactured_problem(c=1.0, k=0.0, delta=1.0e-3,
+                                    omega=2.0 * np.pi, final_time=0.01)
+        result = run(prob, msh, NewmarkConfig(dt=5.0e-4), degree=1)
+        assert result.iterations == [2] * 20
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("family", ["manufactured", "wavefront"])
+    def test_separable_load_matches_plain_callable(self, family,
+                                                   monkeypatch):
+        # a forcing with terms is assembled once per term before the time
+        # loop; wrapped in a plain callable it is assembled every step, and
+        # both runs agree to roundoff
+        if family == "manufactured":
+            prob = manufactured_problem(c=2.0, k=0.3, delta=1.0e-2,
+                                        omega=2.0 * np.pi, final_time=0.05)
+            cfg = NewmarkConfig(dt=2.5e-3)
+        else:
+            prob = wavefront_problem(k=-10.0, c=1500.0, final_time=2.0e-5,
+                                     width=0.1)
+            cfg = NewmarkConfig(dt=1.0e-6, gamma=0.85, beta=0.45)
+        plain = dataclasses.replace(
+            prob, forcing=lambda x, y, t: prob.forcing(x, y, t))
+        assert not hasattr(plain.forcing, "terms")
+        calls = []
+
+        def counting_load(*args, **kwargs):
+            calls.append(1)
+            return assemble_load(*args, **kwargs)
+
+        monkeypatch.setattr(newmark, "assemble_load", counting_load)
+        msh = generate_structured_mesh(4)
+        want = run(plain, msh, cfg, degree=2)
+        plain_calls, calls[:] = len(calls), []
+        got = run(prob, msh, cfg, degree=2)
+        assert plain_calls >= want.n_steps
+        assert len(calls) < want.n_steps
+        assert got.iterations == want.iterations
+        scale = np.max(np.abs(want.state.psi))
+        assert scale > 0.0
+        assert np.max(np.abs(got.state.psi - want.state.psi)) <= 1e-10 * scale
 
     def test_run_without_observers(self):
         msh = generate_structured_mesh(1)
