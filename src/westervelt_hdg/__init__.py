@@ -49,9 +49,7 @@ from .mesh import (
     MeshError,
     compute_facet_topology,
     generate_structured_mesh,
-    load_mesh,
     mesh_metrics,
-    save_mesh,
 )
 from .newmark import (
     InitializationError,
@@ -127,14 +125,12 @@ __all__ = [
     "h_convergence_study",
     "l2_error",
     "load_config",
-    "load_mesh",
     "manufactured_problem",
     "mesh_metrics",
     "parse_config",
     "postprocess",
     "reconstruct_velocity",
     "run",
-    "save_mesh",
     "scalar_field",
     "scalar_space_dim",
     "segment_quadrature",

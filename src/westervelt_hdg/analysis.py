@@ -10,11 +10,7 @@ from .basis import TriangleBasis, scalar_space_dim, triangle_quadrature
 from .condensation import reconstruct_velocity
 from .mesh import Mesh, element_geometry
 from .newmark import State
-from .operators import (
-    AssembledOperators,
-    NondegeneracyError,
-    apply_blocks,
-)
+from .operators import AssembledOperators, apply_blocks, nonlinear_coefficient
 
 
 @dataclass
@@ -160,15 +156,9 @@ def energy(state: State, ops: AssembledOperators, k: float,
     """
     tab, lay = ops.tables, ops.layout
     ne, d = lay.n_elements, lay.dim_scalar
-    phi_nl, wdet_nl = tab.phi_nl, tab.weights_nl
-    dpsi_q = state.dpsi.reshape(ne, d) @ phi_nl.T
-    ddpsi_q = state.ddpsi.reshape(ne, d) @ phi_nl.T
-    weight = 1.0 + 2.0 * k * dpsi_q
-    if np.min(weight) <= 0.0:
-        bad = np.flatnonzero(np.min(weight, axis=1) <= 0.0)
-        raise NondegeneracyError(
-            f"energy weight 1 + 2k d(psi)/dt nonpositive on elements "
-            f"{bad[:8].tolist()}", elements=bad)
+    wdet_nl = tab.weights_nl
+    dpsi_q, weight = nonlinear_coefficient(state.dpsi, k, tab)
+    ddpsi_q = state.ddpsi.reshape(ne, d) @ tab.phi_nl.T
     kin0 = 0.5 * float(np.sum(wdet_nl * weight * dpsi_q**2))
     kin1 = 0.5 * float(np.sum(wdet_nl * weight * ddpsi_q**2))
 

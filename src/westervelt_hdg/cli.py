@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 for configuration problems (including argparse
 usage errors), 3 when the solver fails (the corrector does not converge,
-1 + 2k d(psi)/dt loses positivity, or a facet system is singular), 4 for
-filesystem problems.
+1 + 2k d(psi)/dt loses positivity, or a facet system is singular; for the
+refinement study: on every level), 4 for filesystem problems. Exit codes
+2 (except argparse usage errors), 3 and 4 come with one line on stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .condensation import CondensationError
 from .config import (
@@ -38,6 +41,10 @@ _KIND_BY_COMMAND = {
     "wavefront": "wavefront",
     "run": None,  # kind comes from the config file (default: h_convergence)
 }
+
+
+class StudyFailure(Exception):
+    """No level of a refinement study finished."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,6 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     kind = _KIND_BY_COMMAND[args.command]
+    study = kind if kind is not None else "run"
     base = default_config(kind if kind is not None else "h_convergence")
     if args.config is not None:
         try:
@@ -77,7 +85,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         # the run command takes its kind (and defaults) from the file itself
-        cfg = parse_config(text, base=base if kind is not None else None)
+        cfg = parse_config(text, base=base if kind is not None else None,
+                           study=study)
         if kind is not None and cfg.kind != kind:
             raise ConfigError(
                 f"config kind {cfg.kind!r} conflicts with the "
@@ -97,7 +106,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         updates["output_dir"] = str(args.out)
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
-    cfg.validate()
+    cfg.validate(study)
     return cfg
 
 
@@ -123,6 +132,9 @@ def _run_h_convergence(cfg: RunConfig) -> None:
         print(f"n={lv.n:<4d} h={lv.h:.4e} dt={lv.dt:.4e} "
               f"err_psi={lv.err_psi:.6e} err_v={lv.err_v:.6e} "
               f"err_psistar={lv.err_star:.6e}{tail}")
+    if not report.levels:
+        raise StudyFailure(f"all {len(report.failures)} levels failed "
+                           f"(listed in {path}); {report.failures[0]}")
 
 
 def _run_delta_convergence(cfg: RunConfig) -> None:
@@ -186,12 +198,15 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
-        _DISPATCH[args.command](cfg)
+        # the corrector and the factorizations report breakdowns
+        # themselves, so numpy's floating-point warnings stay silent
+        with np.errstate(all="ignore"):
+            _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NonconvergenceError, NondegeneracyError, CondensationError,
-            InitializationError) as exc:
+            InitializationError, StudyFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

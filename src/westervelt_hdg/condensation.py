@@ -214,4 +214,4 @@ def reconstruct_velocity(ops: AssembledOperators, psi: np.ndarray,
     lam_e = ops.tables.facet_values(lam).ravel()
     rhs = (apply_blocks(ops.divergence, psi)
            + apply_blocks(ops.trace_vector_local, lam_e))
-    return -ops.vector_mass_solve(rhs)
+    return -apply_blocks(ops.vector_mass_inv, rhs)

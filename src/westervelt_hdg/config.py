@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .basis import MAX_QUADRATURE_ORDER
+from .operators import TAU_MODES
 
 KINDS = ("h_convergence", "delta_convergence", "wavefront")
 
@@ -35,6 +36,35 @@ def h_rule_steps(coarse_steps: int, degree: int, h_ratio: float) -> int:
     return math.ceil(coarse_steps * h_ratio ** (0.5 * (degree + 2)) - 1.0e-9)
 
 
+def level_steps(cfg: "RunConfig", study: str) -> dict[int, float]:
+    """Time steps of every level a study runs under the h-rule.
+
+    study is a kind or "run", the single monitored run of the config's
+    kind. The refinement study runs each level and anchors the rule at its
+    first; the delta study runs its first level against DELTA_ANCHOR_LEVEL;
+    the wavefront study and a single run take coarse_steps steps on their
+    first level. On the structured meshes the ratio of mesh sizes is the
+    ratio of levels. A count too large for a float is inf.
+    """
+    levels = cfg.levels if study == "h_convergence" else cfg.levels[:1]
+    anchor = (DELTA_ANCHOR_LEVEL if study == "delta_convergence"
+              else cfg.levels[0])
+    steps = {}
+    for n in levels:
+        try:
+            steps[n] = h_rule_steps(cfg.coarse_steps, cfg.degree, n / anchor)
+        except OverflowError:
+            steps[n] = math.inf
+    return steps
+
+
+def level_dt(cfg: "RunConfig", study: str) -> dict[int, float]:
+    """Time step of every level a study runs: cfg.dt when set, otherwise
+    final_time over the level's h-rule step count."""
+    return {n: cfg.final_time / steps if cfg.dt is None else cfg.dt
+            for n, steps in level_steps(cfg, study).items()}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     kind: str = "h_convergence"
@@ -56,7 +86,10 @@ class RunConfig:
     snapshot_times: tuple[float, ...] = ()
     profile_samples: int = 257
 
-    def validate(self) -> "RunConfig":
+    def validate(self, study: str | None = None) -> "RunConfig":
+        """Refuse inconsistent fields and, without dt, a level on which the
+        h-rule of study (default: the study of kind; see level_steps) asks
+        for more than MAX_STEPS time steps."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, "
                               f"expected one of {KINDS}")
@@ -86,7 +119,7 @@ class RunConfig:
             raise ConfigError(f"levels must be positive integers, got {self.levels}")
         if self.tau <= 0.0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.tau_mode not in ("single_facet", "uniform"):
+        if self.tau_mode not in TAU_MODES:
             raise ConfigError(f"unknown tau_mode {self.tau_mode!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma}")
@@ -101,8 +134,14 @@ class RunConfig:
         if self.coarse_steps > MAX_STEPS:
             raise ConfigError(f"coarse_steps must be <= {MAX_STEPS}, got "
                               f"{self.coarse_steps}")
-        if self.dt is None and self.kind != "wavefront":
-            self._check_h_rule()
+        if self.dt is None:
+            for n, steps in level_steps(self, study or self.kind).items():
+                if steps > MAX_STEPS:
+                    raise ConfigError(
+                        f"level {n} needs {float(steps):.3g} time steps under "
+                        f"the h-rule (coarse_steps = {self.coarse_steps}, "
+                        f"degree = {self.degree}), more than {MAX_STEPS}; set "
+                        f"dt or use coarser levels")
         if self.dt is not None and self.dt <= 0.0:
             raise ConfigError(f"dt must be positive, got {self.dt}")
         if self.dt is not None and not math.isfinite(self.final_time / self.dt):
@@ -117,27 +156,6 @@ class RunConfig:
         if self.profile_samples < 2:
             raise ConfigError("profile_samples must be >= 2")
         return self
-
-    def _check_h_rule(self) -> None:
-        """Refuse a level whose h-rule step count exceeds MAX_STEPS. The
-        refinement study anchors the rule at its first level, the delta
-        study runs its first level against DELTA_ANCHOR_LEVEL; on the
-        structured meshes the ratio of mesh sizes is the ratio of levels."""
-        if self.kind == "h_convergence":
-            anchor, levels = self.levels[0], self.levels
-        else:
-            anchor, levels = DELTA_ANCHOR_LEVEL, self.levels[:1]
-        for n in levels:
-            try:
-                steps = h_rule_steps(self.coarse_steps, self.degree, n / anchor)
-            except OverflowError:
-                steps = math.inf
-            if steps > MAX_STEPS:
-                raise ConfigError(
-                    f"level {n} needs {float(steps):.3g} time steps under the "
-                    f"h-rule (coarse_steps = {self.coarse_steps}, degree = "
-                    f"{self.degree}), more than {MAX_STEPS}; set dt or use "
-                    f"coarser levels")
 
 
 def default_config(kind: str) -> RunConfig:
@@ -184,8 +202,10 @@ def _parse_int(section, key, raw):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from err
 
 
-def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Overlay a config file onto defaults; rejects unknown sections/keys."""
+def parse_config(text: str, base: RunConfig | None = None,
+                 study: str | None = None) -> RunConfig:
+    """Overlay a config file onto defaults; rejects unknown sections/keys.
+    The result is validated for study (see RunConfig.validate)."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text)
@@ -237,7 +257,7 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
             except ValueError as err:
                 raise ConfigError(
                     f"snapshot_times must be numbers, got {raw!r}") from err
-    return cfg.validate()
+    return cfg.validate(study)
 
 
 def load_config(path, base: RunConfig | None = None) -> RunConfig:

@@ -21,8 +21,8 @@ from .analysis import (
     vector_field,
 )
 from .basis import triangle_quadrature
-from .condensation import reconstruct_velocity
-from .config import DELTA_ANCHOR_LEVEL, RunConfig, h_rule_steps
+from .condensation import CondensationError, reconstruct_velocity
+from .config import RunConfig, level_dt
 from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
 from .newmark import (
     InitializationError,
@@ -41,20 +41,6 @@ from .problems import (
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
-
-
-def time_step(cfg: RunConfig, h: float, h_coarse: float) -> float:
-    """dt proportional to h^((p+2)/2), anchored at coarse_steps on the
-    coarsest level; an explicit cfg.dt short-circuits the rule."""
-    if cfg.dt is not None:
-        return cfg.dt
-    return cfg.final_time / h_rule_steps(cfg.coarse_steps, cfg.degree,
-                                         h_coarse / h)
-
-
-# the damping study runs on a single mesh, so its step size is anchored to
-# the same four-element-per-side baseline the refinement study starts from
-_H_ANCHOR = mesh_metrics(generate_structured_mesh(DELTA_ANCHOR_LEVEL)).h
 
 
 def _newmark_config(cfg: RunConfig, dt: float) -> NewmarkConfig:
@@ -116,17 +102,17 @@ def h_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     prob = manufactured_problem(c=cfg.c, k=cfg.k, delta=cfg.delta,
                                 final_time=cfg.final_time)
     report = ConvergenceReport(degree=cfg.degree)
-    h_coarse = mesh_metrics(generate_structured_mesh(cfg.levels[0])).h
+    dts = level_dt(cfg, "h_convergence")
     for n in cfg.levels:
         mesh = generate_structured_mesh(n)
         h = mesh_metrics(mesh).h
-        dt = time_step(cfg, h, h_coarse)
+        dt = dts[n]
         try:
             result = run(prob, mesh, _newmark_config(cfg, dt),
                          degree=cfg.degree, tau_bar=cfg.tau,
                          tau_mode=cfg.tau_mode)
-        except (NonconvergenceError, NondegeneracyError,
-                InitializationError) as err:
+        except (NonconvergenceError, NondegeneracyError, InitializationError,
+                CondensationError) as err:
             # keep whatever levels did finish; the table notes the rest
             report.failures.append(f"n={n}: {err}")
             continue
@@ -203,8 +189,7 @@ def delta_convergence_study(cfg: RunConfig,
     differences are measured in the scalar and vector mass norms.
     """
     mesh = generate_structured_mesh(cfg.levels[0])
-    h = mesh_metrics(mesh).h
-    dt = time_step(cfg, h, _H_ANCHOR)
+    dt = level_dt(cfg, "delta_convergence")[cfg.levels[0]]
     ncfg = _newmark_config(cfg, dt)
 
     def final_state(delta: float) -> RunResult:
@@ -247,7 +232,7 @@ def wavefront_study(cfg: RunConfig) -> WavefrontResult:
     profile samples it along the horizontal midline at the final time.
     """
     mesh = generate_structured_mesh(cfg.levels[0])
-    dt = cfg.dt if cfg.dt is not None else cfg.final_time / cfg.coarse_steps
+    dt = level_dt(cfg, "wavefront")[cfg.levels[0]]
     ncfg = _newmark_config(cfg, dt)
     targets = {int(round(ts / dt)): ts for ts in cfg.snapshot_times}
     snapshots: dict = {}
@@ -321,8 +306,7 @@ def single_run_study(cfg: RunConfig) -> SingleRunSummary:
         prob = wavefront_problem(k=cfg.k, c=cfg.c, delta=cfg.delta,
                                  final_time=cfg.final_time)
     mesh = generate_structured_mesh(cfg.levels[0])
-    h = mesh_metrics(mesh).h
-    dt = time_step(cfg, h, h)
+    dt = level_dt(cfg, "run")[cfg.levels[0]]
     result = run(prob, mesh, _newmark_config(cfg, dt),
                  observers={"state": lambda s: s.copy()}, degree=cfg.degree,
                  tau_bar=cfg.tau, tau_mode=cfg.tau_mode)
@@ -358,53 +342,33 @@ def export_field(fld: DiscreteScalarField, path, fmt: str = "csv") -> None:
         rule = triangle_quadrature(2 * fld.degree + 2)
         vert0, jac, _ = element_geometry(mesh)
         xq = vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
-        vals = fld.eval_reference(rule.points)
+        rows = np.column_stack([xq.reshape(-1, 2),
+                                fld.eval_reference(rule.points).reshape(-1)])
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("x,y,value\n")
-            for e in range(mesh.n_triangles):
-                for q in range(rule.points.shape[0]):
-                    fh.write(f"{_fmt(xq[e, q, 0])},{_fmt(xq[e, q, 1])},"
-                             f"{_fmt(vals[e, q])}\n")
+            np.savetxt(fh, rows, fmt="%.17g", delimiter=",",
+                       header="x,y,value", comments="")
         return
     if fmt == "vtk":
         ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         corner_vals = fld.eval_reference(ref_corners)  # (ne, 3)
-        acc = np.zeros(mesh.n_vertices)
-        cnt = np.zeros(mesh.n_vertices)
-        for e, tri in enumerate(mesh.triangles):
-            for lv, v in enumerate(tri):
-                acc[v] += corner_vals[e, lv]
-                cnt[v] += 1.0
+        # bincount adds the (element, corner) values in element order
+        corners = mesh.triangles.ravel()
+        acc = np.bincount(corners, weights=corner_vals.ravel(),
+                          minlength=mesh.n_vertices)
+        cnt = np.bincount(corners, minlength=mesh.n_vertices)
         vertex_vals = acc / np.maximum(cnt, 1.0)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("# vtk DataFile Version 2.0\n")
             fh.write("scalar field\nASCII\nDATASET UNSTRUCTURED_GRID\n")
             fh.write(f"POINTS {mesh.n_vertices} double\n")
-            for x, y in mesh.vertices:
-                fh.write(f"{_fmt(x)} {_fmt(y)} 0\n")
+            np.savetxt(fh, mesh.vertices, fmt="%.17g %.17g 0")
             fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
-            for i, j, k in mesh.triangles:
-                fh.write(f"3 {i} {j} {k}\n")
+            np.savetxt(fh, mesh.triangles, fmt="3 %d %d %d")
             fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
             fh.write("5\n" * mesh.n_triangles)
             fh.write(f"POINT_DATA {mesh.n_vertices}\n")
             fh.write("SCALARS value double 1\nLOOKUP_TABLE default\n")
-            for v in vertex_vals:
-                fh.write(f"{_fmt(v)}\n")
+            np.savetxt(fh, vertex_vals, fmt="%.17g")
         return
     raise ValueError(f"unknown export format {fmt!r}, expected 'csv' or 'vtk'")
 
-
-def import_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read back an exported CSV field as (points, values)."""
-    pts: list[tuple[float, float]] = []
-    vals: list[float] = []
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "x,y,value":
-            raise ValueError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            x, y, v = line.strip().split(",")
-            pts.append((float(x), float(y)))
-            vals.append(float(v))
-    return np.array(pts), np.array(vals)

@@ -1,4 +1,5 @@
-"""Conforming triangulations of rectangles, facet topology and metrics."""
+"""Conforming triangle meshes, structured meshes of the unit square, facet
+topology and metrics."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 
 
 class MeshError(Exception):
-    """Invalid mesh data, topology, or mesh file."""
+    """Invalid mesh data or topology."""
 
 
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -32,9 +33,10 @@ class Mesh:
             raise MeshError(f"triangle array must be (n, 3), got {tris.shape}")
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise MeshError("triangle vertex index out of range")
-        for t, (i, j, k) in enumerate(tris):
-            if i == j or j == k or i == k:
-                raise MeshError(f"triangle {t} has repeated vertices")
+        repeated = np.any(tris == tris[:, [1, 2, 0]], axis=1)
+        if np.any(repeated):
+            raise MeshError(
+                f"triangle {int(np.argmax(repeated))} has repeated vertices")
         a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
         signed = 0.5 * _cross2(b - a, c - a)
         if np.any(signed <= 0.0):
@@ -72,31 +74,22 @@ def element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tri[:, 0], jac, detj
 
 
-def generate_structured_mesh(n: int, bbox=(0.0, 0.0, 1.0, 1.0)) -> Mesh:
-    """n x n grid of cells on the rectangle bbox, each split along a diagonal.
+def generate_structured_mesh(n: int) -> Mesh:
+    """n x n grid of cells on the unit square, each split along a diagonal.
 
     Produces 2 n^2 counterclockwise triangles in a deterministic ordering
     (cells row by row, diagonal from lower-left to upper-right).
     """
     if n < 1:
         raise MeshError(f"subdivision count must be >= 1, got {n}")
-    x0, y0, x1, y1 = map(float, bbox)
-    if x1 <= x0 or y1 <= y0:
-        raise MeshError(f"bounding box {bbox} has nonpositive extent")
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    xx, yy = np.meshgrid(xs, ys)
+    xs = np.linspace(0.0, 1.0, n + 1)
+    xx, yy = np.meshgrid(xs, xs)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-    triangles = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = iy * (n + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-    return Mesh(vertices=vertices, triangles=np.array(triangles))
+    # lower-left vertex of every cell, row by row
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v10, v01, v11 = v00 + 1, v00 + (n + 1), v00 + (n + 2)
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1)
+    return Mesh(vertices=vertices, triangles=triangles.reshape(-1, 3))
 
 
 @dataclass(frozen=True)
@@ -129,68 +122,57 @@ LOCAL_FACETS = ((0, 1), (1, 2), (2, 0))
 
 def compute_facet_topology(mesh: Mesh) -> FacetTopology:
     """Build the facet tables; rejects nonconforming connectivity."""
-    nt = mesh.n_triangles
-    facet_id: dict[tuple[int, int], int] = {}
-    facets: list[tuple[int, int]] = []
-    neighbors: list[list[int]] = []
-    seen_directions: list[set[tuple[int, int]]] = []
-    elem_facets = np.empty((nt, 3), dtype=np.int64)
-    forward = np.empty((nt, 3), dtype=bool)
-    for t, tri in enumerate(mesh.triangles):
-        for lf, (la, lb) in enumerate(LOCAL_FACETS):
-            va, vb = int(tri[la]), int(tri[lb])
-            key = (min(va, vb), max(va, vb))
-            fid = facet_id.get(key)
-            if fid is None:
-                fid = len(facets)
-                facet_id[key] = fid
-                facets.append(key)
-                neighbors.append([])
-                seen_directions.append(set())
-            if len(neighbors[fid]) >= 2:
-                raise MeshError(
-                    f"facet {key} shared by more than two triangles: mesh is "
-                    f"nonconforming"
-                )
-            if (va, vb) in seen_directions[fid]:
-                raise MeshError(
-                    f"facet {key} traversed twice in the same direction: "
-                    f"inconsistent element orientation"
-                )
-            seen_directions[fid].add((va, vb))
-            neighbors[fid].append(t)
-            elem_facets[t, lf] = fid
-            forward[t, lf] = (va, vb) == key
-    nf = len(facets)
-    facets_arr = np.array(facets, dtype=np.int64)
-    is_interior = np.array([len(elems) == 2 for elems in neighbors],
-                           dtype=bool)
-    lengths = np.linalg.norm(
-        mesh.vertices[facets_arr[:, 1]] - mesh.vertices[facets_arr[:, 0]], axis=1
-    )
+    verts, tris = mesh.vertices, mesh.triangles
+    # first and second vertex of every (element, local facet)
+    first, second = tris[:, np.array(LOCAL_FACETS).T].transpose(1, 0, 2)
+    lo = np.minimum(first, second).ravel()
+    hi = np.maximum(first, second).ravel()
+    _, first_seen, inverse, counts = np.unique(
+        lo * mesh.n_vertices + hi, return_index=True, return_inverse=True,
+        return_counts=True)
+    # number the facets in order of first appearance
+    order = np.argsort(first_seen)
+    nf = order.size
+    rank = np.empty_like(order)
+    rank[order] = np.arange(nf)
+    elem_facets = rank[inverse].reshape(-1, 3)
+    starts = first_seen[order]
+    facets = np.column_stack([lo[starts], hi[starts]])
+    counts = counts[order]
+    if np.any(counts > 2):
+        key = tuple(facets[np.argmax(counts > 2)].tolist())
+        raise MeshError(
+            f"facet {key} shared by more than two triangles: mesh is "
+            f"nonconforming")
+    forward = first < second
+    # a shared facet is run forward by one side and backward by the other
+    n_forward = np.bincount(elem_facets.ravel(), weights=forward.ravel(),
+                            minlength=nf)
+    twice = (counts == 2) & (n_forward != 1)
+    if np.any(twice):
+        key = tuple(facets[np.argmax(twice)].tolist())
+        raise MeshError(
+            f"facet {key} traversed twice in the same direction: "
+            f"inconsistent element orientation")
+    is_interior = counts == 2
+    lengths = np.linalg.norm(verts[facets[:, 1]] - verts[facets[:, 0]], axis=1)
     # outward normals: ccw traversal leaves the interior on the left
-    normals = np.empty((nt, 3, 2))
-    for lf, (la, lb) in enumerate(LOCAL_FACETS):
-        tang = (
-            mesh.vertices[mesh.triangles[:, lb]] - mesh.vertices[mesh.triangles[:, la]]
-        )
-        tang = tang / np.linalg.norm(tang, axis=1)[:, None]
-        normals[:, lf, 0] = tang[:, 1]
-        normals[:, lf, 1] = -tang[:, 0]
+    tang = verts[second] - verts[first]
+    tang = tang / np.linalg.norm(tang, axis=2)[:, :, None]
+    normals = np.stack([tang[:, :, 1], -tang[:, :, 0]], axis=2)
+    n_interior = int(is_interior.sum())
     interior_index = np.full(nf, -1, dtype=np.int64)
-    interior_index[is_interior] = np.arange(int(is_interior.sum()))
+    interior_index[is_interior] = np.arange(n_interior)
     # stabilized facet: largest facet, ties broken by smallest global facet id
-    stab = np.empty(nt, dtype=np.int64)
-    for t in range(nt):
-        fids = elem_facets[t]
-        lens = lengths[fids]
-        best = max(range(3), key=lambda lf: (lens[lf], -fids[lf]))
-        stab[t] = best
-    for arr in (facets_arr, is_interior, elem_facets, forward, normals,
+    side_lengths = lengths[elem_facets]
+    longest = side_lengths == side_lengths.max(axis=1, keepdims=True)
+    stab = np.argmin(np.where(longest, elem_facets, np.iinfo(np.int64).max),
+                     axis=1)
+    for arr in (facets, is_interior, elem_facets, forward, normals,
                 lengths, interior_index, stab):
         arr.setflags(write=False)
     return FacetTopology(
-        facets=facets_arr,
+        facets=facets,
         is_interior=is_interior,
         elem_facets=elem_facets,
         elem_facet_forward=forward,
@@ -198,7 +180,7 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
         facet_lengths=lengths,
         interior_index=interior_index,
         stab_facet=stab,
-        n_interior=int(is_interior.sum()),
+        n_interior=n_interior,
     )
 
 
@@ -223,56 +205,3 @@ def mesh_metrics(mesh: Mesh) -> MeshMetrics:
         shape_regularity=float((diam / inradius).max()),
     )
 
-
-def load_mesh(path) -> Mesh:
-    """Read the plain-text mesh format.
-
-    First line: ``vertices <n> triangles <m>``; then n lines of ``x y``
-    coordinates and m lines of 0-based counterclockwise vertex triples.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise MeshError(f"{path}: empty mesh file")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
-        raise MeshError(
-            f"{path}: malformed header {lines[0]!r}, expected "
-            f"'vertices <n> triangles <m>'"
-        )
-    try:
-        nv, nt = int(header[1]), int(header[3])
-    except ValueError as err:
-        raise MeshError(f"{path}: malformed header counts {lines[0]!r}") from err
-    if len(lines) != 1 + nv + nt:
-        raise MeshError(
-            f"{path}: expected {1 + nv + nt} content lines, found {len(lines)}"
-        )
-    try:
-        vertices = np.array(
-            [[float(tok) for tok in ln.split()] for ln in lines[1 : 1 + nv]]
-        )
-        triangles = np.array(
-            [[int(tok) for tok in ln.split()] for ln in lines[1 + nv :]]
-        )
-    except ValueError as err:
-        raise MeshError(f"{path}: malformed coordinate or index line") from err
-    if nv and vertices.shape != (nv, 2):
-        raise MeshError(f"{path}: vertex lines must hold two coordinates each")
-    if nt and triangles.shape != (nt, 3):
-        raise MeshError(f"{path}: triangle lines must hold three indices each")
-    try:
-        return Mesh(vertices=vertices, triangles=triangles)
-    except MeshError as err:
-        raise MeshError(f"{path}: {err}") from err
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    """Write the plain-text mesh format read by load_mesh."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"vertices {mesh.n_vertices} triangles {mesh.n_triangles}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x:.17g} {y:.17g}\n")
-        for i, j, k in mesh.triangles:
-            fh.write(f"{i} {j} {k}\n")

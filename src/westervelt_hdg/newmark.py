@@ -110,14 +110,12 @@ class ProblemDefinition:
     exact_psi: Callable | None = None
     exact_dpsi: Callable | None = None
     exact_v: Callable | None = None
-    delta_max: float = float("inf")
 
     def __post_init__(self):
         if self.c <= 0.0:
             raise ValueError(f"wave speed must be positive, got {self.c}")
-        if not 0.0 <= self.delta < self.delta_max:
-            raise ValueError(
-                f"damping {self.delta} outside [0, {self.delta_max})")
+        if not self.delta >= 0.0:
+            raise ValueError(f"damping must be >= 0, got {self.delta}")
         if self.final_time <= 0.0:
             raise ValueError(f"final time must be positive, got {self.final_time}")
 

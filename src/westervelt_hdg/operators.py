@@ -77,24 +77,8 @@ class DofLayout:
         return self.n_elements * self.dim_scalar
 
     @property
-    def n_vector(self) -> int:
-        return 2 * self.n_scalar
-
-    @property
     def n_facet(self) -> int:
         return self.n_interior_facets * self.dim_facet
-
-    def scalar_slice(self, e: int) -> slice:
-        d = self.dim_scalar
-        return slice(e * d, (e + 1) * d)
-
-    def vector_slice(self, e: int) -> slice:
-        d = 2 * self.dim_scalar
-        return slice(e * d, (e + 1) * d)
-
-    def facet_slice(self, interior_idx: int) -> slice:
-        d = self.dim_facet
-        return slice(interior_idx * d, (interior_idx + 1) * d)
 
 
 def build_layout(mesh: Mesh, topo: FacetTopology, degree: int) -> DofLayout:
@@ -122,19 +106,16 @@ def facet_traces(basis: TriangleBasis, s: np.ndarray) -> np.ndarray:
 class ElementTables:
     """Geometry and basis evaluations shared by all assembly routines."""
 
-    def __init__(self, mesh: Mesh, topo: FacetTopology, layout: DofLayout,
-                 quad_order: int | None = None):
+    def __init__(self, mesh: Mesh, topo: FacetTopology, layout: DofLayout):
         p = layout.degree
         self.mesh = mesh
         self.topo = topo
         self.layout = layout
         self.basis = TriangleBasis(p)
         self.facet_basis = SegmentBasis(p)
-        self.cell_rule = triangle_quadrature(2 * p + 2 if quad_order is None
-                                             else quad_order)
+        self.cell_rule = triangle_quadrature(2 * p + 2)
         self.nonlinear_rule = triangle_quadrature(max(3 * p, 2))
-        self.facet_rule = segment_quadrature(2 * p + 2 if quad_order is None
-                                             else quad_order)
+        self.facet_rule = segment_quadrature(2 * p + 2)
 
         self.phi, self.gphi = self.basis.eval(self.cell_rule.points)
         self.phi_nl = self.basis.eval_values(self.nonlinear_rule.points)
@@ -209,9 +190,6 @@ class AssembledOperators:
     trace_penalty: np.ndarray  # (n_interior, pf, pf)
     n_unstabilized_facets: int = 0
 
-    def vector_mass_solve(self, u: np.ndarray) -> np.ndarray:
-        return apply_blocks(self.vector_mass_inv, u)
-
 
 def apply_blocks(blocks: np.ndarray, u) -> np.ndarray:
     """Apply a block-diagonal operator (ne, d, d) to stacked coefficients."""
@@ -260,13 +238,6 @@ def scatter_csr(shape, *parts) -> sp.csr_matrix:
     np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]),
               out=indptr[1:])
     return sp.csr_matrix((sums[keep], keys % shape[1], indptr), shape=shape)
-
-
-def block_diag_csr(blocks: np.ndarray) -> sp.csr_matrix:
-    """Expand (ne, r, c) blocks into the global block-diagonal sparse matrix."""
-    ne, r, c = blocks.shape
-    return scatter_csr((ne * r, ne * c), (blocks, element_dofs(ne, r),
-                                          element_dofs(ne, c)))
 
 
 def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
@@ -334,7 +305,7 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
     )
 
 
-def _nonlinear_coefficient(theta: np.ndarray, k: float,
+def nonlinear_coefficient(theta: np.ndarray, k: float,
                            tables: ElementTables):
     """theta and 1 + 2 k theta at the points of the nonlinear rule, both
     (ne, nq). Raises NondegeneracyError where 1 + 2 k theta is not strictly
@@ -364,7 +335,7 @@ def assemble_nonlinear_mass(theta: np.ndarray, k: float,
     1 + 2 k theta is not strictly positive at every quadrature point of the
     nonlinear rule.
     """
-    _, coeff = _nonlinear_coefficient(theta, k, tables)
+    _, coeff = nonlinear_coefficient(theta, k, tables)
     phi = tables.phi_nl
     weights = coeff * tables.weights_nl
     return np.matmul((weights[:, :, None] * phi[None, :, :]).transpose(0, 2, 1),
@@ -379,7 +350,7 @@ def nonlinear_defect(theta: np.ndarray, a: np.ndarray, k: float,
     Raises NondegeneracyError under the same condition as
     assemble_nonlinear_mass.
     """
-    theta_q, _ = _nonlinear_coefficient(theta, k, tables)
+    theta_q, _ = nonlinear_coefficient(theta, k, tables)
     lay = tables.layout
     a_q = np.reshape(a, (lay.n_elements, lay.dim_scalar)) @ tables.phi_nl.T
     return ((-2.0 * k) * (tables.weights_nl * theta_q * a_q)

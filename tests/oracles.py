@@ -15,6 +15,7 @@ import functools
 import math
 
 import numpy as np
+import scipy.sparse
 import sympy as sp
 from scipy.special import eval_legendre
 
@@ -23,8 +24,22 @@ from westervelt_hdg.basis import (
     segment_quadrature,
     triangle_quadrature,
 )
-from westervelt_hdg.mesh import Mesh, generate_structured_mesh
-from westervelt_hdg.operators import AssembledOperators, ElementTables, facet_traces
+from westervelt_hdg.mesh import (
+    LOCAL_FACETS,
+    FacetTopology,
+    Mesh,
+    MeshError,
+    element_geometry,
+    generate_structured_mesh,
+)
+from westervelt_hdg.operators import (
+    AssembledOperators,
+    DofLayout,
+    ElementTables,
+    element_dofs,
+    facet_traces,
+    scatter_csr,
+)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +170,74 @@ def perturbed_mesh(n: int, seed: int, amplitude: float = 0.15) -> Mesh:
     return Mesh(vertices=verts, triangles=np.array(base.triangles))
 
 
+def loop_facet_topology(mesh: Mesh) -> FacetTopology:
+    """Facet tables built by walking every (element, local facet) through a
+    dict, numbering facets in order of first appearance; the reference for
+    mesh.compute_facet_topology."""
+    nt = mesh.n_triangles
+    facet_id: dict[tuple[int, int], int] = {}
+    facets: list[tuple[int, int]] = []
+    neighbors: list[list[int]] = []
+    seen_directions: list[set[tuple[int, int]]] = []
+    elem_facets = np.empty((nt, 3), dtype=np.int64)
+    forward = np.empty((nt, 3), dtype=bool)
+    for t, tri in enumerate(mesh.triangles):
+        for lf, (la, lb) in enumerate(LOCAL_FACETS):
+            va, vb = int(tri[la]), int(tri[lb])
+            key = (min(va, vb), max(va, vb))
+            fid = facet_id.get(key)
+            if fid is None:
+                fid = len(facets)
+                facet_id[key] = fid
+                facets.append(key)
+                neighbors.append([])
+                seen_directions.append(set())
+            if len(neighbors[fid]) >= 2:
+                raise MeshError(f"facet {key} shared by more than two "
+                                f"triangles: mesh is nonconforming")
+            if (va, vb) in seen_directions[fid]:
+                raise MeshError(f"facet {key} traversed twice in the same "
+                                f"direction: inconsistent element orientation")
+            seen_directions[fid].add((va, vb))
+            neighbors[fid].append(t)
+            elem_facets[t, lf] = fid
+            forward[t, lf] = (va, vb) == key
+    nf = len(facets)
+    facets_arr = np.array(facets, dtype=np.int64)
+    is_interior = np.array([len(elems) == 2 for elems in neighbors],
+                           dtype=bool)
+    lengths = np.linalg.norm(
+        mesh.vertices[facets_arr[:, 1]] - mesh.vertices[facets_arr[:, 0]], axis=1
+    )
+    normals = np.empty((nt, 3, 2))
+    for lf, (la, lb) in enumerate(LOCAL_FACETS):
+        tang = (
+            mesh.vertices[mesh.triangles[:, lb]] - mesh.vertices[mesh.triangles[:, la]]
+        )
+        tang = tang / np.linalg.norm(tang, axis=1)[:, None]
+        normals[:, lf, 0] = tang[:, 1]
+        normals[:, lf, 1] = -tang[:, 0]
+    interior_index = np.full(nf, -1, dtype=np.int64)
+    interior_index[is_interior] = np.arange(int(is_interior.sum()))
+    # largest facet, ties broken by smallest global facet id
+    stab = np.empty(nt, dtype=np.int64)
+    for t in range(nt):
+        fids = elem_facets[t]
+        lens = lengths[fids]
+        stab[t] = max(range(3), key=lambda lf: (lens[lf], -fids[lf]))
+    return FacetTopology(
+        facets=facets_arr,
+        is_interior=is_interior,
+        elem_facets=elem_facets,
+        elem_facet_forward=forward,
+        normals=normals,
+        facet_lengths=lengths,
+        interior_index=interior_index,
+        stab_facet=stab,
+        n_interior=int(is_interior.sum()),
+    )
+
+
 def _element_geometry(mesh: Mesh, t: int):
     tri = mesh.vertices[mesh.triangles[t]]
     jac = np.column_stack([tri[1] - tri[0], tri[2] - tri[0]])
@@ -190,6 +273,37 @@ def _outward_normal(mesh: Mesh, t: int, lo: int, hi: int) -> np.ndarray:
     if np.dot(n, mid - mesh.vertices[opposite]) < 0.0:
         n = -n
     return n
+
+
+# ----------------------------------------------------------------------
+# global index helpers
+
+
+def n_vector(lay: DofLayout) -> int:
+    """Number of vector-field unknowns."""
+    return 2 * lay.n_scalar
+
+
+def scalar_slice(lay: DofLayout, e: int) -> slice:
+    d = lay.dim_scalar
+    return slice(e * d, (e + 1) * d)
+
+
+def vector_slice(lay: DofLayout, e: int) -> slice:
+    d = 2 * lay.dim_scalar
+    return slice(e * d, (e + 1) * d)
+
+
+def facet_slice(lay: DofLayout, interior_idx: int) -> slice:
+    d = lay.dim_facet
+    return slice(interior_idx * d, (interior_idx + 1) * d)
+
+
+def block_diag_csr(blocks: np.ndarray) -> scipy.sparse.csr_matrix:
+    """Expand (ne, r, c) blocks into the global block-diagonal sparse matrix."""
+    ne, r, c = blocks.shape
+    return scatter_csr((ne * r, ne * c), (blocks, element_dofs(ne, r),
+                                          element_dofs(ne, c)))
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +634,7 @@ def hdg_project(psi, v, ops: AssembledOperators,
     topo, mesh = tab.topo, tab.mesh
 
     psi_coef = np.zeros(lay.n_scalar)
-    v_coef = np.zeros(lay.n_vector)
+    v_coef = np.zeros(n_vector(lay))
     lam_coef = np.zeros(lay.n_facet)
 
     for t in range(lay.n_elements):
@@ -564,13 +678,78 @@ def hdg_project(psi, v, ops: AssembledOperators,
             row += pf
             if topo.is_interior[fid]:
                 fi = topo.interior_index[fid]
-                lam_coef[lay.facet_slice(fi)] = mu.T @ (
+                lam_coef[facet_slice(lay, fi)] = mu.T @ (
                     facet_rule.weights * psi_f)
         try:
             sol = np.linalg.solve(amat, rhs)
         except np.linalg.LinAlgError as err:
             raise ProjectionError(
                 f"singular projection system on element {t}") from err
-        v_coef[lay.vector_slice(t)] = sol[: 2 * d]
-        psi_coef[lay.scalar_slice(t)] = sol[2 * d :]
+        v_coef[vector_slice(lay, t)] = sol[: 2 * d]
+        psi_coef[scalar_slice(lay, t)] = sol[2 * d :]
     return psi_coef, v_coef, lam_coef
+
+
+# ----------------------------------------------------------------------
+# field files
+
+
+def _fmt(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def loop_export_field(fld, path, fmt: str) -> None:
+    """experiments.export_field written row by row, with the VTK vertex
+    values averaged in an element loop; the reference for its bytes."""
+    mesh = fld.mesh
+    if fmt == "csv":
+        rule = triangle_quadrature(2 * fld.degree + 2)
+        vert0, jac, _ = element_geometry(mesh)
+        xq = vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
+        vals = fld.eval_reference(rule.points)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,y,value\n")
+            for e in range(mesh.n_triangles):
+                for q in range(rule.points.shape[0]):
+                    fh.write(f"{_fmt(xq[e, q, 0])},{_fmt(xq[e, q, 1])},"
+                             f"{_fmt(vals[e, q])}\n")
+        return
+    ref_corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    corner_vals = fld.eval_reference(ref_corners)
+    acc = np.zeros(mesh.n_vertices)
+    cnt = np.zeros(mesh.n_vertices)
+    for e, tri in enumerate(mesh.triangles):
+        for lv, v in enumerate(tri):
+            acc[v] += corner_vals[e, lv]
+            cnt[v] += 1.0
+    vertex_vals = acc / np.maximum(cnt, 1.0)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 2.0\n")
+        fh.write("scalar field\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} double\n")
+        for x, y in mesh.vertices:
+            fh.write(f"{_fmt(x)} {_fmt(y)} 0\n")
+        fh.write(f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}\n")
+        for i, j, k in mesh.triangles:
+            fh.write(f"3 {i} {j} {k}\n")
+        fh.write(f"CELL_TYPES {mesh.n_triangles}\n")
+        fh.write("5\n" * mesh.n_triangles)
+        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+        fh.write("SCALARS value double 1\nLOOKUP_TABLE default\n")
+        for v in vertex_vals:
+            fh.write(f"{_fmt(v)}\n")
+
+
+def import_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read back an exported CSV field as (points, values)."""
+    pts: list[tuple[float, float]] = []
+    vals: list[float] = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "x,y,value":
+            raise ValueError(f"{path}: unexpected header {header!r}")
+        for line in fh:
+            x, y, v = line.strip().split(",")
+            pts.append((float(x), float(y)))
+            vals.append(float(v))
+    return np.array(pts), np.array(vals)

@@ -15,7 +15,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import oracles
-from oracles import hdg_project
+from oracles import block_diag_csr, hdg_project
 from test_operators import (
     build as build_ops,
     commutativity_residual,
@@ -42,7 +42,7 @@ from westervelt_hdg.newmark import (
     consistent_traces,
     run,
 )
-from westervelt_hdg.operators import assemble_load, block_diag_csr
+from westervelt_hdg.operators import assemble_load
 from westervelt_hdg.problems import delta_study_problem
 
 

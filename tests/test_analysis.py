@@ -5,6 +5,7 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import oracles
+from oracles import n_vector
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import (
     NondegeneracyError,
@@ -120,7 +121,7 @@ class TestFields:
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 1)
         s = scalar_field(ops, np.zeros(lay.n_scalar))
-        v = vector_field(ops, np.zeros(lay.n_vector))
+        v = vector_field(ops, np.zeros(n_vector(lay)))
         assert s.degree == 1 and v.degree == 1
 
 
@@ -163,7 +164,7 @@ class TestPostprocess:
         topo, lay, ops, cond = build(msh, 1)
         psi = np.zeros(lay.n_scalar)
         psi[0] = 5.0 / np.sqrt(2.0)  # mode 0 has constant value sqrt(2)
-        v = np.zeros(lay.n_vector)
+        v = np.zeros(n_vector(lay))
         v[0] = 2.0 / np.sqrt(2.0)
         v[lay.dim_scalar] = 3.0 / np.sqrt(2.0)
         star = postprocess(psi, v, ops)
@@ -208,7 +209,7 @@ class TestPostprocess:
         msh = oracles.perturbed_mesh(2, seed=5)
         topo, lay, ops, cond = build(msh, 1)
         psi = rng.standard_normal(lay.n_scalar)
-        v = rng.standard_normal(lay.n_vector)
+        v = rng.standard_normal(n_vector(lay))
         star = postprocess(psi, v, ops)
         lo = psi.reshape(lay.n_elements, lay.dim_scalar)[:, 0]
         hi = star.coeffs.reshape(lay.n_elements, -1)[:, 0]

@@ -6,8 +6,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import oracles
+from oracles import block_diag_csr, n_vector
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
-from westervelt_hdg.operators import apply_blocks, assemble_operators, block_diag_csr, build_layout
+from westervelt_hdg.operators import apply_blocks, assemble_operators, build_layout
 from westervelt_hdg.condensation import (
     CondensationError,
     build_condensed,
@@ -319,4 +320,4 @@ class TestGuards:
                                + cond.mu * cond.stiffness[0], rhs)
         assert np.max(np.abs(a_psi - want)) <= 1e-12
         v = reconstruct_velocity(ops, a_psi, a_lam)
-        assert v.shape == (lay.n_vector,)
+        assert v.shape == (n_vector(lay),)

@@ -2,6 +2,9 @@
 and the command line front end (exit codes, file outputs, determinism)."""
 
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import textwrap
 from pathlib import Path
@@ -19,6 +22,7 @@ from westervelt_hdg.config import (
     RunConfig,
     default_config,
     h_rule_steps,
+    level_dt,
     load_config,
     parse_config,
     serialize_config,
@@ -29,11 +33,9 @@ from westervelt_hdg.experiments import (
     DeltaReport,
     LevelResult,
     export_field,
-    import_field_csv,
-    time_step,
 )
 from westervelt_hdg.analysis import DiscreteScalarField
-from westervelt_hdg.mesh import generate_structured_mesh, mesh_metrics
+from westervelt_hdg.mesh import generate_structured_mesh
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -41,6 +43,7 @@ from westervelt_hdg.problems import (
 )
 
 import oracles
+from oracles import import_field_csv
 
 
 class TestConfig:
@@ -174,14 +177,13 @@ class TestConfig:
             dataclasses.replace(h_rule, coarse_steps=1250).validate()
 
     def test_h_rule_cap_counts_the_study_steps(self):
-        # validate counts the steps time_step gives each level of the study
+        # validate counts the steps level_dt gives each level of the study
         import dataclasses
         cfg = dataclasses.replace(default_config("h_convergence"), degree=2,
                                   levels=(4, 8, 16), coarse_steps=200)
-        h0 = mesh_metrics(generate_structured_mesh(4)).h
+        dts = level_dt(cfg, "h_convergence")
         for n in cfg.levels:
-            h = mesh_metrics(generate_structured_mesh(n)).h
-            assert round(cfg.final_time / time_step(cfg, h, h0)) == \
+            assert round(cfg.final_time / dts[n]) == \
                 h_rule_steps(cfg.coarse_steps, cfg.degree, n / 4)
         # the delta study anchors its single level at DELTA_ANCHOR_LEVEL
         delta = dataclasses.replace(default_config("delta_convergence"),
@@ -189,6 +191,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="level 64 needs"):
             delta.validate()
         dataclasses.replace(delta, levels=(DELTA_ANCHOR_LEVEL,)).validate()
+
+    def test_run_is_checked_against_its_own_step_rule(self):
+        # a single run takes coarse_steps steps on its level: the delta
+        # study's anchor at n = 4 does not apply to it
+        import dataclasses
+        cfg = dataclasses.replace(default_config("delta_convergence"),
+                                  degree=20, levels=(20,), coarse_steps=1,
+                                  final_time=1.0e-3)
+        with pytest.raises(ConfigError, match="level 20 needs 4.88e"):
+            cfg.validate()
+        assert cfg.validate("run") is cfg
+        assert level_dt(cfg, "run") == {20: 1.0e-3}
+        text = serialize_config(cfg)
+        assert parse_config(text, study="run") == cfg
+        with pytest.raises(ConfigError, match="level 20 needs"):
+            parse_config(text)
 
     def test_readme_config_block_parses(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
@@ -369,14 +387,19 @@ class TestProblemFamilies:
 class TestStudyHelpers:
     def test_time_step_rule(self):
         cfg = default_config("h_convergence")  # coarse_steps=200, T=1
-        h0 = math.sqrt(2.0) / 4.0
-        assert time_step(cfg, h0, h0) == 1.0 / 200
+        dts = level_dt(cfg, "h_convergence")  # levels 4, 8, 16, 32
+        assert dts[4] == 1.0 / 200
         # halving h at p=1 multiplies the step count by 2^(3/2)
         n = math.ceil(200 * 2.0 ** 1.5 - 1.0e-9)
-        assert time_step(cfg, h0 / 2.0, h0) == 1.0 / n
+        assert dts[8] == 1.0 / n
         import dataclasses
         cfg2 = dataclasses.replace(cfg, dt=1.0e-3)
-        assert time_step(cfg2, h0 / 2.0, h0) == 1.0e-3
+        assert level_dt(cfg2, "h_convergence")[8] == 1.0e-3
+        # the single-level studies run their first level only
+        for study in ("delta_convergence", "wavefront", "run"):
+            assert list(level_dt(cfg, study)) == [4]
+        assert level_dt(cfg, "run")[4] == level_dt(cfg, "wavefront")[4] \
+            == 1.0 / 200
 
     def test_convergence_report_csv(self):
         rep = ConvergenceReport(degree=1)
@@ -449,6 +472,21 @@ class TestFieldExport:
         assert f"CELLS {msh.n_triangles} {4 * msh.n_triangles}" in text
         assert f"POINT_DATA {msh.n_vertices}" in text
         assert text.count("\n5\n") >= 1  # triangle cell type markers
+
+    @pytest.mark.parametrize("fmt", ["csv", "vtk"])
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_bytes_match_loop_writer(self, tmp_path, fmt, degree):
+        msh = oracles.perturbed_mesh(3, seed=4)
+        rng = np.random.default_rng(degree)
+        d = (degree + 1) * (degree + 2) // 2
+        coeffs = rng.standard_normal(msh.n_triangles * d) * 10.0 ** rng.integers(
+            -200, 200, msh.n_triangles * d)
+        coeffs[:3] = (0.0, -0.0, 1.0)
+        fld = DiscreteScalarField(msh, degree, coeffs)
+        export_field(fld, tmp_path / f"got.{fmt}", fmt=fmt)
+        oracles.loop_export_field(fld, tmp_path / f"want.{fmt}", fmt)
+        assert (tmp_path / f"got.{fmt}").read_bytes() == \
+            (tmp_path / f"want.{fmt}").read_bytes()
 
     def test_unknown_format_rejected(self, tmp_path):
         fld, msh = self.make_field()
@@ -694,14 +732,53 @@ class TestCli:
         assert "solver failure" in capsys.readouterr().err
 
     def test_failing_level_yields_annotated_partial_table(self, tmp_path):
-        # refinement studies keep going past a stalled level and record it
+        # refinement studies keep going past a failed level and record it;
+        # tau = 1e300 leaves the facet system of n = 2 (not n = 1) singular
+        text = TINY_H.replace("[newmark]", "tau = 1e300\n\n[newmark]")
+        cfg = self.write(tmp_path, "singular.ini", text)
+        out = tmp_path / "out"
+        assert main(["h-convergence", "--config", str(cfg), "--levels", "1,2",
+                     "--out", str(out)]) == 0
+        lines = (out / "h_convergence_p0.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) == 3 and lines[1].startswith("1.4142135623730951,")
+        assert lines[2].startswith("# n=2: cannot factorize the facet Schur")
+
+    def test_every_level_failing_exits_3_with_annotated_table(self, tmp_path,
+                                                              capsys):
         text = TINY_H + "max_iterations = 1\ntol = 1e-16\n"
         cfg = self.write(tmp_path, "stall.ini", text)
         out = tmp_path / "out"
-        assert main(["h-convergence", "--config", str(cfg),
-                     "--out", str(out)]) == 0
-        body = (out / "h_convergence_p0.csv").read_text(encoding="utf-8")
-        assert "# n=2:" in body and "did not converge" in body
+        assert main(["h-convergence", "--config", str(cfg), "--levels", "2,4",
+                     "--out", str(out)]) == 3
+        csv = out / "h_convergence_p0.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 3
+        assert lines[1].startswith("# n=2:") and "did not converge" in lines[1]
+        assert lines[2].startswith("# n=4:") and "did not converge" in lines[2]
+        err = capsys.readouterr().err
+        assert err.startswith(f"solver failure: all 2 levels failed (listed "
+                              f"in {csv}); n=2: corrector did not converge")
+        assert err.count("\n") == 1
+
+    def test_solver_failure_is_one_line_of_stderr(self, tmp_path):
+        # the non-finite corrector change of delta = 1e300 overflows on the
+        # way; no floating-point warning reaches stderr
+        text = ("[problem]\nk = 0.0\ndelta = 1e300\nfinal_time = 0.01\n"
+                "[newmark]\ndt = 1e-3\n")
+        cfg = self.write(tmp_path, "nan.ini", text)
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from westervelt_hdg.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "run", "--config", str(cfg), "--p", "0", "--levels", "2",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("solver failure: corrector change nan")
+        assert proc.stderr.count("\n") == 1
 
     def test_exit_4_on_output_collision(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "tiny.ini", TINY_H)
@@ -727,6 +804,17 @@ def test_cli_survives_edge_values(command, key, value, level, degree):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "edge.ini"
         cfg.write_text(edge_config(key, value), encoding="utf-8")
+        out = Path(tmp) / "out"
         code = main([command, "--config", str(cfg), "--levels", str(level),
-                     "--p", str(degree), "--out", str(Path(tmp) / "out")])
-    assert code in (0, 2, 3, 4)
+                     "--p", str(degree), "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            # every number of every table, comment lines included
+            for path in out.glob("*.csv"):
+                for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                    for tok in line.lstrip("# ").split(","):
+                        try:
+                            number = float(tok)
+                        except ValueError:
+                            continue
+                        assert math.isfinite(number), (path.name, line)

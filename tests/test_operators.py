@@ -10,7 +10,17 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import oracles
-from oracles import ProjectionError, assemble_penalty_load, hdg_project
+from oracles import (
+    ProjectionError,
+    assemble_penalty_load,
+    block_diag_csr,
+    facet_slice,
+    hdg_project,
+    n_vector,
+    scalar_slice,
+    vector_slice,
+)
+from westervelt_hdg.basis import triangle_quadrature
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import (
     AssemblyError,
@@ -20,7 +30,6 @@ from westervelt_hdg.operators import (
     assemble_load,
     assemble_nonlinear_mass,
     assemble_operators,
-    block_diag_csr,
     build_layout,
     count_unstabilized_facets,
     element_dofs,
@@ -42,7 +51,7 @@ def dense_trace_couplings(ops):
     blocks through the facet dof map."""
     lay, cols = ops.layout, ops.tables.facet_dofs
     ne, d = lay.n_elements, lay.dim_scalar
-    e = scatter_csr((lay.n_vector, lay.n_facet),
+    e = scatter_csr((n_vector(lay), lay.n_facet),
                     (ops.trace_vector_local, element_dofs(ne, 2 * d), cols))
     f = scatter_csr((lay.n_scalar, lay.n_facet),
                     (ops.trace_scalar_local, element_dofs(ne, d), cols))
@@ -153,7 +162,7 @@ class TestSevenMatrices:
     def test_trace_blocks_consistent_with_sparse_matrices(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops = build(msh, 2)
-        e_dense = np.zeros((lay.n_vector, lay.n_facet))
+        e_dense = np.zeros((n_vector(lay), lay.n_facet))
         f_dense = np.zeros((lay.n_scalar, lay.n_facet))
         pf = lay.dim_facet
         for t in range(lay.n_elements):
@@ -165,9 +174,9 @@ class TestSevenMatrices:
                     assert np.max(np.abs(e_blk)) == 0.0
                     assert np.max(np.abs(f_blk)) == 0.0
                     continue
-                cols = lay.facet_slice(topo.interior_index[fid])
-                e_dense[lay.vector_slice(t), cols] += e_blk
-                f_dense[lay.scalar_slice(t), cols] += f_blk
+                cols = facet_slice(lay, topo.interior_index[fid])
+                e_dense[vector_slice(lay, t), cols] += e_blk
+                f_dense[scalar_slice(lay, t), cols] += f_blk
         e_scat, f_scat = dense_trace_couplings(ops)
         assert np.max(np.abs(e_dense - e_scat)) == 0.0
         assert np.max(np.abs(f_dense - f_scat)) == 0.0
@@ -308,9 +317,9 @@ class TestNonlinearMass:
         theta0, k = 0.25, 0.8
         theta = np.zeros(lay.n_scalar)
         # mode 0 of the orthonormal basis has constant value sqrt(2)
-        theta[lay.scalar_slice(0).start::lay.dim_scalar] = 0.0
+        theta[scalar_slice(lay, 0).start::lay.dim_scalar] = 0.0
         for t in range(msh.n_triangles):
-            theta[lay.scalar_slice(t).start] = theta0 / np.sqrt(2.0)
+            theta[scalar_slice(lay, t).start] = theta0 / np.sqrt(2.0)
         n_blocks = assemble_nonlinear_mass(theta, k, ops.tables)
         want = (1.0 + 2.0 * k * theta0) * ops.scalar_mass
         assert np.max(np.abs(n_blocks - want)) <= 1e-13
@@ -340,7 +349,7 @@ class TestNonlinearMass:
         msh = generate_structured_mesh(2)
         topo, lay, ops = build(msh, 0)
         theta = np.zeros(lay.n_scalar)
-        theta[lay.scalar_slice(3).start] = -5.0  # constant value -5 sqrt(2)
+        theta[scalar_slice(lay, 3).start] = -5.0  # constant value -5 sqrt(2)
         with pytest.raises(NondegeneracyError, match="nonpositive") as exc:
             assemble_nonlinear_mass(theta, 0.5, ops.tables)
         assert 3 in tuple(exc.value.elements)
@@ -371,7 +380,7 @@ class TestNonlinearMass:
         topo, lay, ops = build(msh, 1)
         theta = np.zeros(lay.n_scalar)
         for t in (3, 5):
-            theta[lay.scalar_slice(t).start] = -5.0
+            theta[scalar_slice(lay, t).start] = -5.0
         with pytest.raises(NondegeneracyError, match="nonpositive") as mass:
             assemble_nonlinear_mass(theta, 0.5, ops.tables)
         with pytest.raises(NondegeneracyError, match="nonpositive") as defect:
@@ -410,7 +419,12 @@ class TestLoads:
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
         lay = build_layout(msh, topo, 2)
-        tab = ElementTables(msh, topo, lay, quad_order=30)
+        tab = ElementTables(msh, topo, lay)
+        # the load reads the cell rule, its basis values and points
+        tab.cell_rule = triangle_quadrature(30)
+        tab.phi = tab.basis.eval_values(tab.cell_rule.points)
+        tab.xq = tab.vert0[:, None, :] + np.einsum(
+            "eab,qb->eqa", tab.jac, tab.cell_rule.points)
 
         def f(x, y, t):
             return np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -525,8 +539,8 @@ class TestProjection:
             tri, jac, detj, jinv = oracles._element_geometry(msh, t)
             xq = tri[0][None, :] + pts @ jac.T
             wdet = wts * detj
-            pl = psi_c[lay.scalar_slice(t)]
-            vl = v_c[lay.vector_slice(t)]
+            pl = psi_c[scalar_slice(lay, t)]
+            vl = v_c[vector_slice(lay, t)]
             # volume moments against the degree p-1 subspace
             for comp, data in enumerate(v(xq[:, 0], xq[:, 1])):
                 diff = phi @ vl[comp * d:(comp + 1) * d] - data
