@@ -40,21 +40,26 @@ class DiscreteScalarField:
         return self.coeffs.reshape(self.mesh.n_triangles, -1) @ phi.T
 
     def eval_at(self, points: np.ndarray) -> np.ndarray:
-        """Values at arbitrary physical points (brute-force element lookup)."""
+        """Values at physical points, each in the first element containing it
+        to 1e-12, located in chunks of at most 2^18 point-element pairs."""
         points = np.atleast_2d(points)
         vert0, jac, _ = element_geometry(self.mesh)
         jinv = np.linalg.inv(jac)
-        out = np.empty(points.shape[0])
         coeffs = self.coeffs.reshape(self.mesh.n_triangles, -1)
-        for i, pt in enumerate(points):
-            ref = np.einsum("eab,eb->ea", jinv, pt[None, :] - vert0)
-            inside = ((ref[:, 0] >= -1.0e-12) & (ref[:, 1] >= -1.0e-12)
-                      & (ref.sum(axis=1) <= 1.0 + 1.0e-12))
-            if not inside.any():
+        chunk = max(1, 2**18 // self.mesh.n_triangles)
+        out = np.empty(points.shape[0])
+        for i in range(0, points.shape[0], chunk):
+            pts = points[i:i + chunk]
+            ref = (jinv @ (pts[:, None, :] - vert0)[..., None])[..., 0]
+            inside = ((ref[..., 0] >= -1.0e-12) & (ref[..., 1] >= -1.0e-12)
+                      & (ref.sum(axis=2) <= 1.0 + 1.0e-12))
+            if not inside.any(axis=1).all():
+                pt = pts[np.argmin(inside.any(axis=1))]
                 raise ValueError(f"point {tuple(pt)} lies outside the mesh")
-            e = int(np.argmax(inside))
-            phi = self._basis.eval_values(np.clip(ref[e], 0.0, 1.0)[None, :])
-            out[i] = float(coeffs[e] @ phi[0])
+            e = np.argmax(inside, axis=1)  # first containing element
+            phi = self._basis.eval_values(
+                np.clip(ref[np.arange(len(pts)), e], 0.0, 1.0))
+            out[i:i + chunk] = (coeffs[e][:, None, :] @ phi[:, :, None]).ravel()
         return out
 
 

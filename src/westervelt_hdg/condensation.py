@@ -5,17 +5,15 @@ For a time step dt and Newmark weights (gamma, beta), the corrector solves
     (M + mu Ks) a_psi + mu R a_lam = rhs,      Rt a_psi + A a_lam = 0,
 
 with mu = c^2 dt^2 beta + delta gamma dt, Ks = S + Bt Mv^-1 B (element
-blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. Eliminating a_psi element
-by element leaves one sparse facet system; its matrix and the dt-independent
-analog used by the stationary initial-data solves are factorized once.
+blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. The stationary solves of
+the initial data are the same system with Ks in place of M + mu Ks and
+mu = 1. For either block-diagonal matrix D, one routine (_eliminate) stores
+W = D^-1 R and factorizes the facet Schur complement A - mu Rt W, so a solve
 
-With W = (M + mu Ks)^-1 R stored once, a corrector solve is
+    z = D^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),   a_psi = z - mu W a_lam
 
-    z = (M + mu Ks)^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),
-    a_psi = z - mu W a_lam,
-
-one element-block apply and one facet solve. A right side equal bit for bit
-to the one of the previous solve with the same operators returns that
+is one element-block apply and one facet solve. A right side equal bit for
+bit to the one of the previous solve with the same operators returns that
 solve's result without solving again; a NaN never compares equal.
 """
 
@@ -60,34 +58,35 @@ def _factorize(name: str, matrix: sp.spmatrix):
 
 
 @dataclass
-class CondensedOperators:
-    """Facet Schur complements and element elimination data for fixed
-    (c, delta, dt, gamma, beta)."""
+class Elimination:
+    """D^-1, W = D^-1 R and the factorized facet Schur complement
+    A - mu Rt W of a block-diagonal D (see condensed_solve)."""
+
+    mu: float
+    block_inv: np.ndarray  # (ne, d, d) D^-1
+    elim: sp.csr_matrix  # (n_scalar, n_facet) W
+    elim_t: sp.csr_matrix  # (n_facet, n_scalar) Wt
+    facet_schur: sp.csr_matrix  # (n_facet, n_facet) A - mu Rt W
+    facet_solver: object = field(default=None, repr=False)
+    # (rhs, a_psi, a_lam) of the last condensed_solve; the arrays are the
+    # ones that call returned
+    last_solve: tuple | None = field(default=None, repr=False)
+
+
+@dataclass(kw_only=True)
+class CondensedOperators(Elimination):
+    """The corrector's elimination, D = M + mu Ks, and the operators of the
+    step for fixed (c, delta, dt, gamma, beta)."""
 
     c: float
     delta: float
     dt: float
     gamma: float
     beta: float
-    mu: float
     stiffness: np.ndarray  # (ne, d, d) condensed element stiffness Ks
-    shifted_inv: np.ndarray  # (ne, d, d) inverse of M + mu Ks
     coupling: sp.csr_matrix  # (n_scalar, n_facet) R
-    coupling_t: sp.csr_matrix  # (n_facet, n_scalar) Rt
-    shifted_elim: sp.csr_matrix  # (n_scalar, n_facet) W = (M + mu Ks)^-1 R
-    shifted_elim_t: sp.csr_matrix  # (n_facet, n_scalar) Wt
     facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
-    facet_schur: sp.csr_matrix  # (n_facet, n_facet) A - mu Rt (M + mu Ks)^-1 R
-    static_schur: sp.csr_matrix | None  # dt-independent analog (needs Ks^-1)
-    static_sca_elim: sp.csr_matrix | None  # Ks^-1 R
-    stiffness_inv: np.ndarray | None
-    static_error: str | None = None
-    facet_solver: object = field(default=None, repr=False)
     gram_solver: object = field(default=None, repr=False)
-    static_solver: object = field(default=None, repr=False)
-    # (rhs, a_psi, a_lam) of the last condensed_solve; the arrays are the
-    # ones that call returned
-    last_solve: tuple | None = field(default=None, repr=False)
 
     def check_params(self, c: float, delta: float, dt: float,
                      gamma: float, beta: float) -> None:
@@ -99,10 +98,45 @@ class CondensedOperators:
                 f"beta) = {mine}, refusing use with {theirs}"
             )
 
-    def require_static(self) -> None:
-        if self.static_schur is None:
-            raise CondensationError(
-                f"stationary elimination path unavailable: {self.static_error}")
+
+def _element_blocks(ops: AssembledOperators):
+    """Ks (symmetrized) and R element by element; the columns of R are the
+    element's 3 pf facet dofs, zero on boundary facets."""
+    bt_minv = np.matmul(ops.divergence.transpose(0, 2, 1), ops.vector_mass_inv)
+    stiffness = ops.boundary_penalty + np.matmul(bt_minv, ops.divergence)
+    return (0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
+            ops.trace_scalar_local + bt_minv @ ops.trace_vector_local)
+
+
+def _scalar_facet(ops: AssembledOperators, blocks: np.ndarray):
+    """(n_scalar, n_facet) matrix of element blocks on the facet columns."""
+    lay = ops.layout
+    return scatter_csr((lay.n_scalar, lay.n_facet), (
+        blocks, element_dofs(lay.n_elements, lay.dim_scalar),
+        ops.tables.facet_dofs))
+
+
+def _facet_facet(ops: AssembledOperators, blocks: np.ndarray):
+    """The facet penalty plus element blocks on the facet dofs."""
+    lay, cols = ops.layout, ops.tables.facet_dofs
+    diag = element_dofs(lay.n_interior_facets, lay.dim_facet)
+    return scatter_csr((lay.n_facet, lay.n_facet),
+                       (ops.trace_penalty, diag, diag), (blocks, cols, cols))
+
+
+def _eliminate(ops: AssembledOperators, r_loc: np.ndarray,
+               block_inv: np.ndarray, mu: float, name: str) -> dict:
+    """The Elimination fields for the element blocks D^-1 and R; name is the
+    facet Schur complement's in a factorization failure."""
+    e_loc = ops.trace_vector_local
+    # Et Mv^-1 (E - B y) - Ft y = (A - G) - mu Rt D^-1 R with y = D^-1 mu R
+    y_loc = block_inv @ (mu * r_loc)
+    x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
+    schur = _facet_facet(ops, e_loc.transpose(0, 2, 1) @ x_loc
+                         - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
+    elim = _scalar_facet(ops, block_inv @ r_loc)
+    return dict(mu=mu, block_inv=block_inv, elim=elim, elim_t=elim.T.tocsr(),
+                facet_schur=schur, facet_solver=_factorize(name, schur))
 
 
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
@@ -114,97 +148,56 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
     if dt <= 0.0:
         raise CondensationError(f"time step must be positive, got {dt}")
     mu = c * c * dt * dt * beta + delta * gamma * dt
-
-    lay = ops.layout
-    ne, d = lay.n_elements, lay.dim_scalar
-    nfac = lay.n_facet
-
-    bt_minv = np.matmul(ops.divergence.transpose(0, 2, 1), ops.vector_mass_inv)
-    stiffness = ops.boundary_penalty + np.matmul(bt_minv, ops.divergence)
-    stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
-    shifted = ops.scalar_mass + mu * stiffness
+    stiffness, r_loc = _element_blocks(ops)
     try:
-        shifted_inv = np.linalg.inv(shifted)
+        shifted_inv = np.linalg.inv(ops.scalar_mass + mu * stiffness)
     except np.linalg.LinAlgError as err:
         raise CondensationError(
             f"element block M + mu Ks singular (mu = {mu:g})") from err
-
-    stiffness_inv = None
-    static_error = None
-    try:
-        np.linalg.cholesky(stiffness)
-        stiffness_inv = np.linalg.inv(stiffness)
-    except np.linalg.LinAlgError:
-        bad = np.flatnonzero(np.linalg.eigvalsh(stiffness).min(axis=1) <= 0.0)
-        static_error = (
-            f"condensed stiffness block singular on elements {bad[:8].tolist()}")
-
-    # element blocks against the element's 3 pf facet columns; columns of
-    # boundary facets are zero and dropped by the scatter
-    e_loc, f_loc = ops.trace_vector_local, ops.trace_scalar_local
-    e_t, f_t = e_loc.transpose(0, 2, 1), f_loc.transpose(0, 2, 1)
-    r_loc = f_loc + bt_minv @ e_loc
-    w_loc = shifted_inv @ r_loc
-    y_loc = shifted_inv @ (mu * r_loc)
-    x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
-
-    cols = ops.tables.facet_dofs
-    rows = element_dofs(ne, d)
-    facet_diag = element_dofs(lay.n_interior_facets, lay.dim_facet)
-    penalty = (ops.trace_penalty, facet_diag, facet_diag)
-    shape = (nfac, nfac)
-    schur = scatter_csr(shape, penalty, (e_t @ x_loc - f_t @ y_loc, cols, cols))
-    gram = scatter_csr(shape, penalty,
-                       (e_t @ ops.vector_mass_inv @ e_loc, cols, cols))
-    coupling = scatter_csr((lay.n_scalar, nfac), (r_loc, rows, cols))
-    shifted_elim = scatter_csr((lay.n_scalar, nfac), (w_loc, rows, cols))
-    static = static_sca = None
-    if stiffness_inv is not None:
-        ybar = stiffness_inv @ r_loc
-        xbar = ops.vector_mass_inv @ (e_loc - ops.divergence @ ybar)
-        static = scatter_csr(shape, penalty,
-                             (e_t @ xbar - f_t @ ybar, cols, cols))
-        static_sca = scatter_csr((lay.n_scalar, nfac), (ybar, rows, cols))
-
-    cond = CondensedOperators(
-        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta, mu=mu,
-        stiffness=stiffness,
-        shifted_inv=shifted_inv,
-        coupling=coupling,
-        coupling_t=coupling.T.tocsr(),
-        shifted_elim=shifted_elim,
-        shifted_elim_t=shifted_elim.T.tocsr(),
-        facet_gram=gram,
-        facet_schur=schur,
-        static_schur=static,
-        static_sca_elim=static_sca,
-        stiffness_inv=stiffness_inv,
-        static_error=static_error,
-    )
-    cond.facet_solver = _factorize("facet Schur complement", schur)
-    cond.gram_solver = _factorize("facet Gram matrix", gram)
-    if static is not None:
-        cond.static_solver = _factorize("stationary facet Schur complement",
-                                        static)
-    return cond
+    e_loc = ops.trace_vector_local
+    gram = _facet_facet(ops, e_loc.transpose(0, 2, 1) @ ops.vector_mass_inv
+                        @ e_loc)
+    return CondensedOperators(
+        **_eliminate(ops, r_loc, shifted_inv, mu, "facet Schur complement"),
+        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta, stiffness=stiffness,
+        coupling=_scalar_facet(ops, r_loc), facet_gram=gram,
+        gram_solver=_factorize("facet Gram matrix", gram))
 
 
-def condensed_solve(cond: CondensedOperators,
-                    rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the corrector linear system for a scalar-field right side.
+def stationary_elimination(ops: AssembledOperators) -> Elimination:
+    """The elimination of the stationary system, D = Ks and mu = 1.
 
-    Returns accelerations (scalar, facet) of the coupled system
-    (M + mu Ks) a_psi + mu R a_lam = rhs with Rt a_psi + A a_lam = 0. A
-    right side equal bit for bit to the previous call's returns the previous
-    arrays again, so callers must not modify the results in place.
+    Refuses Ks blocks whose smallest eigenvalue is subnormal or at most d eps
+    times their largest: their inverse overflows or has no correct digit.
     """
-    last = cond.last_solve
+    stiffness, r_loc = _element_blocks(ops)
+    eig = np.linalg.eigvalsh(stiffness)
+    d, fp = stiffness.shape[1], np.finfo(float)
+    bad = np.flatnonzero(~(eig[:, 0] > np.maximum(d * fp.eps * eig[:, -1],
+                                                  fp.tiny)))
+    if bad.size:
+        raise CondensationError(
+            f"condensed stiffness block singular on elements {bad[:8].tolist()}"
+            f" (smallest eigenvalue subnormal or <= {d} eps x largest)")
+    return Elimination(**_eliminate(ops, r_loc, np.linalg.inv(stiffness), 1.0,
+                                    "stationary facet Schur complement"))
+
+
+def condensed_solve(elim: Elimination,
+                    rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve D a_psi + mu R a_lam = rhs, Rt a_psi + A a_lam = 0 for a
+    scalar-field right side (accelerations for the corrector's D).
+
+    A right side equal bit for bit to the previous call's returns the
+    previous arrays again, so callers must not modify the results in place.
+    """
+    last = elim.last_solve
     if last is not None and np.array_equal(rhs, last[0]):
         return last[1], last[2]
-    z = apply_blocks(cond.shifted_inv, rhs)
-    a_lam = cond.facet_solver.solve(-(cond.shifted_elim_t @ rhs))
-    a_psi = z - cond.mu * (cond.shifted_elim @ a_lam)
-    cond.last_solve = (rhs.copy(), a_psi, a_lam)
+    z = apply_blocks(elim.block_inv, rhs)
+    a_lam = elim.facet_solver.solve(-(elim.elim_t @ rhs))
+    a_psi = z - elim.mu * (elim.elim @ a_lam)
+    elim.last_solve = (rhs.copy(), a_psi, a_lam)
     return a_psi, a_lam
 
 

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .basis import MAX_QUADRATURE_ORDER
+from .newmark import number_of_steps
 from .operators import TAU_MODES
 
 KINDS = ("h_convergence", "delta_convergence", "wavefront")
@@ -87,9 +88,9 @@ class RunConfig:
     profile_samples: int = 257
 
     def validate(self, study: str | None = None) -> "RunConfig":
-        """Refuse inconsistent fields and, without dt, a level on which the
-        h-rule of study (default: the study of kind; see level_steps) asks
-        for more than MAX_STEPS time steps."""
+        """Refuse inconsistent fields, a step that does not divide final_time
+        and, without dt, a level on which the h-rule of study (default: the
+        study of kind; see level_steps) asks for more than MAX_STEPS steps."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, "
                               f"expected one of {KINDS}")
@@ -151,6 +152,11 @@ class RunConfig:
             raise ConfigError(
                 f"final_time / dt must be <= {MAX_STEPS} steps, got "
                 f"final_time = {self.final_time}, dt = {self.dt}")
+        for dt in level_dt(self, study or self.kind).values():
+            try:
+                number_of_steps(self.final_time, dt)
+            except ValueError as err:
+                raise ConfigError(str(err)) from err
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if self.profile_samples < 2:

@@ -24,7 +24,6 @@ is assembled at every step (load_function).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -34,6 +33,7 @@ from .condensation import (
     CondensedOperators,
     build_condensed,
     condensed_solve,
+    stationary_elimination,
 )
 from .mesh import Mesh, compute_facet_topology
 from .operators import (
@@ -168,19 +168,19 @@ def predictor(state: State, cfg: NewmarkConfig, delta: float,
 
 def consistent_traces(cond: CondensedOperators, psi: np.ndarray) -> np.ndarray:
     """Facet values satisfying the trace constraint for given scalar data."""
-    return cond.gram_solver.solve(-(cond.coupling_t @ psi))
+    return cond.gram_solver.solve(-(cond.coupling.T @ psi))
 
 
-def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
-                          cond: CondensedOperators) -> State:
+def compute_initial_state(prob: ProblemDefinition,
+                          ops: AssembledOperators) -> State:
     """Stationary HDG solves projecting the two initial data fields.
 
-    Each field is obtained from the mixed system driven by minus its
-    Laplacian, condensed through the dt-independent facet Schur complement.
+    Each field solves the mixed system driven by minus its Laplacian through
+    the stationary elimination, built once and only when a datum is given.
     Accelerations are left at zero; see compute_initial_acceleration.
     """
     lay = ops.layout
-    levels = []
+    static, levels = None, []
     for f, lap in ((prob.psi0, prob.lap_psi0), (prob.psi1, prob.lap_psi1)):
         if f is None:
             levels.append((np.zeros(lay.n_scalar), np.zeros(lay.n_facet)))
@@ -188,12 +188,10 @@ def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
         if lap is None:
             raise InitializationError(
                 "initial datum given without its Laplacian")
-        cond.require_static()
+        if static is None:
+            static = stationary_elimination(ops)
         source = assemble_load(lambda x, y, t: -lap(x, y), 0.0, ops.tables)
-        lam = cond.static_solver.solve(-(cond.static_sca_elim.T @ source))
-        psi = apply_blocks(cond.stiffness_inv,
-                           source - cond.coupling @ lam)
-        levels.append((psi, lam))
+        levels.append(condensed_solve(static, source))
     (psi0, lam0), (psi1, lam1) = levels
     return State(
         t=0.0, psi=psi0, dpsi=psi1, ddpsi=np.zeros(lay.n_scalar),
@@ -387,16 +385,13 @@ class RunResult:
 
 
 def number_of_steps(final_time: float, dt: float) -> int:
-    """Round final_time/dt to the nearest step count, warning when inexact."""
+    """The number of steps dt to final_time, refusing an inexact one."""
     ratio = final_time / dt
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1.0e-9 * max(1.0, abs(ratio)):
-        n = max(1, n)
-        warnings.warn(
-            f"final time {final_time} is not an integer multiple of "
-            f"dt {dt}; running {n} steps to t = {n * dt:g}",
-            stacklevel=2,
-        )
+        raise ValueError(
+            f"final_time = {final_time} is not a whole number of steps of "
+            f"dt = {dt} (final_time / dt = {ratio:.17g})")
     return n
 
 
@@ -415,7 +410,7 @@ def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
                              tau_mode=tau_mode)
     cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
                            cfg.beta)
-    state = compute_initial_state(prob, ops, cond)
+    state = compute_initial_state(prob, ops)
     compute_initial_acceleration(state, prob, ops, cond)
     load = load_function(prob.forcing, ops.tables)
     n_steps = number_of_steps(prob.final_time, cfg.dt)

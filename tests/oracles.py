@@ -753,3 +753,24 @@ def import_field_csv(path) -> tuple[np.ndarray, np.ndarray]:
             pts.append((float(x), float(y)))
             vals.append(float(v))
     return np.array(pts), np.array(vals)
+
+
+def loop_eval_at(fld, points: np.ndarray) -> np.ndarray:
+    """DiscreteScalarField.eval_at one point at a time: every element's
+    reference coordinates of the point, the first element that contains it
+    to 1e-12, and the field's expansion there."""
+    points = np.atleast_2d(points)
+    vert0, jac, _ = element_geometry(fld.mesh)
+    jinv = np.linalg.inv(jac)
+    out = np.empty(points.shape[0])
+    coeffs = fld.coeffs.reshape(fld.mesh.n_triangles, -1)
+    for i, pt in enumerate(points):
+        ref = np.einsum("eab,eb->ea", jinv, pt[None, :] - vert0)
+        inside = ((ref[:, 0] >= -1.0e-12) & (ref[:, 1] >= -1.0e-12)
+                  & (ref.sum(axis=1) <= 1.0 + 1.0e-12))
+        if not inside.any():
+            raise ValueError(f"point {tuple(pt)} lies outside the mesh")
+        e = int(np.argmax(inside))
+        phi = fld._basis.eval_values(np.clip(ref[e], 0.0, 1.0)[None, :])
+        out[i] = float(coeffs[e] @ phi[0])
+    return out

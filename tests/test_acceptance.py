@@ -158,7 +158,7 @@ def test_criterion_4_oracle_equivalence():
                 lap_psi0=lambda x, y: (-2.0 * np.pi ** 2
                                        * np.sin(np.pi * x)
                                        * np.sin(np.pi * y)))
-            state = compute_initial_state(prob, ops, cond)
+            state = compute_initial_state(prob, ops)
             source = assemble_load(
                 lambda x, y, t: -prob.lap_psi0(x, y), 0.0, ops.tables)
             _, psi_d, lam_d = oracles.dense_elliptic(seven, source)

@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from oracles import n_vector
+from westervelt_hdg.basis import scalar_space_dim
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import (
     NondegeneracyError,
@@ -93,6 +94,31 @@ class TestFields:
         fld = DiscreteScalarField(msh, 0, np.zeros(2))
         with pytest.raises(ValueError, match="outside"):
             fld.eval_at(np.array([[2.0, 2.0]]))
+
+    @pytest.mark.parametrize("n,degree", [(4, 1), (16, 5), (32, 3)])
+    def test_eval_at_matches_loop_reference_bit_for_bit(self, n, degree):
+        # the profile points of the wavefront study, points on element
+        # edges and vertices (the first containing element wins) and random
+        # points; at n = 32 the points are located in three chunks
+        msh = generate_structured_mesh(n)
+        rng = np.random.default_rng(n)
+        fld = DiscreteScalarField(
+            msh, degree, rng.standard_normal(msh.n_triangles
+                                             * scalar_space_dim(degree)))
+        x = np.linspace(0.0, 1.0, 257)
+        pts = np.vstack([np.column_stack([x, np.full_like(x, 0.5)]),
+                         np.column_stack([x, x]), msh.vertices,
+                         rng.uniform(0.0, 1.0, size=(100, 2))])
+        got = fld.eval_at(pts)
+        assert got.tobytes() == oracles.loop_eval_at(fld, pts).tobytes()
+        # the first point outside is named, also past the first chunk
+        pts[300] = (1.5, 0.25)
+        pts[400] = (-0.5, 0.25)
+        with pytest.raises(ValueError, match="outside the mesh") as got:
+            fld.eval_at(pts)
+        with pytest.raises(ValueError) as want:
+            oracles.loop_eval_at(fld, pts)
+        assert str(got.value) == str(want.value) and "1.5" in str(got.value)
 
     def test_coefficient_length_validated(self):
         msh = generate_structured_mesh(1)

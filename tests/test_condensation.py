@@ -14,6 +14,7 @@ from westervelt_hdg.condensation import (
     build_condensed,
     condensed_solve,
     reconstruct_velocity,
+    stationary_elimination,
 )
 
 
@@ -77,7 +78,7 @@ class TestAgainstDenseElimination:
         assert np.max(np.abs(block_diag_csr(cond.stiffness).toarray()
                              - dc["Ks"])) <= 1e-12
         shifted_inv = np.linalg.inv(dc["shifted"])
-        assert np.max(np.abs(block_diag_csr(cond.shifted_inv).toarray()
+        assert np.max(np.abs(block_diag_csr(cond.block_inv).toarray()
                              - shifted_inv)) <= 1e-11
         assert np.max(np.abs(np.asarray(cond.coupling.todense())
                              - dc["R"])) <= 1e-12
@@ -92,8 +93,9 @@ class TestAgainstDenseElimination:
         topo, lay, ops, cond = build(msh, degree)
         seven, dc = dense_pieces(msh, degree, cond.mu)
         want = dc["A"] - dc["R"].T @ np.linalg.solve(dc["Ks"], dc["R"])
-        assert cond.static_schur is not None
-        assert np.max(np.abs(np.asarray(cond.static_schur.todense())
+        static = stationary_elimination(ops)
+        assert static.mu == 1.0
+        assert np.max(np.abs(np.asarray(static.facet_schur.todense())
                              - want)) <= 1e-11
 
     def test_elimination_maps_match_dense_oracle(self):
@@ -102,8 +104,11 @@ class TestAgainstDenseElimination:
         seven, dc = dense_pieces(msh, 2, cond.mu)
 
         ybar = np.linalg.solve(dc["Ks"], dc["R"])
-        assert np.max(np.abs(np.asarray(cond.static_sca_elim.todense())
+        static = stationary_elimination(ops)
+        assert np.max(np.abs(np.asarray(static.elim.todense())
                              - ybar)) <= 1e-10
+        assert np.max(np.abs(np.asarray(static.elim_t.todense())
+                             - ybar.T)) <= 1e-10
 
     def test_perturbed_mesh_matches_dense_oracle(self):
         msh = oracles.perturbed_mesh(3, seed=8)
@@ -124,8 +129,8 @@ class TestSparsity:
         # factorizations
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
-        for mat in (cond.facet_schur, cond.facet_gram, cond.static_schur,
-                    cond.coupling):
+        for mat in (cond.facet_schur, cond.facet_gram, cond.coupling,
+                    stationary_elimination(ops).facet_schur):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
 
@@ -136,9 +141,10 @@ class TestSparsity:
         # A^T + A leaves fewer L + U nonzeros than splu's default COLAMD
         msh = generate_structured_mesh(8)
         topo, lay, ops, cond = build(msh, degree)
+        static = stationary_elimination(ops)
         for mat, lu in ((cond.facet_schur, cond.facet_solver),
                         (cond.facet_gram, cond.gram_solver),
-                        (cond.static_schur, cond.static_solver)):
+                        (static.facet_schur, static.facet_solver)):
             colamd = spla.splu(mat.tocsc())
             assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
@@ -165,12 +171,18 @@ class TestSpectralStructure:
                              - cond.stiffness.transpose(0, 2, 1))) == 0.0
 
     def test_static_schur_independent_of_time_step(self):
+        # without the mass, the corrector's A - mu Rt (mu Ks)^-1 R is the
+        # stationary Schur complement at every dt; with it, it depends on dt
         msh = generate_structured_mesh(2)
-        _, _, _, cond1 = build(msh, 1, dt=0.05)
+        _, _, ops, cond1 = build(msh, 1, dt=0.05)
         _, _, _, cond2 = build(msh, 1, dt=0.005)
-        d_static = np.abs(np.asarray((cond1.static_schur
-                                      - cond2.static_schur).todense()))
-        assert np.max(d_static) <= 1e-14
+        static = np.asarray(stationary_elimination(ops).facet_schur.todense())
+        ops.scalar_mass[:] = 0.0
+        for dt in (0.05, 0.005):
+            massless = build_condensed(ops, 2.0, 1.0e-3, dt, 0.5, 0.25)
+            d_static = np.abs(np.asarray(massless.facet_schur.todense())
+                              - static)
+            assert np.max(d_static) <= 1e-12 * np.max(np.abs(static))
         d_facet = np.abs(np.asarray((cond1.facet_schur
                                      - cond2.facet_schur).todense()))
         assert np.max(d_facet) > 1e-6
@@ -200,9 +212,9 @@ class TestSolves:
                                      dt=0.02)
         seven, dc = dense_pieces(msh, degree, cond.mu)
         w = np.linalg.solve(dc["shifted"], dc["R"])
-        assert np.max(np.abs(cond.shifted_elim.toarray() - w)) <= 1e-12 * (
+        assert np.max(np.abs(cond.elim.toarray() - w)) <= 1e-12 * (
             np.max(np.abs(w)))
-        assert np.max(np.abs(cond.shifted_elim_t.toarray() - w.T)) <= 1e-12 * (
+        assert np.max(np.abs(cond.elim_t.toarray() - w.T)) <= 1e-12 * (
             np.max(np.abs(w)))
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
@@ -294,16 +306,16 @@ class TestGuards:
     def test_static_path_unavailable_reported(self):
         # wipe the penalty of one lowest-order element: its condensed
         # stiffness block vanishes and the stationary elimination must refuse
+        # it by element
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
         lay = build_layout(msh, topo, 0)
         ops = assemble_operators(msh, topo, lay)
         ops.boundary_penalty[0][:] = 0.0
         cond = build_condensed(ops, 1.0, 0.0, 0.1, 0.5, 0.25)
-        assert cond.static_schur is None
-        assert "singular" in cond.static_error
-        with pytest.raises(CondensationError, match="unavailable"):
-            cond.require_static()
+        with pytest.raises(CondensationError,
+                           match=r"stiffness block singular on elements \[0\]"):
+            stationary_elimination(ops)
         # the time-stepping path is still usable
         a_psi, a_lam = condensed_solve(cond, np.ones(lay.n_scalar))
         assert np.all(np.isfinite(a_psi)) and np.all(np.isfinite(a_lam))

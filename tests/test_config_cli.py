@@ -1,6 +1,7 @@
 """Configuration parsing, problem-family consistency, CSV/VTK export,
 and the command line front end (exit codes, file outputs, determinism)."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -33,6 +34,7 @@ from westervelt_hdg.experiments import (
     DeltaReport,
     LevelResult,
     export_field,
+    h_convergence_study,
 )
 from westervelt_hdg.analysis import DiscreteScalarField
 from westervelt_hdg.mesh import generate_structured_mesh
@@ -159,6 +161,26 @@ class TestConfig:
                                   **{field: value})
         with pytest.raises(ConfigError, match=match):
             cfg.validate()
+
+    def test_dt_must_divide_final_time(self):
+        import dataclasses
+        base = default_config("h_convergence")
+        for final_time, dt in ((0.01, 3.0e-3), (0.01, 1.0e150),
+                               (1.0, 0.03)):
+            cfg = dataclasses.replace(base, final_time=final_time, dt=dt)
+            with pytest.raises(ConfigError,
+                               match="not a whole number of steps of dt"):
+                cfg.validate()
+        # ratios off by roundoff only: the delta-sweep and energy-run
+        # benchmark workloads and the default wavefront study
+        for final_time, dt in ((0.3, 1.0e-2), (1.0, 5.0e-3), (2.0e-4, 1.0e-6)):
+            dataclasses.replace(base, final_time=final_time, dt=dt).validate()
+        default_config("wavefront").validate()
+        # the h-rule step of a denormal final time does not divide it either
+        tiny = dataclasses.replace(base, final_time=1.0e-320, levels=(1,),
+                                   coarse_steps=10)
+        with pytest.raises(ConfigError, match="not a whole number of steps"):
+            tiny.validate()
 
     def test_step_cap_is_inclusive(self):
         import dataclasses
@@ -400,6 +422,20 @@ class TestStudyHelpers:
             assert list(level_dt(cfg, study)) == [4]
         assert level_dt(cfg, "run")[4] == level_dt(cfg, "wavefront")[4] \
             == 1.0 / 200
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_denormal_tau_is_filed_as_singular_stiffness(self, degree):
+        # tau = 1e-320 leaves Ks with eigenvalue ratios below 1e-34 (or, at
+        # p = 0, subnormal blocks); every level is filed as that, not as a
+        # loss of positivity further down the run
+        cfg = dataclasses.replace(parse_config(TINY_H), degree=degree,
+                                  levels=(1, 2, 4), tau=1.0e-320)
+        report = h_convergence_study(cfg)
+        assert report.levels == []
+        assert len(report.failures) == 3
+        for n, msg in zip((1, 2, 4), report.failures):
+            assert msg.startswith(f"n={n}: condensed stiffness block "
+                                  f"singular on elements [0, 1")
 
     def test_convergence_report_csv(self):
         rep = ConvergenceReport(degree=1)
@@ -687,7 +723,7 @@ class TestCli:
     @pytest.mark.parametrize("command,key,value,degree,code", [
         ("h-convergence", "c", 1.0e200, 0, 2),
         ("h-convergence", "c", 1.0e-300, 0, 2),
-        ("h-convergence", "dt", 1.0e300, 0, 3),
+        ("h-convergence", "dt", 1.0e300, 0, 2),
         ("h-convergence", "tau", 1.0e-320, 0, 3),
         ("h-convergence", "tau", 1.0e200, 2, 3),
         ("h-convergence", "tau", 1.0e150, 1, 3),
@@ -779,6 +815,40 @@ class TestCli:
         assert proc.returncode == 3
         assert proc.stderr.startswith("solver failure: corrector change nan")
         assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("level", [1, 2, 4])
+    def test_unused_stationary_system_is_not_built(self, tmp_path, capsys,
+                                                   level):
+        # the wavefront starts from zero data, so a denormal tau, whose
+        # stationary facet system is singular, leaves the run untouched
+        cfg = self.write(tmp_path, "tiny_tau.ini",
+                         "[discretization]\ntau = 1e-320\n")
+        out = tmp_path / "out"
+        assert main(["wavefront", "--config", str(cfg), "--p", "0",
+                     "--levels", str(level), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        tables = sorted(out.glob("*.csv"))
+        assert len(tables) == 5
+        for path in tables:
+            values = np.loadtxt(path, delimiter=",", skiprows=1)
+            assert values.size > 0 and np.all(np.isfinite(values))
+        for path in out.glob("*.vtk"):
+            text = path.read_text(encoding="utf-8")
+            assert "nan" not in text and "inf" not in text
+
+    def test_singular_stationary_system_names_the_elements(self, tmp_path,
+                                                           capsys):
+        # the manufactured problem has an initial velocity, so its
+        # stationary solve needs Ks^-1, which a denormal tau destroys
+        text = TINY_H.replace("[newmark]", "tau = 1e-320\n\n[newmark]")
+        cfg = self.write(tmp_path, "tiny_tau.ini", text)
+        assert main(["h-convergence", "--config", str(cfg), "--p", "1",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: all 1 levels failed")
+        assert ("n=2: condensed stiffness block singular on elements "
+                "[0, 1, 2, 3, 4, 5, 6, 7]") in err
+        assert err.count("\n") == 1
 
     def test_exit_4_on_output_collision(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "tiny.ini", TINY_H)

@@ -80,7 +80,7 @@ class TestInitialState:
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1)
         prob = ProblemDefinition(c=1.0)
-        state = compute_initial_state(prob, ops, cond)
+        state = compute_initial_state(prob, ops)
         for vec in (state.psi, state.dpsi, state.ddpsi, state.lam,
                     state.dlam, state.ddlam):
             assert np.max(np.abs(vec)) == 0.0
@@ -93,7 +93,7 @@ class TestInitialState:
         prob = ProblemDefinition(
             c=1.0, psi0=standing_wave, lap_psi0=lap_standing_wave,
             psi1=bump, lap_psi1=lap_bump)
-        state = compute_initial_state(prob, ops, cond)
+        state = compute_initial_state(prob, ops)
         seven = oracles.dense_seven(msh, topo, degree)
         for f, lap, psi_got, lam_got in (
                 (prob.psi0, prob.lap_psi0, state.psi, state.lam),
@@ -110,7 +110,7 @@ class TestInitialState:
         topo, lay, ops, cond = build(msh, 1)
         prob = ProblemDefinition(c=1.0, psi0=bump)  # Laplacian not given
         with pytest.raises(InitializationError, match="Laplacian"):
-            compute_initial_state(prob, ops, cond)
+            compute_initial_state(prob, ops)
 
     def test_projection_error_decreases_with_resolution(self):
         errs = []
@@ -119,7 +119,7 @@ class TestInitialState:
             topo, lay, ops, cond = build(msh, 1)
             prob = ProblemDefinition(c=1.0, psi0=standing_wave,
                                      lap_psi0=lap_standing_wave)
-            state = compute_initial_state(prob, ops, cond)
+            state = compute_initial_state(prob, ops)
             from westervelt_hdg.analysis import l2_error, scalar_field
             errs.append(l2_error(scalar_field(ops, state.psi),
                                  lambda x, y, t: standing_wave(x, y)))
@@ -320,7 +320,7 @@ class TestAdvance:
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.01)
         prob = ProblemDefinition(c=1.0, k=0.3, delta=1.0e-3)
-        state = compute_initial_state(prob, ops, cond)
+        state = compute_initial_state(prob, ops)
         compute_initial_acceleration(state, prob, ops, cond)
         for step in range(3):
             state, _ = advance_step(state, cfg, prob, ops, cond)
@@ -345,7 +345,7 @@ class TestAdvance:
         topo, lay, ops, cond = build(msh, 1, dt=0.01)
         cfg = NewmarkConfig(dt=0.02)  # cond was factorized for dt=0.01
         prob = ProblemDefinition(c=1.0, delta=1.0e-3)
-        state = compute_initial_state(prob, ops, cond)
+        state = compute_initial_state(prob, ops)
         with pytest.raises(CondensationError, match="refusing"):
             advance_step(state, cfg, prob, ops, cond)
 
@@ -445,12 +445,16 @@ class TestDriver:
             assert number_of_steps(1.0, 0.01) == 100
             assert number_of_steps(0.5, 0.25) == 2
 
-    def test_number_of_steps_warns_when_inexact(self):
-        with pytest.warns(UserWarning, match="integer multiple"):
-            n = number_of_steps(1.0, 0.03)
-        assert n == 33
-        with pytest.warns(UserWarning, match="integer multiple"):
-            assert number_of_steps(0.001, 0.01) == 1
+    def test_number_of_steps_refuses_inexact(self):
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            number_of_steps(1.0, 0.03)
+        with pytest.raises(ValueError, match="not a whole number of steps"):
+            number_of_steps(0.001, 0.01)
+        with pytest.raises(ValueError, match="final_time / dt = 3.33"):
+            number_of_steps(0.01, 3.0e-3)
+        # a ratio off by roundoff only is a whole number of steps
+        assert 2.0e-4 / 1.0e-6 != 200.0
+        assert number_of_steps(2.0e-4, 1.0e-6) == 200
 
     def test_run_samples_observers_each_step(self):
         msh = generate_structured_mesh(2)
@@ -482,7 +486,7 @@ class TestDriver:
         result = run(prob, msh, cfg, degree=1)
         topo, lay, ops, cond = build(msh, 1, c=prob.c, delta=prob.delta,
                                      dt=cfg.dt)
-        state = compute_initial_state(prob, ops, cond)
+        state = compute_initial_state(prob, ops)
         compute_initial_acceleration(state, prob, ops, cond)
         chain = []
         for step in range(result.n_steps):
