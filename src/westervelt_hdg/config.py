@@ -7,7 +7,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-from .basis import MAX_QUADRATURE_ORDER
+from .basis import MAX_QUADRATURE_ORDER, scalar_space_dim
 from .newmark import number_of_steps
 from .operators import TAU_MODES
 
@@ -25,6 +25,14 @@ MAX_STEPS = 10**7
 # the mesh level at which the delta study anchors the h-rule
 DELTA_ANCHOR_LEVEL = 4
 
+# the largest level_bytes of a mesh level a study may run, the memory of a
+# large compute node; the peak resident memory of a run measured 2.7-3.8
+# times level_bytes
+MAX_LEVEL_BYTES = 2**38
+
+# bytes per element of the mesh and its facet topology
+MESH_BYTES_PER_ELEMENT = 168
+
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -35,6 +43,31 @@ def h_rule_steps(coarse_steps: int, degree: int, h_ratio: float) -> int:
     coarse_steps steps on the anchor level, on a level whose mesh size is
     h_ratio times smaller than the anchor's."""
     return math.ceil(coarse_steps * h_ratio ** (0.5 * (degree + 2)) - 1.0e-9)
+
+
+def level_bytes(n: int, degree: int) -> float:
+    """Estimated bytes of the level-n structured mesh (2 n^2 triangles) and
+    of the element blocks stored for it at degree.
+
+    Counts the float64 blocks of AssembledOperators, ElementTables and
+    CondensedOperators and the value and int32 index of every nonzero of
+    their CSR matrices, with 1.5 interior facets per element; the
+    temporaries of assembly and the facet factorization come on top.
+    """
+    d, pf = scalar_space_dim(degree), degree + 1
+    q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
+    q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
+    dense = (14 * d * d  # M, Mv, Mv^-1, B, S; (M + mu Ks)^-1 and Ks
+             + 9 * d * pf  # E and F on the 3 pf facet dofs
+             + 1.5 * pf * pf + 3  # facet penalty, tau
+             + 2 * q * (d + 1) + q_nl + 3 * pf + 14)  # geometry, dof map
+    nonzeros = (9 * d * pf  # W, Wt and R
+                + 15 * pf * pf)  # facet Schur complement and Gram matrix
+    per_element = 8 * dense + 12 * nonzeros + MESH_BYTES_PER_ELEMENT
+    try:
+        return 2.0 * float(n) ** 2 * per_element
+    except OverflowError:
+        return math.inf
 
 
 def level_steps(cfg: "RunConfig", study: str) -> dict[int, float]:
@@ -90,7 +123,8 @@ class RunConfig:
     def validate(self, study: str | None = None) -> "RunConfig":
         """Refuse inconsistent fields, a step that does not divide final_time
         and, without dt, a level on which the h-rule of study (default: the
-        study of kind; see level_steps) asks for more than MAX_STEPS steps."""
+        study of kind; see level_steps) asks for more than MAX_STEPS steps;
+        then a level of study whose level_bytes exceed MAX_LEVEL_BYTES."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, "
                               f"expected one of {KINDS}")
@@ -157,6 +191,14 @@ class RunConfig:
                 number_of_steps(self.final_time, dt)
             except ValueError as err:
                 raise ConfigError(str(err)) from err
+        for n in level_steps(self, study or self.kind):
+            if level_bytes(n, self.degree) > MAX_LEVEL_BYTES:
+                raise ConfigError(
+                    f"level {n} needs an estimated "
+                    f"{level_bytes(n, self.degree) / 2**30:.3g} GiB for the "
+                    f"mesh and its element blocks at degree {self.degree}, "
+                    f"more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use coarser "
+                    f"levels")
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if self.profile_samples < 2:
@@ -264,15 +306,6 @@ def parse_config(text: str, base: RunConfig | None = None,
                 raise ConfigError(
                     f"snapshot_times must be numbers, got {raw!r}") from err
     return cfg.validate(study)
-
-
-def load_config(path, base: RunConfig | None = None) -> RunConfig:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        raise ConfigError(f"cannot read config file {path}: {err}") from err
-    return parse_config(text, base=base)
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -43,6 +43,11 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _rate_cell(x: float) -> str:
+    """A rate or slope; empty where it is undefined (not finite)."""
+    return _fmt(x) if math.isfinite(x) else ""
+
+
 def _newmark_config(cfg: RunConfig, dt: float) -> NewmarkConfig:
     return NewmarkConfig(dt=dt, gamma=cfg.gamma, beta=cfg.beta, tol=cfg.tol,
                          max_iterations=cfg.max_iterations)
@@ -88,7 +93,8 @@ class ConvergenceReport:
         rp, rv, rs = self.rates_psi, self.rates_v, self.rates_star
         for i, lv in enumerate(self.levels):
             rates = ("", "", "") if i == 0 else (
-                _fmt(rp[i - 1]), _fmt(rv[i - 1]), _fmt(rs[i - 1]))
+                _rate_cell(rp[i - 1]), _rate_cell(rv[i - 1]),
+                _rate_cell(rs[i - 1]))
             lines.append(",".join([
                 _fmt(lv.h), _fmt(lv.dt), _fmt(lv.err_psi), rates[0],
                 _fmt(lv.err_v), rates[1], _fmt(lv.err_star), rates[2]]))
@@ -169,14 +175,14 @@ class DeltaReport:
             else:
                 prev = self.levels[i - 1]
                 den = math.log(prev.delta / lv.delta)
-                rp = _fmt(math.log(prev.err_psi / lv.err_psi) / den
-                          ) if prev.err_psi > 0 and lv.err_psi > 0 else "nan"
-                rv = _fmt(math.log(prev.err_v / lv.err_v) / den
-                          ) if prev.err_v > 0 and lv.err_v > 0 else "nan"
+                rp = _rate_cell(math.log(prev.err_psi / lv.err_psi) / den
+                                ) if prev.err_psi > 0 and lv.err_psi > 0 else ""
+                rv = _rate_cell(math.log(prev.err_v / lv.err_v) / den
+                                ) if prev.err_v > 0 and lv.err_v > 0 else ""
             lines.append(",".join([
                 _fmt(lv.delta), _fmt(lv.err_psi), rp, _fmt(lv.err_v), rv]))
-        lines.append(f"# slope_psi,{_fmt(self.slope_psi)}")
-        lines.append(f"# slope_v,{_fmt(self.slope_v)}")
+        lines.append(f"# slope_psi,{_rate_cell(self.slope_psi)}")
+        lines.append(f"# slope_v,{_rate_cell(self.slope_v)}")
         return "\n".join(lines) + "\n"
 
 

@@ -7,15 +7,22 @@ velocity field eliminated element-wise):
     Rt tld(Psi) + A tld(Lam) = 0,        tld(X) = X + (delta/c^2) dX
 
 Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
-implicit Newmark equations, lagging the nonlinear mass: every pass solves one
-condensed linear system whose matrix is frozen in the CondensedOperators,
-through W = (M + mu Ks)^-1 R stored there. A pass whose right side repeats
-the previous pass's bit for bit reuses that solve (condensed_solve), so a
-linear step (k = 0) solves once in its two passes. Convergence is judged by
-the relative Euclidean change of the new-time solution iterate, after at
-least two passes; a change that is not finite stops the step at once.
-run() starts the iteration of each step after the first from the
-extrapolated acceleration 2 ddPsi_n - ddPsi_{n-1}.
+implicit Newmark equations, lagging the nonlinear mass: every pass maps the
+acceleration iterate x to g = G(x) by solving one condensed linear system
+whose matrix is frozen in the CondensedOperators, through
+W = (M + mu Ks)^-1 R stored there. A pass whose right side repeats the
+previous pass's bit for bit reuses that solve (condensed_solve), so a linear
+step (k = 0) solves once in its two passes. Convergence is judged by the
+relative Euclidean change from x to g of the new-time solution, after at
+least two passes, and the step accepts g with the facet accelerations of the
+same solve; a change that is not finite stops the step at once, and so does
+a change that grows on two consecutive passes (contraction ratio
+theta >= 1). The second pass starts from g_1; every later one from the
+depth-one Anderson mixing x = g_s - a (g_s - g_{s-1}) of the last two
+images, with a minimizing the residual combination |f_s - a (f_s - f_{s-1})|,
+f = g - x. run() starts the second step from the extrapolated acceleration
+2 ddPsi_n - ddPsi_{n-1} and every later one from the quadratic extrapolation
+3 (ddPsi_n - ddPsi_{n-1}) + ddPsi_{n-2}.
 
 The load of a forcing with terms ((g_i, f_i), ...), f = sum_i g_i(t)
 f_i(x, y), is assembled once per spatial factor; any other forcing callable
@@ -55,7 +62,7 @@ class InitializationError(Exception):
 
 class NonconvergenceError(Exception):
     """Corrector failed to reach tolerance within the iteration budget, or
-    its change stopped being finite."""
+    its change stopped being finite or stopped contracting."""
 
     def __init__(self, message, step=None, iterations=None, last_change=None,
                  elements=()):
@@ -303,9 +310,13 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     """Advance one time step; returns the new state and the corrector count.
 
     The corrector starts from the acceleration start, by default
-    state.ddpsi, and stops once the change falls below the tolerance, but
-    never before its second pass. load is the load_function of
-    prob.forcing, built here when not given.
+    state.ddpsi, mixes its passes from the second on (see the module
+    docstring) and stops once the change falls below the tolerance, but
+    never before its second pass; a step that stops there does no mixing
+    arithmetic. It raises NonconvergenceError when the change is not finite,
+    grows on two consecutive passes, or stays above the tolerance for
+    cfg.max_iterations passes. load is the load_function of prob.forcing,
+    built here when not given.
     """
     cond.check_params(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
     if load is None:
@@ -318,23 +329,55 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     change = np.inf
     converged = False
     iterations = 0
+    rising = 0  # consecutive passes with theta >= 1
+    # the previous pass's iterate, its image and, from the third pass on,
+    # its residual f = g - x
+    x_old = g_old = f_old = None
     for s in range(1, cfg.max_iterations + 1):
         try:
-            ddpsi_new, ddlam_new, dpsi_new = corrector_step(
+            g, ddlam, dpsi_new = corrector_step(
                 pred, ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
         except NondegeneracyError as err:
             raise NondegeneracyError(
                 f"step {step_index}, corrector iteration {s}: {err}",
                 elements=err.elements,
             ) from err
-        change = _change_metric(cfg, pred, ddpsi, ddpsi_new)
+        last_change = change
+        change = _change_metric(cfg, pred, ddpsi, g)
         if not np.isfinite(change):
-            raise _nonfinite_error(change, ddpsi_new, ops, step_index, s)
-        ddpsi, ddlam, dpsi_iter = ddpsi_new, ddlam_new, dpsi_new
+            raise _nonfinite_error(change, g, ops, step_index, s)
         iterations = s
         if change < cfg.tol and s >= 2:
             converged = True
+            ddpsi = g
             break
+        if s >= 2 and last_change > 0.0:
+            theta = change / last_change
+            rising = rising + 1 if theta >= 1.0 else 0
+            if rising == 2:
+                raise NonconvergenceError(
+                    f"corrector stops contracting at step {step_index}, "
+                    f"corrector iteration {s} (theta = {theta:.3g}, last "
+                    f"relative change {change:.3e})",
+                    step=step_index, iterations=s, last_change=change,
+                )
+        else:
+            rising = 0
+        x_next = g
+        if s >= 2:
+            # depth-one Anderson mixing of the last two passes
+            if f_old is None:
+                f_old = g_old - x_old
+            f = g - ddpsi
+            df = f - f_old
+            dd = float(df @ df)
+            mix = float(df @ f) / dd if dd > 0.0 else np.nan
+            if np.isfinite(mix):
+                x_next = g - mix * (g - g_old)
+                dpsi_new = pred.dpsi_hat + cfg.gamma * cfg.dt * x_next
+            f_old = f
+        x_old, g_old = ddpsi, g
+        ddpsi, dpsi_iter = x_next, dpsi_new
     if not converged:
         raise NonconvergenceError(
             f"corrector did not converge within {cfg.max_iterations} "
@@ -418,10 +461,15 @@ def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
                        observations={name: [] for name in (observers or {})})
     for name, fn in (observers or {}).items():
         result.observations[name].append(fn(state))
-    previous = None  # acceleration one step back
+    history = []  # accelerations one and two steps back
     for step in range(n_steps):
-        start = None if previous is None else 2.0 * state.ddpsi - previous
-        previous = state.ddpsi
+        if not history:
+            start = None
+        elif len(history) == 1:
+            start = 2.0 * state.ddpsi - history[0]
+        else:
+            start = 3.0 * (state.ddpsi - history[0]) + history[1]
+        history = [state.ddpsi] + history[:1]
         state, iters = advance_step(state, cfg, prob, ops, cond,
                                     step_index=step, start=start, load=load)
         result.iterations.append(iters)

@@ -32,10 +32,28 @@ from westervelt_hdg.mesh import (
     element_geometry,
     generate_structured_mesh,
 )
+from westervelt_hdg.condensation import build_condensed
+from westervelt_hdg.newmark import (
+    NewmarkConfig,
+    NonconvergenceError,
+    ProblemDefinition,
+    State,
+    _change_metric,
+    compute_initial_acceleration,
+    compute_initial_state,
+    corrector_step,
+    load_function,
+    number_of_steps,
+    predictor,
+    stiffness_load,
+)
+from westervelt_hdg.mesh import compute_facet_topology
 from westervelt_hdg.operators import (
     AssembledOperators,
     DofLayout,
     ElementTables,
+    assemble_operators,
+    build_layout,
     element_dofs,
     facet_traces,
     scatter_csr,
@@ -476,8 +494,9 @@ def dense_advance(seven: dict, mesh: Mesh, degree: int, state: dict,
     state maps the keys psi/dpsi/ddpsi/lam/dlam/ddlam to vectors; returns the
     advanced state dict and the iteration count. Mirrors the fixed-point
     semantics (warm start from the previous accelerations, relative change
-    of the monitored Newmark iterate, at least two passes) without reusing
-    package solvers.
+    of the monitored Newmark iterate, at least two passes, depth-one
+    Anderson mixing of the accelerations from the second pass on) without
+    reusing package solvers.
     """
     c2 = c * c
     mu = c2 * dt * dt * beta + delta * gamma * dt
@@ -492,13 +511,12 @@ def dense_advance(seven: dict, mesh: Mesh, degree: int, state: dict,
                            + pieces["R"] @ (lam_hat + w * dlam_hat))
     M = seven["M"]
     ddpsi = state["ddpsi"].copy()
-    ddlam = state["ddlam"].copy()
-    dpsi_iter = dpsi_hat + gamma * dt * ddpsi
-    iterations = 0
+    residuals, images = [], []
     for s in range(1, max_iterations + 1):
+        dpsi_iter = dpsi_hat + gamma * dt * ddpsi
         nmass = dense_nonlinear_mass(mesh, degree, dpsi_iter, k)
         rhs = M @ ddpsi - nmass @ ddpsi + ln
-        ddpsi_new, ddlam_new = dense_corrector_solve(seven, mu, rhs)
+        ddpsi_new, ddlam = dense_corrector_solve(seven, mu, rhs)
         if beta > 0.0:
             scale = beta * dt * dt
             ref = psi_hat + scale * ddpsi_new
@@ -511,13 +529,23 @@ def dense_advance(seven: dict, mesh: Mesh, degree: int, state: dict,
         num = scale * float(np.linalg.norm(ddpsi_new - ddpsi))
         den = float(np.linalg.norm(ref))
         change = num / den if den > 0.0 else num
-        ddpsi, ddlam = ddpsi_new, ddlam_new
-        dpsi_iter = dpsi_hat + gamma * dt * ddpsi
-        iterations = s
         if change < tol and s >= 2:
+            ddpsi = ddpsi_new
             break
+        # x_{s+1} minimizes |(1 - a) f_s + a f_{s-1}| over the affine
+        # combinations (1 - a) g_s + a g_{s-1} of the last two images
+        residuals.append(ddpsi_new - ddpsi)
+        images.append(ddpsi_new)
+        ddpsi = ddpsi_new
+        if s >= 2:
+            diff = residuals[-1] - residuals[-2]
+            if diff @ diff > 0.0:
+                a = (diff @ residuals[-1]) / (diff @ diff)
+                if np.isfinite(a):
+                    ddpsi = (1.0 - a) * images[-1] + a * images[-2]
     else:
         raise RuntimeError("dense oracle corrector did not converge")
+    iterations = s
     return {
         "psi": psi_hat + beta * dt * dt * ddpsi,
         "dpsi": dpsi_hat + gamma * dt * ddpsi,
@@ -774,3 +802,68 @@ def loop_eval_at(fld, points: np.ndarray) -> np.ndarray:
         phi = fld._basis.eval_values(np.clip(ref[e], 0.0, 1.0)[None, :])
         out[i] = float(coeffs[e] @ phi[0])
     return out
+
+
+# ----------------------------------------------------------------------
+# the unaccelerated corrector. Unlike the oracles above, it is built from
+# the package's predictor, corrector pass and change metric.
+
+
+def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
+                  ops: AssembledOperators, cond, step_index: int = 0,
+                  start: np.ndarray | None = None) -> tuple[State, int]:
+    """newmark.advance_step without mixing and without the contraction
+    monitor: every pass starts from the previous pass's acceleration."""
+    load = load_function(prob.forcing, ops.tables)
+    pred = predictor(state, cfg, prob.delta, prob.c)
+    t_next = state.t + cfg.dt
+    ln = stiffness_load(pred, load(t_next), prob.c, cond)
+    ddpsi = state.ddpsi if start is None else start
+    dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
+    for s in range(1, cfg.max_iterations + 1):
+        ddpsi_new, ddlam, dpsi_iter = corrector_step(
+            pred, ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
+        change = _change_metric(cfg, pred, ddpsi, ddpsi_new)
+        if not np.isfinite(change):
+            raise NonconvergenceError(f"change {change} at step {step_index}")
+        ddpsi = ddpsi_new
+        if change < cfg.tol and s >= 2:
+            break
+    else:
+        raise NonconvergenceError(f"no convergence at step {step_index}")
+    dt = cfg.dt
+    return State(
+        t=t_next,
+        psi=pred.psi_hat + cfg.beta * dt * dt * ddpsi,
+        dpsi=pred.dpsi_hat + cfg.gamma * dt * ddpsi,
+        ddpsi=ddpsi,
+        lam=pred.lam_hat + cfg.beta * dt * dt * ddlam,
+        dlam=pred.dlam_hat + cfg.gamma * dt * ddlam,
+        ddlam=ddlam,
+    ), s
+
+
+def plain_run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig, *,
+              degree: int, tau_bar: float = 1.0,
+              tau_mode: str = "single_facet") -> tuple[State, list[int]]:
+    """newmark.run with plain_advance steps and the same starts (a_0, then
+    2 a_n - a_{n-1}, then 3 (a_n - a_{n-1}) + a_{n-2}); returns the final
+    state and the passes of every step."""
+    topo = compute_facet_topology(mesh)
+    ops = assemble_operators(mesh, topo, build_layout(mesh, topo, degree),
+                             tau_bar=tau_bar, tau_mode=tau_mode)
+    cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
+                           cfg.beta)
+    state = compute_initial_state(prob, ops)
+    compute_initial_acceleration(state, prob, ops, cond)
+    back, passes = [], []  # accelerations one and two steps back
+    for step in range(number_of_steps(prob.final_time, cfg.dt)):
+        if len(back) == 2:
+            start = 3.0 * (state.ddpsi - back[0]) + back[1]
+        else:
+            start = 2.0 * state.ddpsi - back[0] if back else None
+        back = [state.ddpsi] + back[:1]
+        state, iters = plain_advance(state, cfg, prob, ops, cond,
+                                     step_index=step, start=start)
+        passes.append(iters)
+    return state, passes

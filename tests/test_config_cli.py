@@ -12,19 +12,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
+from westervelt_hdg import experiments
 from westervelt_hdg.cli import main
 from westervelt_hdg.config import (
     MAX_DEGREE,
     MAX_STEPS,
     DELTA_ANCHOR_LEVEL,
+    MAX_LEVEL_BYTES,
     ConfigError,
     RunConfig,
     default_config,
     h_rule_steps,
+    level_bytes,
     level_dt,
-    load_config,
     parse_config,
     serialize_config,
 )
@@ -37,7 +40,9 @@ from westervelt_hdg.experiments import (
     h_convergence_study,
 )
 from westervelt_hdg.analysis import DiscreteScalarField
-from westervelt_hdg.mesh import generate_structured_mesh
+from westervelt_hdg.condensation import build_condensed
+from westervelt_hdg.mesh import compute_facet_topology, generate_structured_mesh
+from westervelt_hdg.operators import assemble_operators, build_layout
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -247,14 +252,57 @@ class TestConfig:
         cfg = parse_config("[problem]\nc = 3.0  # wave speed\n")
         assert cfg.c == 3.0
 
-    def test_load_config_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read"):
-            load_config(tmp_path / "absent.ini")
+    def test_config_file_missing(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path / "absent.ini"),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: cannot read ")
+        assert err.count("\n") == 1
 
-    def test_load_config_reads_file(self, tmp_path):
+    def test_config_file_is_read(self, tmp_path):
         path = tmp_path / "cfg.ini"
         path.write_text("[problem]\nk = 0.25\n", encoding="utf-8")
-        assert load_config(path).k == 0.25
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--p", "0", "--levels",
+                     "1", "--out", str(out)]) == 0
+        written = parse_config((out / "config.ini").read_text(
+            encoding="utf-8"), study="run")
+        assert written.k == 0.25
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_level_bytes_counts_the_stored_arrays(self, n, degree):
+        # every array the mesh, its topology and the assembled and
+        # condensed operators hold, CSR index arrays included
+        msh = generate_structured_mesh(n)
+        topo = compute_facet_topology(msh)
+        ops = assemble_operators(msh, topo, build_layout(msh, topo, degree))
+        cond = build_condensed(ops, 1.0, 0.0, 0.01, 0.5, 0.25)
+        held = 0
+        for obj in (msh, topo, ops, ops.tables, cond):
+            for value in vars(obj).values():
+                if scipy.sparse.issparse(value):
+                    held += sum(a.nbytes for a in (
+                        value.data, value.indices, value.indptr))
+                elif isinstance(value, tuple):
+                    held += sum(a.nbytes for a in value
+                                if isinstance(a, np.ndarray))
+                elif isinstance(value, np.ndarray):
+                    held += value.nbytes
+        assert held <= level_bytes(n, degree) <= 1.15 * held
+
+    def test_level_cap(self):
+        base = default_config("h_convergence")
+        assert level_bytes(10**5, 0) > MAX_LEVEL_BYTES
+        for n in (10**5, 10**400):
+            cfg = dataclasses.replace(base, levels=(4, n), dt=1.0e-3)
+            with pytest.raises(ConfigError,
+                               match=f"level {n} needs an estimated"):
+                cfg.validate()
+        # the delta study runs its first level only
+        delta = dataclasses.replace(default_config("delta_convergence"),
+                                    levels=(16, 10**5))
+        assert delta.validate() is delta
 
 
 def fd_t(f, x, y, t, h=1.0e-5):
@@ -733,17 +781,33 @@ class TestCli:
         ("run", "coarse_steps", MAX_STEPS + 1, 0, 2),
         ("run", "delta", 1.0e300, 0, 3),
         ("h-convergence", "levels", "1,64", 20, 2),
+        # every run stays at its zero initial data: no rate or slope is
+        # defined
+        ("delta-convergence", "final_time", 1.0e-300, 0, 0),
+        ("h-convergence", "final_time", (1.0e-300, "1,2"), 0, 0),
     ])
     def test_edge_values_exit_with_one_line(self, tmp_path, capsys, command,
                                             key, value, degree, code):
-        # key "levels" passes its value to --levels instead of the file
-        levels = value if key == "levels" else "1"
-        text = edge_config(*((key, value) if key != "levels"
-                             else ("final_time", 0.01)))
-        cfg = self.write(tmp_path, "edge.ini", text)
+        # key "levels" passes its value to --levels instead of the file; a
+        # pair (value, levels) sets both
+        if key == "levels":
+            key, value, levels = "final_time", 0.01, value
+        elif isinstance(value, tuple):
+            value, levels = value
+        else:
+            levels = "1"
+        cfg = self.write(tmp_path, "edge.ini", edge_config(key, value))
+        out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--p", str(degree),
-                     "--levels", levels, "--out", str(tmp_path / "out")]) == code
+                     "--levels", levels, "--out", str(out)]) == code
         err = capsys.readouterr().err
+        if code == 0:
+            # an undefined rate or slope is an empty cell, never nan
+            assert err == ""
+            for path in out.glob("*.csv"):
+                text = path.read_text(encoding="utf-8")
+                assert "nan" not in text and ",," in text
+            return
         prefix = "configuration error: " if code == 2 else "solver failure: "
         assert err.startswith(prefix) and err.count("\n") == 1
 
@@ -759,6 +823,47 @@ class TestCli:
         assert err.startswith("solver failure: corrector change nan is not "
                               "finite at step 0, corrector iteration 1;")
         assert "elements [" in err and err.count("\n") == 1
+
+    SINGLE_FACET_DELTA = ("[discretization]\ntau = 1.0\n"
+                          "tau_mode = single_facet\nlevels = 16\n"
+                          "[newmark]\ndt = 5e-3\n")
+
+    def test_single_facet_delta_study_completes(self, tmp_path):
+        # at p = 1 the unmixed corrector contracted by only 0.93 per pass
+        # at step 116 and ran out of its 100 passes
+        cfg = self.write(tmp_path, "sf.ini", self.SINGLE_FACET_DELTA)
+        out = tmp_path / "out"
+        assert main(["delta-convergence", "--config", str(cfg), "--p", "1",
+                     "--out", str(out)]) == 0
+        lines = (out / "delta_convergence_p1.csv").read_text(
+            encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 5 + 2
+
+    def test_exit_3_when_the_corrector_stops_contracting(self, tmp_path,
+                                                          capsys):
+        # at p = 0 the change grows from pass to pass at step 120; the run
+        # used to go on until 1 + 2k dpsi/dt lost positivity at pass 13
+        cfg = self.write(tmp_path, "sf.ini", self.SINGLE_FACET_DELTA)
+        assert main(["delta-convergence", "--config", str(cfg), "--p", "0",
+                     "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: corrector stops contracting "
+                              "at step 120, corrector iteration ")
+        assert err.count("\n") == 1
+
+    def test_exit_2_on_a_level_beyond_the_memory_cap(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_mesh(n):
+            raise AssertionError(f"mesh of level {n} built")
+
+        monkeypatch.setattr(experiments, "generate_structured_mesh", no_mesh)
+        assert main(["h-convergence", "--levels", "100000",
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: level 100000 needs an "
+                              "estimated ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_exit_3_on_nonconvergence(self, tmp_path, capsys):
         text = TINY_H + "max_iterations = 1\ntol = 1e-16\n"

@@ -37,7 +37,11 @@ from westervelt_hdg.newmark import (
     stiffness_load,
 )
 from westervelt_hdg import newmark
-from westervelt_hdg.problems import manufactured_problem, wavefront_problem
+from westervelt_hdg.problems import (
+    delta_study_problem,
+    manufactured_problem,
+    wavefront_problem,
+)
 
 
 def build(msh, degree, *, c=1.0, delta=1.0e-3, dt=0.01, gamma=0.5, beta=0.25):
@@ -476,9 +480,10 @@ class TestDriver:
             np.mean(result.iterations))
 
     def test_extrapolated_start_saves_passes(self):
-        # run() starts each step after the first from 2 a_n - a_{n-1}; a
-        # chain of advance_step calls starts from a_n and must reach the
-        # same solution, to the corrector tolerance, in more passes
+        # run() starts the second step from 2 a_n - a_{n-1} and every later
+        # one from 3 (a_n - a_{n-1}) + a_{n-2}; a chain of advance_step
+        # calls starts each step from a_n and must reach the same solution,
+        # to the corrector tolerance, in more passes
         msh = generate_structured_mesh(4)
         prob = manufactured_problem(c=1.0, k=0.3, delta=1.0e-3,
                                     omega=2.0 * np.pi, final_time=0.2)
@@ -497,6 +502,51 @@ class TestDriver:
         assert np.max(np.abs(result.state.psi - state.psi)) <= 1e-8 * scale
         assert result.iterations[0] == chain[0]
         assert sum(result.iterations) < sum(chain)
+
+    # the delta study's data and stabilization at n = 8, p = 1, 30 steps
+    DELTA_STUDY = dict(degree=1, tau_bar=4.0, tau_mode="uniform")
+
+    def test_mixing_reaches_the_plain_solution_in_fewer_passes(self):
+        # from the same starts, the unmixed corrector contracts by about
+        # 0.55 per pass; depth-one mixing must reach its final psi, to the
+        # corrector tolerance, in fewer passes
+        msh = generate_structured_mesh(8)
+        prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=0.3)
+        cfg = NewmarkConfig(dt=0.01)
+        result = run(prob, msh, cfg, **self.DELTA_STUDY)
+        plain, passes = oracles.plain_run(prob, msh, cfg, **self.DELTA_STUDY)
+        scale = np.max(np.abs(plain.psi))
+        assert np.max(np.abs(result.state.psi - plain.psi)) <= 1e-8 * scale
+        assert sum(result.iterations) < sum(passes)
+
+    def test_linear_run_matches_the_plain_chain_bit_for_bit(self):
+        # with k = 0 every step stops at its second pass, before any mixing
+        msh = generate_structured_mesh(8)
+        prob = delta_study_problem(1.0e-2, c=1.0, k=0.0, final_time=0.3)
+        cfg = NewmarkConfig(dt=0.01)
+        result = run(prob, msh, cfg, **self.DELTA_STUDY)
+        plain, passes = oracles.plain_run(prob, msh, cfg, **self.DELTA_STUDY)
+        assert result.iterations == passes == [2] * 30
+        for name in ("psi", "dpsi", "ddpsi", "lam", "dlam", "ddlam"):
+            assert np.array_equal(getattr(result.state, name),
+                                  getattr(plain, name)), name
+
+    def test_contraction_monitor_stops_a_growing_change(self):
+        # single-facet stabilization at tau = 1 and p = 0 drives the delta
+        # study's data towards the degeneracy barrier: from step 120 on the
+        # change grows from pass to pass, and without the monitor the
+        # corrector ran on until 1 + 2k dpsi/dt lost positivity at pass 13
+        prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=1.0)
+        with pytest.raises(NonconvergenceError,
+                           match="stops contracting") as exc:
+            run(prob, generate_structured_mesh(16), NewmarkConfig(dt=5.0e-3),
+                degree=0, tau_bar=1.0, tau_mode="single_facet")
+        err = exc.value
+        assert err.step == 120
+        assert 3 <= err.iterations < 13
+        assert f"at step 120, corrector iteration {err.iterations} " \
+               f"(theta = " in str(err)
+        assert 0.0 < err.last_change < np.inf
 
     def test_linear_run_takes_two_passes_every_step(self):
         # at this step size the extrapolated start is already within the
