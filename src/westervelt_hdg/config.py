@@ -30,9 +30,6 @@ DELTA_ANCHOR_LEVEL = 4
 # times level_bytes
 MAX_LEVEL_BYTES = 2**38
 
-# bytes per element of the mesh and its facet topology
-MESH_BYTES_PER_ELEMENT = 168
-
 
 class ConfigError(Exception):
     """Malformed or inconsistent run configuration."""
@@ -63,7 +60,7 @@ def level_bytes(n: int, degree: int) -> float:
              + 2 * q * (d + 1) + q_nl + 3 * pf + 14)  # geometry, dof map
     nonzeros = (9 * d * pf  # W, Wt and R
                 + 15 * pf * pf)  # facet Schur complement and Gram matrix
-    per_element = 8 * dense + 12 * nonzeros + MESH_BYTES_PER_ELEMENT
+    per_element = 8 * dense + 12 * nonzeros + 168  # 168: mesh and topology
     try:
         return 2.0 * float(n) ** 2 * per_element
     except OverflowError:

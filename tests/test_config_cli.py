@@ -269,11 +269,11 @@ class TestConfig:
             encoding="utf-8"), study="run")
         assert written.k == 0.25
 
-    @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-    def test_level_bytes_counts_the_stored_arrays(self, n, degree):
+    def test_level_bytes_counts_the_stored_arrays(self, degree):
         # every array the mesh, its topology and the assembled and
         # condensed operators hold, CSR index arrays included
+        n = 8
         msh = generate_structured_mesh(n)
         topo = compute_facet_topology(msh)
         ops = assemble_operators(msh, topo, build_layout(msh, topo, degree))
