@@ -26,8 +26,8 @@ MAX_STEPS = 10**7
 DELTA_ANCHOR_LEVEL = 4
 
 # the largest level_bytes of a mesh level a study may run, the memory of a
-# large compute node; the peak resident memory of a run measured 2.7-3.8
-# times level_bytes
+# large compute node; at p = 1 and 2 the peak resident memory of a run grew
+# by 2.8-4.0 times level_bytes over that of a run on n = 2
 MAX_LEVEL_BYTES = 2**38
 
 

@@ -24,15 +24,16 @@ from westervelt_hdg.basis import (
     segment_quadrature,
     triangle_quadrature,
 )
+from westervelt_hdg.condensation import build_condensed
 from westervelt_hdg.mesh import (
     LOCAL_FACETS,
     FacetTopology,
     Mesh,
     MeshError,
+    compute_facet_topology,
     element_geometry,
     generate_structured_mesh,
 )
-from westervelt_hdg.condensation import build_condensed
 from westervelt_hdg.newmark import (
     NewmarkConfig,
     NonconvergenceError,
@@ -47,7 +48,6 @@ from westervelt_hdg.newmark import (
     predictor,
     stiffness_load,
 )
-from westervelt_hdg.mesh import compute_facet_topology
 from westervelt_hdg.operators import (
     AssembledOperators,
     DofLayout,
@@ -532,8 +532,8 @@ def dense_advance(seven: dict, mesh: Mesh, degree: int, state: dict,
         if change < tol and s >= 2:
             ddpsi = ddpsi_new
             break
-        # x_{s+1} minimizes |(1 - a) f_s + a f_{s-1}| over the affine
-        # combinations (1 - a) g_s + a g_{s-1} of the last two images
+        # x_{s+1} = (1 - a) g_s + a g_{s-1}, the a minimizing the residual
+        # combination |(1 - a) f_s + a f_{s-1}|, f = g - x
         residuals.append(ddpsi_new - ddpsi)
         images.append(ddpsi_new)
         ddpsi = ddpsi_new
