@@ -30,10 +30,6 @@ class DiscreteScalarField:
                 f"coefficient vector has shape {self.coeffs.shape}, expected "
                 f"({self.mesh.n_triangles * d},)")
 
-    @property
-    def dim(self) -> int:
-        return self._basis.dim
-
     def eval_reference(self, ref_points: np.ndarray) -> np.ndarray:
         """Values at the same reference points in every element, (ne, nq)."""
         phi = self._basis.eval_values(ref_points)

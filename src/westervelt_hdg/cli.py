@@ -1,27 +1,29 @@
 """Command line front end for the study recipes.
 
 Exit codes: 0 on success, 2 for configuration problems (including argparse
-usage errors), 3 when the solver fails (the corrector does not converge,
-1 + 2k d(psi)/dt loses positivity, or a facet system is singular; for the
-refinement study: on every level), 4 for filesystem problems. Exit codes
-2 (except argparse usage errors), 3 and 4 come with one line on stderr.
+usage errors), 3 when the solver fails with an operators.SolverError (the
+corrector does not converge, 1 + 2k d(psi)/dt loses positivity, the initial
+data or a facet system cannot be computed; for the refinement study: on
+every level), 4 for filesystem problems. Exit codes 2 (except argparse usage
+errors), 3 and 4 come with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .condensation import CondensationError
 from .config import (
     ConfigError,
     RunConfig,
     default_config,
     parse_config,
+    parse_value,
     serialize_config,
 )
 from .experiments import (
@@ -32,18 +34,10 @@ from .experiments import (
     single_run_study,
     wavefront_study,
 )
-from .newmark import InitializationError, NonconvergenceError
-from .operators import NondegeneracyError
-
-_KIND_BY_COMMAND = {
-    "h-convergence": "h_convergence",
-    "delta-convergence": "delta_convergence",
-    "wavefront": "wavefront",
-    "run": None,  # kind comes from the config file (default: h_convergence)
-}
+from .operators import SolverError
 
 
-class StudyFailure(Exception):
+class StudyFailure(SolverError):
     """No level of a refinement study finished."""
 
 
@@ -54,14 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "square: mesh refinement, damping sweep, wavefront "
                     "steepening, or a single monitored run.")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "h-convergence": "manufactured-solution refinement study",
-        "delta-convergence": "sweep of the damping parameter against the "
-                             "undamped solution",
-        "wavefront": "nonlinear steepening run compared with its linear twin",
-        "run": "single run with energy monitoring (kind set by the config)",
-    }
-    for name, help_text in commands.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="INI-style configuration file; omitted keys fall "
@@ -69,45 +56,34 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--p", type=int, default=None, dest="degree",
                        help="polynomial degree override")
         p.add_argument("--levels", type=str, default=None,
-                       help="comma separated mesh subdivisions, e.g. 4,8,16")
+                       help="comma- or space-separated mesh subdivisions, "
+                            "e.g. 4,8,16")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory override")
     return parser
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    kind = _KIND_BY_COMMAND[args.command]
-    study = kind if kind is not None else "run"
-    base = default_config(kind if kind is not None else "h_convergence")
+    kind = _COMMANDS[args.command][0]
+    study = kind or "run"
+    cfg = default_config(kind or "h_convergence")
     if args.config is not None:
         try:
             text = Path(args.config).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
-        # the run command takes its kind (and defaults) from the file itself
-        cfg = parse_config(text, base=base if kind is not None else None,
-                           study=study)
-        if kind is not None and cfg.kind != kind:
-            raise ConfigError(
-                f"config kind {cfg.kind!r} conflicts with the "
-                f"{args.command!r} command")
-    else:
-        cfg = base
+        # the run command takes its kind (and defaults) from the file itself;
+        # parse_config refuses a kind other than its base's
+        cfg = parse_config(text, base=cfg if kind else None, study=study)
     updates = {}
     if args.degree is not None:
         updates["degree"] = args.degree
     if args.levels is not None:
-        try:
-            updates["levels"] = tuple(
-                int(tok) for tok in args.levels.split(",") if tok.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad --levels value {args.levels!r}") from exc
+        updates["levels"] = parse_value("discretization", "levels",
+                                        args.levels)
     if args.out is not None:
         updates["output_dir"] = str(args.out)
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-    cfg.validate(study)
-    return cfg
+    return dataclasses.replace(cfg, **updates).validate(study)
 
 
 def _prepare_output(cfg: RunConfig) -> Path:
@@ -115,6 +91,11 @@ def _prepare_output(cfg: RunConfig) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.ini").write_text(serialize_config(cfg), encoding="utf-8")
     return out
+
+
+def _rate(x: float) -> str:
+    """A rate or slope to three decimals; empty where it is undefined."""
+    return f"{x:.3f}" if math.isfinite(x) else ""
 
 
 def _run_h_convergence(cfg: RunConfig) -> None:
@@ -126,9 +107,9 @@ def _run_h_convergence(cfg: RunConfig) -> None:
     for i, lv in enumerate(report.levels):
         tail = ""
         if i > 0:
-            tail = (f"  rate_psi={report.rates_psi[i-1]:.3f}"
-                    f"  rate_v={report.rates_v[i-1]:.3f}"
-                    f"  rate_psistar={report.rates_star[i-1]:.3f}")
+            tail = (f"  rate_psi={_rate(report.rates_psi[i-1])}"
+                    f"  rate_v={_rate(report.rates_v[i-1])}"
+                    f"  rate_psistar={_rate(report.rates_star[i-1])}")
         print(f"n={lv.n:<4d} h={lv.h:.4e} dt={lv.dt:.4e} "
               f"err_psi={lv.err_psi:.6e} err_v={lv.err_v:.6e} "
               f"err_psistar={lv.err_star:.6e}{tail}")
@@ -146,7 +127,8 @@ def _run_delta_convergence(cfg: RunConfig) -> None:
     for lv in report.levels:
         print(f"delta={lv.delta:.1e} err_psi={lv.err_psi:.6e} "
               f"err_v={lv.err_v:.6e}")
-    print(f"fitted slopes: psi={report.slope_psi:.3f} v={report.slope_v:.3f}")
+    print(f"fitted slopes: psi={_rate(report.slope_psi)} "
+          f"v={_rate(report.slope_v)}")
 
 
 def _run_wavefront(cfg: RunConfig) -> None:
@@ -181,11 +163,20 @@ def _run_single(cfg: RunConfig) -> None:
     print(f"energy drift |e0(T) - e0(0)| = {drift:.6e}")
 
 
-_DISPATCH = {
-    "h-convergence": _run_h_convergence,
-    "delta-convergence": _run_delta_convergence,
-    "wavefront": _run_wavefront,
-    "run": _run_single,
+# subcommand -> (kind, or None for run, which takes the kind from the config
+# file, default h_convergence; help; runner)
+_COMMANDS = {
+    "h-convergence": ("h_convergence",
+                      "manufactured-solution refinement study",
+                      _run_h_convergence),
+    "delta-convergence": ("delta_convergence",
+                          "sweep of the damping parameter against the "
+                          "undamped solution", _run_delta_convergence),
+    "wavefront": ("wavefront",
+                  "nonlinear steepening run compared with its linear twin",
+                  _run_wavefront),
+    "run": (None, "single run with energy monitoring (kind set by the "
+                  "config)", _run_single),
 }
 
 
@@ -201,12 +192,11 @@ def main(argv=None) -> int:
         # the corrector and the factorizations report breakdowns
         # themselves, so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):
-            _DISPATCH[args.command](cfg)
+            _COMMANDS[args.command][2](cfg)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonconvergenceError, NondegeneracyError, CondensationError,
-            InitializationError, StudyFailure) as exc:
+    except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

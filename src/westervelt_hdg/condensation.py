@@ -27,13 +27,14 @@ import scipy.sparse.linalg as spla
 
 from .operators import (
     AssembledOperators,
+    SolverError,
     apply_blocks,
     element_dofs,
     scatter_csr,
 )
 
 
-class CondensationError(Exception):
+class CondensationError(SolverError):
     """Invalid parameters or unusable condensed operators."""
 
 

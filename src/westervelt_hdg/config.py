@@ -96,6 +96,31 @@ def level_dt(cfg: "RunConfig", study: str) -> dict[int, float]:
             for n, steps in level_steps(cfg, study).items()}
 
 
+# every key of the config file, in file order: key -> (section, RunConfig
+# field, value form); a key sets the field of its own name unless a field
+# name follows its form
+_KEYS = {key: (section, field[0] if field else key, form)
+         for section, key, form, *field in (
+             ("problem", "kind", "text"),
+             ("problem", "c", "number"),
+             ("problem", "k", "number"),
+             ("problem", "delta", "number"),
+             ("problem", "final_time", "number"),
+             ("discretization", "degree", "integer"),
+             ("discretization", "levels", "integers"),
+             ("discretization", "tau", "number"),
+             ("discretization", "tau_mode", "text"),
+             ("newmark", "gamma", "number"),
+             ("newmark", "beta", "number"),
+             ("newmark", "tol", "number"),
+             ("newmark", "max_iterations", "integer"),
+             ("newmark", "coarse_steps", "integer"),
+             ("newmark", "dt", "step"),
+             ("output", "directory", "text", "output_dir"),
+             ("output", "snapshot_times", "numbers"),
+             ("output", "profile_samples", "integer"))}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     kind: str = "h_convergence"
@@ -125,10 +150,10 @@ class RunConfig:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, "
                               f"expected one of {KINDS}")
-        for name in ("c", "k", "delta", "final_time", "tau", "gamma", "beta",
-                     "tol", "dt"):
+        for _, name, form in _KEYS.values():
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if (form in ("number", "step") and value is not None
+                    and not math.isfinite(value)):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not all(math.isfinite(t) for t in self.snapshot_times):
             raise ConfigError("snapshot_times must be finite")
@@ -194,8 +219,8 @@ class RunConfig:
                     f"level {n} needs an estimated "
                     f"{level_bytes(n, self.degree) / 2**30:.3g} GiB for the "
                     f"mesh and its element blocks at degree {self.degree}, "
-                    f"more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use coarser "
-                    f"levels")
+                    f"more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use "
+                    f"coarser levels")
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if self.profile_samples < 2:
@@ -225,26 +250,28 @@ def default_config(kind: str) -> RunConfig:
     raise ConfigError(f"unknown problem kind {kind!r}, expected one of {KINDS}")
 
 
-_SCHEMA = {
-    "problem": ("kind", "c", "k", "delta", "final_time"),
-    "discretization": ("degree", "levels", "tau", "tau_mode"),
-    "newmark": ("gamma", "beta", "tol", "max_iterations", "coarse_steps", "dt"),
-    "output": ("directory", "snapshot_times", "profile_samples"),
-}
+def parse_value(section: str, key: str, raw: str):
+    """The value of a config key from its text, by the key's form in _KEYS.
 
-
-def _parse_float(section, key, raw):
+    A step is None when its text is empty or "none"; integers and numbers
+    are separated by commas or spaces.
+    """
+    form = _KEYS[key][2]
+    if form == "text":
+        return raw
+    if form == "step" and raw in ("", "none"):
+        return None
+    if form in ("integers", "numbers"):
+        parse = int if form == "integers" else float
+        try:
+            return tuple(parse(tok) for tok in raw.replace(",", " ").split())
+        except ValueError as err:
+            raise ConfigError(f"{key} must be {form}, got {raw!r}") from err
+    parse, what = (int, "an integer") if form == "integer" else (float, "a number")
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError as err:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not a number") from err
-
-
-def _parse_int(section, key, raw):
-    try:
-        return int(raw)
-    except ValueError as err:
-        raise ConfigError(f"[{section}] {key} = {raw!r} is not an integer") from err
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from err
 
 
 def parse_config(text: str, base: RunConfig | None = None,
@@ -256,84 +283,41 @@ def parse_config(text: str, base: RunConfig | None = None,
         parser.read_string(text)
     except configparser.Error as err:
         raise ConfigError(f"malformed config: {err}") from err
-    values: dict[str, object] = {}
+    sections = {section for section, _, _ in _KEYS.values()}
+    values: dict[str, tuple[str, str]] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if _KEYS.get(key, ("",))[0] != section:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             values[key] = (section, raw.strip())
     if base is None:
-        kind = values.get("kind", (None, "h_convergence"))[1]
-        base = default_config(kind)
+        base = default_config(values.get("kind", ("", "h_convergence"))[1])
     cfg = base
     for key, (section, raw) in values.items():
-        if key == "kind":
-            if raw not in KINDS:
-                raise ConfigError(f"unknown problem kind {raw!r}")
-            if raw != base.kind:
-                raise ConfigError(
-                    f"config kind {raw!r} conflicts with requested "
-                    f"{base.kind!r}")
-        elif key in ("c", "k", "delta", "final_time", "tau", "gamma", "beta",
-                     "tol"):
-            cfg = replace(cfg, **{key: _parse_float(section, key, raw)})
-        elif key in ("degree", "max_iterations", "coarse_steps",
-                     "profile_samples"):
-            cfg = replace(cfg, **{key: _parse_int(section, key, raw)})
-        elif key == "levels":
-            try:
-                levels = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            except ValueError as err:
-                raise ConfigError(f"levels must be integers, got {raw!r}") from err
-            cfg = replace(cfg, levels=levels)
-        elif key == "tau_mode":
-            cfg = replace(cfg, tau_mode=raw)
-        elif key == "dt":
-            cfg = replace(cfg, dt=None if raw in ("", "none") else
-                          _parse_float(section, key, raw))
-        elif key == "directory":
-            cfg = replace(cfg, output_dir=raw)
-        elif key == "snapshot_times":
-            try:
-                cfg = replace(cfg, snapshot_times=tuple(
-                    float(tok) for tok in raw.replace(",", " ").split()))
-            except ValueError as err:
-                raise ConfigError(
-                    f"snapshot_times must be numbers, got {raw!r}") from err
+        cfg = replace(cfg, **{_KEYS[key][1]: parse_value(section, key, raw)})
+        # the kind chose the defaults, so the file may only restate it
+        if cfg.kind != base.kind:
+            if cfg.kind not in KINDS:
+                raise ConfigError(f"unknown problem kind {cfg.kind!r}")
+            raise ConfigError(f"config kind {cfg.kind!r} conflicts with "
+                              f"requested {base.kind!r}")
     return cfg.validate(study)
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Config text that parses back to an equal RunConfig."""
+    sections: dict[str, dict[str, str]] = {}
+    for key, (section, name, form) in _KEYS.items():
+        value = getattr(cfg, name)
+        if form in ("integers", "numbers"):
+            value = " ".join(map(str, value))
+        # str of a float is its shortest repr, which parses back exactly
+        sections.setdefault(section, {})[key] = ("none" if value is None
+                                                 else str(value))
     parser = configparser.ConfigParser()
-    parser["problem"] = {
-        "kind": cfg.kind,
-        "c": repr(cfg.c),
-        "k": repr(cfg.k),
-        "delta": repr(cfg.delta),
-        "final_time": repr(cfg.final_time),
-    }
-    parser["discretization"] = {
-        "degree": str(cfg.degree),
-        "levels": " ".join(str(n) for n in cfg.levels),
-        "tau": repr(cfg.tau),
-        "tau_mode": cfg.tau_mode,
-    }
-    parser["newmark"] = {
-        "gamma": repr(cfg.gamma),
-        "beta": repr(cfg.beta),
-        "tol": repr(cfg.tol),
-        "max_iterations": str(cfg.max_iterations),
-        "coarse_steps": str(cfg.coarse_steps),
-        "dt": "none" if cfg.dt is None else repr(cfg.dt),
-    }
-    parser["output"] = {
-        "directory": cfg.output_dir,
-        "snapshot_times": " ".join(repr(t) for t in cfg.snapshot_times),
-        "profile_samples": str(cfg.profile_samples),
-    }
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

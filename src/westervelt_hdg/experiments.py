@@ -21,17 +21,11 @@ from .analysis import (
     vector_field,
 )
 from .basis import triangle_quadrature
-from .condensation import CondensationError, reconstruct_velocity
+from .condensation import reconstruct_velocity
 from .config import RunConfig, level_dt
 from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
-from .newmark import (
-    InitializationError,
-    NewmarkConfig,
-    NonconvergenceError,
-    RunResult,
-    run,
-)
-from .operators import NondegeneracyError, apply_blocks
+from .newmark import NewmarkConfig, RunResult, run
+from .operators import SolverError, apply_blocks
 from .problems import (
     delta_study_problem,
     manufactured_problem,
@@ -117,8 +111,7 @@ def h_convergence_study(cfg: RunConfig) -> ConvergenceReport:
             result = run(prob, mesh, _newmark_config(cfg, dt),
                          degree=cfg.degree, tau_bar=cfg.tau,
                          tau_mode=cfg.tau_mode)
-        except (NonconvergenceError, NondegeneracyError, InitializationError,
-                CondensationError) as err:
+        except SolverError as err:
             # keep whatever levels did finish; the table notes the rest
             report.failures.append(f"n={n}: {err}")
             continue
@@ -299,18 +292,17 @@ class SingleRunSummary:
         return "\n".join(lines) + "\n"
 
 
+# the problem family of each kind
+_PROBLEMS = {"h_convergence": manufactured_problem,
+             "delta_convergence": delta_study_problem,
+             "wavefront": wavefront_problem}
+
+
 def single_run_study(cfg: RunConfig) -> SingleRunSummary:
     """One run of the configured problem family on its first mesh level,
     recording the energy pair over time."""
-    if cfg.kind == "h_convergence":
-        prob = manufactured_problem(c=cfg.c, k=cfg.k, delta=cfg.delta,
-                                    final_time=cfg.final_time)
-    elif cfg.kind == "delta_convergence":
-        prob = delta_study_problem(cfg.delta, c=cfg.c, k=cfg.k,
-                                   final_time=cfg.final_time)
-    else:
-        prob = wavefront_problem(k=cfg.k, c=cfg.c, delta=cfg.delta,
-                                 final_time=cfg.final_time)
+    prob = _PROBLEMS[cfg.kind](c=cfg.c, k=cfg.k, delta=cfg.delta,
+                               final_time=cfg.final_time)
     mesh = generate_structured_mesh(cfg.levels[0])
     dt = level_dt(cfg, "run")[cfg.levels[0]]
     result = run(prob, mesh, _newmark_config(cfg, dt),

@@ -47,6 +47,7 @@ from .operators import (
     AssembledOperators,
     ElementTables,
     NondegeneracyError,
+    SolverError,
     apply_blocks,
     assemble_load,
     assemble_nonlinear_mass,
@@ -56,11 +57,11 @@ from .operators import (
 )
 
 
-class InitializationError(Exception):
+class InitializationError(SolverError):
     """Discrete initial data could not be computed."""
 
 
-class NonconvergenceError(Exception):
+class NonconvergenceError(SolverError):
     """Corrector failed to reach tolerance within the iteration budget, or
     its change stopped being finite or stopped contracting."""
 

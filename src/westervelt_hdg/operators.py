@@ -42,7 +42,11 @@ class AssemblyError(Exception):
     """Inconsistent sizes or parameters during operator assembly."""
 
 
-class NondegeneracyError(Exception):
+class SolverError(Exception):
+    """A solve that broke down on valid input: the command line exits 3."""
+
+
+class NondegeneracyError(SolverError):
     """The nonlinear coefficient 1 + 2 k theta lost positivity."""
 
     def __init__(self, message, elements=()):
@@ -178,8 +182,6 @@ class AssembledOperators:
     layout: DofLayout
     tables: ElementTables
     tau: np.ndarray  # (ne, 3)
-    tau_bar: float
-    tau_mode: str
     scalar_mass: np.ndarray  # (ne, d, d)
     vector_mass: np.ndarray  # (ne, 2d, 2d)
     vector_mass_inv: np.ndarray  # (ne, 2d, 2d)
@@ -192,13 +194,11 @@ class AssembledOperators:
 
 
 def apply_blocks(blocks: np.ndarray, u) -> np.ndarray:
-    """Apply a block-diagonal operator (ne, d, d) to stacked coefficients."""
+    """Apply a block-diagonal operator (ne, r, d) to a vector of stacked
+    coefficients."""
     ne, d = blocks.shape[0], blocks.shape[2]
-    u = np.asarray(u)
-    if u.ndim == 1:
-        # einsum beats the batched matmul on these small blocks
-        return np.einsum("eij,ej->ei", blocks, u.reshape(ne, d)).reshape(-1)
-    return np.matmul(blocks, u.reshape(ne, d, -1)).reshape(ne * blocks.shape[1], -1)
+    # einsum beats the batched matmul on these small blocks
+    return np.einsum("eij,ej->ei", blocks, np.reshape(u, (ne, d))).reshape(-1)
 
 
 def element_dofs(n_elements: int, dim: int) -> np.ndarray:
@@ -291,8 +291,6 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
         layout=layout,
         tables=tab,
         tau=tau,
-        tau_bar=tau_bar,
-        tau_mode=tau_mode,
         scalar_mass=scalar_mass,
         vector_mass=vector_mass,
         vector_mass_inv=np.linalg.inv(vector_mass),

@@ -1,6 +1,7 @@
 """Configuration parsing, problem-family consistency, CSV/VTK export,
 and the command line front end (exit codes, file outputs, determinism)."""
 
+import configparser
 import dataclasses
 import math
 import os
@@ -16,8 +17,9 @@ import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 
 from westervelt_hdg import experiments
-from westervelt_hdg.cli import main
+from westervelt_hdg.cli import StudyFailure, main
 from westervelt_hdg.config import (
+    _KEYS,
     MAX_DEGREE,
     MAX_STEPS,
     DELTA_ANCHOR_LEVEL,
@@ -40,9 +42,20 @@ from westervelt_hdg.experiments import (
     h_convergence_study,
 )
 from westervelt_hdg.analysis import DiscreteScalarField
-from westervelt_hdg.condensation import build_condensed
-from westervelt_hdg.mesh import compute_facet_topology, generate_structured_mesh
-from westervelt_hdg.operators import assemble_operators, build_layout
+from westervelt_hdg.condensation import CondensationError, build_condensed
+from westervelt_hdg.mesh import (
+    MeshError,
+    compute_facet_topology,
+    generate_structured_mesh,
+)
+from westervelt_hdg.newmark import InitializationError, NonconvergenceError
+from westervelt_hdg.operators import (
+    AssemblyError,
+    NondegeneracyError,
+    SolverError,
+    assemble_operators,
+    build_layout,
+)
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -51,6 +64,15 @@ from westervelt_hdg.problems import (
 
 import oracles
 from oracles import import_field_csv
+
+
+def readme_config_block() -> str:
+    """The config file example of the README, dedented."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    return textwrap.dedent(readme.split(
+        "Config file structure (all keys optional):\n", 1)[1].split(
+        "\nOutputs:", 1)[0])
 
 
 class TestConfig:
@@ -81,6 +103,35 @@ class TestConfig:
                         snapshot_times=(5.0e-5, 2.0e-4),
                         output_dir="results/front", profile_samples=129)
         assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_round_trip_sets_every_field(self):
+        # every field differs from RunConfig() and, but for the kind, from
+        # the kind's defaults, so the parse must set each one from the text
+        cfg = RunConfig(kind="wavefront", c=2.5, k=-0.125, delta=1.0e-3,
+                        final_time=0.5, degree=2, levels=(3, 6), tau=2.0,
+                        tau_mode="uniform", gamma=0.6, beta=0.3, tol=1.0e-8,
+                        max_iterations=7, coarse_steps=40, dt=1.0e-2,
+                        output_dir="runs/a b", snapshot_times=(0.1, 0.25),
+                        profile_samples=33)
+        kind_defaults = default_config(cfg.kind)
+        for f in dataclasses.fields(RunConfig):
+            value = getattr(cfg, f.name)
+            assert value != getattr(RunConfig(), f.name)
+            assert f.name == "kind" or value != getattr(kind_defaults, f.name)
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    def test_keys_table_names_every_field_once(self):
+        fields = [name for _, name, _ in _KEYS.values()]
+        assert sorted(fields) == sorted(f.name for f in
+                                        dataclasses.fields(RunConfig))
+
+    def test_readme_config_block_names_every_key(self):
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(readme_config_block())
+        named = {(section, key) for section in parser.sections()
+                 for key in parser[section]}
+        assert named == {(section, key)
+                         for key, (section, _, _) in _KEYS.items()}
 
     def test_overlay_on_base(self):
         base = default_config("wavefront")
@@ -236,11 +287,7 @@ class TestConfig:
             parse_config(text)
 
     def test_readme_config_block_parses(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
-            encoding="utf-8")
-        block = readme.split("Config file structure (all keys optional):\n",
-                             1)[1].split("\nOutputs:", 1)[0]
-        cfg = parse_config(textwrap.dedent(block))
+        cfg = parse_config(readme_config_block())
         assert cfg.kind == "h_convergence" and cfg.c == 100.0
         assert cfg.levels == (4, 8, 16, 32)
         assert cfg.tau_mode == "single_facet"
@@ -745,6 +792,21 @@ class TestCli:
         assert main(["h-convergence", "--config", str(wf)]) == 2
         assert "conflicts" in capsys.readouterr().err
 
+    def test_levels_flag_accepts_spaces_like_the_file(self, tmp_path):
+        cfg = self.write(tmp_path, "tiny.ini", TINY_H)
+        out = tmp_path / "out"
+        assert main(["h-convergence", "--config", str(cfg), "--levels", "2 4",
+                     "--out", str(out)]) == 0
+        text = (out / "config.ini").read_text(encoding="utf-8")
+        assert parse_config(text).levels == (2, 4)
+
+    def test_solver_failures_share_one_base(self):
+        for cls in (NondegeneracyError, CondensationError,
+                    InitializationError, NonconvergenceError, StudyFailure):
+            assert issubclass(cls, SolverError)
+        for cls in (MeshError, AssemblyError, ConfigError):
+            assert not issubclass(cls, SolverError)
+
     def test_exit_2_on_bad_levels_override(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "tiny.ini", TINY_H)
         assert main(["h-convergence", "--config", str(cfg),
@@ -800,10 +862,11 @@ class TestCli:
         out = tmp_path / "out"
         assert main([command, "--config", str(cfg), "--p", str(degree),
                      "--levels", levels, "--out", str(out)]) == code
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        err = captured.err
         if code == 0:
             # an undefined rate or slope is an empty cell, never nan
-            assert err == ""
+            assert err == "" and "nan" not in captured.out
             for path in out.glob("*.csv"):
                 text = path.read_text(encoding="utf-8")
                 assert "nan" not in text and ",," in text
