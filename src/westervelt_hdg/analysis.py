@@ -7,10 +7,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import TriangleBasis, scalar_space_dim, triangle_quadrature
-from .condensation import reconstruct_velocity
 from .mesh import Mesh, element_geometry
 from .newmark import State
-from .operators import AssembledOperators, apply_blocks, nonlinear_coefficient
+from .operators import AssembledOperators, NondegeneracyError
 
 
 @dataclass
@@ -146,47 +145,122 @@ def postprocess(psi: np.ndarray, v: np.ndarray,
     return DiscreteScalarField(tab.mesh, p + 1, coeffs.reshape(-1))
 
 
-def energy(state: State, ops: AssembledOperators, k: float,
-           c: float) -> tuple[float, float]:
-    """Discrete energies of the current state.
+# states per chunk of energy: its temporaries grow with the chunk, and
+# chunks of 4 to 8 states run fastest
+ENERGY_CHUNK = 4
 
-    Returns (e0, e1): e0 combines the weighted kinetic term of the velocity
-    unknown with the stored acoustic terms (vector field plus stabilization
-    jumps); e1 is the same functional one time-derivative higher, both with
-    the weight 1 + 2 k (d psi/dt).
+
+class History:
+    """The unknowns that energy reads of `rows` states, stacked along a
+    leading axis in the order they are recorded: t (S,), psi, dpsi and ddpsi
+    (S, n_scalar), lam and dlam (S, n_facet). Calling it with a State
+    records that state in the next row, so it serves as an observer of
+    newmark.run; the arrays are allocated at the first call."""
+
+    FIELDS = ("psi", "dpsi", "ddpsi", "lam", "dlam")
+
+    def __init__(self, rows: int):
+        self.t = np.empty(rows)
+        self.size = 0
+
+    def __call__(self, state: State) -> None:
+        if self.size == 0:
+            for name in self.FIELDS:
+                setattr(self, name, np.empty((self.t.size,
+                                              getattr(state, name).size)))
+        self.t[self.size] = state.t
+        for name in self.FIELDS:
+            getattr(self, name)[self.size] = getattr(state, name)
+        self.size += 1
+
+
+def energy(states, ops: AssembledOperators, k: float, c: float):
+    """Discrete energies of a State, or of the states of a History.
+
+    Returns (e0, e1): floats for a State, arrays (S,) for S stacked states.
+    e0 combines the weighted kinetic term of the velocity unknown with the
+    stored acoustic terms (vector field plus stabilization jumps); e1 is the
+    same functional one time-derivative higher, both with the weight
+    1 + 2 k (d psi/dt). Raises NondegeneracyError, naming the first state
+    and its elements, where that weight is not strictly positive. The
+    states go through in chunks of ENERGY_CHUNK.
+    """
+    lay = ops.layout
+    times = np.atleast_1d(states.t)
+    psi, dpsi, ddpsi, lam, dlam = (np.atleast_2d(getattr(states, name))
+                                   for name in History.FIELDS)
+    table, rows = _stored_energy_table(ops)
+    e0, e1 = np.empty(len(psi)), np.empty(len(psi))
+    for start in range(0, len(psi), ENERGY_CHUNK):
+        part = slice(start, start + ENERGY_CHUNK)
+        m = len(psi[part])
+        kin0, kin1 = _kinetic_energies(dpsi[part], ddpsi[part], k, ops.tables,
+                                       start, times[part])
+        # the columns: the m states' (psi, lam), then their (dpsi, dlam)
+        cols = np.zeros((lay.n_scalar + lay.n_facet + 1, 2 * m))
+        cols[:lay.n_scalar] = np.concatenate([psi[part], dpsi[part]]).T
+        cols[lay.n_scalar:-1] = np.concatenate([lam[part], dlam[part]]).T
+        out = table @ cols[rows]
+        del cols
+        stored = np.einsum("eis,eis->s", out, out)
+        e0[part] = 0.5 * kin0 + 0.5 * c * c * stored[:m]
+        e1[part] = 0.5 * kin1 + 0.5 * c * c * stored[m:]
+    if np.ndim(states.psi) == 1:
+        return float(e0[0]), float(e1[0])
+    return e0, e1
+
+
+def _stored_energy_table(ops: AssembledOperators):
+    """Element blocks T (ne, 2d + 3nq, d + 3pf) and the rows (ne, d + 3pf)
+    of [psi; lam; 0] that each element reads, such that the stored energy
+    of a state x = [psi; lam] is the sum of squares of T x[rows].
+
+    The first 2d rows are C^-1 (B psi + E lam), with Mv = C C^T, whose
+    squares sum to v Mv v for the velocity v = -Mv^-1 (B psi + E lam); the
+    other 3nq are sqrt(tau w) (lam - psi) at the facet quadrature points,
+    with lam = 0 on boundary facets. The jump is taken at the points,
+    because on a smooth state it is far smaller than psi S psi or lam G lam
+    and their quadratic-form expansion would cancel it away.
     """
     tab, lay = ops.tables, ops.layout
-    ne, d = lay.n_elements, lay.dim_scalar
-    wdet_nl = tab.weights_nl
-    dpsi_q, weight = nonlinear_coefficient(state.dpsi, k, tab)
-    ddpsi_q = state.ddpsi.reshape(ne, d) @ tab.phi_nl.T
-    kin0 = 0.5 * float(np.sum(wdet_nl * weight * dpsi_q**2))
-    kin1 = 0.5 * float(np.sum(wdet_nl * weight * ddpsi_q**2))
+    ne, d, pf = lay.n_elements, lay.dim_scalar, lay.dim_facet
+    nq = tab.facet_rule.weights.size
+    root_w = np.sqrt((ops.tau * tab.topo.facet_lengths[tab.topo.elem_facets])
+                     [:, :, None] * tab.facet_rule.weights).reshape(ne, -1, 1)
+    table = np.empty((ne, 2 * d + 3 * nq, d + 3 * pf))
+    chol = np.linalg.cholesky(ops.vector_mass)
+    table[:, :2 * d, :d] = np.linalg.solve(chol, ops.divergence)
+    table[:, :2 * d, d:] = np.linalg.solve(chol, ops.trace_vector_local)
+    table[:, 2 * d:, :d] = -root_w * tab.trace[tab.sides].reshape(ne, -1, d)
+    table[:, 2 * d:, d:] = root_w * np.kron(np.eye(3), tab.mu)
+    ns, nf = lay.n_scalar, lay.n_facet
+    rows = np.concatenate([np.arange(ns).reshape(ne, d),
+                           np.where(tab.facet_dofs >= 0, ns + tab.facet_dofs,
+                                    ns + nf)], axis=1)
+    return table, rows
 
-    vel = reconstruct_velocity(ops, state.psi, state.lam)
-    dvel = reconstruct_velocity(ops, state.dpsi, state.dlam)
-    store0 = float(vel @ apply_blocks(ops.vector_mass, vel))
-    store1 = float(dvel @ apply_blocks(ops.vector_mass, dvel))
 
-    # tau (lam - psi)^2 on every side, lam = 0 on boundary facets; the
-    # difference is taken at the facet quadrature points, because on a
-    # smooth state the jump is far smaller than psi S psi or lam G lam and
-    # their quadratic-form expansion would cancel it away
-    traces = tab.trace[tab.sides]  # (ne, 3, nq, d)
-    jump_w = ((ops.tau * tab.topo.facet_lengths[tab.topo.elem_facets])
-              [:, :, None] * tab.facet_rule.weights)
-
-    def jump(psi, lam):
-        psi_q = np.einsum("elqi,ei->elq", traces, psi.reshape(ne, d))
-        lam_q = tab.facet_values(lam).reshape(ne, 3, -1) @ tab.mu.T
-        return float(np.sum(jump_w * (lam_q - psi_q) ** 2))
-
-    jump0 = jump(state.psi, state.lam)
-    jump1 = jump(state.dpsi, state.dlam)
-    c2 = c * c
-    e0 = kin0 + 0.5 * c2 * (store0 + jump0)
-    e1 = kin1 + 0.5 * c2 * (store1 + jump1)
-    return e0, e1
+def _kinetic_energies(dpsi, ddpsi, k: float, tab, start: int, times):
+    """Integrals of (1 + 2k dpsi) dpsi^2 and (1 + 2k dpsi) ddpsi^2 over the
+    domain of stacked states (m, n_scalar), the first of which is state
+    start."""
+    m, d = len(dpsi), tab.layout.dim_scalar
+    ne = tab.layout.n_elements
+    dpsi_q = (dpsi.reshape(-1, d) @ tab.phi_nl.T).reshape(m, -1)
+    weight = 2.0 * k * dpsi_q
+    weight += 1.0
+    if np.min(weight) <= 0.0:
+        low = np.min(weight.reshape(m, ne, -1), axis=2)
+        s = int(np.argmax(np.min(low, axis=1) <= 0.0))
+        bad = np.flatnonzero(low[s] <= 0.0)
+        raise NondegeneracyError(
+            f"state {start + s} (t = {times[s]:.6g}): 1 + 2k*theta "
+            f"nonpositive (min {np.min(low[s]):.6g}) on elements "
+            f"{bad[:8].tolist()}", elements=bad)
+    weight *= tab.weights_nl.reshape(-1)
+    kin0 = np.einsum("sq,sq,sq->s", weight, dpsi_q, dpsi_q)
+    ddpsi_q = (ddpsi.reshape(-1, d) @ tab.phi_nl.T).reshape(m, -1)
+    return kin0, np.einsum("sq,sq,sq->s", weight, ddpsi_q, ddpsi_q)
 
 
 def convergence_rates(errors, hs) -> list[float]:

@@ -98,9 +98,8 @@ def _rate(x: float) -> str:
     return f"{x:.3f}" if math.isfinite(x) else ""
 
 
-def _run_h_convergence(cfg: RunConfig) -> None:
+def _run_h_convergence(cfg: RunConfig, out: Path) -> None:
     report = h_convergence_study(cfg)
-    out = _prepare_output(cfg)
     path = out / f"h_convergence_p{cfg.degree}.csv"
     path.write_text(report.to_csv(), encoding="utf-8")
     print(f"wrote {path}")
@@ -118,9 +117,8 @@ def _run_h_convergence(cfg: RunConfig) -> None:
                            f"(listed in {path}); {report.failures[0]}")
 
 
-def _run_delta_convergence(cfg: RunConfig) -> None:
+def _run_delta_convergence(cfg: RunConfig, out: Path) -> None:
     report = delta_convergence_study(cfg)
-    out = _prepare_output(cfg)
     path = out / f"delta_convergence_p{cfg.degree}.csv"
     path.write_text(report.to_csv(), encoding="utf-8")
     print(f"wrote {path}")
@@ -131,9 +129,8 @@ def _run_delta_convergence(cfg: RunConfig) -> None:
           f"v={_rate(report.slope_v)}")
 
 
-def _run_wavefront(cfg: RunConfig) -> None:
+def _run_wavefront(cfg: RunConfig, out: Path) -> None:
     result = wavefront_study(cfg)
-    out = _prepare_output(cfg)
     path = out / "wavefront_profile.csv"
     path.write_text(profile_csv(result), encoding="utf-8")
     print(f"wrote {path}")
@@ -148,9 +145,8 @@ def _run_wavefront(cfg: RunConfig) -> None:
         print(f"{variant}: mean corrector iterations {mean:.2f}")
 
 
-def _run_single(cfg: RunConfig) -> None:
+def _run_single(cfg: RunConfig, out: Path) -> None:
     summary = single_run_study(cfg)
-    out = _prepare_output(cfg)
     path = out / "energy.csv"
     path.write_text(summary.energy_csv(), encoding="utf-8")
     print(f"wrote {path}")
@@ -189,10 +185,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _resolve_config(args)
+        # an unusable output directory fails before the solve
+        out = _prepare_output(cfg)
         # the corrector and the factorizations report breakdowns
         # themselves, so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):
-            _COMMANDS[args.command][2](cfg)
+            _COMMANDS[args.command][2](cfg, out)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

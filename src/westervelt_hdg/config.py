@@ -42,14 +42,17 @@ def h_rule_steps(coarse_steps: int, degree: int, h_ratio: float) -> int:
     return math.ceil(coarse_steps * h_ratio ** (0.5 * (degree + 2)) - 1.0e-9)
 
 
-def level_bytes(n: int, degree: int) -> float:
-    """Estimated bytes of the level-n structured mesh (2 n^2 triangles) and
-    of the element blocks stored for it at degree.
+def level_bytes(n: int, degree: int, states: int = 0) -> float:
+    """Estimated bytes of the level-n structured mesh (2 n^2 triangles), of
+    the element blocks stored for it at degree and of `states` states of a
+    monitored run.
 
     Counts the float64 blocks of AssembledOperators, ElementTables and
     CondensedOperators and the value and int32 index of every nonzero of
     their CSR matrices, with 1.5 interior facets per element; the
-    temporaries of assembly and the facet factorization come on top.
+    temporaries of assembly and the facet factorization come on top. A
+    stored state (analysis.History) holds psi, dpsi and ddpsi and the facet
+    unknowns lam and dlam.
     """
     d, pf = scalar_space_dim(degree), degree + 1
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
@@ -61,6 +64,7 @@ def level_bytes(n: int, degree: int) -> float:
     nonzeros = (9 * d * pf  # W, Wt and R
                 + 15 * pf * pf)  # facet Schur complement and Gram matrix
     per_element = 8 * dense + 12 * nonzeros + 168  # 168: mesh and topology
+    per_element += 8 * states * (3 * d + 3 * pf)
     try:
         return 2.0 * float(n) ** 2 * per_element
     except OverflowError:
@@ -146,7 +150,8 @@ class RunConfig:
         """Refuse inconsistent fields, a step that does not divide final_time
         and, without dt, a level on which the h-rule of study (default: the
         study of kind; see level_steps) asks for more than MAX_STEPS steps;
-        then a level of study whose level_bytes exceed MAX_LEVEL_BYTES."""
+        then a level of study whose level_bytes, with every state of the
+        run for study "run", exceed MAX_LEVEL_BYTES."""
         if self.kind not in KINDS:
             raise ConfigError(f"unknown problem kind {self.kind!r}, "
                               f"expected one of {KINDS}")
@@ -213,14 +218,19 @@ class RunConfig:
                 number_of_steps(self.final_time, dt)
             except ValueError as err:
                 raise ConfigError(str(err)) from err
-        for n in level_steps(self, study or self.kind):
-            if level_bytes(n, self.degree) > MAX_LEVEL_BYTES:
+        for n, dt in level_dt(self, study or self.kind).items():
+            # the run study stores every state for its energies
+            states = (number_of_steps(self.final_time, dt) + 1
+                      if study == "run" else 0)
+            need = level_bytes(n, self.degree, states)
+            if need > MAX_LEVEL_BYTES:
                 raise ConfigError(
-                    f"level {n} needs an estimated "
-                    f"{level_bytes(n, self.degree) / 2**30:.3g} GiB for the "
-                    f"mesh and its element blocks at degree {self.degree}, "
-                    f"more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use "
-                    f"coarser levels")
+                    f"level {n} needs an estimated {need / 2**30:.3g} GiB "
+                    f"for the mesh and its element blocks at degree "
+                    f"{self.degree}"
+                    + (f" and {states} stored states" if states else "")
+                    + f", more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use "
+                    f"coarser levels" + (" or fewer steps" if states else ""))
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if self.profile_samples < 2:
@@ -278,11 +288,14 @@ def parse_config(text: str, base: RunConfig | None = None,
                  study: str | None = None) -> RunConfig:
     """Overlay a config file onto defaults; rejects unknown sections/keys.
     The result is validated for study (see RunConfig.validate)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
         parser.read_string(text)
     except configparser.Error as err:
-        raise ConfigError(f"malformed config: {err}") from err
+        # configparser's messages span lines; the quoted text is a repr
+        raise ConfigError(f"malformed config: {' '.join(str(err).split())}"
+                          ) from err
     sections = {section for section, _, _ in _KEYS.values()}
     values: dict[str, tuple[str, str]] = {}
     for section in parser.sections():
@@ -316,7 +329,7 @@ def serialize_config(cfg: RunConfig) -> str:
         # str of a float is its shortest repr, which parses back exactly
         sections.setdefault(section, {})[key] = ("none" if value is None
                                                  else str(value))
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)

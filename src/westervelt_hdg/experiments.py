@@ -13,6 +13,7 @@ import numpy as np
 
 from .analysis import (
     DiscreteScalarField,
+    History,
     convergence_rates,
     energy,
     l2_error,
@@ -24,7 +25,7 @@ from .basis import triangle_quadrature
 from .condensation import reconstruct_velocity
 from .config import RunConfig, level_dt
 from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
-from .newmark import NewmarkConfig, RunResult, run
+from .newmark import NewmarkConfig, RunResult, number_of_steps, run
 from .operators import SolverError, apply_blocks
 from .problems import (
     delta_study_problem,
@@ -300,19 +301,23 @@ _PROBLEMS = {"h_convergence": manufactured_problem,
 
 def single_run_study(cfg: RunConfig) -> SingleRunSummary:
     """One run of the configured problem family on its first mesh level,
-    recording the energy pair over time."""
+    recording the energy pair over time: the run stores the unknowns of
+    every state in a History, whose energies are evaluated after the time
+    loop."""
     prob = _PROBLEMS[cfg.kind](c=cfg.c, k=cfg.k, delta=cfg.delta,
                                final_time=cfg.final_time)
     mesh = generate_structured_mesh(cfg.levels[0])
     dt = level_dt(cfg, "run")[cfg.levels[0]]
+    history = History(number_of_steps(cfg.final_time, dt) + 1)
     result = run(prob, mesh, _newmark_config(cfg, dt),
-                 observers={"state": lambda s: s.copy()}, degree=cfg.degree,
+                 observers={"history": history}, degree=cfg.degree,
                  tau_bar=cfg.tau, tau_mode=cfg.tau_mode)
-    ops = result.ops
-    series = [(s.t, *energy(s, ops, prob.k, prob.c))
-              for s in result.observations["state"]]
+    ops, state = result.ops, result.state
+    mean_iterations = result.mean_iterations
+    # the condensed operators are done with: free them for the energies
+    del result
+    energies0, energies1 = energy(history, ops, prob.k, prob.c)
     err_psi = err_v = None
-    state = result.state
     if prob.exact_psi is not None:
         err_psi = l2_error(scalar_field(ops, state.psi), prob.exact_psi,
                            state.t)
@@ -320,10 +325,10 @@ def single_run_study(cfg: RunConfig) -> SingleRunSummary:
         err_v = l2_error(vector_field(ops, vel), prob.exact_v, state.t)
     return SingleRunSummary(
         kind=cfg.kind, n=cfg.levels[0], dt=dt,
-        times=[s[0] for s in series],
-        energies0=[s[1] for s in series],
-        energies1=[s[2] for s in series],
-        mean_iterations=result.mean_iterations,
+        times=history.t.tolist(),
+        energies0=energies0.tolist(),
+        energies1=energies1.tolist(),
+        mean_iterations=mean_iterations,
         err_psi=err_psi, err_v=err_v,
     )
 

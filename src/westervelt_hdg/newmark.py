@@ -140,11 +140,6 @@ class State:
     dlam: np.ndarray
     ddlam: np.ndarray
 
-    def copy(self) -> "State":
-        return State(self.t, self.psi.copy(), self.dpsi.copy(),
-                     self.ddpsi.copy(), self.lam.copy(), self.dlam.copy(),
-                     self.ddlam.copy())
-
 
 @dataclass(frozen=True)
 class Prediction:

@@ -23,7 +23,9 @@ from westervelt_hdg.newmark import (
     consistent_traces,
 )
 from westervelt_hdg.analysis import (
+    ENERGY_CHUNK,
     DiscreteScalarField,
+    History,
     DiscreteVectorField,
     convergence_rates,
     energy,
@@ -242,6 +244,25 @@ class TestPostprocess:
         assert np.max(np.abs(lo - hi)) == 0.0
 
 
+def stack(states) -> History:
+    history = History(len(states))
+    for state in states:
+        history(state)
+    return history
+
+
+def energies(states, ops, k, c):
+    """Arrays (e0, e1) of each state: energy of the plain State when there
+    is one, otherwise of the History of all of them."""
+    if len(states) == 1:
+        return tuple(np.array([e]) for e in energy(states[0], ops, k, c))
+    return energy(stack(states), ops, k, c)
+
+
+# a single State, and a stack that ends in a partial chunk
+COUNTS = (1, 2 * ENERGY_CHUNK + 3)
+
+
 class TestEnergy:
     def zero_state(self, lay):
         return State(t=0.0, psi=np.zeros(lay.n_scalar),
@@ -278,17 +299,25 @@ class TestEnergy:
         with pytest.raises(NondegeneracyError, match="nonpositive"):
             energy(state, ops, 0.5, 1.0)
 
+    def random_states(self, lay, rng, count, **scales):
+        """count states with standard normal unknowns, each field scaled
+        by scales (default 1; 0 leaves it zero)."""
+        states = []
+        for i in range(count):
+            state = self.zero_state(lay)
+            state.t = 0.1 * i
+            for name in History.FIELDS:
+                value = getattr(state, name)
+                setattr(state, name, scales.get(name, 1.0)
+                        * rng.standard_normal(value.size))
+            states.append(state)
+        return states
+
     def test_matches_dense_quadratic_form_linear_case(self):
         rng = np.random.default_rng(3)
         msh = oracles.perturbed_mesh(2, seed=9)
         c = 2.0
         topo, lay, ops, cond = build(msh, 1, c=c)
-        state = self.zero_state(lay)
-        state.psi = rng.standard_normal(lay.n_scalar)
-        state.dpsi = rng.standard_normal(lay.n_scalar)
-        state.ddpsi = rng.standard_normal(lay.n_scalar)
-        state.lam = rng.standard_normal(lay.n_facet)
-        state.dlam = rng.standard_normal(lay.n_facet)
         seven = oracles.dense_seven(msh, topo, 1)
         dc = oracles.dense_condensed(seven, 1.0)
 
@@ -296,13 +325,16 @@ class TestEnergy:
             return (p @ dc["Ks"] @ p + 2.0 * p @ dc["R"] @ l
                     + l @ dc["A"] @ l)
 
-        want0 = 0.5 * state.dpsi @ seven["M"] @ state.dpsi \
-            + 0.5 * c * c * store(state.psi, state.lam)
-        want1 = 0.5 * state.ddpsi @ seven["M"] @ state.ddpsi \
-            + 0.5 * c * c * store(state.dpsi, state.dlam)
-        e0, e1 = energy(state, ops, 0.0, c)
-        assert abs(e0 - want0) <= 1e-12 * max(abs(want0), 1.0)
-        assert abs(e1 - want1) <= 1e-12 * max(abs(want1), 1.0)
+        for count in COUNTS:
+            states = self.random_states(lay, rng, count)
+            e0, e1 = energies(states, ops, 0.0, c)
+            for state, got0, got1 in zip(states, e0, e1):
+                want0 = 0.5 * state.dpsi @ seven["M"] @ state.dpsi \
+                    + 0.5 * c * c * store(state.psi, state.lam)
+                want1 = 0.5 * state.ddpsi @ seven["M"] @ state.ddpsi \
+                    + 0.5 * c * c * store(state.dpsi, state.dlam)
+                assert abs(got0 - want0) <= 1e-12 * max(abs(want0), 1.0)
+                assert abs(got1 - want1) <= 1e-12 * max(abs(want1), 1.0)
 
     @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
     def test_jump_part_matches_dense_oracle(self, tau_mode):
@@ -316,40 +348,56 @@ class TestEnergy:
                                  tau_mode=tau_mode)
         seven = oracles.dense_seven(msh, topo, 2, tau_bar=1.5,
                                     tau_mode=tau_mode)
-        state = self.zero_state(lay)
-        state.psi = rng.standard_normal(lay.n_scalar)
-        state.lam = rng.standard_normal(lay.n_facet)
-        flux = seven["B"] @ state.psi + seven["E"] @ state.lam
-        store = flux @ np.linalg.solve(seven["Mv"], flux)
-        want = (state.psi @ seven["S"] @ state.psi
-                + 2.0 * state.psi @ seven["F"] @ state.lam
-                + state.lam @ seven["G"] @ state.lam)
-        e0, _ = energy(state, ops, 0.0, 1.0)
-        assert want > 0.0
-        assert abs((2.0 * e0 - store) - want) <= 1e-12 * want
+        for count in COUNTS:
+            states = self.random_states(lay, rng, count, dpsi=0.0)
+            e0, _ = energies(states, ops, 0.0, 1.0)
+            for state, got in zip(states, e0):
+                flux = seven["B"] @ state.psi + seven["E"] @ state.lam
+                store = flux @ np.linalg.solve(seven["Mv"], flux)
+                want = (state.psi @ seven["S"] @ state.psi
+                        + 2.0 * state.psi @ seven["F"] @ state.lam
+                        + state.lam @ seven["G"] @ state.lam)
+                assert want > 0.0
+                assert abs((2.0 * got - store) - want) <= 1e-12 * want
 
     def test_nonlinear_kinetic_correction(self):
         # e0(k) - e0(0) = k * integral of (d psi)^3
         rng = np.random.default_rng(13)
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 2)
-        state = self.zero_state(lay)
-        state.dpsi = 0.05 * rng.standard_normal(lay.n_scalar)
-        state.ddpsi = 0.05 * rng.standard_normal(lay.n_scalar)
         k = 0.4
-        e0k, e1k = energy(state, ops, k, 1.0)
-        e00, e10 = energy(state, ops, 0.0, 1.0)
         pts, wts = oracles.oracle_triangle_rule(12)
         phi = oracles.basis_values(2, pts)
-        cube = quad_mixed = 0.0
-        for t in range(msh.n_triangles):
-            _, _, detj, _ = oracles._element_geometry(msh, t)
-            dvals = phi @ state.dpsi.reshape(lay.n_elements, -1)[t]
-            avals = phi @ state.ddpsi.reshape(lay.n_elements, -1)[t]
-            cube += detj * np.sum(wts * dvals ** 3)
-            quad_mixed += detj * np.sum(wts * dvals * avals ** 2)
-        assert abs((e0k - e00) - k * cube) <= 1e-13
-        assert abs((e1k - e10) - k * quad_mixed) <= 1e-13
+        for count in COUNTS:
+            states = self.random_states(lay, rng, count, psi=0.0,
+                                        dpsi=0.05, ddpsi=0.05, lam=0.0,
+                                        dlam=0.0)
+            e0k, e1k = energies(states, ops, k, 1.0)
+            e00, e10 = energies(states, ops, 0.0, 1.0)
+            for i, state in enumerate(states):
+                cube = quad_mixed = 0.0
+                for t in range(msh.n_triangles):
+                    _, _, detj, _ = oracles._element_geometry(msh, t)
+                    dvals = phi @ state.dpsi.reshape(lay.n_elements, -1)[t]
+                    avals = phi @ state.ddpsi.reshape(lay.n_elements, -1)[t]
+                    cube += detj * np.sum(wts * dvals ** 3)
+                    quad_mixed += detj * np.sum(wts * dvals * avals ** 2)
+                assert abs((e0k[i] - e00[i]) - k * cube) <= 1e-13
+                assert abs((e1k[i] - e10[i]) - k * quad_mixed) <= 1e-13
+
+    def test_degenerate_state_in_a_stack_is_named(self):
+        msh = generate_structured_mesh(2)
+        topo, lay, ops, cond = build(msh, 1)
+        states = self.random_states(lay, np.random.default_rng(5),
+                                    2 * ENERGY_CHUNK + 3, dpsi=0.01)
+        bad = ENERGY_CHUNK + 1  # in the second chunk
+        dpsi = states[bad].dpsi.reshape(lay.n_elements, -1)
+        dpsi[3, 0] = -2.0 / np.sqrt(2.0)  # weight 1 - 2 on element 3
+        with pytest.raises(NondegeneracyError,
+                           match=rf"^state {bad} \(t = 0\.5\): 1 \+ 2k\*theta "
+                                 r"nonpositive") as err:
+            energy(stack(states), ops, 0.5, 1.0)
+        assert err.value.elements == (3,)
 
     def test_energy_conserved_without_damping_or_forcing(self):
         rng = np.random.default_rng(17)

@@ -8,10 +8,12 @@ the benchmark's trace, so they are checked here without running the harness.
 """
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
 from westervelt_hdg import experiments, newmark
+from westervelt_hdg.config import default_config
 from westervelt_hdg.mesh import generate_structured_mesh
 
 ROUND = Path(__file__).resolve().parents[1] / "bench" / "round.py"
@@ -57,3 +59,22 @@ def test_run_hooks_resolve(monkeypatch):
     assert lu.L.nnz + lu.U.nnz > 0
     lay = result.ops.layout
     assert lay.n_facet > 0 and lay.n_scalar > 0
+
+
+def test_single_run_evaluates_the_energies_once(monkeypatch):
+    # the trace counts the energy evaluations of the run subcommand through
+    # experiments.energy: one over the run's whole history
+    energy = experiments.energy
+    calls = []
+
+    def counting(states, *args):
+        calls.append(len(states.t))
+        return energy(states, *args)
+
+    monkeypatch.setattr(experiments, "energy", counting)
+    cfg = dataclasses.replace(default_config("delta_convergence"), k=0.0,
+                              degree=1, levels=(2,), final_time=0.04,
+                              dt=0.01)
+    summary = experiments.single_run_study(cfg)
+    assert calls == [5]
+    assert summary.times == [0.0, 0.01, 0.02, 0.03, 0.04]

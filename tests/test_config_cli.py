@@ -2,7 +2,9 @@
 and the command line front end (exit codes, file outputs, determinism)."""
 
 import configparser
+import contextlib
 import dataclasses
+import io
 import math
 import os
 import subprocess
@@ -685,6 +687,11 @@ EDGE_KEYS = {"c": "problem", "k": "problem", "delta": "problem",
              "dt": "newmark"}
 EDGE_VALUES = (0.0, -1.0, math.nan, math.inf, 1.0e-320, 1.0e-300, 1.0e150,
                1.0e200, 1.0e300)
+# text keys, and texts that the INI syntax or a path may treat specially
+EDGE_TEXT_KEYS = {"kind": "problem", "tau_mode": "discretization",
+                  "directory": "output"}
+EDGE_TEXTS = ("a%b", "%(c)s", "a;b", "a ;b", "a#b", "a #b", "[a", "a]b",
+              "a\nb", "", "\u00fcn\u00efc\u00f8d\u00e9", "\u03c8\u2202t")
 CLI_COMMANDS = ("h-convergence", "delta-convergence", "wavefront", "run")
 
 
@@ -692,10 +699,10 @@ def edge_config(key, value):
     """Config text with final_time = 0.01 and at most 10 steps per run
     (coarse_steps = 10 under the dt rule), overridden by key = value."""
     values = {"final_time": repr(0.01), "coarse_steps": "10", "dt": ""}
-    values[key] = repr(value)
+    values[key] = value if key in EDGE_TEXT_KEYS else repr(value)
     sections = {}
     for name, text in values.items():
-        section = EDGE_KEYS.get(name, "newmark")
+        section = {**EDGE_KEYS, **EDGE_TEXT_KEYS}.get(name, "newmark")
         sections.setdefault(section, []).append(f"{name} = {text}")
     return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
                    for section, lines in sections.items())
@@ -1018,6 +1025,67 @@ class TestCli:
                 "[0, 1, 2, 3, 4, 5, 6, 7]") in err
         assert err.count("\n") == 1
 
+    def test_percent_in_out_is_a_literal_directory(self, tmp_path):
+        cfg = self.write(tmp_path, "tiny.ini", TINY_H)
+        out = tmp_path / "x%y"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "energy.csv").is_file()
+        written = parse_config((out / "config.ini").read_text(
+            encoding="utf-8"), study="run")
+        want = parse_config(TINY_H, study="run")
+        assert written == dataclasses.replace(want, output_dir=str(out))
+
+    def test_percent_in_config_directory_is_literal(self, tmp_path,
+                                                    monkeypatch):
+        text = TINY_H + "\n[output]\ndirectory = a%b\n"
+        cfg = self.write(tmp_path, "tiny.ini", text)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg)]) == 0
+        out = tmp_path / "a%b"
+        assert (out / "energy.csv").is_file()
+        written = parse_config((out / "config.ini").read_text(
+            encoding="utf-8"), study="run")
+        assert written.output_dir == "a%b"
+        assert written == parse_config(text, study="run")
+
+    @pytest.mark.parametrize("command", CLI_COMMANDS)
+    def test_exit_4_comes_before_the_solve(self, tmp_path, capsys,
+                                           monkeypatch, command):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        # the studies call newmark.run by this name
+        monkeypatch.setattr(experiments, "run", no_solve)
+        text = {"delta-convergence": TINY_DELTA,
+                "wavefront": TINY_WAVEFRONT}.get(command, TINY_H)
+        cfg = self.write(tmp_path, "tiny.ini", text)
+        blocker = tmp_path / "occupied"
+        blocker.write_text("not a directory", encoding="utf-8")
+        assert main([command, "--config", str(cfg),
+                     "--out", str(blocker / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+
+    def test_run_memory_cap_counts_the_stored_states(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def no_mesh(n):
+            raise AssertionError(f"mesh of level {n} built")
+
+        monkeypatch.setattr(experiments, "generate_structured_mesh", no_mesh)
+        text = ("[discretization]\ndegree = 2\nlevels = 24\n\n"
+                "[newmark]\ndt = 1e-7\n")
+        # the mesh and its blocks alone fit: the refinement study may run it
+        assert parse_config(text, study="h_convergence").dt == 1.0e-7
+        cfg = self.write(tmp_path, "long.ini", text)
+        assert main(["run", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: level 24 needs an "
+                              "estimated ")
+        assert "and 10000001 stored states" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_exit_4_on_output_collision(self, tmp_path, capsys):
         cfg = self.write(tmp_path, "tiny.ini", TINY_H)
         blocker = tmp_path / "occupied"
@@ -1033,19 +1101,39 @@ class TestCli:
 
 @settings(derandomize=True, deadline=None, max_examples=200, database=None)
 @given(command=st.sampled_from(CLI_COMMANDS),
-       key=st.sampled_from(sorted(EDGE_KEYS)),
-       value=st.sampled_from(EDGE_VALUES),
+       edge=st.one_of(
+           st.tuples(st.sampled_from(sorted(EDGE_KEYS)),
+                     st.sampled_from(EDGE_VALUES)),
+           st.tuples(st.sampled_from(sorted(EDGE_TEXT_KEYS)),
+                     st.sampled_from(EDGE_TEXTS))),
        level=st.integers(1, 2), degree=st.integers(0, 2))
-def test_cli_survives_edge_values(command, key, value, level, degree):
+def test_cli_survives_edge_values(command, edge, level, degree):
+    key, value = edge
     # a dt this small asks for more than 1e4 steps: valid, merely long
     assume(not (key == "dt" and value > 0.0 and 0.01 / value > 1.0e4))
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "edge.ini"
-        cfg.write_text(edge_config(key, value), encoding="utf-8")
-        out = Path(tmp) / "out"
-        code = main([command, "--config", str(cfg), "--levels", str(level),
-                     "--p", str(degree), "--out", str(out)])
+        # a relative directory from the file lands in tmp
+        os.chdir(tmp)
+        try:
+            cfg = Path(tmp) / "edge.ini"
+            cfg.write_text(edge_config(key, value), encoding="utf-8")
+            argv = [command, "--config", str(cfg), "--levels", str(level),
+                    "--p", str(degree)]
+            if key == "directory":
+                out = Path(tmp) / value
+            else:
+                out = Path(tmp) / "out"
+                argv += ["--out", str(out)]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
         assert code in (0, 2, 3, 4)
+        assert err.getvalue().count("\n") <= 1, err.getvalue()
+        assert "Traceback" not in err.getvalue()
         if code == 0:
             # every number of every table, comment lines included
             for path in out.glob("*.csv"):
