@@ -87,9 +87,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _prepare_output(cfg: RunConfig) -> Path:
+    text = serialize_config(cfg)  # refuses a directory it cannot record
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.ini").write_text(serialize_config(cfg), encoding="utf-8")
+    (out / "config.ini").write_text(text, encoding="utf-8")
     return out
 
 

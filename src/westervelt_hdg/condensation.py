@@ -5,10 +5,12 @@ For a time step dt and Newmark weights (gamma, beta), the corrector solves
     (M + mu Ks) a_psi + mu R a_lam = rhs,      Rt a_psi + A a_lam = 0,
 
 with mu = c^2 dt^2 beta + delta gamma dt, Ks = S + Bt Mv^-1 B (element
-blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. The stationary solves of
-the initial data are the same system with Ks in place of M + mu Ks and
-mu = 1. For either block-diagonal matrix D, one routine (_eliminate) stores
-W = D^-1 R and factorizes the facet Schur complement A - mu Rt W, so a solve
+blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. Ks, R and A depend on the
+assembled operators alone (FixedBlocks), so every elimination on the same
+operators can share them. The stationary solves of the initial data are the
+same system with Ks in place of M + mu Ks and mu = 1. For either
+block-diagonal matrix D, one routine (_eliminate) stores W = D^-1 R and
+factorizes the facet Schur complement A - mu Rt W, so a solve
 
     z = D^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),   a_psi = z - mu W a_lam
 
@@ -74,6 +76,21 @@ class Elimination:
     last_solve: tuple | None = field(default=None, repr=False)
 
 
+@dataclass(frozen=True)
+class FixedBlocks:
+    """The parts of the condensed system that depend on the assembled
+    operators alone, not on (c, delta, dt, gamma, beta): shared by every
+    elimination built on the same operators."""
+
+    stiffness: np.ndarray  # (ne, d, d) condensed element stiffness Ks
+    # (ne, d, 3 pf) R element by element; its columns are the element's
+    # 3 pf facet dofs, zero on boundary facets
+    coupling_local: np.ndarray
+    coupling: sp.csr_matrix  # (n_scalar, n_facet) R
+    facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
+    gram_solver: object = field(repr=False)
+
+
 @dataclass(kw_only=True)
 class CondensedOperators(Elimination):
     """The corrector's elimination, D = M + mu Ks, and the operators of the
@@ -84,10 +101,7 @@ class CondensedOperators(Elimination):
     dt: float
     gamma: float
     beta: float
-    stiffness: np.ndarray  # (ne, d, d) condensed element stiffness Ks
-    coupling: sp.csr_matrix  # (n_scalar, n_facet) R
-    facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
-    gram_solver: object = field(default=None, repr=False)
+    fixed: FixedBlocks  # Ks, R and A
 
     def check_params(self, c: float, delta: float, dt: float,
                      gamma: float, beta: float) -> None:
@@ -98,15 +112,6 @@ class CondensedOperators(Elimination):
                 f"condensed operators were built for (c, delta, dt, gamma, "
                 f"beta) = {mine}, refusing use with {theirs}"
             )
-
-
-def _element_blocks(ops: AssembledOperators):
-    """Ks (symmetrized) and R element by element; the columns of R are the
-    element's 3 pf facet dofs, zero on boundary facets."""
-    bt_minv = np.matmul(ops.divergence.transpose(0, 2, 1), ops.vector_mass_inv)
-    stiffness = ops.boundary_penalty + np.matmul(bt_minv, ops.divergence)
-    return (0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
-            ops.trace_scalar_local + bt_minv @ ops.trace_vector_local)
 
 
 def _scalar_facet(ops: AssembledOperators, blocks: np.ndarray):
@@ -125,6 +130,20 @@ def _facet_facet(ops: AssembledOperators, blocks: np.ndarray):
                        (ops.trace_penalty, diag, diag), (blocks, cols, cols))
 
 
+def fixed_blocks(ops: AssembledOperators) -> FixedBlocks:
+    """Ks (symmetrized), R and the factorized facet Gram matrix A."""
+    bt_minv = np.matmul(ops.divergence.transpose(0, 2, 1), ops.vector_mass_inv)
+    stiffness = ops.boundary_penalty + np.matmul(bt_minv, ops.divergence)
+    r_loc = ops.trace_scalar_local + bt_minv @ ops.trace_vector_local
+    e_loc = ops.trace_vector_local
+    gram = _facet_facet(ops, e_loc.transpose(0, 2, 1) @ ops.vector_mass_inv
+                        @ e_loc)
+    return FixedBlocks(
+        stiffness=0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
+        coupling_local=r_loc, coupling=_scalar_facet(ops, r_loc),
+        facet_gram=gram, gram_solver=_factorize("facet Gram matrix", gram))
+
+
 def _eliminate(ops: AssembledOperators, r_loc: np.ndarray,
                block_inv: np.ndarray, mu: float, name: str) -> dict:
     """The Elimination fields for the element blocks D^-1 and R; name is the
@@ -141,37 +160,41 @@ def _eliminate(ops: AssembledOperators, r_loc: np.ndarray,
 
 
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
-                    dt: float, gamma: float, beta: float) -> CondensedOperators:
-    if c <= 0.0:
+                    dt: float, gamma: float, beta: float,
+                    fixed: FixedBlocks | None = None) -> CondensedOperators:
+    """The corrector's operators for (c, delta, dt, gamma, beta); fixed is
+    the fixed_blocks of ops, built here when not given."""
+    if not c > 0.0:
         raise CondensationError(f"wave speed must be positive, got {c}")
-    if delta < 0.0:
+    if not delta >= 0.0:
         raise CondensationError(f"damping parameter must be >= 0, got {delta}")
-    if dt <= 0.0:
+    if not dt > 0.0:
         raise CondensationError(f"time step must be positive, got {dt}")
     mu = c * c * dt * dt * beta + delta * gamma * dt
-    stiffness, r_loc = _element_blocks(ops)
+    if fixed is None:
+        fixed = fixed_blocks(ops)
     try:
-        shifted_inv = np.linalg.inv(ops.scalar_mass + mu * stiffness)
+        shifted_inv = np.linalg.inv(ops.scalar_mass + mu * fixed.stiffness)
     except np.linalg.LinAlgError as err:
         raise CondensationError(
             f"element block M + mu Ks singular (mu = {mu:g})") from err
-    e_loc = ops.trace_vector_local
-    gram = _facet_facet(ops, e_loc.transpose(0, 2, 1) @ ops.vector_mass_inv
-                        @ e_loc)
     return CondensedOperators(
-        **_eliminate(ops, r_loc, shifted_inv, mu, "facet Schur complement"),
-        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta, stiffness=stiffness,
-        coupling=_scalar_facet(ops, r_loc), facet_gram=gram,
-        gram_solver=_factorize("facet Gram matrix", gram))
+        **_eliminate(ops, fixed.coupling_local, shifted_inv, mu,
+                     "facet Schur complement"),
+        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta, fixed=fixed)
 
 
-def stationary_elimination(ops: AssembledOperators) -> Elimination:
-    """The elimination of the stationary system, D = Ks and mu = 1.
+def stationary_elimination(ops: AssembledOperators,
+                           fixed: FixedBlocks | None = None) -> Elimination:
+    """The elimination of the stationary system, D = Ks and mu = 1; fixed is
+    the fixed_blocks of ops, built here when not given.
 
     Refuses Ks blocks whose smallest eigenvalue is subnormal or at most d eps
     times their largest: their inverse overflows or has no correct digit.
     """
-    stiffness, r_loc = _element_blocks(ops)
+    if fixed is None:
+        fixed = fixed_blocks(ops)
+    stiffness = fixed.stiffness
     eig = np.linalg.eigvalsh(stiffness)
     d, fp = stiffness.shape[1], np.finfo(float)
     bad = np.flatnonzero(~(eig[:, 0] > np.maximum(d * fp.eps * eig[:, -1],
@@ -180,7 +203,8 @@ def stationary_elimination(ops: AssembledOperators) -> Elimination:
         raise CondensationError(
             f"condensed stiffness block singular on elements {bad[:8].tolist()}"
             f" (smallest eigenvalue subnormal or <= {d} eps x largest)")
-    return Elimination(**_eliminate(ops, r_loc, np.linalg.inv(stiffness), 1.0,
+    return Elimination(**_eliminate(ops, fixed.coupling_local,
+                                    np.linalg.inv(stiffness), 1.0,
                                     "stationary facet Schur complement"))
 
 

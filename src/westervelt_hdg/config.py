@@ -58,7 +58,7 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
     q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
     dense = (14 * d * d  # M, Mv, Mv^-1, B, S; (M + mu Ks)^-1 and Ks
-             + 9 * d * pf  # E and F on the 3 pf facet dofs
+             + 12 * d * pf  # E, F and the blocks of R on the 3 pf facet dofs
              + 1.5 * pf * pf + 3  # facet penalty, tau
              + 2 * q * (d + 1) + q_nl + 3 * pf + 14)  # geometry, dof map
     nonzeros = (9 * d * pf  # W, Wt and R
@@ -284,12 +284,18 @@ def parse_value(section: str, key: str, raw: str):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not {what}") from err
 
 
+def _parser() -> configparser.ConfigParser:
+    """The config file syntax: ';' and '#' start comments, also after
+    whitespace inside a line, and '%' is literal."""
+    return configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                     interpolation=None)
+
+
 def parse_config(text: str, base: RunConfig | None = None,
                  study: str | None = None) -> RunConfig:
     """Overlay a config file onto defaults; rejects unknown sections/keys.
     The result is validated for study (see RunConfig.validate)."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
-                                       interpolation=None)
+    parser = _parser()
     try:
         parser.read_string(text)
     except configparser.Error as err:
@@ -320,7 +326,12 @@ def parse_config(text: str, base: RunConfig | None = None,
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Config text that parses back to an equal RunConfig."""
+    """Config text that parses back to an equal RunConfig.
+
+    Refuses a text value that the file cannot hold: one that parse_config
+    would read back differently, such as one with surrounding whitespace or
+    a ';' or '#' after whitespace, which starts a comment.
+    """
     sections: dict[str, dict[str, str]] = {}
     for key, (section, name, form) in _KEYS.items():
         value = getattr(cfg, name)
@@ -329,8 +340,17 @@ def serialize_config(cfg: RunConfig) -> str:
         # str of a float is its shortest repr, which parses back exactly
         sections.setdefault(section, {})[key] = ("none" if value is None
                                                  else str(value))
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = _parser()
     parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
-    return buf.getvalue()
+    text = buf.getvalue()
+    back = _parser()
+    back.read_string(text)
+    for key, (section, _, form) in _KEYS.items():
+        value = sections[section][key]
+        if form == "text" and back.get(section, key).strip() != value:
+            raise ConfigError(f"{key} = {value!r} cannot be written to a "
+                              f"config file: it would parse back as "
+                              f"{back.get(section, key).strip()!r}")
+    return text

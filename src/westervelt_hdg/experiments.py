@@ -7,7 +7,7 @@ reproduces the binary doubles exactly and repeated runs are byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .basis import triangle_quadrature
 from .condensation import reconstruct_velocity
 from .config import RunConfig, level_dt
 from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
-from .newmark import NewmarkConfig, RunResult, number_of_steps, run
+from .newmark import Discretization, NewmarkConfig, number_of_steps, run
 from .operators import SolverError, apply_blocks
 from .problems import (
     delta_study_problem,
@@ -46,6 +46,11 @@ def _rate_cell(x: float) -> str:
 def _newmark_config(cfg: RunConfig, dt: float) -> NewmarkConfig:
     return NewmarkConfig(dt=dt, gamma=cfg.gamma, beta=cfg.beta, tol=cfg.tol,
                          max_iterations=cfg.max_iterations)
+
+
+def _discretization(cfg: RunConfig, mesh: Mesh) -> Discretization:
+    return Discretization(mesh, cfg.degree, tau_bar=cfg.tau,
+                          tau_mode=cfg.tau_mode)
 
 
 @dataclass
@@ -109,9 +114,8 @@ def h_convergence_study(cfg: RunConfig) -> ConvergenceReport:
         h = mesh_metrics(mesh).h
         dt = dts[n]
         try:
-            result = run(prob, mesh, _newmark_config(cfg, dt),
-                         degree=cfg.degree, tau_bar=cfg.tau,
-                         tau_mode=cfg.tau_mode)
+            result = run(prob, _discretization(cfg, mesh),
+                         _newmark_config(cfg, dt))
         except SolverError as err:
             # keep whatever levels did finish; the table notes the rest
             report.failures.append(f"n={n}: {err}")
@@ -185,27 +189,25 @@ def delta_convergence_study(cfg: RunConfig,
                             ) -> DeltaReport:
     """Distance of damped runs from the undamped run at the final time.
 
-    All runs share the mesh (first configured level), degree and time step;
-    differences are measured in the scalar and vector mass norms.
+    All runs share one discretization of the first configured level, the
+    initial data and the time step, so each run builds only its condensed
+    operators and initial acceleration; differences are measured in the
+    scalar and vector mass norms.
     """
-    mesh = generate_structured_mesh(cfg.levels[0])
+    disc = _discretization(cfg, generate_structured_mesh(cfg.levels[0]))
     dt = level_dt(cfg, "delta_convergence")[cfg.levels[0]]
     ncfg = _newmark_config(cfg, dt)
-
-    def final_state(delta: float) -> RunResult:
-        prob = delta_study_problem(delta, c=cfg.c, k=cfg.k,
+    undamped = delta_study_problem(0.0, c=cfg.c, k=cfg.k,
                                    final_time=cfg.final_time)
-        return run(prob, mesh, ncfg, degree=cfg.degree, tau_bar=cfg.tau,
-                   tau_mode=cfg.tau_mode)
-
-    base = final_state(0.0)
-    ops = base.ops
-    base_vel = reconstruct_velocity(ops, base.state.psi, base.state.lam)
+    # the final state of each run; its condensed operators are freed
+    base = run(undamped, disc, ncfg).state
+    ops = disc.ops
+    base_vel = reconstruct_velocity(ops, base.psi, base.lam)
     report = DeltaReport(degree=cfg.degree)
     for delta in deltas:
-        res = final_state(delta)
-        dpsi = res.state.psi - base.state.psi
-        dvel = reconstruct_velocity(ops, res.state.psi, res.state.lam) - base_vel
+        res = run(replace(undamped, delta=delta), disc, ncfg).state
+        dpsi = res.psi - base.psi
+        dvel = reconstruct_velocity(ops, res.psi, res.lam) - base_vel
         report.levels.append(DeltaLevel(
             delta=delta,
             err_psi=float(np.sqrt(dpsi @ apply_blocks(ops.scalar_mass, dpsi))),
@@ -232,6 +234,7 @@ def wavefront_study(cfg: RunConfig) -> WavefrontResult:
     profile samples it along the horizontal midline at the final time.
     """
     mesh = generate_structured_mesh(cfg.levels[0])
+    disc = _discretization(cfg, mesh)
     dt = level_dt(cfg, "wavefront")[cfg.levels[0]]
     ncfg = _newmark_config(cfg, dt)
     targets = {int(round(ts / dt)): ts for ts in cfg.snapshot_times}
@@ -249,9 +252,7 @@ def wavefront_study(cfg: RunConfig) -> WavefrontResult:
                     mesh, cfg.degree, state.dpsi.copy())
             return None
 
-        result = run(prob, mesh, ncfg, observers={"snap": observer},
-                     degree=cfg.degree, tau_bar=cfg.tau,
-                     tau_mode=cfg.tau_mode)
+        result = run(prob, disc, ncfg, observers={"snap": observer})
         mean_iterations[variant] = result.mean_iterations
         profiles[variant] = DiscreteScalarField(mesh, cfg.degree,
                                                 result.state.dpsi.copy())
@@ -309,12 +310,12 @@ def single_run_study(cfg: RunConfig) -> SingleRunSummary:
     mesh = generate_structured_mesh(cfg.levels[0])
     dt = level_dt(cfg, "run")[cfg.levels[0]]
     history = History(number_of_steps(cfg.final_time, dt) + 1)
-    result = run(prob, mesh, _newmark_config(cfg, dt),
-                 observers={"history": history}, degree=cfg.degree,
-                 tau_bar=cfg.tau, tau_mode=cfg.tau_mode)
+    result = run(prob, _discretization(cfg, mesh), _newmark_config(cfg, dt),
+                 observers={"history": history})
     ops, state = result.ops, result.state
     mean_iterations = result.mean_iterations
-    # the condensed operators are done with: free them for the energies
+    # the condensed operators and, as nothing else holds the discretization,
+    # its fixed blocks are done with: free them for the energies
     del result
     energies0, energies1 = energy(history, ops, prob.k, prob.c)
     err_psi = err_v = None

@@ -31,6 +31,7 @@ is assembled at every step (load_function).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -38,6 +39,7 @@ import numpy as np
 
 from .condensation import (
     CondensedOperators,
+    FixedBlocks,
     build_condensed,
     condensed_solve,
     stationary_elimination,
@@ -83,13 +85,13 @@ class NewmarkConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        if not self.dt > 0.0:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if not 0.0 <= self.beta <= 0.5:
             raise ValueError(f"beta must lie in [0, 1/2], got {self.beta}")
-        if self.tol <= 0.0:
+        if not self.tol > 0.0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
         if self.max_iterations < 1:
             raise ValueError(
@@ -120,11 +122,11 @@ class ProblemDefinition:
     exact_v: Callable | None = None
 
     def __post_init__(self):
-        if self.c <= 0.0:
+        if not self.c > 0.0:
             raise ValueError(f"wave speed must be positive, got {self.c}")
         if not self.delta >= 0.0:
             raise ValueError(f"damping must be >= 0, got {self.delta}")
-        if self.final_time <= 0.0:
+        if not self.final_time > 0.0:
             raise ValueError(f"final time must be positive, got {self.final_time}")
 
 
@@ -171,16 +173,17 @@ def predictor(state: State, cfg: NewmarkConfig, delta: float,
 
 def consistent_traces(cond: CondensedOperators, psi: np.ndarray) -> np.ndarray:
     """Facet values satisfying the trace constraint for given scalar data."""
-    return cond.gram_solver.solve(-(cond.coupling.T @ psi))
+    return cond.fixed.gram_solver.solve(-(cond.fixed.coupling.T @ psi))
 
 
-def compute_initial_state(prob: ProblemDefinition,
-                          ops: AssembledOperators) -> State:
+def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
+                          fixed: FixedBlocks | None = None) -> State:
     """Stationary HDG solves projecting the two initial data fields.
 
     Each field solves the mixed system driven by minus its Laplacian through
-    the stationary elimination, built once and only when a datum is given.
-    Accelerations are left at zero; see compute_initial_acceleration.
+    the stationary elimination, built once and only when a datum is given
+    (from fixed, the fixed_blocks of ops, when given). Accelerations are left
+    at zero; see compute_initial_acceleration.
     """
     lay = ops.layout
     static, levels = None, []
@@ -192,7 +195,7 @@ def compute_initial_state(prob: ProblemDefinition,
             raise InitializationError(
                 "initial datum given without its Laplacian")
         if static is None:
-            static = stationary_elimination(ops)
+            static = stationary_elimination(ops, fixed)
         source = assemble_load(lambda x, y, t: -lap(x, y), 0.0, ops.tables)
         levels.append(condensed_solve(static, source))
     (psi0, lam0), (psi1, lam1) = levels
@@ -215,7 +218,8 @@ def compute_initial_acceleration(state: State, prob: ProblemDefinition,
     w = prob.delta / c2
     psi_t = state.psi + w * state.dpsi
     lam_t = state.lam + w * state.dlam
-    rhs = -c2 * (apply_blocks(cond.stiffness, psi_t) + cond.coupling @ lam_t)
+    rhs = -c2 * (apply_blocks(cond.fixed.stiffness, psi_t)
+                 + cond.fixed.coupling @ lam_t)
     if prob.forcing is not None:
         rhs = rhs + assemble_load(prob.forcing, state.t, ops.tables)
     nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
@@ -257,8 +261,9 @@ def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
                    cond: CondensedOperators) -> np.ndarray:
     """Corrector load: forcing minus stiffness applied to the predictions."""
     c2 = c * c
-    return load_next - c2 * (apply_blocks(cond.stiffness, pred.psi_tilde)
-                             + cond.coupling @ pred.lam_tilde)
+    return load_next - c2 * (apply_blocks(cond.fixed.stiffness,
+                                          pred.psi_tilde)
+                             + cond.fixed.coupling @ pred.lam_tilde)
 
 
 def corrector_step(pred: Prediction, ddpsi: np.ndarray,
@@ -434,22 +439,70 @@ def number_of_steps(final_time: float, dt: float) -> int:
     return n
 
 
-def run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig,
+class Discretization:
+    """The part of a run that depends only on the mesh, the degree and the
+    stabilization tau_bar, tau_mode: the topology, the layout and the
+    AssembledOperators, the FixedBlocks of the condensation and the last
+    projected initial state. Every run on it builds only what depends on
+    the problem's coefficients and the time step.
+
+    Each part is built on first use inside run, through the names of this
+    module, so the first run's setup includes it. The projected state is
+    reused while the four initial data callables are the same objects; every
+    run gets its own copies of its arrays.
+    """
+
+    def __init__(self, mesh: Mesh, degree: int, tau_bar: float = 1.0,
+                 tau_mode: str = "single_facet"):
+        self.mesh, self.degree = mesh, degree
+        self.tau_bar, self.tau_mode = tau_bar, tau_mode
+        self._ops: AssembledOperators | None = None
+        self._fixed: FixedBlocks | None = None
+        self._initial: tuple[tuple, State] | None = None  # (data, state)
+
+    @property
+    def ops(self) -> AssembledOperators:
+        if self._ops is None:
+            topo = compute_facet_topology(self.mesh)
+            layout = build_layout(self.mesh, topo, self.degree)
+            self._ops = assemble_operators(self.mesh, topo, layout,
+                                           tau_bar=self.tau_bar,
+                                           tau_mode=self.tau_mode)
+        return self._ops
+
+    def condensed(self, prob: ProblemDefinition,
+                  cfg: NewmarkConfig) -> CondensedOperators:
+        """The corrector's operators of prob and cfg; the first call builds
+        the FixedBlocks that every later one reuses."""
+        cond = build_condensed(self.ops, prob.c, prob.delta, cfg.dt,
+                               cfg.gamma, cfg.beta, self._fixed)
+        self._fixed = cond.fixed
+        return cond
+
+    def initial_state(self, prob: ProblemDefinition) -> State:
+        """A copy of the projected initial data of prob
+        (compute_initial_state), projected again only when one of the data
+        callables is not the object it was at the last projection."""
+        data = (prob.psi0, prob.lap_psi0, prob.psi1, prob.lap_psi1)
+        if self._initial is None or any(
+                a is not b for a, b in zip(data, self._initial[0])):
+            self._initial = (data, compute_initial_state(prob, self.ops,
+                                                         self._fixed))
+        return copy.deepcopy(self._initial[1])
+
+
+def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
         observers: Mapping[str, Callable[[State], object]] | None = None,
-        *, degree: int, tau_bar: float = 1.0,
-        tau_mode: str = "single_facet") -> RunResult:
-    """Assemble, initialize and march the scheme to the final time.
+        ) -> RunResult:
+    """Initialize and march the scheme to the final time on disc, building
+    whatever part of disc is not built yet.
 
     Observers are read-only callables of the state, sampled at t=0 and after
     every step; their outputs are collected per name in the result.
     """
-    topo = compute_facet_topology(mesh)
-    layout = build_layout(mesh, topo, degree)
-    ops = assemble_operators(mesh, topo, layout, tau_bar=tau_bar,
-                             tau_mode=tau_mode)
-    cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
-                           cfg.beta)
-    state = compute_initial_state(prob, ops)
+    ops = disc.ops
+    cond = disc.condensed(prob, cfg)
+    state = disc.initial_state(prob)
     compute_initial_acceleration(state, prob, ops, cond)
     load = load_function(prob.forcing, ops.tables)
     n_steps = number_of_steps(prob.final_time, cfg.dt)

@@ -30,11 +30,11 @@ from westervelt_hdg.mesh import (
     FacetTopology,
     Mesh,
     MeshError,
-    compute_facet_topology,
     element_geometry,
     generate_structured_mesh,
 )
 from westervelt_hdg.newmark import (
+    Discretization,
     NewmarkConfig,
     NonconvergenceError,
     ProblemDefinition,
@@ -52,8 +52,6 @@ from westervelt_hdg.operators import (
     AssembledOperators,
     DofLayout,
     ElementTables,
-    assemble_operators,
-    build_layout,
     element_dofs,
     facet_traces,
     scatter_csr,
@@ -843,15 +841,13 @@ def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     ), s
 
 
-def plain_run(prob: ProblemDefinition, mesh: Mesh, cfg: NewmarkConfig, *,
-              degree: int, tau_bar: float = 1.0,
-              tau_mode: str = "single_facet") -> tuple[State, list[int]]:
+def plain_run(prob: ProblemDefinition, disc: Discretization,
+              cfg: NewmarkConfig) -> tuple[State, list[int]]:
     """newmark.run with plain_advance steps and the same starts (a_0, then
     2 a_n - a_{n-1}, then 3 (a_n - a_{n-1}) + a_{n-2}); returns the final
-    state and the passes of every step."""
-    topo = compute_facet_topology(mesh)
-    ops = assemble_operators(mesh, topo, build_layout(mesh, topo, degree),
-                             tau_bar=tau_bar, tau_mode=tau_mode)
+    state and the passes of every step. Only the operators of disc are
+    used; everything else is built here."""
+    ops = disc.ops
     cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
                            cfg.beta)
     state = compute_initial_state(prob, ops)

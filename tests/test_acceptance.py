@@ -33,6 +33,7 @@ from westervelt_hdg.experiments import (
 )
 from westervelt_hdg.mesh import generate_structured_mesh
 from westervelt_hdg.newmark import (
+    Discretization,
     NewmarkConfig,
     ProblemDefinition,
     State,
@@ -238,7 +239,7 @@ def test_criterion_6_corrector_iteration_counts():
     lin = delta_study_problem(1.0e-3, c=1.0, k=0.0, final_time=0.05)
     msh = generate_structured_mesh(4)
     cfg = NewmarkConfig(dt=0.01, gamma=0.5, beta=0.25, tol=1.0e-10)
-    res = run(lin, msh, cfg, degree=1)
+    res = run(lin, Discretization(msh, 1), cfg)
     assert res.iterations == [2] * 5
 
     # nonlinear manufactured configuration stays cheap on average

@@ -51,8 +51,9 @@ def test_run_hooks_resolve(monkeypatch):
     monkeypatch.setattr(newmark, "number_of_steps", counting)
     assert experiments.run is newmark.run
     prob = newmark.ProblemDefinition(c=1.0, final_time=0.02)
-    result = newmark.run(prob, generate_structured_mesh(2),
-                         newmark.NewmarkConfig(dt=0.01), degree=1)
+    result = newmark.run(
+        prob, newmark.Discretization(generate_structured_mesh(2), 1),
+        newmark.NewmarkConfig(dt=0.01))
     assert calls == [(0.02, 0.01)]
     assert result.iterations == [2, 2]
     lu = result.cond.facet_solver

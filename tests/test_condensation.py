@@ -61,6 +61,16 @@ class TestShiftParameter:
         with pytest.raises(CondensationError, match="time step"):
             build_condensed(ops, 1.0, 0.0, 0.0, 0.5, 0.25)
 
+    @pytest.mark.parametrize("c,delta,dt,match", [
+        (np.nan, 0.0, 0.1, "wave speed"),
+        (1.0, np.nan, 0.1, "damping"),
+        (1.0, 0.0, np.nan, "time step"),
+    ], ids=["c", "delta", "dt"])
+    def test_nan_parameters_rejected(self, c, delta, dt, match):
+        topo, lay, ops, cond = build(generate_structured_mesh(1), 0)
+        with pytest.raises(CondensationError, match=match):
+            build_condensed(ops, c, delta, dt, 0.5, 0.25)
+
 
 MESH_CASES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 
@@ -75,14 +85,14 @@ class TestAgainstDenseElimination:
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
         seven, dc = dense_pieces(msh, degree, cond.mu, tau_mode=tau_mode)
 
-        assert np.max(np.abs(block_diag_csr(cond.stiffness).toarray()
+        assert np.max(np.abs(block_diag_csr(cond.fixed.stiffness).toarray()
                              - dc["Ks"])) <= 1e-12
         shifted_inv = np.linalg.inv(dc["shifted"])
         assert np.max(np.abs(block_diag_csr(cond.block_inv).toarray()
                              - shifted_inv)) <= 1e-11
-        assert np.max(np.abs(np.asarray(cond.coupling.todense())
+        assert np.max(np.abs(np.asarray(cond.fixed.coupling.todense())
                              - dc["R"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(cond.facet_gram.todense())
+        assert np.max(np.abs(np.asarray(cond.fixed.facet_gram.todense())
                              - dc["A"])) <= 1e-12
         assert np.max(np.abs(np.asarray(cond.facet_schur.todense())
                              - dc["schur"])) <= 1e-12
@@ -116,7 +126,7 @@ class TestAgainstDenseElimination:
         seven, dc = dense_pieces(msh, 1, cond.mu)
         assert np.max(np.abs(np.asarray(cond.facet_schur.todense())
                              - dc["schur"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(cond.facet_gram.todense())
+        assert np.max(np.abs(np.asarray(cond.fixed.facet_gram.todense())
                              - dc["A"])) <= 1e-12
 
 
@@ -129,7 +139,8 @@ class TestSparsity:
         # factorizations
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
-        for mat in (cond.facet_schur, cond.facet_gram, cond.coupling,
+        for mat in (cond.facet_schur, cond.fixed.facet_gram,
+                    cond.fixed.coupling,
                     stationary_elimination(ops).facet_schur):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
@@ -143,7 +154,7 @@ class TestSparsity:
         topo, lay, ops, cond = build(msh, degree)
         static = stationary_elimination(ops)
         for mat, lu in ((cond.facet_schur, cond.facet_solver),
-                        (cond.facet_gram, cond.gram_solver),
+                        (cond.fixed.facet_gram, cond.fixed.gram_solver),
                         (static.facet_schur, static.facet_solver)):
             colamd = spla.splu(mat.tocsc())
             assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -153,7 +164,7 @@ class TestSpectralStructure:
     def test_facet_gram_is_spd(self):
         msh = oracles.perturbed_mesh(2, seed=44)
         topo, lay, ops, cond = build(msh, 2)
-        a = np.asarray(cond.facet_gram.todense())
+        a = np.asarray(cond.fixed.facet_gram.todense())
         assert np.max(np.abs(a - a.T)) <= 1e-13
         assert np.min(np.linalg.eigvalsh(a)) > 0.0
 
@@ -167,8 +178,9 @@ class TestSpectralStructure:
     def test_condensed_stiffness_blocks_symmetric(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 2)
-        assert np.max(np.abs(cond.stiffness
-                             - cond.stiffness.transpose(0, 2, 1))) == 0.0
+        stiffness = cond.fixed.stiffness
+        assert np.max(np.abs(stiffness
+                             - stiffness.transpose(0, 2, 1))) == 0.0
 
     def test_static_schur_independent_of_time_step(self):
         # without the mass, the corrector's A - mu Rt (mu Ks)^-1 R is the
@@ -257,9 +269,9 @@ class TestSolves:
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
         shifted = block_diag_csr(ops.scalar_mass) \
-            + cond.mu * block_diag_csr(cond.stiffness)
-        r1 = shifted @ a_psi + cond.mu * (cond.coupling @ a_lam) - rhs
-        r2 = cond.coupling.T @ a_psi + cond.facet_gram @ a_lam
+            + cond.mu * block_diag_csr(cond.fixed.stiffness)
+        r1 = shifted @ a_psi + cond.mu * (cond.fixed.coupling @ a_lam) - rhs
+        r2 = cond.fixed.coupling.T @ a_psi + cond.fixed.facet_gram @ a_lam
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(r1)) <= 1e-11 * scale
         assert np.max(np.abs(r2)) <= 1e-11 * scale
@@ -277,7 +289,7 @@ class TestSolves:
         topo, lay, ops, cond = build(msh, 1)
         seven, dc = dense_pieces(msh, 1, cond.mu)
         b = rng.standard_normal(lay.n_facet)
-        got = cond.gram_solver.solve(b)
+        got = cond.fixed.gram_solver.solve(b)
         want = np.linalg.solve(dc["A"], b)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -329,7 +341,7 @@ class TestGuards:
         a_psi, a_lam = condensed_solve(cond, rhs)
         assert a_lam.shape == (0,)
         want = np.linalg.solve(ops.scalar_mass[0]
-                               + cond.mu * cond.stiffness[0], rhs)
+                               + cond.mu * cond.fixed.stiffness[0], rhs)
         assert np.max(np.abs(a_psi - want)) <= 1e-12
         v = reconstruct_velocity(ops, a_psi, a_lam)
         assert v.shape == (n_vector(lay),)

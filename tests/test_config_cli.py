@@ -328,7 +328,7 @@ class TestConfig:
         ops = assemble_operators(msh, topo, build_layout(msh, topo, degree))
         cond = build_condensed(ops, 1.0, 0.0, 0.01, 0.5, 0.25)
         held = 0
-        for obj in (msh, topo, ops, ops.tables, cond):
+        for obj in (msh, topo, ops, ops.tables, cond, cond.fixed):
             for value in vars(obj).values():
                 if scipy.sparse.issparse(value):
                     held += sum(a.nbytes for a in (
@@ -1047,6 +1047,24 @@ class TestCli:
             encoding="utf-8"), study="run")
         assert written.output_dir == "a%b"
         assert written == parse_config(text, study="run")
+
+    @pytest.mark.parametrize("name", ["a ;b", "a #b", " lead", "tr "])
+    def test_out_that_config_ini_cannot_hold_is_refused(
+            self, tmp_path, capsys, monkeypatch, name):
+        # config.ini would read the name back without its comment or its
+        # surrounding spaces, so the run is refused before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(experiments, "run", no_solve)
+        cfg = self.write(tmp_path, "tiny.ini", TINY_H)
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(cfg), "--out", name]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: directory = {name!r} "
+                              f"cannot be written to a config file")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize("command", CLI_COMMANDS)
     def test_exit_4_comes_before_the_solve(self, tmp_path, capsys,

@@ -7,6 +7,7 @@ predictor-corrector bookkeeping.
 
 import copy
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from westervelt_hdg.operators import (
 )
 from westervelt_hdg.condensation import CondensationError, build_condensed
 from westervelt_hdg.newmark import (
+    Discretization,
     InitializationError,
     NewmarkConfig,
     NonconvergenceError,
@@ -37,7 +39,8 @@ from westervelt_hdg.newmark import (
     run,
     stiffness_load,
 )
-from westervelt_hdg import newmark
+from westervelt_hdg import experiments, newmark
+from westervelt_hdg.config import default_config
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -264,8 +267,9 @@ class TestCorrector:
         pred = predictor(state, cfg, 1.0e-3, 2.0)
         load = rng.standard_normal(lay.n_scalar)
         got = stiffness_load(pred, load, 2.0, cond)
-        want = load - 4.0 * (block_diag_csr(cond.stiffness) @ pred.psi_tilde
-                             + cond.coupling @ pred.lam_tilde)
+        want = load - 4.0 * (
+            block_diag_csr(cond.fixed.stiffness) @ pred.psi_tilde
+            + cond.fixed.coupling @ pred.lam_tilde)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(
             1.0, np.max(np.abs(want)))
 
@@ -341,7 +345,8 @@ class TestAdvance:
         state = random_consistent_state(lay, cond, rng)
         compute_initial_acceleration(state, prob, ops, cond)
         state, _ = advance_step(state, cfg, prob, ops, cond)
-        resid = cond.coupling.T @ state.ddpsi + cond.facet_gram @ state.ddlam
+        resid = (cond.fixed.coupling.T @ state.ddpsi
+                 + cond.fixed.facet_gram @ state.ddlam)
         scale = max(np.max(np.abs(state.ddpsi)), 1e-30)
         assert np.max(np.abs(resid)) <= 1e-11 * scale
 
@@ -378,8 +383,8 @@ class TestAdvance:
         prob = manufactured_problem(c=100.0, k=0.0, delta=1.0e300,
                                     final_time=0.01)
         with pytest.raises(NonconvergenceError, match="not finite") as exc:
-            run(prob, generate_structured_mesh(2), NewmarkConfig(dt=1.0e-3),
-                degree=0)
+            run(prob, Discretization(generate_structured_mesh(2), 0),
+                NewmarkConfig(dt=1.0e-3))
         err = exc.value
         assert err.step == 0
         assert err.iterations <= 2
@@ -467,7 +472,7 @@ class TestDriver:
             c=1.0, delta=1.0e-3, final_time=0.05,
             psi0=bump, lap_psi0=lap_bump)
         cfg = NewmarkConfig(dt=0.01)
-        result = run(prob, msh, cfg, degree=1,
+        result = run(prob, Discretization(msh, 1), cfg,
                      observers={"t": lambda s: s.t,
                                 "norm": lambda s: float(
                                     np.linalg.norm(s.psi))})
@@ -489,7 +494,7 @@ class TestDriver:
         prob = manufactured_problem(c=1.0, k=0.3, delta=1.0e-3,
                                     omega=2.0 * np.pi, final_time=0.2)
         cfg = NewmarkConfig(dt=0.01)
-        result = run(prob, msh, cfg, degree=1)
+        result = run(prob, Discretization(msh, 1), cfg)
         topo, lay, ops, cond = build(msh, 1, c=prob.c, delta=prob.delta,
                                      dt=cfg.dt)
         state = compute_initial_state(prob, ops)
@@ -514,8 +519,9 @@ class TestDriver:
         msh = generate_structured_mesh(8)
         prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=0.3)
         cfg = NewmarkConfig(dt=0.01)
-        result = run(prob, msh, cfg, **self.DELTA_STUDY)
-        plain, passes = oracles.plain_run(prob, msh, cfg, **self.DELTA_STUDY)
+        result = run(prob, Discretization(msh, **self.DELTA_STUDY), cfg)
+        plain, passes = oracles.plain_run(
+            prob, Discretization(msh, **self.DELTA_STUDY), cfg)
         scale = np.max(np.abs(plain.psi))
         assert np.max(np.abs(result.state.psi - plain.psi)) <= 1e-8 * scale
         assert sum(result.iterations) < sum(passes)
@@ -525,8 +531,9 @@ class TestDriver:
         msh = generate_structured_mesh(8)
         prob = delta_study_problem(1.0e-2, c=1.0, k=0.0, final_time=0.3)
         cfg = NewmarkConfig(dt=0.01)
-        result = run(prob, msh, cfg, **self.DELTA_STUDY)
-        plain, passes = oracles.plain_run(prob, msh, cfg, **self.DELTA_STUDY)
+        result = run(prob, Discretization(msh, **self.DELTA_STUDY), cfg)
+        plain, passes = oracles.plain_run(
+            prob, Discretization(msh, **self.DELTA_STUDY), cfg)
         assert result.iterations == passes == [2] * 30
         for name in ("psi", "dpsi", "ddpsi", "lam", "dlam", "ddlam"):
             assert np.array_equal(getattr(result.state, name),
@@ -540,8 +547,9 @@ class TestDriver:
         prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=1.0)
         with pytest.raises(NonconvergenceError,
                            match="stops contracting") as exc:
-            run(prob, generate_structured_mesh(16), NewmarkConfig(dt=5.0e-3),
-                degree=0, tau_bar=1.0, tau_mode="single_facet")
+            run(prob, Discretization(generate_structured_mesh(16), 0,
+                                     tau_bar=1.0, tau_mode="single_facet"),
+                NewmarkConfig(dt=5.0e-3))
         err = exc.value
         assert err.step == 120
         assert 3 <= err.iterations < 13
@@ -555,7 +563,7 @@ class TestDriver:
         msh = generate_structured_mesh(4)
         prob = manufactured_problem(c=1.0, k=0.0, delta=1.0e-3,
                                     omega=2.0 * np.pi, final_time=0.01)
-        result = run(prob, msh, NewmarkConfig(dt=5.0e-4), degree=1)
+        result = run(prob, Discretization(msh, 1), NewmarkConfig(dt=5.0e-4))
         assert result.iterations == [2] * 20
 
     def test_linear_run_solves_once_per_step(self, monkeypatch):
@@ -579,7 +587,7 @@ class TestDriver:
         msh = generate_structured_mesh(4)
         prob = manufactured_problem(c=1.0, k=0.0, delta=1.0e-3,
                                     omega=2.0 * np.pi, final_time=0.01)
-        result = run(prob, msh, NewmarkConfig(dt=5.0e-4), degree=1)
+        result = run(prob, Discretization(msh, 1), NewmarkConfig(dt=5.0e-4))
         assert result.iterations == [2] * 20
         assert len(calls) == 20
 
@@ -608,9 +616,9 @@ class TestDriver:
 
         monkeypatch.setattr(newmark, "assemble_load", counting_load)
         msh = generate_structured_mesh(4)
-        want = run(plain, msh, cfg, degree=2)
+        want = run(plain, Discretization(msh, 2), cfg)
         plain_calls, calls[:] = len(calls), []
-        got = run(prob, msh, cfg, degree=2)
+        got = run(prob, Discretization(msh, 2), cfg)
         assert plain_calls >= want.n_steps
         assert len(calls) < want.n_steps
         assert got.iterations == want.iterations
@@ -621,7 +629,7 @@ class TestDriver:
     def test_run_without_observers(self):
         msh = generate_structured_mesh(1)
         prob = ProblemDefinition(c=1.0, final_time=0.02)
-        result = run(prob, msh, NewmarkConfig(dt=0.01), degree=0)
+        result = run(prob, Discretization(msh, 0), NewmarkConfig(dt=0.01))
         assert result.observations == {}
         assert result.n_steps == 2
 
@@ -639,6 +647,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="budget"):
             NewmarkConfig(dt=0.1, max_iterations=0)
 
+    @pytest.mark.parametrize("make,kwargs,match", [
+        (NewmarkConfig, dict(dt=math.nan), "time step"),
+        (NewmarkConfig, dict(dt=0.1, gamma=math.nan), "gamma"),
+        (NewmarkConfig, dict(dt=0.1, beta=math.nan), "beta"),
+        (NewmarkConfig, dict(dt=0.1, tol=math.nan), "tolerance"),
+        (ProblemDefinition, dict(c=math.nan), "wave speed"),
+        (ProblemDefinition, dict(c=1.0, delta=math.nan), "damping"),
+        (ProblemDefinition, dict(c=1.0, final_time=math.nan), "final time"),
+    ], ids=["dt", "gamma", "beta", "tol", "c", "delta", "final_time"])
+    def test_nan_is_rejected(self, make, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            make(**kwargs)
+
     def test_problem_definition_rejects_bad_values(self):
         with pytest.raises(ValueError, match="wave speed"):
             ProblemDefinition(c=0.0)
@@ -646,3 +667,77 @@ class TestValidation:
             ProblemDefinition(c=1.0, delta=-1.0e-9)
         with pytest.raises(ValueError, match="final time"):
             ProblemDefinition(c=1.0, final_time=0.0)
+
+
+class TestDiscretization:
+    # the delta study at n = 4, p = 1 with 5 steps per run
+    DELTA = dataclasses.replace(default_config("delta_convergence"),
+                                degree=1, levels=(4,), final_time=0.05,
+                                dt=0.01)
+    WAVEFRONT = dataclasses.replace(default_config("wavefront"), degree=1,
+                                    levels=(4,), final_time=4.0e-6, dt=2.0e-6,
+                                    snapshot_times=(4.0e-6,),
+                                    profile_samples=16)
+
+    def test_shared_sweep_writes_the_table_of_fresh_runs(self, monkeypatch):
+        # the sweep's six runs share one discretization; run on a fresh one
+        # each, they must give the same table byte for byte
+        shared = experiments.delta_convergence_study(self.DELTA).to_csv()
+
+        def fresh_run(prob, disc, cfg, observers=None):
+            return run(prob, Discretization(disc.mesh, disc.degree,
+                                            disc.tau_bar, disc.tau_mode),
+                       cfg, observers)
+
+        monkeypatch.setattr(experiments, "run", fresh_run)
+        assert experiments.delta_convergence_study(self.DELTA).to_csv() \
+            == shared
+
+    @pytest.mark.parametrize("study,counts", [
+        ("delta", dict(topology=1, assemble=1, stationary=1, condensed=6,
+                       initial=1)),
+        ("wavefront", dict(topology=1, assemble=1, stationary=0,
+                           condensed=2, initial=1)),
+    ])
+    def test_study_builds_its_discretization_once(self, monkeypatch, study,
+                                                  counts):
+        calls = dict.fromkeys(counts, 0)
+        for key, name in (("topology", "compute_facet_topology"),
+                          ("assemble", "assemble_operators"),
+                          ("stationary", "stationary_elimination"),
+                          ("condensed", "build_condensed"),
+                          ("initial", "compute_initial_state")):
+            def counting(*args, key=key, fn=getattr(newmark, name),
+                         **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(newmark, name, counting)
+        if study == "delta":
+            experiments.delta_convergence_study(self.DELTA)
+        else:
+            experiments.wavefront_study(self.WAVEFRONT)
+        assert calls == counts
+
+    def test_runs_get_their_own_initial_state(self):
+        # overwriting the t = 0 state of one run must not reach the
+        # projection that the next run on the same discretization reuses
+        disc = Discretization(generate_structured_mesh(2), 1)
+        prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=0.02)
+        cfg = NewmarkConfig(dt=0.01)
+        fresh = compute_initial_state(prob, disc.ops)
+        names = ("psi", "dpsi", "lam", "dlam")
+        first = run(prob, disc, cfg, observers={"t0": lambda s: s})
+        for name in names:
+            getattr(first.observations["t0"][0], name)[:] = 7.0
+        second = run(dataclasses.replace(prob, delta=1.0e-2), disc, cfg,
+                     observers={"t0": copy.deepcopy})
+        got = second.observations["t0"][0]
+        for name in names:
+            assert np.array_equal(getattr(got, name), getattr(fresh, name))
+        # other data callables are projected anew
+        other = delta_study_problem(0.0, c=1.0, k=0.3, final_time=0.02,
+                                    amplitude0=0.0)
+        state = disc.initial_state(other)
+        assert np.max(np.abs(state.psi)) == 0.0
+        assert np.array_equal(state.dpsi, fresh.dpsi)
