@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import TriangleBasis, scalar_space_dim, triangle_quadrature
-from .mesh import Mesh, element_geometry
+from .mesh import Mesh, element_geometry, quadrature_points
 from .newmark import State
 from .operators import AssembledOperators, NondegeneracyError
 
@@ -101,9 +101,8 @@ def l2_error(fld, exact, t: float = 0.0, quad_order: int | None = None) -> float
     """
     order = 2 * fld.degree + 4 if quad_order is None else quad_order
     rule = triangle_quadrature(order)
-    vert0, jac, detj = element_geometry(fld.mesh)
-    xq = vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
-    wdet = rule.weights[None, :] * detj[:, None]
+    xq = quadrature_points(fld.mesh, rule.points)
+    wdet = rule.weights[None, :] * element_geometry(fld.mesh)[2][:, None]
     if isinstance(fld, DiscreteVectorField):
         vals = fld.eval_reference(rule.points)
         ex, ey = exact(xq[..., 0], xq[..., 1], t)

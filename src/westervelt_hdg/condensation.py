@@ -31,6 +31,7 @@ from .operators import (
     AssembledOperators,
     SolverError,
     apply_blocks,
+    check_parameter,
     element_dofs,
     scatter_csr,
 )
@@ -164,12 +165,9 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
                     fixed: FixedBlocks | None = None) -> CondensedOperators:
     """The corrector's operators for (c, delta, dt, gamma, beta); fixed is
     the fixed_blocks of ops, built here when not given."""
-    if not c > 0.0:
-        raise CondensationError(f"wave speed must be positive, got {c}")
-    if not delta >= 0.0:
-        raise CondensationError(f"damping parameter must be >= 0, got {delta}")
-    if not dt > 0.0:
-        raise CondensationError(f"time step must be positive, got {dt}")
+    for name, value in (("c", c), ("c^2", c * c), ("delta", delta),
+                        ("dt", dt), ("gamma", gamma), ("beta", beta)):
+        check_parameter(name, value, CondensationError)
     mu = c * c * dt * dt * beta + delta * gamma * dt
     if fixed is None:
         fixed = fixed_blocks(ops)

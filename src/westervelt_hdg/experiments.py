@@ -24,7 +24,8 @@ from .analysis import (
 from .basis import triangle_quadrature
 from .condensation import reconstruct_velocity
 from .config import RunConfig, level_dt
-from .mesh import Mesh, element_geometry, generate_structured_mesh, mesh_metrics
+from .mesh import (Mesh, generate_structured_mesh, mesh_metrics,
+                   quadrature_points)
 from .newmark import Discretization, NewmarkConfig, number_of_steps, run
 from .operators import SolverError, apply_blocks
 from .problems import (
@@ -344,8 +345,7 @@ def export_field(fld: DiscreteScalarField, path, fmt: str = "csv") -> None:
     mesh = fld.mesh
     if fmt == "csv":
         rule = triangle_quadrature(2 * fld.degree + 2)
-        vert0, jac, _ = element_geometry(mesh)
-        xq = vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, rule.points)
+        xq = quadrature_points(mesh, rule.points)
         rows = np.column_stack([xq.reshape(-1, 2),
                                 fld.eval_reference(rule.points).reshape(-1)])
         with open(path, "w", encoding="utf-8") as fh:

@@ -74,6 +74,12 @@ def element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tri[:, 0], jac, detj
 
 
+def quadrature_points(mesh: Mesh, points: np.ndarray) -> np.ndarray:
+    """Physical points (ne, nq, 2) of reference points (nq, 2)."""
+    vert0, jac, _ = element_geometry(mesh)
+    return vert0[:, None, :] + np.einsum("eab,qb->eqa", jac, points)
+
+
 def generate_structured_mesh(n: int) -> Mesh:
     """n x n grid of cells on the unit square, each split along a diagonal.
 

@@ -55,6 +55,7 @@ from .operators import (
     assemble_nonlinear_mass,
     assemble_operators,
     build_layout,
+    check_parameter,
     nonlinear_defect,
 )
 
@@ -85,17 +86,8 @@ class NewmarkConfig:
     max_iterations: int = 100
 
     def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if not 0.0 <= self.beta <= 0.5:
-            raise ValueError(f"beta must lie in [0, 1/2], got {self.beta}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.max_iterations < 1:
-            raise ValueError(
-                f"iteration budget must be >= 1, got {self.max_iterations}")
+        for name in ("dt", "gamma", "beta", "tol", "max_iterations"):
+            check_parameter(name, getattr(self, name), ValueError)
 
 
 @dataclass(frozen=True)
@@ -122,12 +114,9 @@ class ProblemDefinition:
     exact_v: Callable | None = None
 
     def __post_init__(self):
-        if not self.c > 0.0:
-            raise ValueError(f"wave speed must be positive, got {self.c}")
-        if not self.delta >= 0.0:
-            raise ValueError(f"damping must be >= 0, got {self.delta}")
-        if not self.final_time > 0.0:
-            raise ValueError(f"final time must be positive, got {self.final_time}")
+        for name in ("c", "k", "delta", "final_time"):
+            check_parameter(name, getattr(self, name), ValueError)
+        check_parameter("c^2", self.c * self.c, ValueError)
 
 
 @dataclass
@@ -429,8 +418,11 @@ class RunResult:
 
 
 def number_of_steps(final_time: float, dt: float) -> int:
-    """The number of steps dt to final_time, refusing an inexact one."""
+    """The whole number of steps dt to final_time; refuses any other ratio."""
     ratio = final_time / dt
+    if not np.isfinite(ratio):
+        raise ValueError(f"final_time / dt overflows, got final_time = "
+                         f"{final_time}, dt = {dt}")
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1.0e-9 * max(1.0, abs(ratio)):
         raise ValueError(

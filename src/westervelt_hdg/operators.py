@@ -23,19 +23,22 @@ homogeneous Dirichlet traces are hard zeros and never enter the system.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .basis import (
+    MAX_QUADRATURE_ORDER,
     SegmentBasis,
     TriangleBasis,
     scalar_space_dim,
     segment_quadrature,
     triangle_quadrature,
 )
-from .mesh import LOCAL_FACETS, FacetTopology, Mesh, element_geometry
+from .mesh import (LOCAL_FACETS, FacetTopology, Mesh, element_geometry,
+                   quadrature_points)
 
 
 class AssemblyError(Exception):
@@ -57,7 +60,66 @@ class NondegeneracyError(SolverError):
 # reference triangle vertices, numbered like the local vertices
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
+KINDS = ("h_convergence", "delta_convergence", "wavefront")
+
 TAU_MODES = ("single_facet", "uniform")
+
+# a degree-p study needs quadrature up to order max(3p, 2p + 6): 3p for the
+# nonlinear mass, 2(p + 1) + 4 for the error of the postprocessed field
+MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
+                 if max(3 * p, 2 * p + 6) <= MAX_QUADRATURE_ORDER)
+
+# the most time steps one run may ask for, through dt, coarse_steps or the
+# h-rule
+MAX_STEPS = 10**7
+
+# the range of every parameter that one value decides, checked by
+# check_parameter wherever it enters: name -> (description, choices or an
+# interval of finite values[, the message's wording of the interval]); an
+# interval open at its lower end starts at 0
+PARAMETERS = {
+    "kind": ("problem kind", KINDS),
+    "c": ("wave speed", "(0, inf)"),
+    "c^2": ("wave speed squared", "(0, inf)", "a positive finite number"),
+    "k": ("nonlinearity coefficient", "(-inf, inf)"),
+    "delta": ("damping", "[0, inf)"),
+    "final_time": ("final time", "(0, inf)"),
+    "degree": ("polynomial degree", f"[0, {MAX_DEGREE}]"),
+    "levels": ("elements per side", "[1, inf)"),
+    "tau": ("stabilization parameter", "(0, inf)"),
+    "tau_mode": ("tau mode", TAU_MODES),
+    "gamma": ("Newmark weight", "[0, 1]"),
+    "beta": ("Newmark weight", "[0, 0.5]"),
+    "tol": ("corrector tolerance", "(0, inf)"),
+    "max_iterations": ("corrector iteration budget", "[1, inf)"),
+    "coarse_steps": ("time steps on the anchor level", f"[1, {MAX_STEPS}]"),
+    "dt": ("time step", "(0, inf)"),
+    "snapshot_times": ("snapshot time", "(-inf, inf)"),
+    "profile_samples": ("profile samples", "[2, inf)"),
+}
+
+
+def check_parameter(name: str, value, error: type[Exception]) -> None:
+    """Raise error, with a message that starts with name, unless value is
+    allowed for the parameter name of PARAMETERS."""
+    description, allowed, *requirement = PARAMETERS[name]
+    if isinstance(allowed, tuple):
+        if value not in allowed:
+            raise error(f"{name} must be one of {allowed}, got unknown "
+                        f"{description} {value!r}")
+        return
+    low, high = allowed[1:-1].split(", ")
+    open_low = allowed[0] == "("
+    if not -math.inf < value < math.inf:
+        words = "finite"
+    elif value < float(low) or (open_low and value == float(low)):
+        words = "positive" if open_low else f">= {low}"
+    elif value > float(high):
+        words = f"<= {high}"
+    else:
+        return
+    raise error(f"{name} must be {requirement[0] if requirement else words} "
+                f"({description}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,8 +148,7 @@ class DofLayout:
 
 
 def build_layout(mesh: Mesh, topo: FacetTopology, degree: int) -> DofLayout:
-    if degree < 0:
-        raise AssemblyError(f"polynomial degree must be >= 0, got {degree}")
+    check_parameter("degree", degree, AssemblyError)
     return DofLayout(
         degree=degree,
         n_elements=mesh.n_triangles,
@@ -129,9 +190,7 @@ class ElementTables:
         self.jinv_t = np.linalg.inv(self.jac).transpose(0, 2, 1)
         # nonlinear-rule weights times |det J|, (ne, nq)
         self.weights_nl = self.nonlinear_rule.weights[None, :] * self.detj[:, None]
-        # physical quadrature points (ne, nq, 2) of the cell rule
-        self.xq = self.vert0[:, None, :] + np.einsum(
-            "eab,qb->eqa", self.jac, self.cell_rule.points)
+        self.xq = quadrature_points(mesh, self.cell_rule.points)
         # physical gradients (ne, nq, d, 2)
         self.gphys = np.einsum("eab,qib->eqia", self.jinv_t, self.gphi)
 
@@ -156,10 +215,8 @@ class ElementTables:
 
 def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarray:
     """Per-(element, local facet) stabilization values."""
-    if tau_bar <= 0.0:
-        raise AssemblyError(f"stabilization parameter must be positive, got {tau_bar}")
-    if tau_mode not in TAU_MODES:
-        raise AssemblyError(f"unknown tau mode {tau_mode!r}, expected one of {TAU_MODES}")
+    check_parameter("tau", tau_bar, AssemblyError)
+    check_parameter("tau_mode", tau_mode, AssemblyError)
     nt = topo.elem_facets.shape[0]
     if tau_mode == "uniform":
         return np.full((nt, 3), tau_bar)

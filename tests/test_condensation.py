@@ -65,7 +65,11 @@ class TestShiftParameter:
         (np.nan, 0.0, 0.1, "wave speed"),
         (1.0, np.nan, 0.1, "damping"),
         (1.0, 0.0, np.nan, "time step"),
-    ], ids=["c", "delta", "dt"])
+        (np.inf, 0.0, 0.1, "wave speed"),
+        (1.0e200, 0.0, 0.1, "wave speed"),
+        (1.0, np.inf, 0.1, "damping"),
+        (1.0, 0.0, np.inf, "time step"),
+    ], ids=["c", "delta", "dt", "c-inf", "c-1e200", "delta-inf", "dt-inf"])
     def test_nan_parameters_rejected(self, c, delta, dt, match):
         topo, lay, ops, cond = build(generate_structured_mesh(1), 0)
         with pytest.raises(CondensationError, match=match):

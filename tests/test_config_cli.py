@@ -22,7 +22,6 @@ from westervelt_hdg import experiments
 from westervelt_hdg.cli import StudyFailure, main
 from westervelt_hdg.config import (
     _KEYS,
-    MAX_DEGREE,
     MAX_STEPS,
     DELTA_ANCHOR_LEVEL,
     MAX_LEVEL_BYTES,
@@ -50,13 +49,21 @@ from westervelt_hdg.mesh import (
     compute_facet_topology,
     generate_structured_mesh,
 )
-from westervelt_hdg.newmark import InitializationError, NonconvergenceError
+from westervelt_hdg.newmark import (
+    InitializationError,
+    NewmarkConfig,
+    NonconvergenceError,
+    ProblemDefinition,
+)
 from westervelt_hdg.operators import (
+    MAX_DEGREE,
+    PARAMETERS,
     AssemblyError,
     NondegeneracyError,
     SolverError,
     assemble_operators,
     build_layout,
+    tau_pattern,
 )
 from westervelt_hdg.problems import (
     delta_study_problem,
@@ -352,6 +359,113 @@ class TestConfig:
         delta = dataclasses.replace(default_config("delta_convergence"),
                                     levels=(16, 10**5))
         assert delta.validate() is delta
+
+
+# every entry point that takes parameters of operators.PARAMETERS: the
+# parameters it takes and the exception class of its refusal
+ENTRY_POINTS = {
+    "RunConfig.validate": (tuple(key for key in _KEYS if key in PARAMETERS),
+                           ConfigError),
+    "NewmarkConfig": (("dt", "gamma", "beta", "tol", "max_iterations"),
+                      ValueError),
+    "ProblemDefinition": (("c", "k", "delta", "final_time"), ValueError),
+    "build_condensed": (("c", "delta", "dt", "gamma", "beta"),
+                        CondensationError),
+    "tau_pattern": (("tau", "tau_mode"), AssemblyError),
+    "build_layout": (("degree",), AssemblyError),
+}
+
+
+def call_entry_point(entry, name, value):
+    """Call entry with valid defaults and value for parameter name."""
+    if entry == "RunConfig.validate":
+        # one level of n = 2 passes the cross-field checks at every bound
+        base = dataclasses.replace(default_config("h_convergence"),
+                                   levels=(2,))
+        form = _KEYS[name][2]
+        value = (value,) if form in ("integers", "numbers") else value
+        return dataclasses.replace(base, **{name: value}).validate()
+    if entry == "NewmarkConfig":
+        return NewmarkConfig(**{"dt": 0.1, name: value})
+    if entry == "ProblemDefinition":
+        return ProblemDefinition(**{"c": 1.0, name: value})
+    msh = generate_structured_mesh(1)
+    topo = compute_facet_topology(msh)
+    if entry == "tau_pattern":
+        args = {"tau": 1.0, "tau_mode": "uniform", name: value}
+        return tau_pattern(topo, args["tau"], args["tau_mode"])
+    if entry == "build_layout":
+        return build_layout(msh, topo, value)
+    args = {"c": 1.0, "delta": 0.0, "dt": 0.1, "gamma": 0.5, "beta": 0.25,
+            name: value}
+    ops = assemble_operators(msh, topo, build_layout(msh, topo, 0))
+    return build_condensed(ops, **args)
+
+
+def range_cases():
+    """(refused values, accepted bounds) of every parameter: NaN, +-inf and
+    the nearest value outside each finite bound, and each closed finite
+    bound; c is also refused where c^2 underflows or overflows."""
+    cases = {}
+    for name, (_, allowed, *_) in PARAMETERS.items():
+        if isinstance(allowed, tuple):
+            cases[name] = (["unknown"], list(allowed))
+            continue
+        low, high = (float(b) for b in allowed[1:-1].split(", "))
+        integer = _KEYS.get(name, ("", "", ""))[2] in ("integer", "integers")
+        refused, accepted = [math.nan, math.inf, -math.inf], []
+        if math.isfinite(low):
+            if allowed[0] == "[":
+                accepted.append(int(low) if integer else low)
+                refused.append(int(low) - 1 if integer
+                               else math.nextafter(low, -math.inf))
+            else:
+                refused.append(low)
+        if math.isfinite(high):
+            accepted.append(int(high) if integer else high)
+            refused.append(int(high) + 1 if integer
+                           else math.nextafter(high, math.inf))
+        cases[name] = (refused, accepted)
+    cases["c"][0].extend([1.0e-300, 1.0e200])
+    return cases
+
+
+RANGE_CASES = range_cases()
+
+
+class TestParameterRanges:
+    @pytest.mark.parametrize("entry,name,value", [
+        (entry, name, value) for entry, (names, _) in ENTRY_POINTS.items()
+        for name in names for value in RANGE_CASES[name][0]])
+    def test_every_entry_point_refuses_the_same_values(self, entry, name,
+                                                       value):
+        error = ENTRY_POINTS[entry][1]
+        with pytest.raises(error) as info:
+            call_entry_point(entry, name, value)
+        # the refusal comes from operators.check_parameter
+        assert str(info.value).startswith((f"{name} must be ",
+                                           f"{name}^2 must be "))
+
+    @pytest.mark.parametrize("entry,name,value", [
+        (entry, name, value) for entry, (names, _) in ENTRY_POINTS.items()
+        for name in names for value in RANGE_CASES[name][1]])
+    def test_every_entry_point_accepts_the_closed_bounds(self, entry, name,
+                                                         value):
+        call_entry_point(entry, name, value)
+
+    def test_closed_bounds_include_the_documented_ones(self):
+        accepted = {name: cases[1] for name, cases in RANGE_CASES.items()}
+        assert accepted["delta"] == [0.0]
+        assert accepted["gamma"] == [0.0, 1.0]
+        assert accepted["beta"] == [0.0, 0.5]
+        assert accepted["max_iterations"] == [1]
+        assert accepted["degree"] == [0, MAX_DEGREE]
+
+    def test_every_value_key_has_a_range(self):
+        # a later number, integer or step key cannot skip its range check
+        assert {key for key, (_, _, form) in _KEYS.items()
+                if form in ("number", "integer", "step", "integers",
+                            "numbers")} <= set(PARAMETERS)
 
 
 def fd_t(f, x, y, t, h=1.0e-5):

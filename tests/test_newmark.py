@@ -465,6 +465,10 @@ class TestDriver:
         # a ratio off by roundoff only is a whole number of steps
         assert 2.0e-4 / 1.0e-6 != 200.0
         assert number_of_steps(2.0e-4, 1.0e-6) == 200
+        # a ratio too large for a float is refused like an inexact one
+        for final_time, dt in ((1.0e300, 1.0e-300), (1.0, 1.0e-320)):
+            with pytest.raises(ValueError, match="final_time / dt overflows"):
+                number_of_steps(final_time, dt)
 
     def test_run_samples_observers_each_step(self):
         msh = generate_structured_mesh(2)
@@ -655,7 +659,18 @@ class TestValidation:
         (ProblemDefinition, dict(c=math.nan), "wave speed"),
         (ProblemDefinition, dict(c=1.0, delta=math.nan), "damping"),
         (ProblemDefinition, dict(c=1.0, final_time=math.nan), "final time"),
-    ], ids=["dt", "gamma", "beta", "tol", "c", "delta", "final_time"])
+        (NewmarkConfig, dict(dt=math.inf), "time step"),
+        (NewmarkConfig, dict(dt=0.1, tol=math.inf), "tolerance"),
+        (NewmarkConfig, dict(dt=0.1, max_iterations=math.inf), "budget"),
+        (ProblemDefinition, dict(c=math.inf), "wave speed"),
+        (ProblemDefinition, dict(c=1.0e200), "wave speed"),
+        (ProblemDefinition, dict(c=1.0, k=math.inf), "nonlinearity"),
+        (ProblemDefinition, dict(c=1.0, k=-math.inf), "nonlinearity"),
+        (ProblemDefinition, dict(c=1.0, delta=math.inf), "damping"),
+        (ProblemDefinition, dict(c=1.0, final_time=math.inf), "final time"),
+    ], ids=["dt", "gamma", "beta", "tol", "c", "delta", "final_time",
+            "dt-inf", "tol-inf", "max_iterations-inf", "c-inf", "c-1e200",
+            "k-inf", "k--inf", "delta-inf", "final_time-inf"])
     def test_nan_is_rejected(self, make, kwargs, match):
         with pytest.raises(ValueError, match=match):
             make(**kwargs)

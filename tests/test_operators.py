@@ -272,6 +272,8 @@ class TestMatrixStructure:
         topo = compute_facet_topology(generate_structured_mesh(1))
         with pytest.raises(AssemblyError, match="positive"):
             tau_pattern(topo, 0.0, "single_facet")
+        with pytest.raises(AssemblyError, match="finite"):
+            tau_pattern(topo, np.inf, "uniform")
         with pytest.raises(AssemblyError, match="unknown tau mode"):
             tau_pattern(topo, 1.0, "everywhere")
 
