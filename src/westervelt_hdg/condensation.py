@@ -6,9 +6,9 @@ For a time step dt and Newmark weights (gamma, beta), the corrector solves
 
 with mu = c^2 dt^2 beta + delta gamma dt, Ks = S + Bt Mv^-1 B (element
 blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. Ks, R and A depend on the
-assembled operators alone (FixedBlocks), so every elimination on the same
-operators can share them. The stationary solves of the initial data are the
-same system with Ks in place of M + mu Ks and mu = 1. For either
+discretization alone, so they are fields of the AssembledOperators that
+every elimination on them shares. The stationary solves of the initial data
+are the same system with Ks in place of M + mu Ks and mu = 1. For either
 block-diagonal matrix D, one routine (_eliminate) stores W = D^-1 R and
 factorizes the facet Schur complement A - mu Rt W, so a solve
 
@@ -25,40 +25,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .operators import (
     AssembledOperators,
-    SolverError,
+    CondensationError,
+    _facet_facet,
+    _factorize,
+    _scalar_facet,
     apply_blocks,
     check_parameter,
-    element_dofs,
-    scatter_csr,
 )
-
-
-class CondensationError(SolverError):
-    """Invalid parameters or unusable condensed operators."""
-
-
-class _EmptySolver:
-    """Stand-in factorization for meshes without interior facets."""
-
-    def solve(self, b):
-        return np.zeros_like(b)
-
-
-def _factorize(name: str, matrix: sp.spmatrix):
-    if matrix.shape[0] == 0:
-        return _EmptySolver()
-    try:
-        # the facet matrices are symmetric, so a minimum degree ordering of
-        # A^T + A fills in less than the default COLAMD
-        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as err:
-        raise CondensationError(
-            f"cannot factorize the {name} ({matrix.shape[0]} facet dofs): "
-            f"{err}") from err
 
 
 @dataclass
@@ -77,21 +53,6 @@ class Elimination:
     last_solve: tuple | None = field(default=None, repr=False)
 
 
-@dataclass(frozen=True)
-class FixedBlocks:
-    """The parts of the condensed system that depend on the assembled
-    operators alone, not on (c, delta, dt, gamma, beta): shared by every
-    elimination built on the same operators."""
-
-    stiffness: np.ndarray  # (ne, d, d) condensed element stiffness Ks
-    # (ne, d, 3 pf) R element by element; its columns are the element's
-    # 3 pf facet dofs, zero on boundary facets
-    coupling_local: np.ndarray
-    coupling: sp.csr_matrix  # (n_scalar, n_facet) R
-    facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
-    gram_solver: object = field(repr=False)
-
-
 @dataclass(kw_only=True)
 class CondensedOperators(Elimination):
     """The corrector's elimination, D = M + mu Ks, and the operators of the
@@ -102,7 +63,6 @@ class CondensedOperators(Elimination):
     dt: float
     gamma: float
     beta: float
-    fixed: FixedBlocks  # Ks, R and A
 
     def check_params(self, c: float, delta: float, dt: float,
                      gamma: float, beta: float) -> None:
@@ -115,94 +75,54 @@ class CondensedOperators(Elimination):
             )
 
 
-def _scalar_facet(ops: AssembledOperators, blocks: np.ndarray):
-    """(n_scalar, n_facet) matrix of element blocks on the facet columns."""
-    lay = ops.layout
-    return scatter_csr((lay.n_scalar, lay.n_facet), (
-        blocks, element_dofs(lay.n_elements, lay.dim_scalar),
-        ops.tables.facet_dofs))
-
-
-def _facet_facet(ops: AssembledOperators, blocks: np.ndarray):
-    """The facet penalty plus element blocks on the facet dofs."""
-    lay, cols = ops.layout, ops.tables.facet_dofs
-    diag = element_dofs(lay.n_interior_facets, lay.dim_facet)
-    return scatter_csr((lay.n_facet, lay.n_facet),
-                       (ops.trace_penalty, diag, diag), (blocks, cols, cols))
-
-
-def fixed_blocks(ops: AssembledOperators) -> FixedBlocks:
-    """Ks (symmetrized), R and the factorized facet Gram matrix A."""
-    bt_minv = np.matmul(ops.divergence.transpose(0, 2, 1), ops.vector_mass_inv)
-    stiffness = ops.boundary_penalty + np.matmul(bt_minv, ops.divergence)
-    r_loc = ops.trace_scalar_local + bt_minv @ ops.trace_vector_local
-    e_loc = ops.trace_vector_local
-    gram = _facet_facet(ops, e_loc.transpose(0, 2, 1) @ ops.vector_mass_inv
-                        @ e_loc)
-    return FixedBlocks(
-        stiffness=0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
-        coupling_local=r_loc, coupling=_scalar_facet(ops, r_loc),
-        facet_gram=gram, gram_solver=_factorize("facet Gram matrix", gram))
-
-
-def _eliminate(ops: AssembledOperators, r_loc: np.ndarray,
-               block_inv: np.ndarray, mu: float, name: str) -> dict:
-    """The Elimination fields for the element blocks D^-1 and R; name is the
+def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
+               name: str) -> dict:
+    """The Elimination fields for the element blocks D^-1; name is the
     facet Schur complement's in a factorization failure."""
-    e_loc = ops.trace_vector_local
+    e_loc, r_loc = ops.trace_vector_local, ops.coupling_local
     # Et Mv^-1 (E - B y) - Ft y = (A - G) - mu Rt D^-1 R with y = D^-1 mu R
     y_loc = block_inv @ (mu * r_loc)
     x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
-    schur = _facet_facet(ops, e_loc.transpose(0, 2, 1) @ x_loc
+    schur = _facet_facet(ops.tables, ops.trace_penalty,
+                         e_loc.transpose(0, 2, 1) @ x_loc
                          - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
-    elim = _scalar_facet(ops, block_inv @ r_loc)
+    elim = _scalar_facet(ops.tables, block_inv @ r_loc)
     return dict(mu=mu, block_inv=block_inv, elim=elim, elim_t=elim.T.tocsr(),
                 facet_schur=schur, facet_solver=_factorize(name, schur))
 
 
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
-                    dt: float, gamma: float, beta: float,
-                    fixed: FixedBlocks | None = None) -> CondensedOperators:
-    """The corrector's operators for (c, delta, dt, gamma, beta); fixed is
-    the fixed_blocks of ops, built here when not given."""
+                    dt: float, gamma: float, beta: float) -> CondensedOperators:
+    """The corrector's operators for (c, delta, dt, gamma, beta)."""
     for name, value in (("c", c), ("c^2", c * c), ("delta", delta),
                         ("dt", dt), ("gamma", gamma), ("beta", beta)):
         check_parameter(name, value, CondensationError)
     mu = c * c * dt * dt * beta + delta * gamma * dt
-    if fixed is None:
-        fixed = fixed_blocks(ops)
     try:
-        shifted_inv = np.linalg.inv(ops.scalar_mass + mu * fixed.stiffness)
+        shifted_inv = np.linalg.inv(ops.scalar_mass + mu * ops.stiffness)
     except np.linalg.LinAlgError as err:
         raise CondensationError(
             f"element block M + mu Ks singular (mu = {mu:g})") from err
     return CondensedOperators(
-        **_eliminate(ops, fixed.coupling_local, shifted_inv, mu,
-                     "facet Schur complement"),
-        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta, fixed=fixed)
+        **_eliminate(ops, shifted_inv, mu, "facet Schur complement"),
+        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta)
 
 
-def stationary_elimination(ops: AssembledOperators,
-                           fixed: FixedBlocks | None = None) -> Elimination:
-    """The elimination of the stationary system, D = Ks and mu = 1; fixed is
-    the fixed_blocks of ops, built here when not given.
+def stationary_elimination(ops: AssembledOperators) -> Elimination:
+    """The elimination of the stationary system, D = Ks and mu = 1.
 
     Refuses Ks blocks whose smallest eigenvalue is subnormal or at most d eps
     times their largest: their inverse overflows or has no correct digit.
     """
-    if fixed is None:
-        fixed = fixed_blocks(ops)
-    stiffness = fixed.stiffness
-    eig = np.linalg.eigvalsh(stiffness)
-    d, fp = stiffness.shape[1], np.finfo(float)
+    eig = np.linalg.eigvalsh(ops.stiffness)
+    d, fp = ops.stiffness.shape[1], np.finfo(float)
     bad = np.flatnonzero(~(eig[:, 0] > np.maximum(d * fp.eps * eig[:, -1],
                                                   fp.tiny)))
     if bad.size:
         raise CondensationError(
             f"condensed stiffness block singular on elements {bad[:8].tolist()}"
             f" (smallest eigenvalue subnormal or <= {d} eps x largest)")
-    return Elimination(**_eliminate(ops, fixed.coupling_local,
-                                    np.linalg.inv(stiffness), 1.0,
+    return Elimination(**_eliminate(ops, np.linalg.inv(ops.stiffness), 1.0,
                                     "stationary facet Schur complement"))
 
 

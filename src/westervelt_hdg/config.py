@@ -36,10 +36,10 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     the element blocks stored for it at degree and of `states` states of a
     monitored run.
 
-    Counts the float64 blocks of AssembledOperators, ElementTables and
-    CondensedOperators and the value and int32 index of every nonzero of
-    their CSR matrices, with 1.5 interior facets per element; the
-    temporaries of assembly and the facet factorization come on top. A
+    Counts the float64 blocks of AssembledOperators (Ks, R and A included),
+    ElementTables and CondensedOperators and the value and int32 index of
+    every nonzero of their CSR matrices, with 1.5 interior facets per
+    element; the temporaries of assembly and the facet factors come on top. A
     stored state (analysis.History) holds psi, dpsi and ddpsi and the facet
     unknowns lam and dlam.
     """

@@ -251,9 +251,8 @@ def wavefront_study(cfg: RunConfig) -> WavefrontResult:
             if step in targets and abs(state.t - targets[step]) <= 0.5 * dt:
                 snapshots[(variant, targets[step])] = DiscreteScalarField(
                     mesh, cfg.degree, state.dpsi.copy())
-            return None
 
-        result = run(prob, disc, ncfg, observers={"snap": observer})
+        result = run(prob, disc, ncfg, observer)
         mean_iterations[variant] = result.mean_iterations
         profiles[variant] = DiscreteScalarField(mesh, cfg.degree,
                                                 result.state.dpsi.copy())
@@ -312,11 +311,10 @@ def single_run_study(cfg: RunConfig) -> SingleRunSummary:
     dt = level_dt(cfg, "run")[cfg.levels[0]]
     history = History(number_of_steps(cfg.final_time, dt) + 1)
     result = run(prob, _discretization(cfg, mesh), _newmark_config(cfg, dt),
-                 observers={"history": history})
+                 history)
     ops, state = result.ops, result.state
     mean_iterations = result.mean_iterations
-    # the condensed operators and, as nothing else holds the discretization,
-    # its fixed blocks are done with: free them for the energies
+    # the condensed operators are done with: free them for the energies
     del result
     energies0, energies1 = energy(history, ops, prob.k, prob.c)
     err_psi = err_v = None

@@ -33,13 +33,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .condensation import (
     CondensedOperators,
-    FixedBlocks,
     build_condensed,
     condensed_solve,
     stationary_elimination,
@@ -160,19 +159,18 @@ def predictor(state: State, cfg: NewmarkConfig, delta: float,
     )
 
 
-def consistent_traces(cond: CondensedOperators, psi: np.ndarray) -> np.ndarray:
+def consistent_traces(ops: AssembledOperators, psi: np.ndarray) -> np.ndarray:
     """Facet values satisfying the trace constraint for given scalar data."""
-    return cond.fixed.gram_solver.solve(-(cond.fixed.coupling.T @ psi))
+    return ops.gram_solver.solve(-(ops.coupling.T @ psi))
 
 
-def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
-                          fixed: FixedBlocks | None = None) -> State:
+def compute_initial_state(prob: ProblemDefinition,
+                          ops: AssembledOperators) -> State:
     """Stationary HDG solves projecting the two initial data fields.
 
     Each field solves the mixed system driven by minus its Laplacian through
-    the stationary elimination, built once and only when a datum is given
-    (from fixed, the fixed_blocks of ops, when given). Accelerations are left
-    at zero; see compute_initial_acceleration.
+    the stationary elimination, built once and only when a datum is given.
+    Accelerations are left at zero; see compute_initial_acceleration.
     """
     lay = ops.layout
     static, levels = None, []
@@ -184,7 +182,7 @@ def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
             raise InitializationError(
                 "initial datum given without its Laplacian")
         if static is None:
-            static = stationary_elimination(ops, fixed)
+            static = stationary_elimination(ops)
         source = assemble_load(lambda x, y, t: -lap(x, y), 0.0, ops.tables)
         levels.append(condensed_solve(static, source))
     (psi0, lam0), (psi1, lam1) = levels
@@ -195,27 +193,24 @@ def compute_initial_state(prob: ProblemDefinition, ops: AssembledOperators,
 
 
 def compute_initial_acceleration(state: State, prob: ProblemDefinition,
-                                 ops: AssembledOperators,
-                                 cond: CondensedOperators) -> State:
+                                 ops: AssembledOperators) -> State:
     """Fill consistent initial accelerations into the state (in place).
 
     Solves the nonlinear-mass system driven by the t=0 load minus the
     stiffness residual of the initial data.
     """
-    cond.check_params(prob.c, prob.delta, cond.dt, cond.gamma, cond.beta)
     c2 = prob.c * prob.c
     w = prob.delta / c2
     psi_t = state.psi + w * state.dpsi
     lam_t = state.lam + w * state.dlam
-    rhs = -c2 * (apply_blocks(cond.fixed.stiffness, psi_t)
-                 + cond.fixed.coupling @ lam_t)
+    rhs = -c2 * (apply_blocks(ops.stiffness, psi_t) + ops.coupling @ lam_t)
     if prob.forcing is not None:
         rhs = rhs + assemble_load(prob.forcing, state.t, ops.tables)
     nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
     lay = ops.layout
     state.ddpsi = np.linalg.solve(
         nmass, rhs.reshape(lay.n_elements, lay.dim_scalar, 1)).reshape(-1)
-    state.ddlam = consistent_traces(cond, state.ddpsi)
+    state.ddlam = consistent_traces(ops, state.ddpsi)
     return state
 
 
@@ -247,12 +242,11 @@ def load_function(forcing: Callable | None,
 
 
 def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
-                   cond: CondensedOperators) -> np.ndarray:
+                   ops: AssembledOperators) -> np.ndarray:
     """Corrector load: forcing minus stiffness applied to the predictions."""
     c2 = c * c
-    return load_next - c2 * (apply_blocks(cond.fixed.stiffness,
-                                          pred.psi_tilde)
-                             + cond.fixed.coupling @ pred.lam_tilde)
+    return load_next - c2 * (apply_blocks(ops.stiffness, pred.psi_tilde)
+                             + ops.coupling @ pred.lam_tilde)
 
 
 def corrector_step(pred: Prediction, ddpsi: np.ndarray,
@@ -313,7 +307,7 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
         load = load_function(prob.forcing, ops.tables)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
-    ln = stiffness_load(pred, load(t_next), prob.c, cond)
+    ln = stiffness_load(pred, load(t_next), prob.c, ops)
     ddpsi = state.ddpsi if start is None else start
     dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
     change = np.inf
@@ -410,7 +404,6 @@ class RunResult:
     cond: CondensedOperators
     n_steps: int
     iterations: list[int] = field(default_factory=list)
-    observations: dict = field(default_factory=dict)
 
     @property
     def mean_iterations(self) -> float:
@@ -433,8 +426,8 @@ def number_of_steps(final_time: float, dt: float) -> int:
 
 class Discretization:
     """The part of a run that depends only on the mesh, the degree and the
-    stabilization tau_bar, tau_mode: the topology, the layout and the
-    AssembledOperators, the FixedBlocks of the condensation and the last
+    stabilization tau_bar, tau_mode: the topology, the layout, the
+    AssembledOperators with the Gram factor of the condensation, and the last
     projected initial state. Every run on it builds only what depends on
     the problem's coefficients and the time step.
 
@@ -449,7 +442,6 @@ class Discretization:
         self.mesh, self.degree = mesh, degree
         self.tau_bar, self.tau_mode = tau_bar, tau_mode
         self._ops: AssembledOperators | None = None
-        self._fixed: FixedBlocks | None = None
         self._initial: tuple[tuple, State] | None = None  # (data, state)
 
     @property
@@ -462,15 +454,6 @@ class Discretization:
                                            tau_mode=self.tau_mode)
         return self._ops
 
-    def condensed(self, prob: ProblemDefinition,
-                  cfg: NewmarkConfig) -> CondensedOperators:
-        """The corrector's operators of prob and cfg; the first call builds
-        the FixedBlocks that every later one reuses."""
-        cond = build_condensed(self.ops, prob.c, prob.delta, cfg.dt,
-                               cfg.gamma, cfg.beta, self._fixed)
-        self._fixed = cond.fixed
-        return cond
-
     def initial_state(self, prob: ProblemDefinition) -> State:
         """A copy of the projected initial data of prob
         (compute_initial_state), projected again only when one of the data
@@ -478,30 +461,28 @@ class Discretization:
         data = (prob.psi0, prob.lap_psi0, prob.psi1, prob.lap_psi1)
         if self._initial is None or any(
                 a is not b for a, b in zip(data, self._initial[0])):
-            self._initial = (data, compute_initial_state(prob, self.ops,
-                                                         self._fixed))
+            self._initial = (data, compute_initial_state(prob, self.ops))
         return copy.deepcopy(self._initial[1])
 
 
 def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
-        observers: Mapping[str, Callable[[State], object]] | None = None,
-        ) -> RunResult:
+        observe: Callable[[State], None] | None = None) -> RunResult:
     """Initialize and march the scheme to the final time on disc, building
     whatever part of disc is not built yet.
 
-    Observers are read-only callables of the state, sampled at t=0 and after
-    every step; their outputs are collected per name in the result.
+    observe, when given, is called with the state at t=0 and after every
+    step; it must not modify the state.
     """
     ops = disc.ops
-    cond = disc.condensed(prob, cfg)
+    cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
+                           cfg.beta)
     state = disc.initial_state(prob)
-    compute_initial_acceleration(state, prob, ops, cond)
+    compute_initial_acceleration(state, prob, ops)
     load = load_function(prob.forcing, ops.tables)
     n_steps = number_of_steps(prob.final_time, cfg.dt)
-    result = RunResult(state=state, ops=ops, cond=cond, n_steps=n_steps,
-                       observations={name: [] for name in (observers or {})})
-    for name, fn in (observers or {}).items():
-        result.observations[name].append(fn(state))
+    result = RunResult(state=state, ops=ops, cond=cond, n_steps=n_steps)
+    if observe is not None:
+        observe(state)
     history = []  # accelerations one and two steps back
     for step in range(n_steps):
         if not history:
@@ -514,7 +495,7 @@ def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
         state, iters = advance_step(state, cfg, prob, ops, cond,
                                     step_index=step, start=start, load=load)
         result.iterations.append(iters)
-        for name, fn in (observers or {}).items():
-            result.observations[name].append(fn(state))
+        if observe is not None:
+            observe(state)
     result.state = state
     return result

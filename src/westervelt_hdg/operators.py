@@ -13,6 +13,10 @@ test functions, all stored as blocks:
     trace_scalar_local -(tau lam, w)_{dK interior}  element, (ne, d, 3pf)
     trace_penalty      (tau lam, mu)_{dK interior}  facet, (n_interior, pf, pf)
 
+and, with the velocity eliminated, Ks = S + Bt Mv^-1 B (stiffness), R = F +
+Bt Mv^-1 E (coupling_local; coupling in CSR) and A = G + Et Mv^-1 E
+(facet_gram, factored in gram_solver), S, B, E, F, G being the blocks above.
+
 The columns of the two trace couplings run over the element's three facets
 in the order of ElementTables.facet_dofs, which maps them to global facet
 dofs; they are zero on boundary facets and, for trace_scalar_local, on
@@ -24,10 +28,12 @@ homogeneous Dirichlet traces are hard zeros and never enter the system.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .basis import (
     MAX_QUADRATURE_ORDER,
@@ -47,6 +53,10 @@ class AssemblyError(Exception):
 
 class SolverError(Exception):
     """A solve that broke down on valid input: the command line exits 3."""
+
+
+class CondensationError(SolverError):
+    """Invalid parameters or unusable condensed operators."""
 
 
 class NondegeneracyError(SolverError):
@@ -74,9 +84,9 @@ MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
 MAX_STEPS = 10**7
 
 # the range of every parameter that one value decides, checked by
-# check_parameter wherever it enters: name -> (description, choices or an
-# interval of finite values[, the message's wording of the interval]); an
-# interval open at its lower end starts at 0
+# check_parameter wherever it enters: name -> (description, choices, an
+# interval of finite values or "integer in" one[, the message's wording of
+# the interval]); an interval open at its lower end starts at 0
 PARAMETERS = {
     "kind": ("problem kind", KINDS),
     "c": ("wave speed", "(0, inf)"),
@@ -84,18 +94,19 @@ PARAMETERS = {
     "k": ("nonlinearity coefficient", "(-inf, inf)"),
     "delta": ("damping", "[0, inf)"),
     "final_time": ("final time", "(0, inf)"),
-    "degree": ("polynomial degree", f"[0, {MAX_DEGREE}]"),
-    "levels": ("elements per side", "[1, inf)"),
+    "degree": ("polynomial degree", f"integer in [0, {MAX_DEGREE}]"),
+    "levels": ("elements per side", "integer in [1, inf)"),
     "tau": ("stabilization parameter", "(0, inf)"),
     "tau_mode": ("tau mode", TAU_MODES),
     "gamma": ("Newmark weight", "[0, 1]"),
     "beta": ("Newmark weight", "[0, 0.5]"),
     "tol": ("corrector tolerance", "(0, inf)"),
-    "max_iterations": ("corrector iteration budget", "[1, inf)"),
-    "coarse_steps": ("time steps on the anchor level", f"[1, {MAX_STEPS}]"),
+    "max_iterations": ("corrector iteration budget", "integer in [1, inf)"),
+    "coarse_steps": ("time steps on the anchor level",
+                     f"integer in [1, {MAX_STEPS}]"),
     "dt": ("time step", "(0, inf)"),
     "snapshot_times": ("snapshot time", "(-inf, inf)"),
-    "profile_samples": ("profile samples", "[2, inf)"),
+    "profile_samples": ("profile samples", "integer in [2, inf)"),
 }
 
 
@@ -108,6 +119,13 @@ def check_parameter(name: str, value, error: type[Exception]) -> None:
             raise error(f"{name} must be one of {allowed}, got unknown "
                         f"{description} {value!r}")
         return
+    _, integer, allowed = allowed.rpartition("integer in ")
+    if integer:
+        try:
+            operator.index(value)
+        except TypeError:
+            raise error(f"{name} must be an integer ({description}), got "
+                        f"{value!r}") from None
     low, high = allowed[1:-1].split(", ")
     open_low = allowed[0] == "("
     if not -math.inf < value < math.inf:
@@ -242,11 +260,16 @@ class AssembledOperators:
     scalar_mass: np.ndarray  # (ne, d, d)
     vector_mass: np.ndarray  # (ne, 2d, 2d)
     vector_mass_inv: np.ndarray  # (ne, 2d, 2d)
-    divergence: np.ndarray  # (ne, 2d, d)
-    boundary_penalty: np.ndarray  # (ne, d, d)
+    divergence: np.ndarray  # (ne, 2d, d) B
+    boundary_penalty: np.ndarray  # (ne, d, d) S
     trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E, facet_dofs columns
     trace_scalar_local: np.ndarray  # (ne, d, 3pf) F, facet_dofs columns
-    trace_penalty: np.ndarray  # (n_interior, pf, pf)
+    trace_penalty: np.ndarray  # (n_interior, pf, pf) G
+    stiffness: np.ndarray  # (ne, d, d) Ks
+    coupling_local: np.ndarray  # (ne, d, 3pf) R, facet_dofs columns
+    coupling: sp.csr_matrix  # (n_scalar, n_facet) R
+    facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
+    gram_solver: object = field(repr=False)
     n_unstabilized_facets: int = 0
 
 
@@ -297,6 +320,43 @@ def scatter_csr(shape, *parts) -> sp.csr_matrix:
     return sp.csr_matrix((sums[keep], keys % shape[1], indptr), shape=shape)
 
 
+def _scalar_facet(tables: ElementTables, blocks: np.ndarray):
+    """(n_scalar, n_facet) matrix of element blocks on the facet columns."""
+    lay = tables.layout
+    return scatter_csr((lay.n_scalar, lay.n_facet), (
+        blocks, element_dofs(lay.n_elements, lay.dim_scalar),
+        tables.facet_dofs))
+
+
+def _facet_facet(tables: ElementTables, penalty: np.ndarray,
+                 blocks: np.ndarray):
+    """The facet penalty plus element blocks on the facet dofs."""
+    lay, cols = tables.layout, tables.facet_dofs
+    diag = element_dofs(lay.n_interior_facets, lay.dim_facet)
+    return scatter_csr((lay.n_facet, lay.n_facet),
+                       (penalty, diag, diag), (blocks, cols, cols))
+
+
+class _EmptySolver:
+    """Stand-in factorization for meshes without interior facets."""
+
+    def solve(self, b):
+        return np.zeros_like(b)
+
+
+def _factorize(name: str, matrix: sp.spmatrix):
+    if matrix.shape[0] == 0:
+        return _EmptySolver()
+    try:
+        # the facet matrices are symmetric, so a minimum degree ordering of
+        # A^T + A fills in less than the default COLAMD
+        return spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise CondensationError(
+            f"cannot factorize the {name} ({matrix.shape[0]} facet dofs): "
+            f"{err}") from err
+
+
 def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
                        tau_bar: float = 1.0,
                        tau_mode: str = "single_facet") -> AssembledOperators:
@@ -344,18 +404,29 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
     np.add.at(trace_penalty, topo.interior_index[topo.elem_facets][interior],
               tau_len[interior] * mu_mass)
 
+    vector_mass_inv = np.linalg.inv(vector_mass)
+    bt_minv = np.matmul(divergence.transpose(0, 2, 1), vector_mass_inv)
+    stiffness = boundary_penalty + np.matmul(bt_minv, divergence)
+    coupling_local = trace_scalar_local + bt_minv @ trace_vector_local
+    gram = _facet_facet(tab, trace_penalty, trace_vector_local.transpose(
+        0, 2, 1) @ vector_mass_inv @ trace_vector_local)
     return AssembledOperators(
         layout=layout,
         tables=tab,
         tau=tau,
         scalar_mass=scalar_mass,
         vector_mass=vector_mass,
-        vector_mass_inv=np.linalg.inv(vector_mass),
+        vector_mass_inv=vector_mass_inv,
         divergence=divergence,
         boundary_penalty=boundary_penalty,
         trace_vector_local=trace_vector_local,
         trace_scalar_local=trace_scalar_local,
         trace_penalty=trace_penalty,
+        stiffness=0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
+        coupling_local=coupling_local,
+        coupling=_scalar_facet(tab, coupling_local),
+        facet_gram=gram,
+        gram_solver=_factorize("facet Gram matrix", gram),
         n_unstabilized_facets=count_unstabilized_facets(topo, tau),
     )
 

@@ -815,7 +815,7 @@ def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     load = load_function(prob.forcing, ops.tables)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
-    ln = stiffness_load(pred, load(t_next), prob.c, cond)
+    ln = stiffness_load(pred, load(t_next), prob.c, ops)
     ddpsi = state.ddpsi if start is None else start
     dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
     for s in range(1, cfg.max_iterations + 1):
@@ -851,7 +851,7 @@ def plain_run(prob: ProblemDefinition, disc: Discretization,
     cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
                            cfg.beta)
     state = compute_initial_state(prob, ops)
-    compute_initial_acceleration(state, prob, ops, cond)
+    compute_initial_acceleration(state, prob, ops)
     back, passes = [], []  # accelerations one and two steps back
     for step in range(number_of_steps(prob.final_time, cfg.dt)):
         if len(back) == 2:

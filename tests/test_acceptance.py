@@ -95,10 +95,10 @@ def test_criterion_3_energy_conservation():
     dpsi = 0.1 * rng.standard_normal(lay.n_scalar)
     state = State(t=0.0, psi=psi, dpsi=dpsi,
                   ddpsi=np.zeros(lay.n_scalar),
-                  lam=consistent_traces(cond, psi),
-                  dlam=consistent_traces(cond, dpsi),
+                  lam=consistent_traces(ops, psi),
+                  dlam=consistent_traces(ops, dpsi),
                   ddlam=np.zeros(lay.n_facet))
-    compute_initial_acceleration(state, prob, ops, cond)
+    compute_initial_acceleration(state, prob, ops)
     e_ref, _ = energy(state, ops, 0.0, 1.0)
     assert e_ref > 0.0
     drift = 0.0

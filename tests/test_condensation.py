@@ -89,14 +89,14 @@ class TestAgainstDenseElimination:
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
         seven, dc = dense_pieces(msh, degree, cond.mu, tau_mode=tau_mode)
 
-        assert np.max(np.abs(block_diag_csr(cond.fixed.stiffness).toarray()
+        assert np.max(np.abs(block_diag_csr(ops.stiffness).toarray()
                              - dc["Ks"])) <= 1e-12
         shifted_inv = np.linalg.inv(dc["shifted"])
         assert np.max(np.abs(block_diag_csr(cond.block_inv).toarray()
                              - shifted_inv)) <= 1e-11
-        assert np.max(np.abs(np.asarray(cond.fixed.coupling.todense())
+        assert np.max(np.abs(np.asarray(ops.coupling.todense())
                              - dc["R"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(cond.fixed.facet_gram.todense())
+        assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
                              - dc["A"])) <= 1e-12
         assert np.max(np.abs(np.asarray(cond.facet_schur.todense())
                              - dc["schur"])) <= 1e-12
@@ -130,7 +130,7 @@ class TestAgainstDenseElimination:
         seven, dc = dense_pieces(msh, 1, cond.mu)
         assert np.max(np.abs(np.asarray(cond.facet_schur.todense())
                              - dc["schur"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(cond.fixed.facet_gram.todense())
+        assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
                              - dc["A"])) <= 1e-12
 
 
@@ -143,8 +143,7 @@ class TestSparsity:
         # factorizations
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
-        for mat in (cond.facet_schur, cond.fixed.facet_gram,
-                    cond.fixed.coupling,
+        for mat in (cond.facet_schur, ops.facet_gram, ops.coupling,
                     stationary_elimination(ops).facet_schur):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
@@ -158,7 +157,7 @@ class TestSparsity:
         topo, lay, ops, cond = build(msh, degree)
         static = stationary_elimination(ops)
         for mat, lu in ((cond.facet_schur, cond.facet_solver),
-                        (cond.fixed.facet_gram, cond.fixed.gram_solver),
+                        (ops.facet_gram, ops.gram_solver),
                         (static.facet_schur, static.facet_solver)):
             colamd = spla.splu(mat.tocsc())
             assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -168,7 +167,7 @@ class TestSpectralStructure:
     def test_facet_gram_is_spd(self):
         msh = oracles.perturbed_mesh(2, seed=44)
         topo, lay, ops, cond = build(msh, 2)
-        a = np.asarray(cond.fixed.facet_gram.todense())
+        a = np.asarray(ops.facet_gram.todense())
         assert np.max(np.abs(a - a.T)) <= 1e-13
         assert np.min(np.linalg.eigvalsh(a)) > 0.0
 
@@ -182,7 +181,7 @@ class TestSpectralStructure:
     def test_condensed_stiffness_blocks_symmetric(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 2)
-        stiffness = cond.fixed.stiffness
+        stiffness = ops.stiffness
         assert np.max(np.abs(stiffness
                              - stiffness.transpose(0, 2, 1))) == 0.0
 
@@ -273,9 +272,9 @@ class TestSolves:
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
         shifted = block_diag_csr(ops.scalar_mass) \
-            + cond.mu * block_diag_csr(cond.fixed.stiffness)
-        r1 = shifted @ a_psi + cond.mu * (cond.fixed.coupling @ a_lam) - rhs
-        r2 = cond.fixed.coupling.T @ a_psi + cond.fixed.facet_gram @ a_lam
+            + cond.mu * block_diag_csr(ops.stiffness)
+        r1 = shifted @ a_psi + cond.mu * (ops.coupling @ a_lam) - rhs
+        r2 = ops.coupling.T @ a_psi + ops.facet_gram @ a_lam
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(r1)) <= 1e-11 * scale
         assert np.max(np.abs(r2)) <= 1e-11 * scale
@@ -293,7 +292,7 @@ class TestSolves:
         topo, lay, ops, cond = build(msh, 1)
         seven, dc = dense_pieces(msh, 1, cond.mu)
         b = rng.standard_normal(lay.n_facet)
-        got = cond.fixed.gram_solver.solve(b)
+        got = ops.gram_solver.solve(b)
         want = np.linalg.solve(dc["A"], b)
         assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
@@ -320,14 +319,14 @@ class TestGuards:
             cond.check_params(1.0, 1.0e-3, 0.05, 0.5, 0.25)
 
     def test_static_path_unavailable_reported(self):
-        # wipe the penalty of one lowest-order element: its condensed
-        # stiffness block vanishes and the stationary elimination must refuse
-        # it by element
+        # wipe the condensed stiffness block of one lowest-order element
+        # (at p = 0 it is that element's penalty block): the stationary
+        # elimination must refuse it by element
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
         lay = build_layout(msh, topo, 0)
         ops = assemble_operators(msh, topo, lay)
-        ops.boundary_penalty[0][:] = 0.0
+        ops.stiffness[0][:] = 0.0
         cond = build_condensed(ops, 1.0, 0.0, 0.1, 0.5, 0.25)
         with pytest.raises(CondensationError,
                            match=r"stiffness block singular on elements \[0\]"):
@@ -345,7 +344,7 @@ class TestGuards:
         a_psi, a_lam = condensed_solve(cond, rhs)
         assert a_lam.shape == (0,)
         want = np.linalg.solve(ops.scalar_mass[0]
-                               + cond.mu * cond.fixed.stiffness[0], rhs)
+                               + cond.mu * ops.stiffness[0], rhs)
         assert np.max(np.abs(a_psi - want)) <= 1e-12
         v = reconstruct_velocity(ops, a_psi, a_lam)
         assert v.shape == (n_vector(lay),)

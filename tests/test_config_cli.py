@@ -335,7 +335,7 @@ class TestConfig:
         ops = assemble_operators(msh, topo, build_layout(msh, topo, degree))
         cond = build_condensed(ops, 1.0, 0.0, 0.01, 0.5, 0.25)
         held = 0
-        for obj in (msh, topo, ops, ops.tables, cond, cond.fixed):
+        for obj in (msh, topo, ops, ops.tables, cond):
             for value in vars(obj).values():
                 if scipy.sparse.issparse(value):
                     held += sum(a.nbytes for a in (
@@ -403,17 +403,21 @@ def call_entry_point(entry, name, value):
 
 
 def range_cases():
-    """(refused values, accepted bounds) of every parameter: NaN, +-inf and
-    the nearest value outside each finite bound, and each closed finite
-    bound; c is also refused where c^2 underflows or overflows."""
+    """(refused values, accepted bounds) of every parameter: NaN, +-inf,
+    the nearest value outside each finite bound and, for an integer, 2.5 and
+    2.0, and each closed finite bound; c is also refused where c^2
+    underflows or overflows."""
     cases = {}
     for name, (_, allowed, *_) in PARAMETERS.items():
         if isinstance(allowed, tuple):
             cases[name] = (["unknown"], list(allowed))
             continue
+        integer = allowed.startswith("integer in ")
+        allowed = allowed.removeprefix("integer in ")
         low, high = (float(b) for b in allowed[1:-1].split(", "))
-        integer = _KEYS.get(name, ("", "", ""))[2] in ("integer", "integers")
         refused, accepted = [math.nan, math.inf, -math.inf], []
+        if integer:
+            refused += [2.5, 2.0]
         if math.isfinite(low):
             if allowed[0] == "[":
                 accepted.append(int(low) if integer else low)
@@ -466,6 +470,11 @@ class TestParameterRanges:
         assert {key for key, (_, _, form) in _KEYS.items()
                 if form in ("number", "integer", "step", "integers",
                             "numbers")} <= set(PARAMETERS)
+        # and the integer keys are the integer parameters
+        assert {key for key, (_, _, form) in _KEYS.items()
+                if form in ("integer", "integers")} == {
+            name for name, (_, allowed, *_) in PARAMETERS.items()
+            if str(allowed).startswith("integer in ")}
 
 
 def fd_t(f, x, y, t, h=1.0e-5):

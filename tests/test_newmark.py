@@ -39,7 +39,7 @@ from westervelt_hdg.newmark import (
     run,
     stiffness_load,
 )
-from westervelt_hdg import experiments, newmark
+from westervelt_hdg import experiments, newmark, operators
 from westervelt_hdg.config import default_config
 from westervelt_hdg.problems import (
     delta_study_problem,
@@ -56,13 +56,13 @@ def build(msh, degree, *, c=1.0, delta=1.0e-3, dt=0.01, gamma=0.5, beta=0.25):
     return topo, lay, ops, cond
 
 
-def random_consistent_state(lay, cond, rng, scale=0.01):
+def random_consistent_state(lay, ops, rng, scale=0.01):
     psi = scale * rng.standard_normal(lay.n_scalar)
     dpsi = scale * rng.standard_normal(lay.n_scalar)
     return State(
         t=0.0, psi=psi, dpsi=dpsi, ddpsi=np.zeros(lay.n_scalar),
-        lam=consistent_traces(cond, psi),
-        dlam=consistent_traces(cond, dpsi),
+        lam=consistent_traces(ops, psi),
+        dlam=consistent_traces(ops, dpsi),
         ddlam=np.zeros(lay.n_facet),
     )
 
@@ -144,8 +144,8 @@ class TestInitialAcceleration:
             return np.sin(np.pi * x) * y * (1.0 - y) * np.cos(t)
 
         prob = ProblemDefinition(c=1.0, k=0.3, delta=2.0e-3, forcing=forcing)
-        state = random_consistent_state(lay, cond, rng)
-        compute_initial_acceleration(state, prob, ops, cond)
+        state = random_consistent_state(lay, ops, rng)
+        compute_initial_acceleration(state, prob, ops)
 
         seven = oracles.dense_seven(msh, topo, 1)
         dc = oracles.dense_condensed(seven, cond.mu)
@@ -169,26 +169,17 @@ class TestInitialAcceleration:
             return x + y
 
         prob = ProblemDefinition(c=1.0, delta=1.0e-3, forcing=forcing)
-        s1 = random_consistent_state(lay, cond, rng)
+        s1 = random_consistent_state(lay, ops, rng)
         s2 = copy.deepcopy(s1)
-        compute_initial_acceleration(s1, prob, ops, cond)
+        compute_initial_acceleration(s1, prob, ops)
         compute_initial_acceleration(
-            s2, dataclasses.replace(prob, forcing=None), ops, cond)
+            s2, dataclasses.replace(prob, forcing=None), ops)
         # the two accelerations differ exactly by the inverted t=0 load
         load = assemble_load(forcing, 0.0, ops.tables)
         diff_want = apply_blocks(
             np.linalg.inv(ops.scalar_mass), load)
         diff_got = s1.ddpsi - s2.ddpsi
         assert np.max(np.abs(diff_got - diff_want)) <= 1e-11
-
-    def test_rejects_mismatched_coefficients(self):
-        msh = generate_structured_mesh(1)
-        topo, lay, ops, cond = build(msh, 1, c=1.0)
-        prob = ProblemDefinition(c=2.0)  # cond was built for c=1
-        state = random_consistent_state(lay, cond,
-                                        np.random.default_rng(0))
-        with pytest.raises(CondensationError, match="refusing"):
-            compute_initial_acceleration(state, prob, ops, cond)
 
 
 class TestPredictor:
@@ -197,7 +188,7 @@ class TestPredictor:
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.02, gamma=0.6, beta=0.3)
-        state = random_consistent_state(lay, cond, rng)
+        state = random_consistent_state(lay, ops, rng)
         state.ddpsi = rng.standard_normal(lay.n_scalar)
         state.ddlam = rng.standard_normal(lay.n_facet)
         c, delta = 2.0, 5.0e-3
@@ -224,7 +215,7 @@ class TestPredictor:
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.1)
-        state = random_consistent_state(lay, cond, rng)
+        state = random_consistent_state(lay, ops, rng)
         pred = predictor(state, cfg, 0.0, 1.0)
         assert np.allclose(pred.psi_hat, state.psi + cfg.dt * state.dpsi,
                            rtol=0.0, atol=1e-16)
@@ -239,10 +230,10 @@ class TestCorrector:
         topo, lay, ops, cond = build(msh, 1, c=1.0, delta=1.0e-3, dt=0.01)
         cfg = NewmarkConfig(dt=0.01)
         prob = ProblemDefinition(c=1.0, k=0.3, delta=1.0e-3)
-        state = random_consistent_state(lay, cond, rng)
-        compute_initial_acceleration(state, prob, ops, cond)
+        state = random_consistent_state(lay, ops, rng)
+        compute_initial_acceleration(state, prob, ops)
         pred = predictor(state, cfg, prob.delta, prob.c)
-        ln = stiffness_load(pred, np.zeros(lay.n_scalar), prob.c, cond)
+        ln = stiffness_load(pred, np.zeros(lay.n_scalar), prob.c, ops)
         dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * state.ddpsi
         got_psi, got_lam, got_dpsi = corrector_step(
             pred, state.ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
@@ -263,13 +254,13 @@ class TestCorrector:
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1, c=2.0, delta=1.0e-3, dt=0.01)
         cfg = NewmarkConfig(dt=0.01)
-        state = random_consistent_state(lay, cond, rng)
+        state = random_consistent_state(lay, ops, rng)
         pred = predictor(state, cfg, 1.0e-3, 2.0)
         load = rng.standard_normal(lay.n_scalar)
-        got = stiffness_load(pred, load, 2.0, cond)
+        got = stiffness_load(pred, load, 2.0, ops)
         want = load - 4.0 * (
-            block_diag_csr(cond.fixed.stiffness) @ pred.psi_tilde
-            + cond.fixed.coupling @ pred.lam_tilde)
+            block_diag_csr(ops.stiffness) @ pred.psi_tilde
+            + ops.coupling @ pred.lam_tilde)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(
             1.0, np.max(np.abs(want)))
 
@@ -281,8 +272,8 @@ class TestAdvance:
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.01, tol=1.0e-10)
         prob = ProblemDefinition(c=1.0, k=0.0, delta=1.0e-3)
-        state = random_consistent_state(lay, cond, rng)
-        compute_initial_acceleration(state, prob, ops, cond)
+        state = random_consistent_state(lay, ops, rng)
+        compute_initial_acceleration(state, prob, ops)
         for step in range(3):
             state, iters = advance_step(state, cfg, prob, ops, cond,
                                         step_index=step)
@@ -300,9 +291,9 @@ class TestAdvance:
             return 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y) * np.cos(t)
 
         prob = ProblemDefinition(c=c, k=k, delta=delta, forcing=forcing)
-        state = random_consistent_state(lay, cond, rng,
+        state = random_consistent_state(lay, ops, rng,
                                         scale=0.01 / (degree + 1))
-        compute_initial_acceleration(state, prob, ops, cond)
+        compute_initial_acceleration(state, prob, ops)
 
         seven = oracles.dense_seven(msh, topo, degree)
         dstate = {"psi": state.psi.copy(), "dpsi": state.dpsi.copy(),
@@ -330,7 +321,7 @@ class TestAdvance:
         cfg = NewmarkConfig(dt=0.01)
         prob = ProblemDefinition(c=1.0, k=0.3, delta=1.0e-3)
         state = compute_initial_state(prob, ops)
-        compute_initial_acceleration(state, prob, ops, cond)
+        compute_initial_acceleration(state, prob, ops)
         for step in range(3):
             state, _ = advance_step(state, cfg, prob, ops, cond)
         assert np.max(np.abs(state.psi)) == 0.0
@@ -342,11 +333,11 @@ class TestAdvance:
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.01)
         prob = ProblemDefinition(c=1.0, k=0.2, delta=1.0e-3)
-        state = random_consistent_state(lay, cond, rng)
-        compute_initial_acceleration(state, prob, ops, cond)
+        state = random_consistent_state(lay, ops, rng)
+        compute_initial_acceleration(state, prob, ops)
         state, _ = advance_step(state, cfg, prob, ops, cond)
-        resid = (cond.fixed.coupling.T @ state.ddpsi
-                 + cond.fixed.facet_gram @ state.ddlam)
+        resid = (ops.coupling.T @ state.ddpsi
+                 + ops.facet_gram @ state.ddlam)
         scale = max(np.max(np.abs(state.ddpsi)), 1e-30)
         assert np.max(np.abs(resid)) <= 1e-11 * scale
 
@@ -365,8 +356,8 @@ class TestAdvance:
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.01, tol=1.0e-16, max_iterations=2)
         prob = ProblemDefinition(c=1.0, k=0.3, delta=1.0e-3)
-        state = random_consistent_state(lay, cond, rng)
-        compute_initial_acceleration(state, prob, ops, cond)
+        state = random_consistent_state(lay, ops, rng)
+        compute_initial_acceleration(state, prob, ops)
         with pytest.raises(NonconvergenceError, match="did not converge") \
                 as exc:
             advance_step(state, cfg, prob, ops, cond, step_index=7)
@@ -413,10 +404,10 @@ class TestLinearLimit:
         v0 = 0.01 * rng.standard_normal(lay.n_scalar)
         state = State(t=0.0, psi=u0.copy(), dpsi=v0.copy(),
                       ddpsi=np.zeros(lay.n_scalar),
-                      lam=consistent_traces(cond, u0),
-                      dlam=consistent_traces(cond, v0),
+                      lam=consistent_traces(ops, u0),
+                      dlam=consistent_traces(ops, v0),
                       ddlam=np.zeros(lay.n_facet))
-        compute_initial_acceleration(state, prob, ops, cond)
+        compute_initial_acceleration(state, prob, ops)
 
         seven = oracles.dense_seven(msh, topo, 1)
         dc = oracles.dense_condensed(seven, cond.mu)
@@ -476,15 +467,14 @@ class TestDriver:
             c=1.0, delta=1.0e-3, final_time=0.05,
             psi0=bump, lap_psi0=lap_bump)
         cfg = NewmarkConfig(dt=0.01)
+        times = []
         result = run(prob, Discretization(msh, 1), cfg,
-                     observers={"t": lambda s: s.t,
-                                "norm": lambda s: float(
-                                    np.linalg.norm(s.psi))})
+                     lambda s: times.append(s.t))
         assert result.n_steps == 5
         assert len(result.iterations) == 5
-        assert len(result.observations["t"]) == 6
-        assert result.observations["t"][0] == 0.0
-        assert abs(result.observations["t"][-1] - 0.05) <= 1e-12
+        assert len(times) == 6
+        assert times[0] == 0.0
+        assert abs(times[-1] - 0.05) <= 1e-12
         assert abs(result.state.t - 0.05) <= 1e-12
         assert result.mean_iterations == pytest.approx(
             np.mean(result.iterations))
@@ -502,7 +492,7 @@ class TestDriver:
         topo, lay, ops, cond = build(msh, 1, c=prob.c, delta=prob.delta,
                                      dt=cfg.dt)
         state = compute_initial_state(prob, ops)
-        compute_initial_acceleration(state, prob, ops, cond)
+        compute_initial_acceleration(state, prob, ops)
         chain = []
         for step in range(result.n_steps):
             state, iters = advance_step(state, cfg, prob, ops, cond,
@@ -634,8 +624,8 @@ class TestDriver:
         msh = generate_structured_mesh(1)
         prob = ProblemDefinition(c=1.0, final_time=0.02)
         result = run(prob, Discretization(msh, 0), NewmarkConfig(dt=0.01))
-        assert result.observations == {}
         assert result.n_steps == 2
+        assert len(result.iterations) == 2
 
 
 class TestValidation:
@@ -699,35 +689,39 @@ class TestDiscretization:
         # each, they must give the same table byte for byte
         shared = experiments.delta_convergence_study(self.DELTA).to_csv()
 
-        def fresh_run(prob, disc, cfg, observers=None):
+        def fresh_run(prob, disc, cfg, observe=None):
             return run(prob, Discretization(disc.mesh, disc.degree,
                                             disc.tau_bar, disc.tau_mode),
-                       cfg, observers)
+                       cfg, observe)
 
         monkeypatch.setattr(experiments, "run", fresh_run)
         assert experiments.delta_convergence_study(self.DELTA).to_csv() \
             == shared
 
+    # facet factorizations: the Gram matrix once per discretization, then
+    # one Schur complement per stationary elimination and per run
     @pytest.mark.parametrize("study,counts", [
         ("delta", dict(topology=1, assemble=1, stationary=1, condensed=6,
-                       initial=1)),
+                       initial=1, splu=8)),
         ("wavefront", dict(topology=1, assemble=1, stationary=0,
-                           condensed=2, initial=1)),
+                           condensed=2, initial=1, splu=3)),
     ])
     def test_study_builds_its_discretization_once(self, monkeypatch, study,
                                                   counts):
         calls = dict.fromkeys(counts, 0)
-        for key, name in (("topology", "compute_facet_topology"),
-                          ("assemble", "assemble_operators"),
-                          ("stationary", "stationary_elimination"),
-                          ("condensed", "build_condensed"),
-                          ("initial", "compute_initial_state")):
-            def counting(*args, key=key, fn=getattr(newmark, name),
+        for module, key, name in (
+                (newmark, "topology", "compute_facet_topology"),
+                (newmark, "assemble", "assemble_operators"),
+                (newmark, "stationary", "stationary_elimination"),
+                (newmark, "condensed", "build_condensed"),
+                (newmark, "initial", "compute_initial_state"),
+                (operators.spla, "splu", "splu")):
+            def counting(*args, key=key, fn=getattr(module, name),
                          **kwargs):
                 calls[key] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(newmark, name, counting)
+            monkeypatch.setattr(module, name, counting)
         if study == "delta":
             experiments.delta_convergence_study(self.DELTA)
         else:
@@ -742,12 +736,13 @@ class TestDiscretization:
         cfg = NewmarkConfig(dt=0.01)
         fresh = compute_initial_state(prob, disc.ops)
         names = ("psi", "dpsi", "lam", "dlam")
-        first = run(prob, disc, cfg, observers={"t0": lambda s: s})
+        first, second = [], []
+        run(prob, disc, cfg, first.append)
         for name in names:
-            getattr(first.observations["t0"][0], name)[:] = 7.0
-        second = run(dataclasses.replace(prob, delta=1.0e-2), disc, cfg,
-                     observers={"t0": copy.deepcopy})
-        got = second.observations["t0"][0]
+            getattr(first[0], name)[:] = 7.0
+        run(dataclasses.replace(prob, delta=1.0e-2), disc, cfg,
+            lambda s: second.append(copy.deepcopy(s)))
+        got = second[0]
         for name in names:
             assert np.array_equal(getattr(got, name), getattr(fresh, name))
         # other data callables are projected anew
