@@ -9,14 +9,15 @@ velocity field eliminated element-wise):
 Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
 implicit Newmark equations, lagging the nonlinear mass: every pass maps the
 acceleration iterate x to g = G(x) by solving one condensed linear system
-whose matrix is frozen in the CondensedOperators, through
-W = (M + mu Ks)^-1 R stored there. A pass whose right side repeats the
-previous pass's bit for bit reuses that solve (condensed_solve), so a linear
-step (k = 0) solves once in its two passes. Convergence is judged by the
-relative Euclidean change from x to g of the new-time solution, after at
-least two passes, and the step accepts g with the facet accelerations of the
-same solve; a change that is not finite stops the step at once, and so does
-a change that grows on two consecutive passes (contraction ratio
+whose matrix is frozen in the CondensedOperators (corrector_step). The
+lagged velocity is theta = dPsi_hat + gamma dt x, so a pass evaluates only x
+at the nonlinear quadrature points, dPsi_hat being evaluated there once per
+step. With k = 0 the right side does not depend on x: a linear step reuses
+its first solve as the image of its second pass. Convergence is judged by
+the relative Euclidean change from x to g of the new-time solution, after
+at least two passes, and the step accepts g with the facet accelerations of
+the same solve; a change that is not finite stops the step at once, and so
+does a change that grows on two consecutive passes (contraction ratio
 theta >= 1). The second pass starts from g_1; every later one from the
 depth-one Anderson mixing x = g_s - a (g_s - g_{s-1}) of the last two
 images, with a minimizing the residual combination |f_s - a (f_s - f_{s-1})|,
@@ -32,6 +33,7 @@ is assembled at every step (load_function).
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -249,21 +251,23 @@ def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
                              + ops.coupling @ pred.lam_tilde)
 
 
-def corrector_step(pred: Prediction, ddpsi: np.ndarray,
-                   dpsi_iter: np.ndarray, ln: np.ndarray,
+def corrector_step(x: np.ndarray, dpsi_hat_q: np.ndarray, ln: np.ndarray,
                    cfg: NewmarkConfig, prob: ProblemDefinition,
                    ops: AssembledOperators, cond: CondensedOperators):
-    """One fixed-point pass of the implicit Newmark equations.
+    """One fixed-point pass of the implicit Newmark equations: the image g
+    of the acceleration iterate x and the facet accelerations of the same
+    solve.
 
-    Lags the nonlinear mass at the current velocity iterate, applies its
-    defect M - N to ddpsi without forming N, and solves the condensed
-    linear system; ln is the prediction-adjusted load from
-    stiffness_load. Returns the next (ddpsi, ddlam, dpsi) iterates.
+    Lags the nonlinear mass at the velocity iterate
+    theta = dpsi_hat + gamma dt x, with dpsi_hat_q the values of dpsi_hat at
+    the nonlinear points, applies its defect M - N(theta) to x without
+    forming N, and solves the condensed linear system; ln is the
+    prediction-adjusted load from stiffness_load.
     """
-    rhs = nonlinear_defect(dpsi_iter, ddpsi, prob.k, ops.tables) + ln
-    ddpsi_new, ddlam_new = condensed_solve(cond, rhs)
-    dpsi_new = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi_new
-    return ddpsi_new, ddlam_new, dpsi_new
+    rhs = nonlinear_defect(dpsi_hat_q, cfg.gamma * cfg.dt, x, prob.k,
+                           ops.tables)
+    rhs += ln
+    return condensed_solve(cond, rhs)
 
 
 def _change_metric(cfg: NewmarkConfig, pred: Prediction, ddpsi_old,
@@ -272,44 +276,41 @@ def _change_metric(cfg: NewmarkConfig, pred: Prediction, ddpsi_old,
     acceleration depending on which Newmark weights are active)."""
     dt = cfg.dt
     if cfg.beta > 0.0:
-        scale = cfg.beta * dt * dt
-        ref = pred.psi_hat + scale * ddpsi_new
+        scale, base = cfg.beta * dt * dt, pred.psi_hat
     elif cfg.gamma > 0.0:
-        scale = cfg.gamma * dt
-        ref = pred.dpsi_hat + scale * ddpsi_new
+        scale, base = cfg.gamma * dt, pred.dpsi_hat
     else:
-        scale = 1.0
-        ref = ddpsi_new
-    num = scale * float(np.linalg.norm(ddpsi_new - ddpsi_old))
-    den = float(np.linalg.norm(ref))
+        scale, base = 1.0, None
+    diff = ddpsi_new - ddpsi_old
+    ref = scale * ddpsi_new
+    if base is not None:
+        ref += base
+    num = scale * math.sqrt(diff @ diff)
+    den = math.sqrt(ref @ ref)
     return num / den if den > 0.0 else num
 
 
 def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                  ops: AssembledOperators, cond: CondensedOperators,
-                 step_index: int = 0,
-                 start: np.ndarray | None = None,
-                 load: Callable[[float], np.ndarray] | None = None,
-                 ) -> tuple[State, int]:
+                 load: Callable[[float], np.ndarray], step_index: int = 0,
+                 start: np.ndarray | None = None) -> tuple[State, int]:
     """Advance one time step; returns the new state and the corrector count.
 
-    The corrector starts from the acceleration start, by default
-    state.ddpsi, mixes its passes from the second on (see the module
-    docstring) and stops once the change falls below the tolerance, but
-    never before its second pass; a step that stops there does no mixing
-    arithmetic. It raises NonconvergenceError when the change is not finite,
-    grows on two consecutive passes, or stays above the tolerance for
-    cfg.max_iterations passes. load is the load_function of prob.forcing,
-    built here when not given.
+    load is the load_function of prob.forcing. The corrector starts from the
+    acceleration start, by default state.ddpsi, mixes its passes from the
+    second on (see the module docstring) and stops once the change falls
+    below the tolerance, but never before its second pass; a step that
+    stops there does no mixing arithmetic, and with k = 0 its second pass
+    reuses the first pass's solve. It raises NonconvergenceError when the
+    change is not finite, grows on two consecutive passes, or stays above
+    the tolerance for cfg.max_iterations passes.
     """
     cond.check_params(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
-    if load is None:
-        load = load_function(prob.forcing, ops.tables)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
     ln = stiffness_load(pred, load(t_next), prob.c, ops)
+    dpsi_hat_q = ops.tables.at_nonlinear_points(pred.dpsi_hat)
     ddpsi = state.ddpsi if start is None else start
-    dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
     change = np.inf
     converged = False
     iterations = 0
@@ -318,14 +319,17 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     # its residual f = g - x
     x_old = g_old = f_old = None
     for s in range(1, cfg.max_iterations + 1):
-        try:
-            g, ddlam, dpsi_new = corrector_step(
-                pred, ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
-        except NondegeneracyError as err:
-            raise NondegeneracyError(
-                f"step {step_index}, corrector iteration {s}: {err}",
-                elements=err.elements,
-            ) from err
+        # with k = 0 the right side does not depend on the iterate, so every
+        # later image is the first one
+        if s == 1 or prob.k != 0.0:
+            try:
+                g, ddlam = corrector_step(ddpsi, dpsi_hat_q, ln, cfg, prob,
+                                          ops, cond)
+            except NondegeneracyError as err:
+                raise NondegeneracyError(
+                    f"step {step_index}, corrector iteration {s}: {err}",
+                    elements=err.elements,
+                ) from err
         last_change = change
         change = _change_metric(cfg, pred, ddpsi, g)
         if not np.isfinite(change):
@@ -358,10 +362,9 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
             mix = float(df @ f) / dd if dd > 0.0 else np.nan
             if np.isfinite(mix):
                 x_next = g - mix * (g - g_old)
-                dpsi_new = pred.dpsi_hat + cfg.gamma * cfg.dt * x_next
             f_old = f
         x_old, g_old = ddpsi, g
-        ddpsi, dpsi_iter = x_next, dpsi_new
+        ddpsi = x_next
     if not converged:
         raise NonconvergenceError(
             f"corrector did not converge within {cfg.max_iterations} "
@@ -402,7 +405,6 @@ class RunResult:
     state: State
     ops: AssembledOperators
     cond: CondensedOperators
-    n_steps: int
     iterations: list[int] = field(default_factory=list)
 
     @property
@@ -480,7 +482,7 @@ def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
     compute_initial_acceleration(state, prob, ops)
     load = load_function(prob.forcing, ops.tables)
     n_steps = number_of_steps(prob.final_time, cfg.dt)
-    result = RunResult(state=state, ops=ops, cond=cond, n_steps=n_steps)
+    result = RunResult(state=state, ops=ops, cond=cond)
     if observe is not None:
         observe(state)
     history = []  # accelerations one and two steps back
@@ -492,8 +494,8 @@ def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
         else:
             start = 3.0 * (state.ddpsi - history[0]) + history[1]
         history = [state.ddpsi] + history[:1]
-        state, iters = advance_step(state, cfg, prob, ops, cond,
-                                    step_index=step, start=start, load=load)
+        state, iters = advance_step(state, cfg, prob, ops, cond, load,
+                                    step_index=step, start=start)
         result.iterations.append(iters)
         if observe is not None:
             observe(state)

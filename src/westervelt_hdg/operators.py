@@ -224,6 +224,16 @@ class ElementTables:
                                    ifac[:, :, None] * pf + np.arange(pf),
                                    -1).reshape(-1, 3 * pf)
 
+    def at_nonlinear_points(self, u) -> np.ndarray:
+        """Values (ne, nq) at the points of the nonlinear rule of the scalar
+        field with coefficients u."""
+        lay = self.layout
+        u = np.asarray(u, dtype=float)
+        if u.shape != (lay.n_scalar,):
+            raise AssemblyError(f"coefficient vector has shape {u.shape}, "
+                                f"expected ({lay.n_scalar},)")
+        return u.reshape(lay.n_elements, lay.dim_scalar) @ self.phi_nl.T
+
     def facet_values(self, lam: np.ndarray) -> np.ndarray:
         """Facet coefficients seen by each element, (ne, 3 pf) in the order
         of facet_dofs; zero on boundary facets."""
@@ -241,13 +251,6 @@ def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarra
     tau = np.zeros((nt, 3))
     tau[np.arange(nt), topo.stab_facet] = tau_bar
     return tau
-
-
-def count_unstabilized_facets(topo: FacetTopology, tau: np.ndarray) -> int:
-    """Interior facets carrying zero stabilization from both sides."""
-    total = np.bincount(topo.elem_facets.ravel(), weights=tau.ravel(),
-                        minlength=topo.n_facets)
-    return int(np.count_nonzero(total[topo.is_interior] == 0.0))
 
 
 @dataclass
@@ -270,7 +273,6 @@ class AssembledOperators:
     coupling: sp.csr_matrix  # (n_scalar, n_facet) R
     facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
     gram_solver: object = field(repr=False)
-    n_unstabilized_facets: int = 0
 
 
 def apply_blocks(blocks: np.ndarray, u) -> np.ndarray:
@@ -427,22 +429,13 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
         coupling=_scalar_facet(tab, coupling_local),
         facet_gram=gram,
         gram_solver=_factorize("facet Gram matrix", gram),
-        n_unstabilized_facets=count_unstabilized_facets(topo, tau),
     )
 
 
-def nonlinear_coefficient(theta: np.ndarray, k: float,
-                           tables: ElementTables):
-    """theta and 1 + 2 k theta at the points of the nonlinear rule, both
-    (ne, nq). Raises NondegeneracyError where 1 + 2 k theta is not strictly
-    positive."""
-    lay = tables.layout
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (lay.n_scalar,):
-        raise AssemblyError(
-            f"coefficient vector has shape {theta.shape}, expected ({lay.n_scalar},)")
-    theta_q = theta.reshape(lay.n_elements, lay.dim_scalar) @ tables.phi_nl.T
-    coeff = 1.0 + 2.0 * k * theta_q
+def _refuse_nonpositive(coeff: np.ndarray) -> None:
+    """Raise NondegeneracyError naming the elements where the values
+    1 + 2 k theta (ne, nq) at the nonlinear points are not strictly
+    positive, if any."""
     if np.min(coeff) <= 0.0:
         bad = np.flatnonzero(np.min(coeff, axis=1) <= 0.0)
         raise NondegeneracyError(
@@ -450,7 +443,6 @@ def nonlinear_coefficient(theta: np.ndarray, k: float,
             f"{bad[:8].tolist()}",
             elements=bad,
         )
-    return theta_q, coeff
 
 
 def assemble_nonlinear_mass(theta: np.ndarray, k: float,
@@ -461,26 +453,36 @@ def assemble_nonlinear_mass(theta: np.ndarray, k: float,
     1 + 2 k theta is not strictly positive at every quadrature point of the
     nonlinear rule.
     """
-    _, coeff = nonlinear_coefficient(theta, k, tables)
+    coeff = 1.0 + 2.0 * k * tables.at_nonlinear_points(theta)
+    _refuse_nonpositive(coeff)
     phi = tables.phi_nl
     weights = coeff * tables.weights_nl
     return np.matmul((weights[:, :, None] * phi[None, :, :]).transpose(0, 2, 1),
                      phi)
 
 
-def nonlinear_defect(theta: np.ndarray, a: np.ndarray, k: float,
-                     tables: ElementTables) -> np.ndarray:
-    """The vector (M - N(theta)) a = -2k ((theta a) phi_i)_K, evaluated at
-    the points of the nonlinear rule without forming N(theta).
+def nonlinear_defect(base_q: np.ndarray, weight: float, a: np.ndarray,
+                     k: float, tables: ElementTables) -> np.ndarray:
+    """The vector (M - N(theta)) a = -2k ((theta a) phi_i)_K for the
+    coefficient theta = base + weight a, evaluated at the points of the
+    nonlinear rule without forming N(theta); base_q holds the values of base
+    there (ElementTables.at_nonlinear_points).
 
     Raises NondegeneracyError under the same condition as
-    assemble_nonlinear_mass.
+    assemble_nonlinear_mass, and forms 1 + 2 k theta only then: it is
+    monotone in theta, so its smallest value is that at the smallest theta
+    for k > 0 and at the largest for k < 0.
     """
-    theta_q, _ = nonlinear_coefficient(theta, k, tables)
-    lay = tables.layout
-    a_q = np.reshape(a, (lay.n_elements, lay.dim_scalar)) @ tables.phi_nl.T
-    return ((-2.0 * k) * (tables.weights_nl * theta_q * a_q)
-            @ tables.phi_nl).ravel()
+    a_q = tables.at_nonlinear_points(a)
+    theta_q = base_q + weight * a_q
+    if k != 0.0 and 1.0 + 2.0 * k * (
+            theta_q.min() if k > 0.0 else theta_q.max()) <= 0.0:
+        _refuse_nonpositive(1.0 + 2.0 * k * theta_q)
+    # theta_q becomes -2k w theta a in place
+    theta_q *= tables.weights_nl
+    theta_q *= a_q
+    theta_q *= -2.0 * k
+    return (theta_q @ tables.phi_nl).ravel()
 
 
 def assemble_load(f, t: float, tables: ElementTables) -> np.ndarray:

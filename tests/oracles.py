@@ -803,6 +803,24 @@ def loop_eval_at(fld, points: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
+# quantities formed from the package's stored operators, for checks of
+# properties that the package does not store
+
+
+def shift(cond) -> float:
+    """The shift mu = c^2 dt^2 beta + delta gamma dt of the corrector's
+    D = M + mu Ks, for the parameters cond was built with."""
+    return (cond.c * cond.c * cond.dt * cond.dt * cond.beta
+            + cond.delta * cond.gamma * cond.dt)
+
+
+def facet_schur(ops: AssembledOperators, elim) -> scipy.sparse.csr_matrix:
+    """The facet Schur complement A - mu Rt W of an elimination, from the
+    Gram matrix A, the coupling R and the stored mu W."""
+    return (ops.facet_gram - ops.coupling.T @ elim.mu_elim).tocsr()
+
+
+# ----------------------------------------------------------------------
 # the unaccelerated corrector. Unlike the oracles above, it is built from
 # the package's predictor, corrector pass and change metric.
 
@@ -810,17 +828,18 @@ def loop_eval_at(fld, points: np.ndarray) -> np.ndarray:
 def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                   ops: AssembledOperators, cond, step_index: int = 0,
                   start: np.ndarray | None = None) -> tuple[State, int]:
-    """newmark.advance_step without mixing and without the contraction
-    monitor: every pass starts from the previous pass's acceleration."""
+    """newmark.advance_step without mixing, without the contraction monitor
+    and without reusing the first solve when k = 0: every pass starts from
+    the previous pass's acceleration and solves."""
     load = load_function(prob.forcing, ops.tables)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
     ln = stiffness_load(pred, load(t_next), prob.c, ops)
+    dpsi_hat_q = ops.tables.at_nonlinear_points(pred.dpsi_hat)
     ddpsi = state.ddpsi if start is None else start
-    dpsi_iter = pred.dpsi_hat + cfg.gamma * cfg.dt * ddpsi
     for s in range(1, cfg.max_iterations + 1):
-        ddpsi_new, ddlam, dpsi_iter = corrector_step(
-            pred, ddpsi, dpsi_iter, ln, cfg, prob, ops, cond)
+        ddpsi_new, ddlam = corrector_step(ddpsi, dpsi_hat_q, ln, cfg, prob,
+                                          ops, cond)
         change = _change_metric(cfg, pred, ddpsi, ddpsi_new)
         if not np.isfinite(change):
             raise NonconvergenceError(f"change {change} at step {step_index}")

@@ -41,6 +41,7 @@ from westervelt_hdg.newmark import (
     compute_initial_acceleration,
     compute_initial_state,
     consistent_traces,
+    load_function,
     run,
 )
 from westervelt_hdg.operators import assemble_load
@@ -100,10 +101,11 @@ def test_criterion_3_energy_conservation():
                   ddlam=np.zeros(lay.n_facet))
     compute_initial_acceleration(state, prob, ops)
     e_ref, _ = energy(state, ops, 0.0, 1.0)
+    load = load_function(prob.forcing, ops.tables)
     assert e_ref > 0.0
     drift = 0.0
     for step in range(100):
-        state, _ = advance_step(state, cfg, prob, ops, cond,
+        state, _ = advance_step(state, cfg, prob, ops, cond, load,
                                 step_index=step)
         e0, _ = energy(state, ops, 0.0, 1.0)
         drift = max(drift, abs(e0 - e_ref) / e_ref)

@@ -21,6 +21,7 @@ from westervelt_hdg.newmark import (
     advance_step,
     compute_initial_acceleration,
     consistent_traces,
+    load_function,
 )
 from westervelt_hdg.analysis import (
     ENERGY_CHUNK,
@@ -414,9 +415,10 @@ class TestEnergy:
                       ddlam=np.zeros(lay.n_facet))
         compute_initial_acceleration(state, prob, ops)
         e_ref, _ = energy(state, ops, 0.0, 1.0)
+        load = load_function(prob.forcing, ops.tables)
         assert e_ref > 0.0
         for step in range(20):
-            state, _ = advance_step(state, cfg, prob, ops, cond,
+            state, _ = advance_step(state, cfg, prob, ops, cond, load,
                                     step_index=step)
             e0, _ = energy(state, ops, 0.0, 1.0)
             assert abs(e0 - e_ref) <= 1e-10 * e_ref

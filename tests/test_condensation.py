@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from oracles import block_diag_csr, n_vector
+from westervelt_hdg import condensation
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import apply_blocks, assemble_operators, build_layout
 from westervelt_hdg.condensation import (
@@ -34,20 +35,43 @@ def dense_pieces(msh, degree, mu, tau_bar=1.0, tau_mode="single_facet"):
     return seven, oracles.dense_condensed(seven, mu)
 
 
+@pytest.fixture
+def factored(monkeypatch):
+    """The facet matrices that the eliminations built from now on factorize,
+    in the order they are built."""
+    seen = []
+    factorize = condensation._factorize
+
+    def capture(name, matrix):
+        seen.append(matrix)
+        return factorize(name, matrix)
+
+    monkeypatch.setattr(condensation, "_factorize", capture)
+    return seen
+
+
+def assert_shift(cond, msh, degree, mu):
+    """cond's stored mu W is mu (M + mu Ks)^-1 R of the dense oracle."""
+    seven, dc = dense_pieces(msh, degree, mu)
+    w = np.linalg.solve(dc["shifted"], dc["R"])
+    assert np.max(np.abs(cond.mu_elim.toarray() - mu * w)) <= 1e-13 * (
+        mu * np.max(np.abs(w)))
+
+
 class TestShiftParameter:
     def test_mu_formula_reference_values(self):
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 0, c=100.0, delta=6.0e-9, dt=1.0e-3,
                                      gamma=0.5, beta=0.25)
         want = 100.0 ** 2 * 1.0e-3 ** 2 * 0.25 + 6.0e-9 * 0.5 * 1.0e-3
-        assert cond.mu == want
-        assert abs(cond.mu - 2.5e-3) <= 1e-11
+        assert abs(want - 2.5e-3) <= 1e-11
+        assert_shift(cond, msh, 0, want)
 
     def test_mu_without_damping(self):
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 0, c=3.0, delta=0.0, dt=0.1,
                                      gamma=0.5, beta=0.25)
-        assert cond.mu == 3.0 * 3.0 * 0.1 * 0.1 * 0.25
+        assert_shift(cond, msh, 0, 3.0 * 3.0 * 0.1 * 0.1 * 0.25)
 
     def test_invalid_parameters_rejected(self):
         msh = generate_structured_mesh(1)
@@ -84,52 +108,49 @@ class TestAgainstDenseElimination:
         pytest.param(n, p, mode, id=f"{n}-{p}" if mode == "single_facet"
                      else f"{mode}-{n}-{p}")
         for mode in ("single_facet", "uniform") for n, p in MESH_CASES])
-    def test_blocks_match_dense_oracle(self, n, degree, tau_mode):
+    def test_blocks_match_dense_oracle(self, n, degree, tau_mode, factored):
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
-        seven, dc = dense_pieces(msh, degree, cond.mu, tau_mode=tau_mode)
+        seven, dc = dense_pieces(msh, degree, oracles.shift(cond),
+                                 tau_mode=tau_mode)
 
         assert np.max(np.abs(block_diag_csr(ops.stiffness).toarray()
                              - dc["Ks"])) <= 1e-12
         shifted_inv = np.linalg.inv(dc["shifted"])
-        assert np.max(np.abs(block_diag_csr(cond.block_inv).toarray()
+        assert np.max(np.abs(cond.split[:lay.n_scalar].toarray()
                              - shifted_inv)) <= 1e-11
         assert np.max(np.abs(np.asarray(ops.coupling.todense())
                              - dc["R"])) <= 1e-12
         assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
                              - dc["A"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(cond.facet_schur.todense())
-                             - dc["schur"])) <= 1e-12
+        assert np.max(np.abs(factored[0].toarray() - dc["schur"])) <= 1e-12
 
     @pytest.mark.parametrize("n,degree", [(2, 1), (2, 2)])
-    def test_static_schur_matches_dense_oracle(self, n, degree):
+    def test_static_schur_matches_dense_oracle(self, n, degree, factored):
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree)
-        seven, dc = dense_pieces(msh, degree, cond.mu)
+        seven, dc = dense_pieces(msh, degree, oracles.shift(cond))
         want = dc["A"] - dc["R"].T @ np.linalg.solve(dc["Ks"], dc["R"])
-        static = stationary_elimination(ops)
-        assert static.mu == 1.0
-        assert np.max(np.abs(np.asarray(static.facet_schur.todense())
-                             - want)) <= 1e-11
+        stationary_elimination(ops)
+        assert np.max(np.abs(factored[1].toarray() - want)) <= 1e-11
 
     def test_elimination_maps_match_dense_oracle(self):
         msh = oracles.perturbed_mesh(2, seed=17)
         topo, lay, ops, cond = build(msh, 2)
-        seven, dc = dense_pieces(msh, 2, cond.mu)
+        seven, dc = dense_pieces(msh, 2, oracles.shift(cond))
 
+        # the stationary elimination has mu = 1: its mu W is W
         ybar = np.linalg.solve(dc["Ks"], dc["R"])
         static = stationary_elimination(ops)
-        assert np.max(np.abs(np.asarray(static.elim.todense())
-                             - ybar)) <= 1e-10
-        assert np.max(np.abs(np.asarray(static.elim_t.todense())
+        assert np.max(np.abs(static.mu_elim.toarray() - ybar)) <= 1e-10
+        assert np.max(np.abs(-static.split[lay.n_scalar:].toarray()
                              - ybar.T)) <= 1e-10
 
-    def test_perturbed_mesh_matches_dense_oracle(self):
+    def test_perturbed_mesh_matches_dense_oracle(self, factored):
         msh = oracles.perturbed_mesh(3, seed=8)
         topo, lay, ops, cond = build(msh, 1, delta=2.0e-3, dt=0.02)
-        seven, dc = dense_pieces(msh, 1, cond.mu)
-        assert np.max(np.abs(np.asarray(cond.facet_schur.todense())
-                             - dc["schur"])) <= 1e-12
+        seven, dc = dense_pieces(msh, 1, oracles.shift(cond))
+        assert np.max(np.abs(factored[0].toarray() - dc["schur"])) <= 1e-12
         assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
                              - dc["A"])) <= 1e-12
 
@@ -137,28 +158,29 @@ class TestAgainstDenseElimination:
 class TestSparsity:
     @pytest.mark.parametrize("n,degree", [(2, 0), (3, 1), (4, 2)])
     @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
-    def test_no_explicit_zeros_stored(self, n, degree, tau_mode):
+    def test_no_explicit_zeros_stored(self, n, degree, tau_mode, factored):
         # a horizontal and a vertical facet of one element couple through
         # exact zeros; storing them would change the fill of the facet
         # factorizations
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
-        for mat in (cond.facet_schur, ops.facet_gram, ops.coupling,
-                    stationary_elimination(ops).facet_schur):
+        stationary_elimination(ops)
+        assert len(factored) == 2
+        for mat in (*factored, ops.facet_gram, ops.coupling):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
 
 
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_factors_fill_less_than_colamd(self, degree):
+    def test_factors_fill_less_than_colamd(self, degree, factored):
         # the facet matrices are symmetric; a minimum degree ordering of
         # A^T + A leaves fewer L + U nonzeros than splu's default COLAMD
         msh = generate_structured_mesh(8)
         topo, lay, ops, cond = build(msh, degree)
         static = stationary_elimination(ops)
-        for mat, lu in ((cond.facet_schur, cond.facet_solver),
+        for mat, lu in ((factored[0], cond.facet_solver),
                         (ops.facet_gram, ops.gram_solver),
-                        (static.facet_schur, static.facet_solver)):
+                        (factored[1], static.facet_solver)):
             colamd = spla.splu(mat.tocsc())
             assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
@@ -174,7 +196,7 @@ class TestSpectralStructure:
     def test_facet_schur_is_spd(self):
         msh = oracles.perturbed_mesh(2, seed=45)
         topo, lay, ops, cond = build(msh, 1)
-        s = np.asarray(cond.facet_schur.todense())
+        s = oracles.facet_schur(ops, cond).toarray()
         assert np.max(np.abs(s - s.T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(0.5 * (s + s.T))) > 0.0
 
@@ -191,15 +213,16 @@ class TestSpectralStructure:
         msh = generate_structured_mesh(2)
         _, _, ops, cond1 = build(msh, 1, dt=0.05)
         _, _, _, cond2 = build(msh, 1, dt=0.005)
-        static = np.asarray(stationary_elimination(ops).facet_schur.todense())
+        static = oracles.facet_schur(ops, stationary_elimination(ops))
+        static = static.toarray()
         ops.scalar_mass[:] = 0.0
         for dt in (0.05, 0.005):
             massless = build_condensed(ops, 2.0, 1.0e-3, dt, 0.5, 0.25)
-            d_static = np.abs(np.asarray(massless.facet_schur.todense())
+            d_static = np.abs(oracles.facet_schur(ops, massless).toarray()
                               - static)
             assert np.max(d_static) <= 1e-12 * np.max(np.abs(static))
-        d_facet = np.abs(np.asarray((cond1.facet_schur
-                                     - cond2.facet_schur).todense()))
+        d_facet = np.abs((oracles.facet_schur(ops, cond1)
+                          - oracles.facet_schur(ops, cond2)).toarray())
         assert np.max(d_facet) > 1e-6
 
 
@@ -209,61 +232,37 @@ class TestSolves:
         rng = np.random.default_rng(7 + degree)
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree)
-        seven, dc = dense_pieces(msh, degree, cond.mu)
+        seven, dc = dense_pieces(msh, degree, oracles.shift(cond))
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
-        want_psi, want_lam = oracles.dense_corrector_solve(seven, cond.mu, rhs)
+        want_psi, want_lam = oracles.dense_corrector_solve(
+            seven, oracles.shift(cond), rhs)
         scale = max(np.max(np.abs(want_psi)), np.max(np.abs(want_lam)))
         assert np.max(np.abs(a_psi - want_psi)) <= 1e-10 * scale
         assert np.max(np.abs(a_lam - want_lam)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_condensed_solve_through_w_matches_dense_solves(self, degree):
-        # the solve goes through the stored W = (M + mu Ks)^-1 R and Wt; both
-        # and the solution match dense solves of the monolithic system
+        # the solve goes through the stored mu W, W = (M + mu Ks)^-1 R, and
+        # -Wt; both and the solution match dense solves of the monolithic
+        # system
         rng = np.random.default_rng(90 + degree)
         msh = oracles.perturbed_mesh(3, seed=11)
         topo, lay, ops, cond = build(msh, degree, c=1.5, delta=2.0e-2,
                                      dt=0.02)
-        seven, dc = dense_pieces(msh, degree, cond.mu)
+        mu = oracles.shift(cond)
+        seven, dc = dense_pieces(msh, degree, mu)
         w = np.linalg.solve(dc["shifted"], dc["R"])
-        assert np.max(np.abs(cond.elim.toarray() - w)) <= 1e-12 * (
-            np.max(np.abs(w)))
-        assert np.max(np.abs(cond.elim_t.toarray() - w.T)) <= 1e-12 * (
-            np.max(np.abs(w)))
+        assert np.max(np.abs(cond.mu_elim.toarray() - mu * w)) <= 1e-12 * (
+            mu * np.max(np.abs(w)))
+        assert np.max(np.abs(-cond.split[lay.n_scalar:].toarray() - w.T)) \
+            <= 1e-12 * np.max(np.abs(w))
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
-        want_psi, want_lam = oracles.dense_corrector_solve(seven, cond.mu, rhs)
+        want_psi, want_lam = oracles.dense_corrector_solve(seven, mu, rhs)
         scale = max(np.max(np.abs(want_psi)), np.max(np.abs(want_lam)))
         assert np.max(np.abs(a_psi - want_psi)) <= 1e-12 * scale
         assert np.max(np.abs(a_lam - want_lam)) <= 1e-12 * scale
-
-    def test_repeated_right_side_reuses_the_facet_solve(self):
-        msh = generate_structured_mesh(2)
-        topo, lay, ops, cond = build(msh, 1)
-        solver, calls = cond.facet_solver, []
-
-        class Counting:
-            def solve(self, b):
-                calls.append(b.copy())
-                return solver.solve(b)
-
-        cond.facet_solver = Counting()
-        rhs = np.random.default_rng(4).standard_normal(lay.n_scalar)
-        first = condensed_solve(cond, rhs)
-        again = condensed_solve(cond, rhs.copy())
-        assert len(calls) == 1
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        # a change in the last bit of one entry solves again, and so does a
-        # NaN right side, which never equals itself
-        changed = rhs.copy()
-        changed[0] = np.nextafter(changed[0], np.inf)
-        condensed_solve(cond, changed)
-        assert len(calls) == 2
-        nan_rhs = np.full(lay.n_scalar, np.nan)
-        condensed_solve(cond, nan_rhs)
-        condensed_solve(cond, nan_rhs)
-        assert len(calls) == 4
 
     def test_condensed_solve_satisfies_monolithic_equations(self):
         rng = np.random.default_rng(21)
@@ -271,9 +270,10 @@ class TestSolves:
         topo, lay, ops, cond = build(msh, 2, delta=5.0e-4, dt=0.01)
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
+        mu = oracles.shift(cond)
         shifted = block_diag_csr(ops.scalar_mass) \
-            + cond.mu * block_diag_csr(ops.stiffness)
-        r1 = shifted @ a_psi + cond.mu * (ops.coupling @ a_lam) - rhs
+            + mu * block_diag_csr(ops.stiffness)
+        r1 = shifted @ a_psi + mu * (ops.coupling @ a_lam) - rhs
         r2 = ops.coupling.T @ a_psi + ops.facet_gram @ a_lam
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(r1)) <= 1e-11 * scale
@@ -290,7 +290,7 @@ class TestSolves:
         rng = np.random.default_rng(5)
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1)
-        seven, dc = dense_pieces(msh, 1, cond.mu)
+        seven, dc = dense_pieces(msh, 1, oracles.shift(cond))
         b = rng.standard_normal(lay.n_facet)
         got = ops.gram_solver.solve(b)
         want = np.linalg.solve(dc["A"], b)
@@ -300,7 +300,7 @@ class TestSolves:
         rng = np.random.default_rng(31)
         msh = oracles.perturbed_mesh(2, seed=2)
         topo, lay, ops, cond = build(msh, 2)
-        seven, dc = dense_pieces(msh, 2, cond.mu)
+        seven, dc = dense_pieces(msh, 2, oracles.shift(cond))
         psi = rng.standard_normal(lay.n_scalar)
         lam = rng.standard_normal(lay.n_facet)
         got = reconstruct_velocity(ops, psi, lam)
@@ -344,7 +344,7 @@ class TestGuards:
         a_psi, a_lam = condensed_solve(cond, rhs)
         assert a_lam.shape == (0,)
         want = np.linalg.solve(ops.scalar_mass[0]
-                               + cond.mu * ops.stiffness[0], rhs)
+                               + oracles.shift(cond) * ops.stiffness[0], rhs)
         assert np.max(np.abs(a_psi - want)) <= 1e-12
         v = reconstruct_velocity(ops, a_psi, a_lam)
         assert v.shape == (n_vector(lay),)

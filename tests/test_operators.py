@@ -31,7 +31,6 @@ from westervelt_hdg.operators import (
     assemble_nonlinear_mass,
     assemble_operators,
     build_layout,
-    count_unstabilized_facets,
     element_dofs,
     nonlinear_defect,
     scatter_csr,
@@ -277,24 +276,6 @@ class TestMatrixStructure:
         with pytest.raises(AssemblyError, match="unknown tau mode"):
             tau_pattern(topo, 1.0, "everywhere")
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_unstabilized_facet_count_structured(self, n):
-        # single-facet stabilization marks every diagonal from both sides,
-        # leaving the 2 n (n - 1) interior axis-parallel facets untouched
-        msh = generate_structured_mesh(n)
-        topo = compute_facet_topology(msh)
-        tau = tau_pattern(topo, 1.0, "single_facet")
-        assert count_unstabilized_facets(topo, tau) == 2 * n * (n - 1)
-        assert count_unstabilized_facets(
-            topo, tau_pattern(topo, 1.0, "uniform")) == 0
-
-    def test_operators_record_unstabilized_count(self):
-        msh = generate_structured_mesh(2)
-        topo, lay, ops = build(msh, 1)
-        assert ops.n_unstabilized_facets == 4
-        topo, lay, ops_u = build(msh, 1, tau_mode="uniform")
-        assert ops_u.n_unstabilized_facets == 0
-
     def test_layout_mismatch_rejected(self):
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
@@ -363,31 +344,60 @@ class TestNonlinearMass:
             assemble_nonlinear_mass(np.zeros(lay.n_scalar + 1), 0.1,
                                     ops.tables)
 
-    @pytest.mark.parametrize("degree", [0, 1, 2])
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_defect_matches_dense_oracle(self, degree):
+        # theta = base + weight a, with base given at the nonlinear points
         rng = np.random.default_rng(71 + degree)
         msh = oracles.perturbed_mesh(2, seed=23)
         topo, lay, ops = build(msh, degree)
-        theta = 0.05 * rng.standard_normal(lay.n_scalar)
+        # at p = 3 the basis peaks higher: a smaller theta keeps
+        # 1 + 2k theta positive
+        theta = (0.05 if degree < 3 else 0.02) * rng.standard_normal(
+            lay.n_scalar)
         accel = rng.standard_normal(lay.n_scalar)
-        k = 0.6
-        got = nonlinear_defect(theta, accel, k, ops.tables)
-        mass = oracles.dense_seven(msh, topo, degree)["M"]
+        k, weight = 0.6, 0.037
+        base_q = ops.tables.at_nonlinear_points(theta - weight * accel)
+        kept = base_q.copy()
+        got = nonlinear_defect(base_q, weight, accel, k, ops.tables)
+        assert np.array_equal(base_q, kept)
+        # the dense nonlinear mass at k = 0 is the mass matrix M
+        mass = oracles.dense_nonlinear_mass(msh, degree, theta, 0.0)
         nmass = oracles.dense_nonlinear_mass(msh, degree, theta, k)
         want = (mass - nmass) @ accel
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_defect_degenerate_state_names_same_elements(self):
+    @pytest.mark.parametrize("k", [0.5, -0.5])
+    def test_defect_degenerate_state_names_same_elements(self, k):
+        # 1 + 2k theta is checked from the smallest theta for k > 0 and from
+        # the largest for k < 0
         msh = generate_structured_mesh(2)
         topo, lay, ops = build(msh, 1)
+        tab = ops.tables
         theta = np.zeros(lay.n_scalar)
         for t in (3, 5):
-            theta[scalar_slice(lay, t).start] = -5.0
+            theta[scalar_slice(lay, t).start] = -5.0 * np.sign(k)
         with pytest.raises(NondegeneracyError, match="nonpositive") as mass:
-            assemble_nonlinear_mass(theta, 0.5, ops.tables)
-        with pytest.raises(NondegeneracyError, match="nonpositive") as defect:
-            nonlinear_defect(theta, np.ones(lay.n_scalar), 0.5, ops.tables)
-        assert defect.value.elements == mass.value.elements == (3, 5)
+            assemble_nonlinear_mass(theta, k, tab)
+        assert mass.value.elements == (3, 5)
+        accel = np.random.default_rng(8).standard_normal(lay.n_scalar)
+        with pytest.raises(NondegeneracyError, match="nonpositive") as whole:
+            nonlinear_defect(tab.at_nonlinear_points(theta), 0.0, accel, k,
+                             tab)
+        assert str(whole.value) == str(mass.value)
+        assert whole.value.elements == mass.value.elements
+        with pytest.raises(NondegeneracyError, match="nonpositive") as split:
+            nonlinear_defect(tab.at_nonlinear_points(theta - 0.25 * accel),
+                             0.25, accel, k, tab)
+        assert split.value.elements == mass.value.elements
+
+    def test_defect_vanishes_without_nonlinearity(self):
+        # with k = 0 no theta is refused, and the defect is zero
+        msh = generate_structured_mesh(2)
+        topo, lay, ops = build(msh, 1)
+        base_q = ops.tables.at_nonlinear_points(np.full(lay.n_scalar, -1e300))
+        got = nonlinear_defect(base_q, 0.5, np.ones(lay.n_scalar), 0.0,
+                               ops.tables)
+        assert np.array_equal(got, np.zeros(lay.n_scalar))
 
 
 class TestLoads:
