@@ -9,13 +9,12 @@ blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. Ks, R and A depend on the
 discretization alone, so they are fields of the AssembledOperators that
 every elimination on them shares. The stationary solves of the initial data
 are the same system with Ks in place of M + mu Ks and mu = 1. For either
-block-diagonal matrix D, one routine (_eliminate) factorizes the facet
-Schur complement A - mu Rt W, W = D^-1 R, and stores D^-1 and -Wt stacked as
-one sparse matrix and mu W pre-scaled, so a solve
+block-diagonal matrix D, one routine (_eliminate) stores D^-1, W = D^-1 R
+and -Wt and factorizes the facet Schur complement A - mu Rt W, so a solve
 
-    [z; b] = [D^-1; -Wt] rhs,   a_lam = (A - mu Rt W)^-1 b,   a_psi = z - mu W a_lam
+    z = D^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),   a_psi = z - mu (W a_lam)
 
-is two sparse products and one facet solve.
+is one element-block apply, two sparse products and one facet solve.
 """
 
 from __future__ import annotations
@@ -33,17 +32,18 @@ from .operators import (
     _scalar_facet,
     apply_blocks,
     check_parameter,
-    element_dofs,
 )
 
 
 @dataclass
 class Elimination:
-    """D^-1 and W = D^-1 R of a block-diagonal D, and the factorized facet
-    Schur complement A - mu Rt W (see condensed_solve)."""
+    """D^-1, W = D^-1 R and -Wt of a block-diagonal D, and the factorized
+    facet Schur complement A - mu Rt W (see condensed_solve)."""
 
-    split: sp.csr_matrix  # (n_scalar + n_facet, n_scalar) [D^-1; -Wt]
-    mu_elim: sp.csr_matrix  # (n_scalar, n_facet) mu W
+    mu: float
+    block_inv: np.ndarray  # (ne, d, d) D^-1
+    elim: sp.csr_matrix  # (n_scalar, n_facet) W
+    minus_elim_t: sp.csr_matrix  # (n_facet, n_scalar) -Wt
     facet_solver: object = field(repr=False)
 
 
@@ -80,15 +80,10 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
     schur = _facet_facet(ops.tables, ops.trace_penalty,
                          e_loc.transpose(0, 2, 1) @ x_loc
                          - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
-    # D^-1 in CSR: row (e, i) holds the columns of element e
-    ne, d = block_inv.shape[:2]
-    inv = sp.csr_matrix((block_inv.ravel(),
-                         np.repeat(element_dofs(ne, d), d, axis=0).ravel(),
-                         np.arange(0, ne * d * d + 1, d)),
-                        shape=(ne * d, ne * d))
     elim = _scalar_facet(ops.tables, block_inv @ r_loc)
-    return dict(split=sp.vstack([inv, -elim.T.tocsr()], format="csr"),
-                mu_elim=mu * elim, facet_solver=_factorize(name, schur))
+    return dict(mu=mu, block_inv=block_inv, elim=elim,
+                minus_elim_t=-elim.T.tocsr(),
+                facet_solver=_factorize(name, schur))
 
 
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
@@ -130,10 +125,11 @@ def condensed_solve(elim: Elimination,
                     rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve D a_psi + mu R a_lam = rhs, Rt a_psi + A a_lam = 0 for a
     scalar-field right side (accelerations for the corrector's D)."""
-    zb = elim.split @ rhs
-    a_psi, b = zb[:rhs.size], zb[rhs.size:]
-    a_lam = elim.facet_solver.solve(b)
-    a_psi -= elim.mu_elim @ a_lam
+    a_psi = apply_blocks(elim.block_inv, rhs)
+    a_lam = elim.facet_solver.solve(elim.minus_elim_t @ rhs)
+    shift = elim.elim @ a_lam
+    shift *= elim.mu
+    a_psi -= shift
     return a_psi, a_lam
 
 

@@ -46,11 +46,11 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     d, pf = scalar_space_dim(degree), degree + 1
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
     q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
-    dense = (13 * d * d  # M, Mv, Mv^-1, B, S and Ks
+    dense = (14 * d * d  # M, Mv, Mv^-1, B, S; (M + mu Ks)^-1 and Ks
              + 12 * d * pf  # E, F and the blocks of R on the 3 pf facet dofs
              + 1.5 * pf * pf + 3  # facet penalty, tau
              + 2 * q * (d + 1) + q_nl + 3 * pf + 14)  # geometry, dof map
-    nonzeros = (d * d + 9 * d * pf  # [(M + mu Ks)^-1; -Wt], mu W and R
+    nonzeros = (9 * d * pf  # W, -Wt and R
                 + 7.5 * pf * pf)  # Gram matrix
     per_element = 8 * dense + 12 * nonzeros + 168  # 168: mesh and topology
     per_element += 8 * states * (3 * d + 3 * pf)

@@ -9,16 +9,15 @@ velocity field eliminated element-wise):
 Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
 implicit Newmark equations, lagging the nonlinear mass: every pass maps the
 acceleration iterate x to g = G(x) by solving one condensed linear system
-whose matrix is frozen in the CondensedOperators (corrector_step). The
-lagged velocity is theta = dPsi_hat + gamma dt x, so a pass evaluates only x
-at the nonlinear quadrature points, dPsi_hat being evaluated there once per
-step. With k = 0 the right side does not depend on x: a linear step reuses
-its first solve as the image of its second pass. Convergence is judged by
-the relative Euclidean change from x to g of the new-time solution, after
-at least two passes, and the step accepts g with the facet accelerations of
+whose matrix is frozen in the CondensedOperators (corrector_step). With
+k = 0 the right side does not depend on x: a linear step reuses its first
+solve as the image of its second pass. Convergence is judged by the
+relative Euclidean change from x to g of the new-time solution, after at
+least two passes, and the step accepts g with the facet accelerations of
 the same solve; a change that is not finite stops the step at once, and so
 does a change that grows on two consecutive passes (contraction ratio
-theta >= 1). The second pass starts from g_1; every later one from the
+theta >= 1). In-place updates round as the whole-array formulas do: near a
+zero crossing of the solution the stop test turns on the change's last bit. The second pass starts from g_1; every later one from the
 depth-one Anderson mixing x = g_s - a (g_s - g_{s-1}) of the last two
 images, with a minimizing the residual combination |f_s - a (f_s - f_{s-1})|,
 f = g - x. run() starts the second step from the extrapolated acceleration
@@ -143,21 +142,30 @@ class Prediction:
     lam_tilde: np.ndarray
 
 
+def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """y + a x in one new array, rounded as that expression is."""
+    out = a * x
+    out += y
+    return out
+
+
 def predictor(state: State, cfg: NewmarkConfig, delta: float,
               c: float) -> Prediction:
     """Newmark predictions of values and velocities at the next time level."""
     dt = cfg.dt
     half = 0.5 * dt * dt * (1.0 - 2.0 * cfg.beta)
-    psi_hat = state.psi + dt * state.dpsi + half * state.ddpsi
-    lam_hat = state.lam + dt * state.dlam + half * state.ddlam
-    dpsi_hat = state.dpsi + (1.0 - cfg.gamma) * dt * state.ddpsi
-    dlam_hat = state.dlam + (1.0 - cfg.gamma) * dt * state.ddlam
+    psi_hat = _axpy(dt, state.dpsi, state.psi)
+    psi_hat += half * state.ddpsi
+    lam_hat = _axpy(dt, state.dlam, state.lam)
+    lam_hat += half * state.ddlam
+    dpsi_hat = _axpy((1.0 - cfg.gamma) * dt, state.ddpsi, state.dpsi)
+    dlam_hat = _axpy((1.0 - cfg.gamma) * dt, state.ddlam, state.dlam)
     w = delta / (c * c)
     return Prediction(
         psi_hat=psi_hat, dpsi_hat=dpsi_hat, lam_hat=lam_hat,
         dlam_hat=dlam_hat,
-        psi_tilde=psi_hat + w * dpsi_hat,
-        lam_tilde=lam_hat + w * dlam_hat,
+        psi_tilde=_axpy(w, dpsi_hat, psi_hat),
+        lam_tilde=_axpy(w, dlam_hat, lam_hat),
     )
 
 
@@ -246,12 +254,14 @@ def load_function(forcing: Callable | None,
 def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
                    ops: AssembledOperators) -> np.ndarray:
     """Corrector load: forcing minus stiffness applied to the predictions."""
-    c2 = c * c
-    return load_next - c2 * (apply_blocks(ops.stiffness, pred.psi_tilde)
-                             + ops.coupling @ pred.lam_tilde)
+    rhs = apply_blocks(ops.stiffness, pred.psi_tilde)
+    rhs += ops.coupling @ pred.lam_tilde
+    rhs *= -(c * c)
+    rhs += load_next
+    return rhs
 
 
-def corrector_step(x: np.ndarray, dpsi_hat_q: np.ndarray, ln: np.ndarray,
+def corrector_step(x: np.ndarray, dpsi_hat: np.ndarray, ln: np.ndarray,
                    cfg: NewmarkConfig, prob: ProblemDefinition,
                    ops: AssembledOperators, cond: CondensedOperators):
     """One fixed-point pass of the implicit Newmark equations: the image g
@@ -259,21 +269,21 @@ def corrector_step(x: np.ndarray, dpsi_hat_q: np.ndarray, ln: np.ndarray,
     solve.
 
     Lags the nonlinear mass at the velocity iterate
-    theta = dpsi_hat + gamma dt x, with dpsi_hat_q the values of dpsi_hat at
-    the nonlinear points, applies its defect M - N(theta) to x without
-    forming N, and solves the condensed linear system; ln is the
+    theta = dpsi_hat + gamma dt x, applies its defect M - N(theta) to x
+    without forming N, and solves the condensed linear system; ln is the
     prediction-adjusted load from stiffness_load.
     """
-    rhs = nonlinear_defect(dpsi_hat_q, cfg.gamma * cfg.dt, x, prob.k,
-                           ops.tables)
+    theta = _axpy(cfg.gamma * cfg.dt, x, dpsi_hat)
+    rhs = nonlinear_defect(theta, x, prob.k, ops.tables)
     rhs += ln
     return condensed_solve(cond, rhs)
 
 
-def _change_metric(cfg: NewmarkConfig, pred: Prediction, ddpsi_old,
-                   ddpsi_new) -> float:
+def _change_metric(cfg: NewmarkConfig, pred: Prediction, diff: np.ndarray,
+                   ddpsi_new: np.ndarray) -> float:
     """Relative change of the monitored iterate (solution, velocity, or
-    acceleration depending on which Newmark weights are active)."""
+    acceleration depending on which Newmark weights are active) for the
+    acceleration change diff = ddpsi_new - ddpsi_old."""
     dt = cfg.dt
     if cfg.beta > 0.0:
         scale, base = cfg.beta * dt * dt, pred.psi_hat
@@ -281,7 +291,6 @@ def _change_metric(cfg: NewmarkConfig, pred: Prediction, ddpsi_old,
         scale, base = cfg.gamma * dt, pred.dpsi_hat
     else:
         scale, base = 1.0, None
-    diff = ddpsi_new - ddpsi_old
     ref = scale * ddpsi_new
     if base is not None:
         ref += base
@@ -309,30 +318,29 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
     ln = stiffness_load(pred, load(t_next), prob.c, ops)
-    dpsi_hat_q = ops.tables.at_nonlinear_points(pred.dpsi_hat)
     ddpsi = state.ddpsi if start is None else start
     change = np.inf
     converged = False
     iterations = 0
     rising = 0  # consecutive passes with theta >= 1
-    # the previous pass's iterate, its image and, from the third pass on,
-    # its residual f = g - x
-    x_old = g_old = f_old = None
+    # the previous pass's image g and residual f = g - x
+    g_old = f_old = None
     for s in range(1, cfg.max_iterations + 1):
         # with k = 0 the right side does not depend on the iterate, so every
         # later image is the first one
         if s == 1 or prob.k != 0.0:
             try:
-                g, ddlam = corrector_step(ddpsi, dpsi_hat_q, ln, cfg, prob,
-                                          ops, cond)
+                g, ddlam = corrector_step(ddpsi, pred.dpsi_hat, ln, cfg,
+                                          prob, ops, cond)
             except NondegeneracyError as err:
                 raise NondegeneracyError(
                     f"step {step_index}, corrector iteration {s}: {err}",
                     elements=err.elements,
                 ) from err
+        f = g - ddpsi
         last_change = change
-        change = _change_metric(cfg, pred, ddpsi, g)
-        if not np.isfinite(change):
+        change = _change_metric(cfg, pred, f, g)
+        if not math.isfinite(change):
             raise _nonfinite_error(change, g, ops, step_index, s)
         iterations = s
         if change < cfg.tol and s >= 2:
@@ -354,16 +362,14 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
         x_next = g
         if s >= 2:
             # depth-one Anderson mixing of the last two passes
-            if f_old is None:
-                f_old = g_old - x_old
-            f = g - ddpsi
             df = f - f_old
             dd = float(df @ df)
             mix = float(df @ f) / dd if dd > 0.0 else np.nan
-            if np.isfinite(mix):
-                x_next = g - mix * (g - g_old)
-            f_old = f
-        x_old, g_old = ddpsi, g
+            if math.isfinite(mix):
+                x_next = g - g_old
+                x_next *= mix
+                np.subtract(g, x_next, out=x_next)
+        g_old, f_old = g, f
         ddpsi = x_next
     if not converged:
         raise NonconvergenceError(
@@ -372,14 +378,14 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
             f"{change:.3e})",
             step=step_index, iterations=iterations, last_change=change,
         )
-    dt = cfg.dt
+    bdt2, gdt = cfg.beta * cfg.dt * cfg.dt, cfg.gamma * cfg.dt
     new = State(
         t=t_next,
-        psi=pred.psi_hat + cfg.beta * dt * dt * ddpsi,
-        dpsi=pred.dpsi_hat + cfg.gamma * dt * ddpsi,
+        psi=_axpy(bdt2, ddpsi, pred.psi_hat),
+        dpsi=_axpy(gdt, ddpsi, pred.dpsi_hat),
         ddpsi=ddpsi,
-        lam=pred.lam_hat + cfg.beta * dt * dt * ddlam,
-        dlam=pred.dlam_hat + cfg.gamma * dt * ddlam,
+        lam=_axpy(bdt2, ddlam, pred.lam_hat),
+        dlam=_axpy(gdt, ddlam, pred.dlam_hat),
         ddlam=ddlam,
     )
     return new, iterations
@@ -492,7 +498,9 @@ def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
         elif len(history) == 1:
             start = 2.0 * state.ddpsi - history[0]
         else:
-            start = 3.0 * (state.ddpsi - history[0]) + history[1]
+            start = state.ddpsi - history[0]
+            start *= 3.0
+            start += history[1]
         history = [state.ddpsi] + history[:1]
         state, iters = advance_step(state, cfg, prob, ops, cond, load,
                                     step_index=step, start=start)

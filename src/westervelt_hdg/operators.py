@@ -461,20 +461,18 @@ def assemble_nonlinear_mass(theta: np.ndarray, k: float,
                      phi)
 
 
-def nonlinear_defect(base_q: np.ndarray, weight: float, a: np.ndarray,
-                     k: float, tables: ElementTables) -> np.ndarray:
-    """The vector (M - N(theta)) a = -2k ((theta a) phi_i)_K for the
-    coefficient theta = base + weight a, evaluated at the points of the
-    nonlinear rule without forming N(theta); base_q holds the values of base
-    there (ElementTables.at_nonlinear_points).
+def nonlinear_defect(theta: np.ndarray, a: np.ndarray, k: float,
+                     tables: ElementTables) -> np.ndarray:
+    """The vector (M - N(theta)) a = -2k ((theta a) phi_i)_K, evaluated at
+    the points of the nonlinear rule without forming N(theta).
 
     Raises NondegeneracyError under the same condition as
     assemble_nonlinear_mass, and forms 1 + 2 k theta only then: it is
-    monotone in theta, so its smallest value is that at the smallest theta
-    for k > 0 and at the largest for k < 0.
+    monotone in theta, so its smallest value is the one at the smallest
+    theta for k > 0 and at the largest for k < 0.
     """
+    theta_q = tables.at_nonlinear_points(theta)
     a_q = tables.at_nonlinear_points(a)
-    theta_q = base_q + weight * a_q
     if k != 0.0 and 1.0 + 2.0 * k * (
             theta_q.min() if k > 0.0 else theta_q.max()) <= 0.0:
         _refuse_nonpositive(1.0 + 2.0 * k * theta_q)

@@ -52,6 +52,7 @@ from westervelt_hdg.operators import (
     AssembledOperators,
     DofLayout,
     ElementTables,
+    apply_blocks,
     element_dofs,
     facet_traces,
     scatter_csr,
@@ -803,24 +804,6 @@ def loop_eval_at(fld, points: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# quantities formed from the package's stored operators, for checks of
-# properties that the package does not store
-
-
-def shift(cond) -> float:
-    """The shift mu = c^2 dt^2 beta + delta gamma dt of the corrector's
-    D = M + mu Ks, for the parameters cond was built with."""
-    return (cond.c * cond.c * cond.dt * cond.dt * cond.beta
-            + cond.delta * cond.gamma * cond.dt)
-
-
-def facet_schur(ops: AssembledOperators, elim) -> scipy.sparse.csr_matrix:
-    """The facet Schur complement A - mu Rt W of an elimination, from the
-    Gram matrix A, the coupling R and the stored mu W."""
-    return (ops.facet_gram - ops.coupling.T @ elim.mu_elim).tocsr()
-
-
-# ----------------------------------------------------------------------
 # the unaccelerated corrector. Unlike the oracles above, it is built from
 # the package's predictor, corrector pass and change metric.
 
@@ -835,12 +818,11 @@ def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
     ln = stiffness_load(pred, load(t_next), prob.c, ops)
-    dpsi_hat_q = ops.tables.at_nonlinear_points(pred.dpsi_hat)
     ddpsi = state.ddpsi if start is None else start
     for s in range(1, cfg.max_iterations + 1):
-        ddpsi_new, ddlam = corrector_step(ddpsi, dpsi_hat_q, ln, cfg, prob,
+        ddpsi_new, ddlam = corrector_step(ddpsi, pred.dpsi_hat, ln, cfg, prob,
                                           ops, cond)
-        change = _change_metric(cfg, pred, ddpsi, ddpsi_new)
+        change = _change_metric(cfg, pred, ddpsi_new - ddpsi, ddpsi_new)
         if not np.isfinite(change):
             raise NonconvergenceError(f"change {change} at step {step_index}")
         ddpsi = ddpsi_new
@@ -860,12 +842,77 @@ def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     ), s
 
 
+def expression_advance(state: State, cfg: NewmarkConfig,
+                       prob: ProblemDefinition, ops: AssembledOperators,
+                       cond, step_index: int = 0,
+                       start: np.ndarray | None = None) -> tuple[State, int]:
+    """newmark.advance_step with its mixing but without the contraction
+    monitor, written as whole-array expressions from the stored operators,
+    without the package's step kernels or any in-place update. A solve is
+    a deterministic function of its right side, so this chain must match
+    advance_step bit for bit. Needs beta > 0."""
+    assert cfg.beta > 0.0
+    load = load_function(prob.forcing, ops.tables)
+    dt, tab, c2 = cfg.dt, ops.tables, prob.c * prob.c
+    half = 0.5 * dt * dt * (1.0 - 2.0 * cfg.beta)
+    psi_hat = state.psi + dt * state.dpsi + half * state.ddpsi
+    lam_hat = state.lam + dt * state.dlam + half * state.ddlam
+    dpsi_hat = state.dpsi + (1.0 - cfg.gamma) * dt * state.ddpsi
+    dlam_hat = state.dlam + (1.0 - cfg.gamma) * dt * state.ddlam
+    w = prob.delta / c2
+    ln = load(state.t + dt) - c2 * (
+        apply_blocks(ops.stiffness, psi_hat + w * dpsi_hat)
+        + ops.coupling @ (lam_hat + w * dlam_hat))
+    x = state.ddpsi if start is None else start
+    scale = cfg.beta * dt * dt
+    x_old = g_old = f_old = None
+    for s in range(1, cfg.max_iterations + 1):
+        theta_q = tab.at_nonlinear_points(dpsi_hat + cfg.gamma * dt * x)
+        x_q = tab.at_nonlinear_points(x)
+        rhs = ((-2.0 * prob.k) * (tab.weights_nl * theta_q * x_q)
+               @ tab.phi_nl).ravel() + ln
+        ddlam = cond.facet_solver.solve(-(cond.elim.T.tocsr() @ rhs))
+        g = apply_blocks(cond.block_inv, rhs) - cond.mu * (cond.elim @ ddlam)
+        num = scale * float(np.linalg.norm(g - x))
+        den = float(np.linalg.norm(psi_hat + scale * g))
+        change = num / den if den > 0.0 else num
+        if not np.isfinite(change):
+            raise NonconvergenceError(f"change {change} at step {step_index}")
+        if change < cfg.tol and s >= 2:
+            break
+        x_next = g
+        if s >= 2:
+            if f_old is None:
+                f_old = g_old - x_old
+            f = g - x
+            df = f - f_old
+            dd = float(df @ df)
+            mix = float(df @ f) / dd if dd > 0.0 else np.nan
+            if np.isfinite(mix):
+                x_next = g - mix * (g - g_old)
+            f_old = f
+        x_old, g_old, x = x, g, x_next
+    else:
+        raise NonconvergenceError(f"no convergence at step {step_index}")
+    return State(
+        t=state.t + dt,
+        psi=psi_hat + cfg.beta * dt * dt * g,
+        dpsi=dpsi_hat + cfg.gamma * dt * g,
+        ddpsi=g,
+        lam=lam_hat + cfg.beta * dt * dt * ddlam,
+        dlam=dlam_hat + cfg.gamma * dt * ddlam,
+        ddlam=ddlam,
+    ), s
+
+
 def plain_run(prob: ProblemDefinition, disc: Discretization,
-              cfg: NewmarkConfig) -> tuple[State, list[int]]:
-    """newmark.run with plain_advance steps and the same starts (a_0, then
-    2 a_n - a_{n-1}, then 3 (a_n - a_{n-1}) + a_{n-2}); returns the final
-    state and the passes of every step. Only the operators of disc are
-    used; everything else is built here."""
+              cfg: NewmarkConfig, advance=plain_advance,
+              ) -> tuple[State, list[int]]:
+    """newmark.run with the steps of advance (plain_advance or
+    expression_advance) and the same starts (a_0, then 2 a_n - a_{n-1},
+    then 3 (a_n - a_{n-1}) + a_{n-2}); returns the final state and the
+    passes of every step. Only the operators of disc are used; everything
+    else is built here."""
     ops = disc.ops
     cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
                            cfg.beta)
@@ -878,7 +925,7 @@ def plain_run(prob: ProblemDefinition, disc: Discretization,
         else:
             start = 2.0 * state.ddpsi - back[0] if back else None
         back = [state.ddpsi] + back[:1]
-        state, iters = plain_advance(state, cfg, prob, ops, cond,
-                                     step_index=step, start=start)
+        state, iters = advance(state, cfg, prob, ops, cond,
+                               step_index=step, start=start)
         passes.append(iters)
     return state, passes

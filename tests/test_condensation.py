@@ -50,28 +50,20 @@ def factored(monkeypatch):
     return seen
 
 
-def assert_shift(cond, msh, degree, mu):
-    """cond's stored mu W is mu (M + mu Ks)^-1 R of the dense oracle."""
-    seven, dc = dense_pieces(msh, degree, mu)
-    w = np.linalg.solve(dc["shifted"], dc["R"])
-    assert np.max(np.abs(cond.mu_elim.toarray() - mu * w)) <= 1e-13 * (
-        mu * np.max(np.abs(w)))
-
-
 class TestShiftParameter:
     def test_mu_formula_reference_values(self):
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 0, c=100.0, delta=6.0e-9, dt=1.0e-3,
                                      gamma=0.5, beta=0.25)
         want = 100.0 ** 2 * 1.0e-3 ** 2 * 0.25 + 6.0e-9 * 0.5 * 1.0e-3
-        assert abs(want - 2.5e-3) <= 1e-11
-        assert_shift(cond, msh, 0, want)
+        assert cond.mu == want
+        assert abs(cond.mu - 2.5e-3) <= 1e-11
 
     def test_mu_without_damping(self):
         msh = generate_structured_mesh(1)
         topo, lay, ops, cond = build(msh, 0, c=3.0, delta=0.0, dt=0.1,
                                      gamma=0.5, beta=0.25)
-        assert_shift(cond, msh, 0, 3.0 * 3.0 * 0.1 * 0.1 * 0.25)
+        assert cond.mu == 3.0 * 3.0 * 0.1 * 0.1 * 0.25
 
     def test_invalid_parameters_rejected(self):
         msh = generate_structured_mesh(1)
@@ -111,13 +103,12 @@ class TestAgainstDenseElimination:
     def test_blocks_match_dense_oracle(self, n, degree, tau_mode, factored):
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
-        seven, dc = dense_pieces(msh, degree, oracles.shift(cond),
-                                 tau_mode=tau_mode)
+        seven, dc = dense_pieces(msh, degree, cond.mu, tau_mode=tau_mode)
 
         assert np.max(np.abs(block_diag_csr(ops.stiffness).toarray()
                              - dc["Ks"])) <= 1e-12
         shifted_inv = np.linalg.inv(dc["shifted"])
-        assert np.max(np.abs(cond.split[:lay.n_scalar].toarray()
+        assert np.max(np.abs(block_diag_csr(cond.block_inv).toarray()
                              - shifted_inv)) <= 1e-11
         assert np.max(np.abs(np.asarray(ops.coupling.todense())
                              - dc["R"])) <= 1e-12
@@ -129,27 +120,28 @@ class TestAgainstDenseElimination:
     def test_static_schur_matches_dense_oracle(self, n, degree, factored):
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree)
-        seven, dc = dense_pieces(msh, degree, oracles.shift(cond))
+        seven, dc = dense_pieces(msh, degree, cond.mu)
         want = dc["A"] - dc["R"].T @ np.linalg.solve(dc["Ks"], dc["R"])
-        stationary_elimination(ops)
+        static = stationary_elimination(ops)
+        assert static.mu == 1.0
         assert np.max(np.abs(factored[1].toarray() - want)) <= 1e-11
 
     def test_elimination_maps_match_dense_oracle(self):
         msh = oracles.perturbed_mesh(2, seed=17)
         topo, lay, ops, cond = build(msh, 2)
-        seven, dc = dense_pieces(msh, 2, oracles.shift(cond))
+        seven, dc = dense_pieces(msh, 2, cond.mu)
 
-        # the stationary elimination has mu = 1: its mu W is W
         ybar = np.linalg.solve(dc["Ks"], dc["R"])
         static = stationary_elimination(ops)
-        assert np.max(np.abs(static.mu_elim.toarray() - ybar)) <= 1e-10
-        assert np.max(np.abs(-static.split[lay.n_scalar:].toarray()
+        assert np.max(np.abs(np.asarray(static.elim.todense())
+                             - ybar)) <= 1e-10
+        assert np.max(np.abs(np.asarray(-static.minus_elim_t.todense())
                              - ybar.T)) <= 1e-10
 
     def test_perturbed_mesh_matches_dense_oracle(self, factored):
         msh = oracles.perturbed_mesh(3, seed=8)
         topo, lay, ops, cond = build(msh, 1, delta=2.0e-3, dt=0.02)
-        seven, dc = dense_pieces(msh, 1, oracles.shift(cond))
+        seven, dc = dense_pieces(msh, 1, cond.mu)
         assert np.max(np.abs(factored[0].toarray() - dc["schur"])) <= 1e-12
         assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
                              - dc["A"])) <= 1e-12
@@ -193,10 +185,10 @@ class TestSpectralStructure:
         assert np.max(np.abs(a - a.T)) <= 1e-13
         assert np.min(np.linalg.eigvalsh(a)) > 0.0
 
-    def test_facet_schur_is_spd(self):
+    def test_facet_schur_is_spd(self, factored):
         msh = oracles.perturbed_mesh(2, seed=45)
         topo, lay, ops, cond = build(msh, 1)
-        s = oracles.facet_schur(ops, cond).toarray()
+        s = factored[0].toarray()
         assert np.max(np.abs(s - s.T)) <= 1e-12
         assert np.min(np.linalg.eigvalsh(0.5 * (s + s.T))) > 0.0
 
@@ -207,22 +199,20 @@ class TestSpectralStructure:
         assert np.max(np.abs(stiffness
                              - stiffness.transpose(0, 2, 1))) == 0.0
 
-    def test_static_schur_independent_of_time_step(self):
+    def test_static_schur_independent_of_time_step(self, factored):
         # without the mass, the corrector's A - mu Rt (mu Ks)^-1 R is the
         # stationary Schur complement at every dt; with it, it depends on dt
         msh = generate_structured_mesh(2)
         _, _, ops, cond1 = build(msh, 1, dt=0.05)
         _, _, _, cond2 = build(msh, 1, dt=0.005)
-        static = oracles.facet_schur(ops, stationary_elimination(ops))
-        static = static.toarray()
+        stationary_elimination(ops)
+        schur1, schur2, static = (m.toarray() for m in factored)
         ops.scalar_mass[:] = 0.0
         for dt in (0.05, 0.005):
-            massless = build_condensed(ops, 2.0, 1.0e-3, dt, 0.5, 0.25)
-            d_static = np.abs(oracles.facet_schur(ops, massless).toarray()
-                              - static)
+            build_condensed(ops, 2.0, 1.0e-3, dt, 0.5, 0.25)
+            d_static = np.abs(factored[-1].toarray() - static)
             assert np.max(d_static) <= 1e-12 * np.max(np.abs(static))
-        d_facet = np.abs((oracles.facet_schur(ops, cond1)
-                          - oracles.facet_schur(ops, cond2)).toarray())
+        d_facet = np.abs(schur1 - schur2)
         assert np.max(d_facet) > 1e-6
 
 
@@ -232,34 +222,31 @@ class TestSolves:
         rng = np.random.default_rng(7 + degree)
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree)
-        seven, dc = dense_pieces(msh, degree, oracles.shift(cond))
+        seven, dc = dense_pieces(msh, degree, cond.mu)
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
-        want_psi, want_lam = oracles.dense_corrector_solve(
-            seven, oracles.shift(cond), rhs)
+        want_psi, want_lam = oracles.dense_corrector_solve(seven, cond.mu, rhs)
         scale = max(np.max(np.abs(want_psi)), np.max(np.abs(want_lam)))
         assert np.max(np.abs(a_psi - want_psi)) <= 1e-10 * scale
         assert np.max(np.abs(a_lam - want_lam)) <= 1e-10 * scale
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
     def test_condensed_solve_through_w_matches_dense_solves(self, degree):
-        # the solve goes through the stored mu W, W = (M + mu Ks)^-1 R, and
-        # -Wt; both and the solution match dense solves of the monolithic
-        # system
+        # the solve goes through the stored W = (M + mu Ks)^-1 R and -Wt;
+        # both and the solution match dense solves of the monolithic system
         rng = np.random.default_rng(90 + degree)
         msh = oracles.perturbed_mesh(3, seed=11)
         topo, lay, ops, cond = build(msh, degree, c=1.5, delta=2.0e-2,
                                      dt=0.02)
-        mu = oracles.shift(cond)
-        seven, dc = dense_pieces(msh, degree, mu)
+        seven, dc = dense_pieces(msh, degree, cond.mu)
         w = np.linalg.solve(dc["shifted"], dc["R"])
-        assert np.max(np.abs(cond.mu_elim.toarray() - mu * w)) <= 1e-12 * (
-            mu * np.max(np.abs(w)))
-        assert np.max(np.abs(-cond.split[lay.n_scalar:].toarray() - w.T)) \
-            <= 1e-12 * np.max(np.abs(w))
+        assert np.max(np.abs(cond.elim.toarray() - w)) <= 1e-12 * (
+            np.max(np.abs(w)))
+        assert np.max(np.abs(-cond.minus_elim_t.toarray() - w.T)) <= 1e-12 * (
+            np.max(np.abs(w)))
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
-        want_psi, want_lam = oracles.dense_corrector_solve(seven, mu, rhs)
+        want_psi, want_lam = oracles.dense_corrector_solve(seven, cond.mu, rhs)
         scale = max(np.max(np.abs(want_psi)), np.max(np.abs(want_lam)))
         assert np.max(np.abs(a_psi - want_psi)) <= 1e-12 * scale
         assert np.max(np.abs(a_lam - want_lam)) <= 1e-12 * scale
@@ -270,10 +257,9 @@ class TestSolves:
         topo, lay, ops, cond = build(msh, 2, delta=5.0e-4, dt=0.01)
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
-        mu = oracles.shift(cond)
         shifted = block_diag_csr(ops.scalar_mass) \
-            + mu * block_diag_csr(ops.stiffness)
-        r1 = shifted @ a_psi + mu * (ops.coupling @ a_lam) - rhs
+            + cond.mu * block_diag_csr(ops.stiffness)
+        r1 = shifted @ a_psi + cond.mu * (ops.coupling @ a_lam) - rhs
         r2 = ops.coupling.T @ a_psi + ops.facet_gram @ a_lam
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(r1)) <= 1e-11 * scale
@@ -290,7 +276,7 @@ class TestSolves:
         rng = np.random.default_rng(5)
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1)
-        seven, dc = dense_pieces(msh, 1, oracles.shift(cond))
+        seven, dc = dense_pieces(msh, 1, cond.mu)
         b = rng.standard_normal(lay.n_facet)
         got = ops.gram_solver.solve(b)
         want = np.linalg.solve(dc["A"], b)
@@ -300,7 +286,7 @@ class TestSolves:
         rng = np.random.default_rng(31)
         msh = oracles.perturbed_mesh(2, seed=2)
         topo, lay, ops, cond = build(msh, 2)
-        seven, dc = dense_pieces(msh, 2, oracles.shift(cond))
+        seven, dc = dense_pieces(msh, 2, cond.mu)
         psi = rng.standard_normal(lay.n_scalar)
         lam = rng.standard_normal(lay.n_facet)
         got = reconstruct_velocity(ops, psi, lam)
@@ -344,7 +330,7 @@ class TestGuards:
         a_psi, a_lam = condensed_solve(cond, rhs)
         assert a_lam.shape == (0,)
         want = np.linalg.solve(ops.scalar_mass[0]
-                               + oracles.shift(cond) * ops.stiffness[0], rhs)
+                               + cond.mu * ops.stiffness[0], rhs)
         assert np.max(np.abs(a_psi - want)) <= 1e-12
         v = reconstruct_velocity(ops, a_psi, a_lam)
         assert v.shape == (n_vector(lay),)
