@@ -173,20 +173,19 @@ class History:
         self.size += 1
 
 
-def energy(states, ops: AssembledOperators, k: float, c: float):
-    """Discrete energies of a State, or of the states of a History.
+def energy(states: History, ops: AssembledOperators, k: float, c: float):
+    """Discrete energies of the states of a History.
 
-    Returns (e0, e1): floats for a State, arrays (S,) for S stacked states.
-    e0 combines the weighted kinetic term of the velocity unknown with the
-    stored acoustic terms (vector field plus stabilization jumps); e1 is the
+    Returns (e0, e1), arrays (S,) for the S recorded states. e0 combines
+    the weighted kinetic term of the velocity unknown with the stored
+    acoustic terms (vector field plus stabilization jumps); e1 is the
     same functional one time-derivative higher, both with the weight
     1 + 2 k (d psi/dt). Raises NondegeneracyError, naming the first state
     and its elements, where that weight is not strictly positive. The
     states go through in chunks of ENERGY_CHUNK.
     """
     lay = ops.layout
-    times = np.atleast_1d(states.t)
-    psi, dpsi, ddpsi, lam, dlam = (np.atleast_2d(getattr(states, name))
+    psi, dpsi, ddpsi, lam, dlam = (getattr(states, name)
                                    for name in History.FIELDS)
     table, rows = _stored_energy_table(ops)
     e0, e1 = np.empty(len(psi)), np.empty(len(psi))
@@ -194,7 +193,7 @@ def energy(states, ops: AssembledOperators, k: float, c: float):
         part = slice(start, start + ENERGY_CHUNK)
         m = len(psi[part])
         kin0, kin1 = _kinetic_energies(dpsi[part], ddpsi[part], k, ops.tables,
-                                       start, times[part])
+                                       start, states.t[part])
         # the columns: the m states' (psi, lam), then their (dpsi, dlam)
         cols = np.zeros((lay.n_scalar + lay.n_facet + 1, 2 * m))
         cols[:lay.n_scalar] = np.concatenate([psi[part], dpsi[part]]).T
@@ -204,8 +203,6 @@ def energy(states, ops: AssembledOperators, k: float, c: float):
         stored = np.einsum("eis,eis->s", out, out)
         e0[part] = 0.5 * kin0 + 0.5 * c * c * stored[:m]
         e1[part] = 0.5 * kin1 + 0.5 * c * c * stored[m:]
-    if np.ndim(states.psi) == 1:
-        return float(e0[0]), float(e1[0])
     return e0, e1
 
 

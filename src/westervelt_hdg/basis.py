@@ -50,11 +50,10 @@ def _jacobi_deriv(n: int, alpha: int, beta: int, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Positive-weight rule exact for polynomials up to total degree `order`."""
+    """Positive-weight quadrature rule on a reference simplex."""
 
     points: np.ndarray  # (n, dim) or (n,) for segments
     weights: np.ndarray  # (n,)
-    order: int
 
     def __post_init__(self):
         self.points.setflags(write=False)
@@ -76,7 +75,7 @@ def segment_quadrature(order: int) -> QuadratureRule:
     _check_order(order)
     n = order // 2 + 1
     x, w = roots_legendre(n)
-    return QuadratureRule(points=(x + 1.0) / 2.0, weights=w / 2.0, order=order)
+    return QuadratureRule(points=(x + 1.0) / 2.0, weights=w / 2.0)
 
 
 def triangle_quadrature(order: int) -> QuadratureRule:
@@ -98,7 +97,7 @@ def triangle_quadrature(order: int) -> QuadratureRule:
     r = 0.5 * (1.0 + a) * (1.0 - b) - 1.0
     s = b
     pts = np.column_stack([(r + 1.0) / 2.0, (s + 1.0) / 2.0])
-    return QuadratureRule(points=pts, weights=w / 8.0, order=order)
+    return QuadratureRule(points=pts, weights=w / 8.0)
 
 
 def _collapsed_coords(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

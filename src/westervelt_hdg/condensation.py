@@ -89,9 +89,10 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
                     dt: float, gamma: float, beta: float) -> CondensedOperators:
     """The corrector's operators for (c, delta, dt, gamma, beta)."""
-    for name, value in (("c", c), ("c^2", c * c), ("delta", delta),
-                        ("dt", dt), ("gamma", gamma), ("beta", beta)):
+    for name, value in (("c", c), ("delta", delta), ("dt", dt),
+                        ("gamma", gamma), ("beta", beta)):
         check_parameter(name, value, CondensationError)
+    check_parameter("c^2", c * c, CondensationError)
     mu = c * c * dt * dt * beta + delta * gamma * dt
     try:
         shifted_inv = np.linalg.inv(ops.scalar_mass + mu * ops.stiffness)

@@ -15,9 +15,9 @@ from .operators import MAX_STEPS, PARAMETERS, check_parameter
 DELTA_ANCHOR_LEVEL = 4
 
 # the largest level_bytes of a mesh level a study may run, the memory of a
-# large compute node; at p = 1 and 2 the peak resident memory of a run grew
-# by 2.8-4.0 times level_bytes over that of a run on n = 2
-MAX_LEVEL_BYTES = 2**38
+# large compute node; at p = 0 to 2 the peak resident memory of a run grew
+# by 1.5-1.7 times level_bytes over that of a run on n = 2
+MAX_LEVEL_BYTES = 2**39
 
 
 class ConfigError(Exception):
@@ -33,29 +33,38 @@ def h_rule_steps(coarse_steps: int, degree: int, h_ratio: float) -> int:
 
 def level_bytes(n: int, degree: int, states: int = 0) -> float:
     """Estimated bytes of the level-n structured mesh (2 n^2 triangles), of
-    the element blocks stored for it at degree and of `states` states of a
-    monitored run.
+    the element blocks, sparse matrices and facet factors stored for it at
+    degree and of `states` states of a monitored run.
 
-    Counts the float64 blocks of AssembledOperators (Ks, R and A included),
-    ElementTables and CondensedOperators and the value and int32 index of
-    every nonzero of their CSR matrices, with 1.5 interior facets per
-    element; the temporaries of assembly and the facet factors come on top. A
-    stored state (analysis.History) holds psi, dpsi and ddpsi and the facet
+    Counts the float64 blocks of AssembledOperators, ElementTables and
+    CondensedOperators, the value and int32 index of every nonzero and the
+    int32 row pointers of their CSR matrices and of the L and U factors of
+    the facet Schur complement and the Gram matrix A, with 1.5 interior
+    facets per element; the temporaries of assembly come on top. A stored
+    state (analysis.History) holds psi, dpsi and ddpsi and the facet
     unknowns lam and dlam.
     """
     d, pf = scalar_space_dim(degree), degree + 1
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
     q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
-    dense = (14 * d * d  # M, Mv, Mv^-1, B, S; (M + mu Ks)^-1 and Ks
+    dense = (13 * d * d  # M, Mv, Mv^-1, B; (M + mu Ks)^-1 and Ks
              + 12 * d * pf  # E, F and the blocks of R on the 3 pf facet dofs
              + 1.5 * pf * pf + 3  # facet penalty, tau
-             + 2 * q * (d + 1) + q_nl + 3 * pf + 14)  # geometry, dof map
-    nonzeros = (9 * d * pf  # W, -Wt and R
-                + 7.5 * pf * pf)  # Gram matrix
-    per_element = 8 * dense + 12 * nonzeros + 168  # 168: mesh and topology
-    per_element += 8 * states * (3 * d + 3 * pf)
+             + 2 * q * (d + 1) + q_nl + 3 * pf + 8)  # geometry, dof map
+    rows = 2 * d + 7.5 * pf  # of W, R, -Wt and the four factors
     try:
-        return 2.0 * float(n) ** 2 * per_element
+        n = float(n)
+        # L + U nonzeros of both factors per element, fitted to the fill
+        # of the minimum degree ordering at n = 8...128, p = 0...3, and
+        # high beyond (21% at n = 256, p = 1); at p = 0 the perpendicular
+        # sides of an element couple through no entry of A, which fills
+        # in less
+        fill = (11.0 * n ** (1.0 / 3.0) if degree == 0
+                else 10.5 * pf * pf * math.sqrt(n))
+        nonzeros = 9 * d * pf + fill  # W, -Wt, R and the factors
+        # 144: the mesh and its topology
+        return 2.0 * n ** 2 * (8 * dense + 12 * nonzeros + 4 * rows + 144
+                               + 8 * states * (3 * d + 3 * pf))
     except OverflowError:
         return math.inf
 

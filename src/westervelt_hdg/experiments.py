@@ -24,8 +24,7 @@ from .analysis import (
 from .basis import triangle_quadrature
 from .condensation import reconstruct_velocity
 from .config import RunConfig, level_dt
-from .mesh import (Mesh, generate_structured_mesh, mesh_metrics,
-                   quadrature_points)
+from .mesh import Mesh, generate_structured_mesh, mesh_size, quadrature_points
 from .newmark import Discretization, NewmarkConfig, number_of_steps, run
 from .operators import SolverError, apply_blocks
 from .problems import (
@@ -112,7 +111,7 @@ def h_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     dts = level_dt(cfg, "h_convergence")
     for n in cfg.levels:
         mesh = generate_structured_mesh(n)
-        h = mesh_metrics(mesh).h
+        h = mesh_size(mesh)
         dt = dts[n]
         try:
             result = run(prob, _discretization(cfg, mesh),

@@ -57,9 +57,6 @@ class Mesh:
     def n_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def areas(self) -> np.ndarray:
-        return 0.5 * element_geometry(self)[2]
-
 
 def element_geometry(mesh: Mesh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Affine maps x = vert0 + jac @ xhat from the reference triangle.
@@ -103,11 +100,10 @@ class FacetTopology:
     """Edge connectivity, orientations, normals and stabilization facets.
 
     Facets are numbered in order of first appearance while traversing the
-    elements; each stores its vertices as (lo, hi) with lo < hi, which also
-    fixes the global parametrization direction used by facet bases.
+    elements; each runs from its lower to its higher vertex id, which fixes
+    the global parametrization direction used by facet bases.
     """
 
-    facets: np.ndarray  # (n_facets, 2) vertex ids, lo < hi
     is_interior: np.ndarray  # (n_facets,) bool
     elem_facets: np.ndarray  # (n_triangles, 3) global facet id per local facet
     elem_facet_forward: np.ndarray  # (n_triangles, 3) local orientation == global
@@ -116,10 +112,6 @@ class FacetTopology:
     interior_index: np.ndarray  # (n_facets,) position among interior facets or -1
     stab_facet: np.ndarray  # (n_triangles,) local index of the stabilized facet
     n_interior: int = field(default=0)
-
-    @property
-    def n_facets(self) -> int:
-        return self.facets.shape[0]
 
 
 # local facet lf joins local vertices lf and lf + 1 (mod 3)
@@ -174,11 +166,10 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
     longest = side_lengths == side_lengths.max(axis=1, keepdims=True)
     stab = np.argmin(np.where(longest, elem_facets, np.iinfo(np.int64).max),
                      axis=1)
-    for arr in (facets, is_interior, elem_facets, forward, normals,
+    for arr in (is_interior, elem_facets, forward, normals,
                 lengths, interior_index, stab):
         arr.setflags(write=False)
     return FacetTopology(
-        facets=facets,
         is_interior=is_interior,
         elem_facets=elem_facets,
         elem_facet_forward=forward,
@@ -190,24 +181,11 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
     )
 
 
-@dataclass(frozen=True)
-class MeshMetrics:
-    h: float  # largest element diameter
-    h_min: float
-    shape_regularity: float  # max over elements of diameter / inradius
-
-
-def mesh_metrics(mesh: Mesh) -> MeshMetrics:
+def mesh_size(mesh: Mesh) -> float:
+    """The mesh size h, the largest element diameter."""
     verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     e0 = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
     e1 = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=1)
     e2 = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=1)
-    diam = np.maximum(e0, np.maximum(e1, e2))
-    perim = e0 + e1 + e2
-    inradius = 2.0 * mesh.areas() / perim
-    return MeshMetrics(
-        h=float(diam.max()),
-        h_min=float(diam.min()),
-        shape_regularity=float((diam / inradius).max()),
-    )
+    return float(np.maximum(e0, np.maximum(e1, e2)).max())
 

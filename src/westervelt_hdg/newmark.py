@@ -110,7 +110,6 @@ class ProblemDefinition:
     lap_psi1: Callable | None = None
     forcing: Callable | None = None
     exact_psi: Callable | None = None
-    exact_dpsi: Callable | None = None
     exact_v: Callable | None = None
 
     def __post_init__(self):

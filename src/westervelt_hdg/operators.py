@@ -8,14 +8,14 @@ test functions, all stored as blocks:
     scalar_mass        (psi, w)_K                   element, (ne, d, d)
     vector_mass        (v, r)_K                     element, (ne, 2d, 2d)
     divergence         (psi, div r)_K               element, (ne, 2d, d)
-    boundary_penalty   (tau psi, w)_{dK}            element, (ne, d, d)
     trace_vector_local -(lam, [r . n])_F            element, (ne, 2d, 3pf)
     trace_scalar_local -(tau lam, w)_{dK interior}  element, (ne, d, 3pf)
     trace_penalty      (tau lam, mu)_{dK interior}  facet, (n_interior, pf, pf)
 
 and, with the velocity eliminated, Ks = S + Bt Mv^-1 B (stiffness), R = F +
 Bt Mv^-1 E (coupling_local; coupling in CSR) and A = G + Et Mv^-1 E
-(facet_gram, factored in gram_solver), S, B, E, F, G being the blocks above.
+(factored in gram_solver), B, E, F, G being the blocks above and S the
+boundary penalty (tau psi, w)_{dK}.
 
 The columns of the two trace couplings run over the element's three facets
 in the order of ElementTables.facet_dofs, which maps them to global facet
@@ -28,7 +28,7 @@ homogeneous Dirichlet traces are hard zeros and never enter the system.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,20 +112,22 @@ PARAMETERS = {
 
 def check_parameter(name: str, value, error: type[Exception]) -> None:
     """Raise error, with a message that starts with name, unless value is
-    allowed for the parameter name of PARAMETERS."""
+    allowed for the parameter name of PARAMETERS. Choices are strings; an
+    interval admits only real numbers: Python's and numpy's, but no bool,
+    string, complex number or array."""
     description, allowed, *requirement = PARAMETERS[name]
     if isinstance(allowed, tuple):
-        if value not in allowed:
+        if not isinstance(value, str) or value not in allowed:
             raise error(f"{name} must be one of {allowed}, got unknown "
                         f"{description} {value!r}")
         return
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number ({description}), got "
+                    f"type {type(value).__name__}")
     _, integer, allowed = allowed.rpartition("integer in ")
-    if integer:
-        try:
-            operator.index(value)
-        except TypeError:
-            raise error(f"{name} must be an integer ({description}), got "
-                        f"{value!r}") from None
+    if integer and not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer ({description}), got "
+                    f"{value!r}")
     low, high = allowed[1:-1].split(", ")
     open_low = allowed[0] == "("
     if not -math.inf < value < math.inf:
@@ -194,25 +196,24 @@ class ElementTables:
         self.mesh = mesh
         self.topo = topo
         self.layout = layout
-        self.basis = TriangleBasis(p)
-        self.facet_basis = SegmentBasis(p)
+        basis = TriangleBasis(p)
         self.cell_rule = triangle_quadrature(2 * p + 2)
-        self.nonlinear_rule = triangle_quadrature(max(3 * p, 2))
+        nonlinear_rule = triangle_quadrature(max(3 * p, 2))
         self.facet_rule = segment_quadrature(2 * p + 2)
 
-        self.phi, self.gphi = self.basis.eval(self.cell_rule.points)
-        self.phi_nl = self.basis.eval_values(self.nonlinear_rule.points)
-        self.mu = self.facet_basis.eval(self.facet_rule.points)
+        self.phi, gphi = basis.eval(self.cell_rule.points)
+        self.phi_nl = basis.eval_values(nonlinear_rule.points)
+        self.mu = SegmentBasis(p).eval(self.facet_rule.points)
 
-        self.vert0, self.jac, self.detj = element_geometry(mesh)
-        self.jinv_t = np.linalg.inv(self.jac).transpose(0, 2, 1)
+        _, jac, self.detj = element_geometry(mesh)
+        self.jinv_t = np.linalg.inv(jac).transpose(0, 2, 1)
         # nonlinear-rule weights times |det J|, (ne, nq)
-        self.weights_nl = self.nonlinear_rule.weights[None, :] * self.detj[:, None]
+        self.weights_nl = nonlinear_rule.weights[None, :] * self.detj[:, None]
         self.xq = quadrature_points(mesh, self.cell_rule.points)
         # physical gradients (ne, nq, d, 2)
-        self.gphys = np.einsum("eab,qib->eqia", self.jinv_t, self.gphi)
+        self.gphys = np.einsum("eab,qib->eqia", self.jinv_t, gphi)
 
-        self.trace = facet_traces(self.basis, self.facet_rule.points)
+        self.trace = facet_traces(basis, self.facet_rule.points)
         # picks each element's own (local facet, orientation) entry from the
         # leading axes of trace and of tables built from it
         self.sides = (np.arange(3)[None, :], topo.elem_facet_forward.astype(int))
@@ -264,14 +265,12 @@ class AssembledOperators:
     vector_mass: np.ndarray  # (ne, 2d, 2d)
     vector_mass_inv: np.ndarray  # (ne, 2d, 2d)
     divergence: np.ndarray  # (ne, 2d, d) B
-    boundary_penalty: np.ndarray  # (ne, d, d) S
     trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E, facet_dofs columns
     trace_scalar_local: np.ndarray  # (ne, d, 3pf) F, facet_dofs columns
     trace_penalty: np.ndarray  # (n_interior, pf, pf) G
     stiffness: np.ndarray  # (ne, d, d) Ks
     coupling_local: np.ndarray  # (ne, d, 3pf) R, facet_dofs columns
     coupling: sp.csr_matrix  # (n_scalar, n_facet) R
-    facet_gram: sp.csr_matrix  # (n_facet, n_facet) A
     gram_solver: object = field(repr=False)
 
 
@@ -420,14 +419,12 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
         vector_mass=vector_mass,
         vector_mass_inv=vector_mass_inv,
         divergence=divergence,
-        boundary_penalty=boundary_penalty,
         trace_vector_local=trace_vector_local,
         trace_scalar_local=trace_scalar_local,
         trace_penalty=trace_penalty,
         stiffness=0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
         coupling_local=coupling_local,
         coupling=_scalar_facet(tab, coupling_local),
-        facet_gram=gram,
         gram_solver=_factorize("facet Gram matrix", gram),
     )
 

@@ -38,9 +38,6 @@ def manufactured_problem(c: float = 100.0, k: float = 0.5,
     def exact_psi(x, y, t):
         return a * math.sin(w * t) * shape(x, y)
 
-    def exact_dpsi(x, y, t):
-        return a * w * math.cos(w * t) * shape(x, y)
-
     def exact_v(x, y, t):
         s = a * l * math.sin(w * t)
         return (s * np.cos(l * x) * np.sin(l * y),
@@ -72,8 +69,7 @@ def manufactured_problem(c: float = 100.0, k: float = 0.5,
         psi0=None, lap_psi0=None, psi1=psi1, lap_psi1=lap_psi1,
         forcing=SeparableForcing((linear_factor, shape),
                                  (quadratic_factor, shape_squared)),
-        exact_psi=exact_psi, exact_dpsi=exact_dpsi,
-        exact_v=exact_v,
+        exact_psi=exact_psi, exact_v=exact_v,
     )
 
 

@@ -20,6 +20,8 @@ import sympy as sp
 from scipy.special import eval_legendre
 
 from westervelt_hdg.basis import (
+    SegmentBasis,
+    TriangleBasis,
     scalar_space_dim,
     segment_quadrature,
     triangle_quadrature,
@@ -243,7 +245,6 @@ def loop_facet_topology(mesh: Mesh) -> FacetTopology:
         lens = lengths[fids]
         stab[t] = max(range(3), key=lambda lf: (lens[lf], -fids[lf]))
     return FacetTopology(
-        facets=facets_arr,
         is_interior=is_interior,
         elem_facets=elem_facets,
         elem_facet_forward=forward,
@@ -253,6 +254,15 @@ def loop_facet_topology(mesh: Mesh) -> FacetTopology:
         stab_facet=stab,
         n_interior=int(is_interior.sum()),
     )
+
+
+def facet_vertices(mesh: Mesh, topo: FacetTopology) -> np.ndarray:
+    """Vertex ids (n_facets, 2) of every facet of topo, lower id first,
+    read off the triangles through topo.elem_facets."""
+    ends = np.sort(mesh.triangles[:, np.array(LOCAL_FACETS)], axis=2)
+    out = np.empty((topo.facet_lengths.size, 2), dtype=np.int64)
+    out[topo.elem_facets] = ends
+    return out
 
 
 def _element_geometry(mesh: Mesh, t: int):
@@ -269,11 +279,12 @@ def oracle_tau(mesh: Mesh, topo, tau_bar: float, tau_mode: str) -> np.ndarray:
     if tau_mode == "uniform":
         tau[:] = tau_bar
         return tau
+    facets = facet_vertices(mesh, topo)
     for t in range(ne):
         candidates = []
         for lf in range(3):
             fid = int(topo.elem_facets[t, lf])
-            lo, hi = topo.facets[fid]
+            lo, hi = facets[fid]
             length = float(np.linalg.norm(mesh.vertices[hi]
                                           - mesh.vertices[lo]))
             candidates.append((-length, fid, lf))
@@ -355,6 +366,7 @@ def dense_seven(mesh: Mesh, topo, degree: int, tau_bar: float = 1.0,
     G = np.zeros((nlam, nlam))
 
     mu_vals = facet_basis_values(degree, sq)
+    facets = facet_vertices(mesh, topo)
 
     for t in range(ne):
         tri, jac, detj, jinv = _element_geometry(mesh, t)
@@ -368,7 +380,7 @@ def dense_seven(mesh: Mesh, topo, degree: int, tau_bar: float = 1.0,
                                 + jinv[1, comp] * py_ref)
         for lf in range(3):
             fid = int(topo.elem_facets[t, lf])
-            lo, hi = topo.facets[fid]
+            lo, hi = facets[fid]
             plo, phys_hi = mesh.vertices[lo], mesh.vertices[hi]
             length = float(np.linalg.norm(phys_hi - plo))
             pts = plo[None, :] + sq[:, None] * (phys_hi - plo)[None, :]
@@ -627,12 +639,13 @@ def assemble_penalty_load(g, tables: ElementTables, tau: np.ndarray,
                           quad_order: int | None = None) -> np.ndarray:
     """Boundary moments sum_F tau_F (g, phi_i)_F of a callable g(x, y)."""
     rule = tables.facet_rule if quad_order is None else segment_quadrature(quad_order)
-    topo = tables.topo
+    topo, mesh = tables.topo, tables.mesh
     # end points of every side's facet, in the global facet direction
-    ends = tables.mesh.vertices[topo.facets[topo.elem_facets]]  # (ne, 3, 2, 2)
-    lo, hi = ends[:, :, :1], ends[:, :, 1:]
+    ends = mesh.vertices[facet_vertices(mesh, topo)[topo.elem_facets]]
+    lo, hi = ends[:, :, :1], ends[:, :, 1:]  # (ne, 3, 1, 2)
     pts = lo + rule.points[:, None] * (hi - lo)
-    traces = facet_traces(tables.basis, rule.points)[tables.sides]
+    traces = facet_traces(TriangleBasis(tables.layout.degree),
+                          rule.points)[tables.sides]
     wg = ((tau * topo.facet_lengths[topo.elem_facets])[:, :, None]
           * rule.weights * g(pts[..., 0], pts[..., 1]))
     return np.einsum("elq,elqi->ei", wg, traces).ravel()
@@ -655,10 +668,13 @@ def hdg_project(psi, v, ops: AssembledOperators,
                  else triangle_quadrature(quad_order))
     facet_rule = (tab.facet_rule if quad_order is None
                   else segment_quadrature(min(quad_order, 60)))
-    phi = tab.basis.eval_values(cell_rule.points)
-    mu = tab.facet_basis.eval(facet_rule.points)
-    traces = facet_traces(tab.basis, facet_rule.points)[tab.sides]
+    basis = TriangleBasis(p)
+    phi = basis.eval_values(cell_rule.points)
+    mu = SegmentBasis(p).eval(facet_rule.points)
+    traces = facet_traces(basis, facet_rule.points)[tab.sides]
     topo, mesh = tab.topo, tab.mesh
+    facets = facet_vertices(mesh, topo)
+    vert0, jac, _ = element_geometry(mesh)
 
     psi_coef = np.zeros(lay.n_scalar)
     v_coef = np.zeros(n_vector(lay))
@@ -668,7 +684,7 @@ def hdg_project(psi, v, ops: AssembledOperators,
         if not np.any(ops.tau[t] > 0.0):
             raise ProjectionError(
                 f"element {t} has no positively stabilized facet")
-        xq = tab.vert0[t][None, :] + cell_rule.points @ tab.jac[t].T
+        xq = vert0[t][None, :] + cell_rule.points @ jac[t].T
         psi_q = psi(xq[:, 0], xq[:, 1])
         v_q = np.asarray(v(xq[:, 0], xq[:, 1]))
         wdet = cell_rule.weights * tab.detj[t]
@@ -687,7 +703,7 @@ def hdg_project(psi, v, ops: AssembledOperators,
         row = 3 * d_lo
         for lf in range(3):
             fid = topo.elem_facets[t, lf]
-            lo, hi = topo.facets[fid]
+            lo, hi = facets[fid]
             plo, phi_v = mesh.vertices[lo], mesh.vertices[hi]
             pts = plo[None, :] + facet_rule.points[:, None] * (phi_v - plo)[None, :]
             wlen = facet_rule.weights * topo.facet_lengths[fid]

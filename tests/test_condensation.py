@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 import oracles
 from oracles import block_diag_csr, n_vector
-from westervelt_hdg import condensation
+from westervelt_hdg import condensation, operators
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import apply_blocks, assemble_operators, build_layout
 from westervelt_hdg.condensation import (
@@ -35,19 +35,32 @@ def dense_pieces(msh, degree, mu, tau_bar=1.0, tau_mode="single_facet"):
     return seven, oracles.dense_condensed(seven, mu)
 
 
-@pytest.fixture
-def factored(monkeypatch):
-    """The facet matrices that the eliminations built from now on factorize,
-    in the order they are built."""
+def capture_factorizations(monkeypatch, module) -> list:
+    """The matrices that module factorizes from now on, in the order they
+    are built."""
     seen = []
-    factorize = condensation._factorize
+    factorize = module._factorize
 
     def capture(name, matrix):
         seen.append(matrix)
         return factorize(name, matrix)
 
-    monkeypatch.setattr(condensation, "_factorize", capture)
+    monkeypatch.setattr(module, "_factorize", capture)
     return seen
+
+
+@pytest.fixture
+def factored(monkeypatch):
+    """The facet matrices that the eliminations built from now on factorize,
+    in the order they are built."""
+    return capture_factorizations(monkeypatch, condensation)
+
+
+@pytest.fixture
+def grams(monkeypatch):
+    """The facet Gram matrices A that assemble_operators factorizes from now
+    on, in the order they are built."""
+    return capture_factorizations(monkeypatch, operators)
 
 
 class TestShiftParameter:
@@ -100,7 +113,8 @@ class TestAgainstDenseElimination:
         pytest.param(n, p, mode, id=f"{n}-{p}" if mode == "single_facet"
                      else f"{mode}-{n}-{p}")
         for mode in ("single_facet", "uniform") for n, p in MESH_CASES])
-    def test_blocks_match_dense_oracle(self, n, degree, tau_mode, factored):
+    def test_blocks_match_dense_oracle(self, n, degree, tau_mode, factored,
+                                       grams):
         msh = generate_structured_mesh(n)
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
         seven, dc = dense_pieces(msh, degree, cond.mu, tau_mode=tau_mode)
@@ -112,8 +126,7 @@ class TestAgainstDenseElimination:
                              - shifted_inv)) <= 1e-11
         assert np.max(np.abs(np.asarray(ops.coupling.todense())
                              - dc["R"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
-                             - dc["A"])) <= 1e-12
+        assert np.max(np.abs(grams[0].toarray() - dc["A"])) <= 1e-12
         assert np.max(np.abs(factored[0].toarray() - dc["schur"])) <= 1e-12
 
     @pytest.mark.parametrize("n,degree", [(2, 1), (2, 2)])
@@ -138,19 +151,19 @@ class TestAgainstDenseElimination:
         assert np.max(np.abs(np.asarray(-static.minus_elim_t.todense())
                              - ybar.T)) <= 1e-10
 
-    def test_perturbed_mesh_matches_dense_oracle(self, factored):
+    def test_perturbed_mesh_matches_dense_oracle(self, factored, grams):
         msh = oracles.perturbed_mesh(3, seed=8)
         topo, lay, ops, cond = build(msh, 1, delta=2.0e-3, dt=0.02)
         seven, dc = dense_pieces(msh, 1, cond.mu)
         assert np.max(np.abs(factored[0].toarray() - dc["schur"])) <= 1e-12
-        assert np.max(np.abs(np.asarray(ops.facet_gram.todense())
-                             - dc["A"])) <= 1e-12
+        assert np.max(np.abs(grams[0].toarray() - dc["A"])) <= 1e-12
 
 
 class TestSparsity:
     @pytest.mark.parametrize("n,degree", [(2, 0), (3, 1), (4, 2)])
     @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
-    def test_no_explicit_zeros_stored(self, n, degree, tau_mode, factored):
+    def test_no_explicit_zeros_stored(self, n, degree, tau_mode, factored,
+                                      grams):
         # a horizontal and a vertical facet of one element couple through
         # exact zeros; storing them would change the fill of the facet
         # factorizations
@@ -158,30 +171,30 @@ class TestSparsity:
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
         stationary_elimination(ops)
         assert len(factored) == 2
-        for mat in (*factored, ops.facet_gram, ops.coupling):
+        for mat in (*factored, *grams, ops.coupling):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
 
 
     @pytest.mark.parametrize("degree", [1, 2])
-    def test_factors_fill_less_than_colamd(self, degree, factored):
+    def test_factors_fill_less_than_colamd(self, degree, factored, grams):
         # the facet matrices are symmetric; a minimum degree ordering of
         # A^T + A leaves fewer L + U nonzeros than splu's default COLAMD
         msh = generate_structured_mesh(8)
         topo, lay, ops, cond = build(msh, degree)
         static = stationary_elimination(ops)
         for mat, lu in ((factored[0], cond.facet_solver),
-                        (ops.facet_gram, ops.gram_solver),
+                        (grams[0], ops.gram_solver),
                         (factored[1], static.facet_solver)):
             colamd = spla.splu(mat.tocsc())
             assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 class TestSpectralStructure:
-    def test_facet_gram_is_spd(self):
+    def test_facet_gram_is_spd(self, grams):
         msh = oracles.perturbed_mesh(2, seed=44)
-        topo, lay, ops, cond = build(msh, 2)
-        a = np.asarray(ops.facet_gram.todense())
+        build(msh, 2)
+        a = grams[0].toarray()
         assert np.max(np.abs(a - a.T)) <= 1e-13
         assert np.min(np.linalg.eigvalsh(a)) > 0.0
 
@@ -251,7 +264,7 @@ class TestSolves:
         assert np.max(np.abs(a_psi - want_psi)) <= 1e-12 * scale
         assert np.max(np.abs(a_lam - want_lam)) <= 1e-12 * scale
 
-    def test_condensed_solve_satisfies_monolithic_equations(self):
+    def test_condensed_solve_satisfies_monolithic_equations(self, grams):
         rng = np.random.default_rng(21)
         msh = oracles.perturbed_mesh(2, seed=3)
         topo, lay, ops, cond = build(msh, 2, delta=5.0e-4, dt=0.01)
@@ -260,7 +273,7 @@ class TestSolves:
         shifted = block_diag_csr(ops.scalar_mass) \
             + cond.mu * block_diag_csr(ops.stiffness)
         r1 = shifted @ a_psi + cond.mu * (ops.coupling @ a_lam) - rhs
-        r2 = ops.coupling.T @ a_psi + ops.facet_gram @ a_lam
+        r2 = ops.coupling.T @ a_psi + grams[0] @ a_lam
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(r1)) <= 1e-11 * scale
         assert np.max(np.abs(r2)) <= 1e-11 * scale

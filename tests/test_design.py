@@ -4,28 +4,34 @@ No public function is called only by its own unit test: every public
 top-level function and class of src/westervelt_hdg is referenced, as a name
 or an attribute, somewhere in the package outside its own definition.
 
-No state is stored that nothing reads: every field of the eliminations and
-of a run's result is read, as an attribute, somewhere in the package. The
-check goes by attribute name, so a read of another object's attribute of
-the same name also counts.
+No state is stored that nothing reads: every dataclass field, and every
+attribute a class of the package assigns as self.<name>, is read as an
+attribute somewhere in the package; a read inside the __init__ or
+__post_init__ of its own class does not count. Every method and property
+other than a dunder is referenced, as a name or an attribute, outside its
+own body. The checks go by name, so a read of another object's attribute of
+the same name also counts. Two exemptions:
+
+- the attributes of exception classes, which carry fault reports to the
+  caller;
+- RunResult.cond, which the benchmark harness reads for the facet
+  factorization of every run.
 """
 
 import ast
-import dataclasses
+import importlib
 from collections import Counter
 from pathlib import Path
-
-from westervelt_hdg.condensation import CondensedOperators, Elimination
-from westervelt_hdg.newmark import RunResult
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "westervelt_hdg"
 # the benchmark harness, which reads the facet factorization of every run
 ROUND = ROOT / "bench" / "round.py"
 
-# each checked dataclass, with the fields that the harness may read in
-# place of the package
-STORED = {Elimination: (), CondensedOperators: (), RunResult: ("cond",)}
+# each class's fields that the harness may read in place of the package
+READ_BY_HARNESS = {"RunResult": ("cond",)}
+
+INITIALIZERS = ("__init__", "__post_init__")
 
 
 def package_trees() -> dict:
@@ -47,6 +53,39 @@ def attribute_reads(tree: ast.AST) -> Counter:
                    and isinstance(node.ctx, ast.Load))
 
 
+def is_exception(module: str, cls: ast.ClassDef) -> bool:
+    obj = getattr(importlib.import_module(f"westervelt_hdg.{module[:-3]}"),
+                  cls.name)
+    return issubclass(obj, BaseException)
+
+
+def stored_names(cls: ast.ClassDef) -> set:
+    """The annotated fields of the class body and the self.<name> that its
+    methods assign."""
+    names = {node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign)
+             and isinstance(node.target, ast.Name)}
+    names.update(node.attr for node in ast.walk(cls)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Store)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "self")
+    return names
+
+
+def methods(cls: ast.ClassDef) -> list:
+    return [node for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def package_classes(trees: dict):
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield module, node
+
+
 def test_every_public_definition_is_used_in_the_package():
     trees = package_trees()
     used = sum((references(tree) for tree in trees.values()), Counter())
@@ -62,13 +101,31 @@ def test_every_public_definition_is_used_in_the_package():
                        f"{unused}"
 
 
-def test_every_stored_field_is_read():
-    reads = sum((attribute_reads(tree) for tree in package_trees().values()),
-                Counter())
+def test_every_stored_attribute_is_read():
+    trees = package_trees()
+    reads = sum((attribute_reads(tree) for tree in trees.values()), Counter())
     harness = attribute_reads(ast.parse(ROUND.read_text(encoding="utf-8")))
-    unread = [f"{cls.__name__}.{fld.name}"
-              for cls, by_harness in STORED.items()
-              for fld in dataclasses.fields(cls)
-              if not reads[fld.name]
-              and not (fld.name in by_harness and harness[fld.name])]
-    assert not unread, f"stored fields read nowhere in the package: {unread}"
+    unread = []
+    for module, cls in package_classes(trees):
+        if is_exception(module, cls):
+            continue
+        own = sum((attribute_reads(node) for node in cls.body
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in INITIALIZERS), Counter())
+        for name in sorted(stored_names(cls)):
+            if (reads[name] <= own[name]
+                    and not (name in READ_BY_HARNESS.get(cls.name, ())
+                             and harness[name])):
+                unread.append(f"{module}:{cls.lineno} {cls.name}.{name}")
+    assert not unread, f"stored attributes read nowhere in the package: " \
+                       f"{unread}"
+
+
+def test_every_method_is_referenced():
+    trees = package_trees()
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    unused = [f"{module}:{node.lineno} {cls.name}.{node.name}"
+              for module, cls in package_classes(trees)
+              for node in methods(cls)
+              if used[node.name] <= references(node)[node.name]]
+    assert not unused, f"methods referenced nowhere in the package: {unused}"

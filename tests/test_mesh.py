@@ -8,11 +8,13 @@ import pytest
 
 import oracles
 from westervelt_hdg.mesh import (
+    LOCAL_FACETS,
     Mesh,
     MeshError,
     compute_facet_topology,
+    element_geometry,
     generate_structured_mesh,
-    mesh_metrics,
+    mesh_size,
 )
 
 
@@ -36,7 +38,7 @@ class TestStructuredMesh:
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_partition_of_unit_square(self, n):
         mesh = generate_structured_mesh(n)
-        areas = mesh.areas()
+        areas = 0.5 * element_geometry(mesh)[2]
         assert np.all(areas > 0.0)
         assert np.sum(areas) == pytest.approx(1.0, rel=1.0e-14)
         assert areas.max() == pytest.approx(0.5 / n**2, rel=1.0e-14)
@@ -71,49 +73,55 @@ class TestMeshValidation:
 class TestFacetTopology:
     def test_two_element_counts(self):
         topo = compute_facet_topology(generate_structured_mesh(1))
-        assert topo.n_facets == 5
+        assert topo.facet_lengths.size == 5
         assert topo.n_interior == 1
         assert int(topo.is_interior.sum()) == 1
 
     @pytest.mark.parametrize("n,facets,interior", [(2, 16, 8), (4, 56, 40)])
     def test_counts(self, n, facets, interior):
         topo = compute_facet_topology(generate_structured_mesh(n))
-        assert topo.n_facets == facets
+        assert topo.facet_lengths.size == facets
         assert topo.n_interior == interior
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_euler_formula(self, n):
         mesh = generate_structured_mesh(n)
         topo = compute_facet_topology(mesh)
-        assert mesh.n_vertices - topo.n_facets + mesh.n_triangles == 1
+        assert (mesh.n_vertices - topo.facet_lengths.size
+                + mesh.n_triangles) == 1
 
-    def test_facets_stored_lo_hi(self):
-        topo = compute_facet_topology(generate_structured_mesh(3))
-        assert np.all(topo.facets[:, 0] < topo.facets[:, 1])
+    def test_facets_run_lo_to_hi(self):
+        mesh = generate_structured_mesh(3)
+        topo = compute_facet_topology(mesh)
+        ends = mesh.triangles[:, np.array(LOCAL_FACETS)]
+        assert np.array_equal(topo.elem_facet_forward,
+                              ends[..., 0] < ends[..., 1])
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_normals_unit_outward(self, n):
         mesh = generate_structured_mesh(n)
         topo = compute_facet_topology(mesh)
+        facets = oracles.facet_vertices(mesh, topo)
         for t in range(mesh.n_triangles):
             centroid = mesh.vertices[mesh.triangles[t]].mean(axis=0)
             for lf in range(3):
                 nvec = topo.normals[t, lf]
                 assert np.linalg.norm(nvec) == pytest.approx(1.0, rel=1.0e-14)
                 fid = topo.elem_facets[t, lf]
-                lo, hi = topo.facets[fid]
+                lo, hi = facets[fid]
                 mid = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
                 assert np.dot(nvec, mid - centroid) > 0.0
 
     def test_boundary_normals_axis_aligned(self):
         mesh = generate_structured_mesh(2)
         topo = compute_facet_topology(mesh)
+        facets = oracles.facet_vertices(mesh, topo)
         for t in range(mesh.n_triangles):
             for lf in range(3):
                 fid = topo.elem_facets[t, lf]
                 if topo.is_interior[fid]:
                     continue
-                lo, hi = topo.facets[fid]
+                lo, hi = facets[fid]
                 mid = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
                 expected = np.zeros(2)
                 if mid[0] == 0.0:
@@ -165,7 +173,6 @@ class TestFacetTopology:
         mesh = oracles.perturbed_mesh(3, seed=7)
         t1 = compute_facet_topology(mesh)
         t2 = compute_facet_topology(mesh)
-        assert np.array_equal(t1.facets, t2.facets)
         assert np.array_equal(t1.elem_facets, t2.elem_facets)
         assert np.array_equal(t1.stab_facet, t2.stab_facet)
 
@@ -214,20 +221,18 @@ class TestFacetTopology:
             compute_facet_topology(mesh)
 
 
-class TestMeshMetrics:
+class TestMeshSize:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_structured_values(self, n):
-        m = mesh_metrics(generate_structured_mesh(n))
-        assert m.h == pytest.approx(math.sqrt(2.0) / n, rel=1.0e-14)
-        assert m.h_min == pytest.approx(math.sqrt(2.0) / n, rel=1.0e-14)
-        # right isoceles triangle: diameter / inradius = 2 + 2 sqrt(2)
-        assert m.shape_regularity == pytest.approx(2.0 + 2.0 * math.sqrt(2.0),
-                                                   rel=1.0e-12)
+        h = mesh_size(generate_structured_mesh(n))
+        assert h == pytest.approx(math.sqrt(2.0) / n, rel=1.0e-14)
 
     def test_perturbed_mesh_valid(self):
         mesh = oracles.perturbed_mesh(4, seed=11)
-        assert np.all(mesh.areas() > 0.0)
-        m = mesh_metrics(mesh)
-        assert m.h >= m.h_min > 0.0
-        assert m.shape_regularity >= 2.0 + 2.0 * math.sqrt(2.0) - 1.0e-12
+        assert np.all(element_geometry(mesh)[2] > 0.0)
+        # the largest element diameter, edge by edge
+        want = max(math.dist(mesh.vertices[a], mesh.vertices[b])
+                   for tri in mesh.triangles
+                   for a, b in zip(tri, np.roll(tri, 1)))
+        assert mesh_size(mesh) == pytest.approx(want, rel=1.0e-14)
 

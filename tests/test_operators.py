@@ -20,8 +20,9 @@ from oracles import (
     scalar_slice,
     vector_slice,
 )
-from westervelt_hdg.basis import triangle_quadrature
-from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
+from westervelt_hdg.basis import TriangleBasis, triangle_quadrature
+from westervelt_hdg.mesh import (Mesh, compute_facet_topology,
+                                 generate_structured_mesh, quadrature_points)
 from westervelt_hdg.operators import (
     AssemblyError,
     NondegeneracyError,
@@ -94,14 +95,16 @@ def commutativity_residual(ops, psi, v, div_v, order=30):
 
     All smooth-field integrals use quadrature of the given order, so the
     residual is at roundoff whenever that order integrates the data exactly
-    (polynomials) or to machine precision (low-frequency trigonometry).
+    (polynomials) or to machine precision (low-frequency trigonometry). The
+    operators must have the default stabilization, which the dense boundary
+    penalty s is built with.
     """
     lay, tab = ops.layout, ops.tables
     psi_c, v_c, _ = hdg_project(psi, v, ops, quad_order=order)
     bh_proj = apply_blocks(ops.divergence.transpose(0, 2, 1), v_c)
     bh_exact = oracles.oracle_load(tab.mesh, lay.degree,
                                    lambda x, y, t: div_v(x, y), order=order)
-    sh_proj = apply_blocks(ops.boundary_penalty, psi_c)
+    sh_proj = oracles.dense_seven(tab.mesh, tab.topo, lay.degree)["S"] @ psi_c
     sh_exact = assemble_penalty_load(psi, tab, ops.tau,
                                      quad_order=min(order, 60))
     resid = (bh_proj - bh_exact) - (sh_proj - sh_exact)
@@ -126,7 +129,9 @@ class TestSevenMatrices:
             (block_diag_csr(ops.scalar_mass).toarray(), ora["M"]),
             (block_diag_csr(ops.vector_mass).toarray(), ora["Mv"]),
             (block_diag_csr(ops.divergence).toarray(), ora["B"]),
-            (block_diag_csr(ops.boundary_penalty).toarray(), ora["S"]),
+            # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
+            (block_diag_csr(ops.stiffness).toarray(),
+             oracles.dense_condensed(ora, 0.0)["Ks"]),
             (e_dense, ora["E"]),
             (f_dense, ora["F"]),
             (block_diag_csr(ops.trace_penalty).toarray(), ora["G"]),
@@ -147,8 +152,9 @@ class TestSevenMatrices:
         e_dense, f_dense = dense_trace_couplings(ops)
         assert np.max(np.abs(e_dense - ora["E"])) <= 1e-12
         assert np.max(np.abs(f_dense - ora["F"])) <= 1e-12
-        assert np.max(np.abs(block_diag_csr(ops.boundary_penalty).toarray()
-                             - ora["S"])) <= 1e-12
+        assert np.max(np.abs(block_diag_csr(ops.stiffness).toarray()
+                             - oracles.dense_condensed(ora, 0.0)["Ks"])
+                      ) <= 1e-12
         assert np.max(np.abs(block_diag_csr(ops.trace_penalty).toarray()
                              - ora["G"])) <= 1e-12
 
@@ -228,8 +234,11 @@ class TestMatrixStructure:
         msh = generate_structured_mesh(2)
         topo, lay, ops1 = build(msh, 1, tau_bar=1.0)
         topo, lay, ops2 = build(msh, 1, tau_bar=3.5)
-        assert np.max(np.abs(ops2.boundary_penalty
-                             - 3.5 * ops1.boundary_penalty)) <= 1e-13
+        # the boundary penalty S = Ks - Bt Mv^-1 B
+        bt_b = (ops1.divergence.transpose(0, 2, 1) @ ops1.vector_mass_inv
+                @ ops1.divergence)
+        assert np.max(np.abs((ops2.stiffness - bt_b)
+                             - 3.5 * (ops1.stiffness - bt_b))) <= 1e-13
         e1, f1 = dense_trace_couplings(ops1)
         e2, f2 = dense_trace_couplings(ops2)
         assert np.max(np.abs(f2 - 3.5 * f1)) <= 1e-13
@@ -444,9 +453,8 @@ class TestLoads:
         tab = ElementTables(msh, topo, lay)
         # the load reads the cell rule, its basis values and points
         tab.cell_rule = triangle_quadrature(30)
-        tab.phi = tab.basis.eval_values(tab.cell_rule.points)
-        tab.xq = tab.vert0[:, None, :] + np.einsum(
-            "eab,qb->eqa", tab.jac, tab.cell_rule.points)
+        tab.phi = TriangleBasis(2).eval_values(tab.cell_rule.points)
+        tab.xq = quadrature_points(msh, tab.cell_rule.points)
 
         def f(x, y, t):
             return np.sin(np.pi * x) * np.cos(np.pi * y)
@@ -479,7 +487,8 @@ class TestLoads:
 
         g_c = oracles.l2_project_scalar(msh, 2, g)
         got = assemble_penalty_load(g, ops.tables, ops.tau)
-        want = apply_blocks(ops.boundary_penalty, g_c)
+        want = oracles.dense_seven(msh, topo, 2, tau_bar=1.7,
+                                   tau_mode=tau_mode)["S"] @ g_c
         assert np.max(np.abs(got - want)) <= 1e-12
 
     def test_penalty_load_quad_order_override(self):
@@ -529,8 +538,9 @@ class TestProjection:
         _, _, lam_c = hdg_project(psi, v, ops, quad_order=40)
         pts, wts = oracles.oracle_segment_rule(24)
         pf = lay.dim_facet
+        facets = oracles.facet_vertices(msh, topo)
         for fi, fid in enumerate(np.flatnonzero(topo.is_interior)):
-            lo, hi = topo.facets[fid]
+            lo, hi = facets[fid]
             a, b = msh.vertices[lo], msh.vertices[hi]
             xy = a[None, :] + pts[:, None] * (b - a)[None, :]
             vals = psi(xy[:, 0], xy[:, 1])
@@ -557,6 +567,7 @@ class TestProjection:
         d = lay.dim_scalar
         d_lo = d - (lay.degree + 1)
         phi = oracles.basis_values(lay.degree, pts)
+        facets = oracles.facet_vertices(msh, topo)
         for t in range(msh.n_triangles):
             tri, jac, detj, jinv = oracles._element_geometry(msh, t)
             xq = tri[0][None, :] + pts @ jac.T
@@ -576,7 +587,7 @@ class TestProjection:
             mu = oracles.facet_basis_values(lay.degree, spts)
             for lf in range(3):
                 fid = topo.elem_facets[t, lf]
-                lo, hi = topo.facets[fid]
+                lo, hi = facets[fid]
                 a, b = msh.vertices[lo], msh.vertices[hi]
                 xy = a[None, :] + spts[:, None] * (b - a)[None, :]
                 ref = (xy - tri[0]) @ jinv.T
