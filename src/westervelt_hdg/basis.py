@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_jacobi, roots_jacobi, roots_legendre
 
-MAX_QUADRATURE_ORDER = 60
+from .parameters import check_parameter
 
 # geometric tolerance for "point lies in the reference element"
 _DOMAIN_TOL = 1.0e-12
@@ -60,19 +60,9 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def _check_order(order: int) -> None:
-    if order < 0:
-        raise ValueError(f"quadrature order must be nonnegative, got {order}")
-    if order > MAX_QUADRATURE_ORDER:
-        raise ValueError(
-            f"quadrature order {order} unsupported, maximum available order "
-            f"is {MAX_QUADRATURE_ORDER}"
-        )
-
-
 def segment_quadrature(order: int) -> QuadratureRule:
     """Gauss-Legendre rule on [0, 1] exact for degree <= order."""
-    _check_order(order)
+    check_parameter("quadrature_order", order, ValueError)
     n = order // 2 + 1
     x, w = roots_legendre(n)
     return QuadratureRule(points=(x + 1.0) / 2.0, weights=w / 2.0)
@@ -86,7 +76,7 @@ def triangle_quadrature(order: int) -> QuadratureRule:
     rule is exact for all polynomials of total degree <= order with strictly
     positive weights.
     """
-    _check_order(order)
+    check_parameter("quadrature_order", order, ValueError)
     n = order // 2 + 1
     xa, wa = roots_legendre(n)
     xb, wb = roots_jacobi(n, 1.0, 0.0)
@@ -124,8 +114,7 @@ class TriangleBasis:
     """L2-orthonormal hierarchical basis for P^degree on the reference triangle."""
 
     def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError(f"polynomial degree must be nonnegative, got {degree}")
+        check_parameter("basis_degree", degree, ValueError)
         self.degree = degree
         self.dim = scalar_space_dim(degree)
         # (m, n) Dubiner mode pairs grouped by total degree
@@ -175,8 +164,7 @@ class SegmentBasis:
     """Shifted-Legendre basis for P^degree on [0, 1], orthonormal in L2."""
 
     def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError(f"polynomial degree must be nonnegative, got {degree}")
+        check_parameter("basis_degree", degree, ValueError)
         self.degree = degree
         self.dim = degree + 1
 

@@ -31,8 +31,8 @@ from .operators import (
     _factorize,
     _scalar_facet,
     apply_blocks,
-    check_parameter,
 )
+from .parameters import check_parameter
 
 
 @dataclass

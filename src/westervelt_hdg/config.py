@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 from .basis import scalar_space_dim
 from .newmark import number_of_steps
-from .operators import MAX_STEPS, PARAMETERS, check_parameter
+from .parameters import MAX_STEPS, PARAMETERS, check_parameter
 
 # the mesh level at which the delta study anchors the h-rule
 DELTA_ANCHOR_LEVEL = 4
@@ -145,12 +145,12 @@ class RunConfig:
     profile_samples: int = 257
 
     def validate(self, study: str | None = None) -> "RunConfig":
-        """Refuse a field outside its operators.PARAMETERS range, a step that
-        does not divide final_time and, without dt, a level on which the
-        h-rule of study (default: the study of kind; see level_steps) asks
-        for more than MAX_STEPS steps; then a level of study whose
-        level_bytes, with every state of the run for study "run", exceed
-        MAX_LEVEL_BYTES."""
+        """Refuse a field outside its parameters.PARAMETERS range, a step
+        that does not divide final_time into at most MAX_STEPS steps and,
+        without dt, a level on which the h-rule of study (default: the study
+        of kind; see level_steps) asks for more than MAX_STEPS steps; then a
+        level of study whose level_bytes, with every state of the run for
+        study "run", exceed MAX_LEVEL_BYTES."""
         for key, (_, name, form) in _KEYS.items():
             value = getattr(self, name)
             for item in value if form in ("integers", "numbers") else [value]:
@@ -167,11 +167,6 @@ class RunConfig:
                         f"the h-rule (coarse_steps = {self.coarse_steps}, "
                         f"degree = {self.degree}), more than {MAX_STEPS}; set "
                         f"dt or use coarser levels")
-        # a final_time / dt that overflows is refused by number_of_steps
-        elif math.inf > self.final_time / self.dt > MAX_STEPS + 0.5:
-            raise ConfigError(
-                f"final_time / dt must be <= {MAX_STEPS} steps, got "
-                f"final_time = {self.final_time}, dt = {self.dt}")
         for n, dt in level_dt(self, study or self.kind).items():
             try:
                 steps = number_of_steps(self.final_time, dt)

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .parameters import check_parameter
+
 
 class MeshError(Exception):
     """Invalid mesh data or topology."""
@@ -26,11 +28,17 @@ class Mesh:
 
     def __post_init__(self):
         verts = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        tris = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
+        tris = np.asarray(self.triangles)
         if verts.ndim != 2 or verts.shape[1] != 2:
             raise MeshError(f"vertex array must be (n, 2), got {verts.shape}")
         if tris.ndim != 2 or tris.shape[1] != 3:
             raise MeshError(f"triangle array must be (n, 3), got {tris.shape}")
+        bad = ~np.isfinite(verts).all(axis=1)
+        if np.any(bad):
+            raise MeshError(f"vertex {int(np.argmax(bad))} is not finite")
+        if tris.dtype.kind not in "iu":
+            raise MeshError(f"triangle indices must be integers, got {tris.dtype}")
+        tris = np.ascontiguousarray(tris, dtype=np.int64)
         if tris.size and (tris.min() < 0 or tris.max() >= len(verts)):
             raise MeshError("triangle vertex index out of range")
         repeated = np.any(tris == tris[:, [1, 2, 0]], axis=1)
@@ -41,9 +49,8 @@ class Mesh:
         signed = 0.5 * _cross2(b - a, c - a)
         if np.any(signed <= 0.0):
             t = int(np.argmax(signed <= 0.0))
-            raise MeshError(
-                f"triangle {t} is degenerate or clockwise (signed area {signed[t]:g})"
-            )
+            raise MeshError(f"triangle {t} is degenerate or clockwise "
+                            f"(signed area {signed[t]:g})")
         verts.setflags(write=False)
         tris.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
@@ -83,8 +90,7 @@ def generate_structured_mesh(n: int) -> Mesh:
     Produces 2 n^2 counterclockwise triangles in a deterministic ordering
     (cells row by row, diagonal from lower-left to upper-right).
     """
-    if n < 1:
-        raise MeshError(f"subdivision count must be >= 1, got {n}")
+    check_parameter("levels", n, MeshError)
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])

@@ -55,9 +55,9 @@ from .operators import (
     assemble_nonlinear_mass,
     assemble_operators,
     build_layout,
-    check_parameter,
     nonlinear_defect,
 )
+from .parameters import MAX_STEPS, check_parameter
 
 
 class InitializationError(SolverError):
@@ -418,11 +418,13 @@ class RunResult:
 
 
 def number_of_steps(final_time: float, dt: float) -> int:
-    """The whole number of steps dt to final_time; refuses any other ratio."""
+    """The whole number, at most MAX_STEPS, of steps dt to final_time."""
     ratio = final_time / dt
+    got = f"got final_time = {final_time}, dt = {dt}"
     if not np.isfinite(ratio):
-        raise ValueError(f"final_time / dt overflows, got final_time = "
-                         f"{final_time}, dt = {dt}")
+        raise ValueError(f"final_time / dt overflows, {got}")
+    if ratio > MAX_STEPS + 0.5:
+        raise ValueError(f"final_time / dt must be <= {MAX_STEPS} steps, {got}")
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1.0e-9 * max(1.0, abs(ratio)):
         raise ValueError(

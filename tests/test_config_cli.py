@@ -23,7 +23,6 @@ from westervelt_hdg import experiments
 from westervelt_hdg.cli import StudyFailure, main
 from westervelt_hdg.config import (
     _KEYS,
-    MAX_STEPS,
     DELTA_ANCHOR_LEVEL,
     MAX_LEVEL_BYTES,
     ConfigError,
@@ -44,6 +43,12 @@ from westervelt_hdg.experiments import (
     h_convergence_study,
 )
 from westervelt_hdg.analysis import DiscreteScalarField
+from westervelt_hdg.basis import (
+    SegmentBasis,
+    TriangleBasis,
+    segment_quadrature,
+    triangle_quadrature,
+)
 from westervelt_hdg.condensation import CondensationError, build_condensed
 from westervelt_hdg.mesh import (
     MeshError,
@@ -57,8 +62,6 @@ from westervelt_hdg.newmark import (
     ProblemDefinition,
 )
 from westervelt_hdg.operators import (
-    MAX_DEGREE,
-    PARAMETERS,
     AssemblyError,
     NondegeneracyError,
     SolverError,
@@ -66,6 +69,7 @@ from westervelt_hdg.operators import (
     build_layout,
     tau_pattern,
 )
+from westervelt_hdg.parameters import MAX_DEGREE, MAX_STEPS, PARAMETERS
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -365,7 +369,7 @@ class TestConfig:
         assert delta.validate() is delta
 
 
-# every entry point that takes parameters of operators.PARAMETERS: the
+# every entry point that takes parameters of parameters.PARAMETERS: the
 # parameters it takes and the exception class of its refusal
 ENTRY_POINTS = {
     "RunConfig.validate": (tuple(key for key in _KEYS if key in PARAMETERS),
@@ -377,7 +381,18 @@ ENTRY_POINTS = {
                         CondensationError),
     "tau_pattern": (("tau", "tau_mode"), AssemblyError),
     "build_layout": (("degree",), AssemblyError),
+    "generate_structured_mesh": (("levels",), MeshError),
+    "TriangleBasis": (("basis_degree",), ValueError),
+    "SegmentBasis": (("basis_degree",), ValueError),
+    "triangle_quadrature": (("quadrature_order",), ValueError),
+    "segment_quadrature": (("quadrature_order",), ValueError),
 }
+
+# the entry points that take their one parameter as their one argument
+ONE_ARGUMENT = {"generate_structured_mesh": generate_structured_mesh,
+                "TriangleBasis": TriangleBasis, "SegmentBasis": SegmentBasis,
+                "triangle_quadrature": triangle_quadrature,
+                "segment_quadrature": segment_quadrature}
 
 
 def call_entry_point(entry, name, value):
@@ -393,6 +408,8 @@ def call_entry_point(entry, name, value):
         return NewmarkConfig(**{"dt": 0.1, name: value})
     if entry == "ProblemDefinition":
         return ProblemDefinition(**{"c": 1.0, name: value})
+    if entry in ONE_ARGUMENT:
+        return ONE_ARGUMENT[entry](value)
     msh = generate_structured_mesh(1)
     topo = compute_facet_topology(msh)
     if entry == "tau_pattern":
@@ -461,7 +478,7 @@ class TestParameterRanges:
         error = ENTRY_POINTS[entry][1]
         with pytest.raises(error) as info:
             call_entry_point(entry, name, value)
-        # the refusal comes from operators.check_parameter
+        # the refusal comes from parameters.check_parameter
         assert str(info.value).startswith((f"{name} must be ",
                                            f"{name}^2 must be "))
 
@@ -487,11 +504,15 @@ class TestParameterRanges:
         assert {key for key, (_, _, form) in _KEYS.items()
                 if form in ("number", "integer", "step", "integers",
                             "numbers")} <= set(PARAMETERS)
-        # and the integer keys are the integer parameters
+        # and the integer keys are the integer parameters of the file
         assert {key for key, (_, _, form) in _KEYS.items()
                 if form in ("integer", "integers")} == {
             name for name, (_, allowed, *_) in PARAMETERS.items()
-            if str(allowed).startswith("integer in ")}
+            if str(allowed).startswith("integer in ") and name in _KEYS}
+        # the rows that no key sets: c^2, and the ranges of the bases and
+        # quadrature rules
+        assert set(PARAMETERS) - set(_KEYS) == {"c^2", "basis_degree",
+                                                "quadrature_order"}
 
 
 def fd_t(f, x, y, t, h=1.0e-5):

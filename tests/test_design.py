@@ -16,12 +16,19 @@ the same name also counts. Two exemptions:
   caller;
 - RunResult.cond, which the benchmark harness reads for the facet
   factorization of every run.
+
+No range goes dead or is misspelled: every row of parameters.PARAMETERS is
+the literal name of some check_parameter call or a key of the config file,
+and every literal name passed to check_parameter is a row.
 """
 
 import ast
 import importlib
 from collections import Counter
 from pathlib import Path
+
+from westervelt_hdg.config import _KEYS
+from westervelt_hdg.parameters import PARAMETERS
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "westervelt_hdg"
@@ -129,3 +136,16 @@ def test_every_method_is_referenced():
               for node in methods(cls)
               if used[node.name] <= references(node)[node.name]]
     assert not unused, f"methods referenced nowhere in the package: {unused}"
+
+
+def test_every_parameter_row_is_checked():
+    checked = {node.args[0].value
+               for tree in package_trees().values()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "check_parameter"
+               and node.args and isinstance(node.args[0], ast.Constant)}
+    assert checked <= set(PARAMETERS), \
+        f"check_parameter names no row: {checked - set(PARAMETERS)}"
+    unchecked = set(PARAMETERS) - checked - set(_KEYS)
+    assert not unchecked, f"parameter rows checked nowhere: {unchecked}"

@@ -69,6 +69,20 @@ class TestMeshValidation:
         with pytest.raises(MeshError, match="out of range"):
             Mesh(vertices=verts, triangles=np.array([[0, 1, 3]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_vertex_rejected(self, bad):
+        # a NaN signed area would pass the orientation test
+        verts = np.array([[0.0, 0.0], [1.0, bad], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="vertex 1 is not finite"):
+            Mesh(vertices=verts, triangles=np.array([[0, 1, 2]]))
+
+    @pytest.mark.parametrize("tris", [[[0, 1, 2.7]], [[0.0, 1.0, 2.0]],
+                                      [[True, False, True]]])
+    def test_noninteger_index_rejected(self, tris):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(MeshError, match="triangle indices must be integers"):
+            Mesh(vertices=verts, triangles=tris)
+
 
 class TestFacetTopology:
     def test_two_element_counts(self):

@@ -42,6 +42,7 @@ from westervelt_hdg.newmark import (
 )
 from westervelt_hdg import experiments, newmark, operators
 from westervelt_hdg.config import default_config
+from westervelt_hdg.parameters import MAX_STEPS
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -468,6 +469,13 @@ class TestDriver:
         for final_time, dt in ((1.0e300, 1.0e-300), (1.0, 1.0e-320)):
             with pytest.raises(ValueError, match="final_time / dt overflows"):
                 number_of_steps(final_time, dt)
+
+    def test_number_of_steps_refuses_more_than_max_steps(self):
+        assert number_of_steps(1.0, 1.0 / MAX_STEPS) == MAX_STEPS
+        for dt in (1.0e-9, 9.0e-8, 1.0e-300):
+            with pytest.raises(ValueError, match=r"final_time / dt must be "
+                                                 r"<= 10000000 steps"):
+                number_of_steps(1.0, dt)
 
     def test_run_samples_observers_each_step(self):
         msh = generate_structured_mesh(2)
