@@ -65,7 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     kind = _COMMANDS[args.command][0]
-    study = kind or "run"
     cfg = default_config(kind or "h_convergence")
     if args.config is not None:
         try:
@@ -74,7 +73,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         # the run command takes its kind (and defaults) from the file itself;
         # parse_config refuses a kind other than its base's
-        cfg = parse_config(text, base=cfg if kind else None, study=study)
+        cfg = parse_config(text, base=cfg if kind else None)
     updates = {}
     if args.degree is not None:
         updates["degree"] = args.degree
@@ -83,7 +82,8 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                                         args.levels)
     if args.out is not None:
         updates["output_dir"] = str(args.out)
-    return dataclasses.replace(cfg, **updates).validate(study)
+    # checked once, after the flags, which may replace a value out of range
+    return dataclasses.replace(cfg, **updates).validate(kind or "run")
 
 
 def _prepare_output(cfg: RunConfig) -> Path:

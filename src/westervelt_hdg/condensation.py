@@ -47,32 +47,17 @@ class Elimination:
     facet_solver: object = field(repr=False)
 
 
-@dataclass(kw_only=True)
-class CondensedOperators(Elimination):
-    """The corrector's elimination, D = M + mu Ks, and the operators of the
-    step for fixed (c, delta, dt, gamma, beta)."""
-
-    c: float
-    delta: float
-    dt: float
-    gamma: float
-    beta: float
-
-    def check_params(self, c: float, delta: float, dt: float,
-                     gamma: float, beta: float) -> None:
-        mine = (self.c, self.delta, self.dt, self.gamma, self.beta)
-        theirs = (c, delta, dt, gamma, beta)
-        if mine != theirs:
-            raise CondensationError(
-                f"condensed operators were built for (c, delta, dt, gamma, "
-                f"beta) = {mine}, refusing use with {theirs}"
-            )
+def step_mu(c: float, delta: float, dt: float, gamma: float,
+            beta: float) -> float:
+    """The weight mu = c^2 dt^2 beta + delta gamma dt of the corrector's
+    elimination for (c, delta, dt, gamma, beta)."""
+    return c * c * dt * dt * beta + delta * gamma * dt
 
 
 def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
-               name: str) -> dict:
-    """The Elimination fields for the element blocks D^-1; name is the
-    facet Schur complement's in a factorization failure."""
+               name: str) -> Elimination:
+    """The Elimination of the element blocks D^-1; name is the facet Schur
+    complement's in a factorization failure."""
     e_loc, r_loc = ops.trace_vector_local, ops.coupling_local
     # Et Mv^-1 (E - B y) - Ft y = (A - G) - mu Rt D^-1 R with y = D^-1 mu R
     y_loc = block_inv @ (mu * r_loc)
@@ -81,27 +66,26 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
                          e_loc.transpose(0, 2, 1) @ x_loc
                          - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
     elim = _scalar_facet(ops.tables, block_inv @ r_loc)
-    return dict(mu=mu, block_inv=block_inv, elim=elim,
-                minus_elim_t=-elim.T.tocsr(),
-                facet_solver=_factorize(name, schur))
+    return Elimination(mu=mu, block_inv=block_inv, elim=elim,
+                       minus_elim_t=-elim.T.tocsr(),
+                       facet_solver=_factorize(name, schur))
 
 
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
-                    dt: float, gamma: float, beta: float) -> CondensedOperators:
-    """The corrector's operators for (c, delta, dt, gamma, beta)."""
+                    dt: float, gamma: float, beta: float) -> Elimination:
+    """The corrector's elimination, D = M + mu Ks with mu = step_mu(c,
+    delta, dt, gamma, beta)."""
     for name, value in (("c", c), ("delta", delta), ("dt", dt),
                         ("gamma", gamma), ("beta", beta)):
         check_parameter(name, value, CondensationError)
     check_parameter("c^2", c * c, CondensationError)
-    mu = c * c * dt * dt * beta + delta * gamma * dt
+    mu = step_mu(c, delta, dt, gamma, beta)
     try:
         shifted_inv = np.linalg.inv(ops.scalar_mass + mu * ops.stiffness)
     except np.linalg.LinAlgError as err:
         raise CondensationError(
             f"element block M + mu Ks singular (mu = {mu:g})") from err
-    return CondensedOperators(
-        **_eliminate(ops, shifted_inv, mu, "facet Schur complement"),
-        c=c, delta=delta, dt=dt, gamma=gamma, beta=beta)
+    return _eliminate(ops, shifted_inv, mu, "facet Schur complement")
 
 
 def stationary_elimination(ops: AssembledOperators) -> Elimination:
@@ -118,8 +102,8 @@ def stationary_elimination(ops: AssembledOperators) -> Elimination:
         raise CondensationError(
             f"condensed stiffness block singular on elements {bad[:8].tolist()}"
             f" (smallest eigenvalue subnormal or <= {d} eps x largest)")
-    return Elimination(**_eliminate(ops, np.linalg.inv(ops.stiffness), 1.0,
-                                    "stationary facet Schur complement"))
+    return _eliminate(ops, np.linalg.inv(ops.stiffness), 1.0,
+                      "stationary facet Schur complement")
 
 
 def condensed_solve(elim: Elimination,

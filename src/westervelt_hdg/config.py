@@ -36,8 +36,8 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     the element blocks, sparse matrices and facet factors stored for it at
     degree and of `states` states of a monitored run.
 
-    Counts the float64 blocks of AssembledOperators, ElementTables and
-    CondensedOperators, the value and int32 index of every nonzero and the
+    Counts the float64 blocks of AssembledOperators, ElementTables and the
+    corrector's Elimination, the value and int32 index of every nonzero and the
     int32 row pointers of their CSR matrices and of the L and U factors of
     the facet Schur complement and the Gram matrix A, with 1.5 interior
     facets per element; the temporaries of assembly come on top. A stored
@@ -150,7 +150,9 @@ class RunConfig:
         without dt, a level on which the h-rule of study (default: the study
         of kind; see level_steps) asks for more than MAX_STEPS steps; then a
         level of study whose level_bytes, with every state of the run for
-        study "run", exceed MAX_LEVEL_BYTES."""
+        study "run", exceed MAX_LEVEL_BYTES; and for the wavefront study a
+        snapshot time that is not a whole number of steps of its level's dt
+        (see number_of_steps) or is the same step as another."""
         for key, (_, name, form) in _KEYS.items():
             value = getattr(self, name)
             for item in value if form in ("integers", "numbers") else [value]:
@@ -185,6 +187,20 @@ class RunConfig:
                     f"coarser levels" + (" or fewer steps" if states else ""))
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
+        if (study or self.kind) == "wavefront":
+            # the study takes each snapshot at its own step of its level
+            (dt,) = level_dt(self, "wavefront").values()
+            taken = {}
+            for t in self.snapshot_times:
+                try:
+                    step = number_of_steps(t, dt) if t > 0.0 else 0
+                except ValueError as err:
+                    raise ConfigError(f"snapshot time {t} is not a whole "
+                                      f"number of steps of dt = {dt}") from err
+                if step in taken:
+                    raise ConfigError(f"snapshot times {taken[step]} and {t} "
+                                      f"are the same step {step} of dt = {dt}")
+                taken[step] = t
         return self
 
 
@@ -240,10 +256,9 @@ def _parser() -> configparser.ConfigParser:
                                      interpolation=None)
 
 
-def parse_config(text: str, base: RunConfig | None = None,
-                 study: str | None = None) -> RunConfig:
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """Overlay a config file onto defaults; rejects unknown sections/keys.
-    The result is validated for study (see RunConfig.validate)."""
+    Checks no ranges: RunConfig.validate does, once the config is final."""
     parser = _parser()
     try:
         parser.read_string(text)
@@ -270,7 +285,7 @@ def parse_config(text: str, base: RunConfig | None = None,
             check_parameter("kind", cfg.kind, ConfigError)
             raise ConfigError(f"config kind {cfg.kind!r} conflicts with "
                               f"requested {base.kind!r}")
-    return cfg.validate(study)
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -9,7 +9,7 @@ velocity field eliminated element-wise):
 Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
 implicit Newmark equations, lagging the nonlinear mass: every pass maps the
 acceleration iterate x to g = G(x) by solving one condensed linear system
-whose matrix is frozen in the CondensedOperators (corrector_step). With
+whose matrix is frozen in the corrector's Elimination (corrector_step). With
 k = 0 the right side does not depend on x: a linear step reuses its first
 solve as the image of its second pass. Convergence is judged by the
 relative Euclidean change from x to g of the new-time solution, after at
@@ -39,14 +39,16 @@ from typing import Callable
 import numpy as np
 
 from .condensation import (
-    CondensedOperators,
+    Elimination,
     build_condensed,
     condensed_solve,
     stationary_elimination,
+    step_mu,
 )
 from .mesh import Mesh, compute_facet_topology
 from .operators import (
     AssembledOperators,
+    CondensationError,
     ElementTables,
     NondegeneracyError,
     SolverError,
@@ -54,7 +56,6 @@ from .operators import (
     assemble_load,
     assemble_nonlinear_mass,
     assemble_operators,
-    build_layout,
     nonlinear_defect,
 )
 from .parameters import MAX_STEPS, check_parameter
@@ -262,7 +263,7 @@ def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
 
 def corrector_step(x: np.ndarray, dpsi_hat: np.ndarray, ln: np.ndarray,
                    cfg: NewmarkConfig, prob: ProblemDefinition,
-                   ops: AssembledOperators, cond: CondensedOperators):
+                   ops: AssembledOperators, cond: Elimination):
     """One fixed-point pass of the implicit Newmark equations: the image g
     of the acceleration iterate x and the facet accelerations of the same
     solve.
@@ -299,7 +300,7 @@ def _change_metric(cfg: NewmarkConfig, pred: Prediction, diff: np.ndarray,
 
 
 def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
-                 ops: AssembledOperators, cond: CondensedOperators,
+                 ops: AssembledOperators, cond: Elimination,
                  load: Callable[[float], np.ndarray], step_index: int = 0,
                  start: np.ndarray | None = None) -> tuple[State, int]:
     """Advance one time step; returns the new state and the corrector count.
@@ -311,9 +312,13 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     stops there does no mixing arithmetic, and with k = 0 its second pass
     reuses the first pass's solve. It raises NonconvergenceError when the
     change is not finite, grows on two consecutive passes, or stays above
-    the tolerance for cfg.max_iterations passes.
+    the tolerance for cfg.max_iterations passes, and CondensationError when
+    cond was built for another mu than prob and cfg give (build_condensed).
     """
-    cond.check_params(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
+    mu = step_mu(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
+    if cond.mu != mu:
+        raise CondensationError(f"condensed operators were built for mu = "
+                                f"{cond.mu!r}, refusing use with mu = {mu!r}")
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
     ln = stiffness_load(pred, load(t_next), prob.c, ops)
@@ -409,7 +414,7 @@ def _nonfinite_error(change: float, ddpsi: np.ndarray,
 class RunResult:
     state: State
     ops: AssembledOperators
-    cond: CondensedOperators
+    cond: Elimination
     iterations: list[int] = field(default_factory=list)
 
     @property
@@ -457,8 +462,7 @@ class Discretization:
     def ops(self) -> AssembledOperators:
         if self._ops is None:
             topo = compute_facet_topology(self.mesh)
-            layout = build_layout(self.mesh, topo, self.degree)
-            self._ops = assemble_operators(self.mesh, topo, layout,
+            self._ops = assemble_operators(self.mesh, topo, self.degree,
                                            tau_bar=self.tau_bar,
                                            tau_mode=self.tau_mode)
         return self._ops

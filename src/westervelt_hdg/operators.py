@@ -94,15 +94,6 @@ class DofLayout:
         return self.n_interior_facets * self.dim_facet
 
 
-def build_layout(mesh: Mesh, topo: FacetTopology, degree: int) -> DofLayout:
-    check_parameter("degree", degree, AssemblyError)
-    return DofLayout(
-        degree=degree,
-        n_elements=mesh.n_triangles,
-        n_interior_facets=topo.n_interior,
-    )
-
-
 def facet_traces(basis: TriangleBasis, s: np.ndarray) -> np.ndarray:
     """Element basis values (3, 2, nq, d) on each local facet at the segment
     points s, for both orientations: index 1 runs the facet from its first
@@ -285,12 +276,13 @@ def _factorize(name: str, matrix: sp.spmatrix):
             f"{err}") from err
 
 
-def assemble_operators(mesh: Mesh, topo: FacetTopology, layout: DofLayout,
+def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
                        tau_bar: float = 1.0,
                        tau_mode: str = "single_facet") -> AssembledOperators:
-    """Assemble all static matrices of the scheme."""
-    if layout.n_elements != mesh.n_triangles:
-        raise AssemblyError("layout does not match the mesh")
+    """Assemble all static matrices of the scheme at degree on mesh, whose
+    facet topology is topo."""
+    check_parameter("degree", degree, AssemblyError)
+    layout = DofLayout(degree, mesh.n_triangles, topo.n_interior)
     tab = ElementTables(mesh, topo, layout)
     tau = tau_pattern(topo, tau_bar, tau_mode)
     ne, d = layout.n_elements, layout.dim_scalar

@@ -11,7 +11,6 @@ from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structure
 from westervelt_hdg.operators import (
     NondegeneracyError,
     assemble_operators,
-    build_layout,
 )
 from westervelt_hdg.condensation import build_condensed
 from westervelt_hdg.newmark import (
@@ -39,10 +38,9 @@ from westervelt_hdg.analysis import (
 
 def build(msh, degree, *, c=1.0, delta=0.0, dt=0.01, gamma=0.5, beta=0.25):
     topo = compute_facet_topology(msh)
-    lay = build_layout(msh, topo, degree)
-    ops = assemble_operators(msh, topo, lay)
+    ops = assemble_operators(msh, topo, degree)
     cond = build_condensed(ops, c, delta, dt, gamma, beta)
-    return topo, lay, ops, cond
+    return topo, ops.layout, ops, cond
 
 
 def unit_right_triangle():
@@ -336,9 +334,9 @@ class TestEnergy:
         rng = np.random.default_rng(29)
         msh = oracles.perturbed_mesh(3, seed=12)
         topo = compute_facet_topology(msh)
-        lay = build_layout(msh, topo, 2)
-        ops = assemble_operators(msh, topo, lay, tau_bar=1.5,
+        ops = assemble_operators(msh, topo, 2, tau_bar=1.5,
                                  tau_mode=tau_mode)
+        lay = ops.layout
         seven = oracles.dense_seven(msh, topo, 2, tau_bar=1.5,
                                     tau_mode=tau_mode)
         for count in COUNTS:

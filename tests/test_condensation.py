@@ -9,7 +9,7 @@ import oracles
 from oracles import block_diag_csr, n_vector
 from westervelt_hdg import condensation, operators
 from westervelt_hdg.mesh import Mesh, compute_facet_topology, generate_structured_mesh
-from westervelt_hdg.operators import apply_blocks, assemble_operators, build_layout
+from westervelt_hdg.operators import apply_blocks, assemble_operators
 from westervelt_hdg.condensation import (
     CondensationError,
     build_condensed,
@@ -22,10 +22,10 @@ from westervelt_hdg.condensation import (
 def build(msh, degree, *, c=2.0, delta=1.0e-3, dt=0.05, gamma=0.5, beta=0.25,
           tau_bar=1.0, tau_mode="single_facet"):
     topo = compute_facet_topology(msh)
-    lay = build_layout(msh, topo, degree)
-    ops = assemble_operators(msh, topo, lay, tau_bar=tau_bar, tau_mode=tau_mode)
+    ops = assemble_operators(msh, topo, degree, tau_bar=tau_bar,
+                             tau_mode=tau_mode)
     cond = build_condensed(ops, c, delta, dt, gamma, beta)
-    return topo, lay, ops, cond
+    return topo, ops.layout, ops, cond
 
 
 def dense_pieces(msh, degree, mu, tau_bar=1.0, tau_mode="single_facet"):
@@ -81,8 +81,7 @@ class TestShiftParameter:
     def test_invalid_parameters_rejected(self):
         msh = generate_structured_mesh(1)
         topo = compute_facet_topology(msh)
-        lay = build_layout(msh, topo, 0)
-        ops = assemble_operators(msh, topo, lay)
+        ops = assemble_operators(msh, topo, 0)
         with pytest.raises(CondensationError, match="wave speed"):
             build_condensed(ops, 0.0, 0.0, 0.1, 0.5, 0.25)
         with pytest.raises(CondensationError, match="damping"):
@@ -308,23 +307,14 @@ class TestSolves:
 
 
 class TestGuards:
-    def test_check_params_refuses_mismatch(self):
-        msh = generate_structured_mesh(1)
-        topo, lay, ops, cond = build(msh, 1, c=2.0, delta=1.0e-3, dt=0.05)
-        cond.check_params(2.0, 1.0e-3, 0.05, 0.5, 0.25)  # matching: no raise
-        with pytest.raises(CondensationError, match="refusing"):
-            cond.check_params(2.0, 1.0e-3, 0.01, 0.5, 0.25)
-        with pytest.raises(CondensationError, match="refusing"):
-            cond.check_params(1.0, 1.0e-3, 0.05, 0.5, 0.25)
-
     def test_static_path_unavailable_reported(self):
         # wipe the condensed stiffness block of one lowest-order element
         # (at p = 0 it is that element's penalty block): the stationary
         # elimination must refuse it by element
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
-        lay = build_layout(msh, topo, 0)
-        ops = assemble_operators(msh, topo, lay)
+        ops = assemble_operators(msh, topo, 0)
+        lay = ops.layout
         ops.stiffness[0][:] = 0.0
         cond = build_condensed(ops, 1.0, 0.0, 0.1, 0.5, 0.25)
         with pytest.raises(CondensationError,

@@ -66,7 +66,6 @@ from westervelt_hdg.operators import (
     NondegeneracyError,
     SolverError,
     assemble_operators,
-    build_layout,
     tau_pattern,
 )
 from westervelt_hdg.parameters import MAX_DEGREE, MAX_STEPS, PARAMETERS
@@ -296,9 +295,9 @@ class TestConfig:
         assert cfg.validate("run") is cfg
         assert level_dt(cfg, "run") == {20: 1.0e-3}
         text = serialize_config(cfg)
-        assert parse_config(text, study="run") == cfg
+        assert parse_config(text).validate("run") == cfg
         with pytest.raises(ConfigError, match="level 20 needs"):
-            parse_config(text)
+            parse_config(text).validate()
 
     def test_readme_config_block_parses(self):
         cfg = parse_config(readme_config_block())
@@ -327,7 +326,7 @@ class TestConfig:
         assert main(["run", "--config", str(path), "--p", "0", "--levels",
                      "1", "--out", str(out)]) == 0
         written = parse_config((out / "config.ini").read_text(
-            encoding="utf-8"), study="run")
+            encoding="utf-8")).validate("run")
         assert written.k == 0.25
 
     @pytest.mark.parametrize("n", [8, 32])
@@ -338,7 +337,7 @@ class TestConfig:
         # arrays included
         msh = generate_structured_mesh(n)
         topo = compute_facet_topology(msh)
-        ops = assemble_operators(msh, topo, build_layout(msh, topo, degree))
+        ops = assemble_operators(msh, topo, degree)
         cond = build_condensed(ops, 1.0, 0.0, 0.01, 0.5, 0.25)
 
         def nbytes(value):
@@ -380,7 +379,7 @@ ENTRY_POINTS = {
     "build_condensed": (("c", "delta", "dt", "gamma", "beta"),
                         CondensationError),
     "tau_pattern": (("tau", "tau_mode"), AssemblyError),
-    "build_layout": (("degree",), AssemblyError),
+    "assemble_operators": (("degree",), AssemblyError),
     "generate_structured_mesh": (("levels",), MeshError),
     "TriangleBasis": (("basis_degree",), ValueError),
     "SegmentBasis": (("basis_degree",), ValueError),
@@ -415,11 +414,11 @@ def call_entry_point(entry, name, value):
     if entry == "tau_pattern":
         args = {"tau": 1.0, "tau_mode": "uniform", name: value}
         return tau_pattern(topo, args["tau"], args["tau_mode"])
-    if entry == "build_layout":
-        return build_layout(msh, topo, value)
+    if entry == "assemble_operators":
+        return assemble_operators(msh, topo, value)
     args = {"c": 1.0, "delta": 0.0, "dt": 0.1, "gamma": 0.5, "beta": 0.25,
             name: value}
-    ops = assemble_operators(msh, topo, build_layout(msh, topo, 0))
+    ops = assemble_operators(msh, topo, 0)
     return build_condensed(ops, **args)
 
 
@@ -946,6 +945,49 @@ class TestCli:
                      "--levels", "2", "--out", str(out)]) == 0
         assert (out / "h_convergence_p1.csv").exists()
 
+    @pytest.mark.parametrize("text,flags,field,value", [
+        ("[discretization]\nlevels = 100000\n", ["--levels", "2", "--p", "0"],
+         "levels", (2,)),
+        ("[discretization]\ndegree = 25\nlevels = 2\n", ["--p", "1"],
+         "degree", 1),
+    ])
+    def test_flags_replace_file_values_out_of_range(self, tmp_path, text,
+                                                    flags, field, value):
+        # the resolved config is checked once, after the flags
+        cfg = self.write(tmp_path, "c.ini", text)
+        out = tmp_path / "out"
+        assert main(["h-convergence", "--config", str(cfg), *flags,
+                     "--out", str(out)]) == 0
+        written = parse_config((out / "config.ini").read_text(
+            encoding="utf-8"))
+        assert getattr(written, field) == value
+
+    @pytest.mark.parametrize("times,match", [
+        ("5e-5, 5.0000001e-5", "snapshot time 5.0000001e-05 is not a whole "
+                               "number of steps of dt = 1e-06"),
+        ("1.4e-6", "snapshot time 1.4e-06 is not a whole number"),
+        ("5e-5, 5.00000000001e-5", "snapshot times 5e-05 and "
+                                   "5.00000000001e-05 are the same step 50"),
+        ("0, 0", "are the same step 0"),
+    ])
+    def test_wavefront_snapshots_take_their_own_steps(
+            self, tmp_path, capsys, monkeypatch, times, match):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(experiments, "run", no_solve)
+        cfg = self.write(tmp_path, "wf.ini",
+                         f"[output]\nsnapshot_times = {times}\n")
+        assert main(["wavefront", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and match in err
+        assert err.count("\n") == 1
+        # the default times, and t = 0, are whole steps of dt = 1e-6
+        default_config("wavefront").validate()
+        dataclasses.replace(default_config("wavefront"),
+                            snapshot_times=(0.0, 1.0e-6)).validate()
+
     def test_exit_2_on_usage_and_config_errors(self, tmp_path, capsys):
         assert main(["no-such-command"]) == 2
         capsys.readouterr()
@@ -1191,8 +1233,8 @@ class TestCli:
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "energy.csv").is_file()
         written = parse_config((out / "config.ini").read_text(
-            encoding="utf-8"), study="run")
-        want = parse_config(TINY_H, study="run")
+            encoding="utf-8")).validate("run")
+        want = parse_config(TINY_H).validate("run")
         assert written == dataclasses.replace(want, output_dir=str(out))
 
     def test_percent_in_config_directory_is_literal(self, tmp_path,
@@ -1204,9 +1246,9 @@ class TestCli:
         out = tmp_path / "a%b"
         assert (out / "energy.csv").is_file()
         written = parse_config((out / "config.ini").read_text(
-            encoding="utf-8"), study="run")
+            encoding="utf-8")).validate("run")
         assert written.output_dir == "a%b"
-        assert written == parse_config(text, study="run")
+        assert written == parse_config(text).validate("run")
 
     @pytest.mark.parametrize("name", ["a ;b", "a #b", " lead", "tr "])
     def test_out_that_config_ini_cannot_hold_is_refused(
@@ -1253,7 +1295,7 @@ class TestCli:
         text = ("[discretization]\ndegree = 2\nlevels = 24\n\n"
                 "[newmark]\ndt = 1e-7\n")
         # the mesh and its blocks alone fit: the refinement study may run it
-        assert parse_config(text, study="h_convergence").dt == 1.0e-7
+        assert parse_config(text).validate("h_convergence").dt == 1.0e-7
         cfg = self.write(tmp_path, "long.ini", text)
         assert main(["run", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 2

@@ -20,10 +20,15 @@ the same name also counts. Two exemptions:
 No range goes dead or is misspelled: every row of parameters.PARAMETERS is
 the literal name of some check_parameter call or a key of the config file,
 and every literal name passed to check_parameter is a row.
+
+No name in the README goes stale: every backticked `module.name` of
+README.md whose module is one of the package resolves to an attribute of
+that module (the file name config.ini excepted).
 """
 
 import ast
 import importlib
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -34,6 +39,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "westervelt_hdg"
 # the benchmark harness, which reads the facet factorization of every run
 ROUND = ROOT / "bench" / "round.py"
+README = ROOT / "README.md"
 
 # each class's fields that the harness may read in place of the package
 READ_BY_HARNESS = {"RunResult": ("cond",)}
@@ -149,3 +155,22 @@ def test_every_parameter_row_is_checked():
         f"check_parameter names no row: {checked - set(PARAMETERS)}"
     unchecked = set(PARAMETERS) - checked - set(_KEYS)
     assert not unchecked, f"parameter rows checked nowhere: {unchecked}"
+
+
+def test_every_readme_reference_resolves():
+    text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"),
+                  flags=re.S)
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    checked, stale = 0, []
+    for span in re.findall(r"`([^`]+)`", text):
+        ref = re.match(r"(\w+)\.(\w+(?:\.\w+)*)", span)
+        if not ref or ref[1] not in modules or ref[0] == "config.ini":
+            continue
+        obj = importlib.import_module(f"westervelt_hdg.{ref[1]}")
+        for name in ref[2].split("."):
+            obj = getattr(obj, name, stale)
+        checked += 1
+        if obj is stale:
+            stale.append(span)
+    assert checked > 10
+    assert not stale, f"README names that do not resolve: {stale}"

@@ -19,7 +19,6 @@ from westervelt_hdg.operators import (
     apply_blocks,
     assemble_load,
     assemble_operators,
-    build_layout,
 )
 from westervelt_hdg.condensation import CondensationError, build_condensed
 from westervelt_hdg.newmark import (
@@ -52,10 +51,9 @@ from westervelt_hdg.problems import (
 
 def build(msh, degree, *, c=1.0, delta=1.0e-3, dt=0.01, gamma=0.5, beta=0.25):
     topo = compute_facet_topology(msh)
-    lay = build_layout(msh, topo, degree)
-    ops = assemble_operators(msh, topo, lay)
+    ops = assemble_operators(msh, topo, degree)
     cond = build_condensed(ops, c, delta, dt, gamma, beta)
-    return topo, lay, ops, cond
+    return topo, ops.layout, ops, cond
 
 
 def random_consistent_state(lay, ops, rng, scale=0.01):
@@ -347,11 +345,13 @@ class TestAdvance:
         scale = max(np.max(np.abs(state.ddpsi)), 1e-30)
         assert np.max(np.abs(resid)) <= 1e-11 * scale
 
-    def test_mismatched_condensation_rejected(self):
+    @pytest.mark.parametrize("c,dt", [(1.0, 0.02), (2.0, 0.01)])
+    def test_mismatched_condensation_rejected(self, c, dt):
         msh = generate_structured_mesh(1)
-        topo, lay, ops, cond = build(msh, 1, dt=0.01)
-        cfg = NewmarkConfig(dt=0.02)  # cond was factorized for dt=0.01
-        prob = ProblemDefinition(c=1.0, delta=1.0e-3)
+        # cond was factorized for c = 1, dt = 0.01
+        topo, lay, ops, cond = build(msh, 1, c=1.0, dt=0.01)
+        cfg = NewmarkConfig(dt=dt)
+        prob = ProblemDefinition(c=c, delta=1.0e-3)
         state = compute_initial_state(prob, ops)
         load = load_function(prob.forcing, ops.tables)
         with pytest.raises(CondensationError, match="refusing"):

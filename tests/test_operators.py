@@ -25,13 +25,13 @@ from westervelt_hdg.mesh import (Mesh, compute_facet_topology,
                                  generate_structured_mesh, quadrature_points)
 from westervelt_hdg.operators import (
     AssemblyError,
+    DofLayout,
     NondegeneracyError,
     ElementTables,
     apply_blocks,
     assemble_load,
     assemble_nonlinear_mass,
     assemble_operators,
-    build_layout,
     element_dofs,
     nonlinear_defect,
     scatter_csr,
@@ -41,9 +41,9 @@ from westervelt_hdg.operators import (
 
 def build(msh, degree, tau_bar=1.0, tau_mode="single_facet"):
     topo = compute_facet_topology(msh)
-    lay = build_layout(msh, topo, degree)
-    ops = assemble_operators(msh, topo, lay, tau_bar=tau_bar, tau_mode=tau_mode)
-    return topo, lay, ops
+    ops = assemble_operators(msh, topo, degree, tau_bar=tau_bar,
+                             tau_mode=tau_mode)
+    return topo, ops.layout, ops
 
 
 def dense_trace_couplings(ops):
@@ -285,15 +285,6 @@ class TestMatrixStructure:
         with pytest.raises(AssemblyError, match="unknown tau mode"):
             tau_pattern(topo, 1.0, "everywhere")
 
-    def test_layout_mismatch_rejected(self):
-        msh = generate_structured_mesh(2)
-        topo = compute_facet_topology(msh)
-        lay = build_layout(msh, topo, 1)
-        other = generate_structured_mesh(3)
-        other_topo = compute_facet_topology(other)
-        with pytest.raises(AssemblyError, match="layout"):
-            assemble_operators(other, other_topo, lay)
-
 
 class TestNonlinearMass:
     def test_zero_state_reduces_to_scalar_mass(self):
@@ -449,8 +440,8 @@ class TestLoads:
     def test_smooth_load_matches_high_order_oracle(self):
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
-        lay = build_layout(msh, topo, 2)
-        tab = ElementTables(msh, topo, lay)
+        tab = ElementTables(msh, topo, DofLayout(2, msh.n_triangles,
+                                                 topo.n_interior))
         # the load reads the cell rule, its basis values and points
         tab.cell_rule = triangle_quadrature(30)
         tab.phi = TriangleBasis(2).eval_values(tab.cell_rule.points)
