@@ -128,8 +128,7 @@ def postprocess(psi: np.ndarray, v: np.ndarray,
     rule = triangle_quadrature(2 * (p + 1))
     _, gphi_hi = basis_hi.eval(rule.points)
     tab = ops.tables
-    # physical gradients of the enriched basis (ne, nq, dhi, 2)
-    ghi = np.einsum("eab,qib->eqia", tab.jinv_t, gphi_hi)
+    ghi = tab.physical_gradients(gphi_hi)
     wdet = rule.weights[None, :] * tab.detj[:, None]
     gram = np.einsum("eq,eqia,eqja->eij", wdet, ghi, ghi)
     vq = DiscreteVectorField(tab.mesh, p, np.asarray(v, dtype=float)

@@ -1,11 +1,12 @@
 """Command line front end for the study recipes.
 
 Exit codes: 0 on success, 2 for configuration problems (including argparse
-usage errors), 3 when the solver fails with an operators.SolverError (the
-corrector does not converge, 1 + 2k d(psi)/dt loses positivity, the initial
-data or a facet system cannot be computed; for the refinement study: on
-every level), 4 for filesystem problems. Exit codes 2 (except argparse usage
-errors), 3 and 4 come with one line on stderr.
+usage errors and a tau whose penalty overflows), 3 when the solver fails
+with an operators.SolverError (the corrector does not converge,
+1 + 2k d(psi)/dt loses positivity, a facet system cannot be factored; for
+the refinement study: on every level), 4 for filesystem problems. Exit
+codes 2 (except argparse usage errors), 3 and 4 come with one line on
+stderr.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .experiments import (
     single_run_study,
     wavefront_study,
 )
-from .operators import SolverError
+from .operators import AssemblyError, SolverError
 
 
 class StudyFailure(SolverError):
@@ -192,7 +193,8 @@ def main(argv=None) -> int:
         # themselves, so numpy's floating-point warnings stay silent
         with np.errstate(all="ignore"):
             _COMMANDS[args.command][2](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, AssemblyError) as exc:
+        # an AssemblyError here is a tau whose penalty overflows
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -9,15 +9,10 @@ from dataclasses import dataclass, replace
 
 from .basis import scalar_space_dim
 from .newmark import number_of_steps
-from .parameters import MAX_STEPS, PARAMETERS, check_parameter
+from .parameters import MAX_LEVEL_BYTES, MAX_STEPS, PARAMETERS, check_parameter
 
 # the mesh level at which the delta study anchors the h-rule
 DELTA_ANCHOR_LEVEL = 4
-
-# the largest level_bytes of a mesh level a study may run, the memory of a
-# large compute node; at p = 0 to 2 the peak resident memory of a run grew
-# by 1.5-1.7 times level_bytes over that of a run on n = 2
-MAX_LEVEL_BYTES = 2**39
 
 
 class ConfigError(Exception):
@@ -36,7 +31,8 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     the element blocks, sparse matrices and facet factors stored for it at
     degree and of `states` states of a monitored run.
 
-    Counts the float64 blocks of AssembledOperators, ElementTables and the
+    Counts the float64 blocks of AssembledOperators, ElementTables (without
+    the physical gradients that assembly forms and drops) and the
     corrector's Elimination, the value and int32 index of every nonzero and the
     int32 row pointers of their CSR matrices and of the L and U factors of
     the facet Schur complement and the Gram matrix A, with 1.5 interior
@@ -50,7 +46,7 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     dense = (13 * d * d  # M, Mv, Mv^-1, B; (M + mu Ks)^-1 and Ks
              + 12 * d * pf  # E, F and the blocks of R on the 3 pf facet dofs
              + 1.5 * pf * pf + 3  # facet penalty, tau
-             + 2 * q * (d + 1) + q_nl + 3 * pf + 8)  # geometry, dof map
+             + 2 * q + q_nl + 3 * pf + 8)  # geometry, dof map
     rows = 2 * d + 7.5 * pf  # of W, R, -Wt and the four factors
     try:
         n = float(n)

@@ -141,14 +141,18 @@ class DeltaLevel:
     err_v: float
 
 
+# the deltas whose distances the slopes fit: where the distance is still
+# linear in delta and far above the corrector tolerance
+DELTA_FIT_RANGE = (1.0e-8, 1.0e-2)
+
+
 @dataclass
 class DeltaReport:
     degree: int
     levels: list[DeltaLevel] = field(default_factory=list)
-    fit_range: tuple[float, float] = (1.0e-8, 1.0e-2)
 
     def _fit(self, attr: str) -> float:
-        lo, hi = self.fit_range
+        lo, hi = DELTA_FIT_RANGE
         pts = [(lv.delta, getattr(lv, attr)) for lv in self.levels
                if lo <= lv.delta <= hi and getattr(lv, attr) > 0.0]
         if len(pts) < 2:
@@ -167,16 +171,11 @@ class DeltaReport:
 
     def to_csv(self) -> str:
         lines = ["delta,err_psi,rate_psi,err_v,rate_v"]
-        for i, lv in enumerate(self.levels):
-            if i == 0:
-                rp = rv = ""
-            else:
-                prev = self.levels[i - 1]
-                den = math.log(prev.delta / lv.delta)
-                rp = _rate_cell(math.log(prev.err_psi / lv.err_psi) / den
-                                ) if prev.err_psi > 0 and lv.err_psi > 0 else ""
-                rv = _rate_cell(math.log(prev.err_v / lv.err_v) / den
-                                ) if prev.err_v > 0 and lv.err_v > 0 else ""
+        deltas = [lv.delta for lv in self.levels]
+        rates = [[""] + [_rate_cell(r) for r in convergence_rates(
+                     [getattr(lv, attr) for lv in self.levels], deltas)]
+                 for attr in ("err_psi", "err_v")]
+        for lv, rp, rv in zip(self.levels, *rates):
             lines.append(",".join([
                 _fmt(lv.delta), _fmt(lv.err_psi), rp, _fmt(lv.err_v), rv]))
         lines.append(f"# slope_psi,{_rate_cell(self.slope_psi)}")

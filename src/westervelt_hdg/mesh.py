@@ -7,16 +7,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parameters import check_parameter
+from .parameters import MAX_LEVEL_BYTES, check_parameter
 
 
 class MeshError(Exception):
     """Invalid mesh data or topology."""
-
-
-def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """z component of the cross product of stacked 2d vectors."""
-    return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 @dataclass(frozen=True)
@@ -45,16 +40,15 @@ class Mesh:
         if np.any(repeated):
             raise MeshError(
                 f"triangle {int(np.argmax(repeated))} has repeated vertices")
-        a, b, c = verts[tris[:, 0]], verts[tris[:, 1]], verts[tris[:, 2]]
-        signed = 0.5 * _cross2(b - a, c - a)
-        if np.any(signed <= 0.0):
-            t = int(np.argmax(signed <= 0.0))
-            raise MeshError(f"triangle {t} is degenerate or clockwise "
-                            f"(signed area {signed[t]:g})")
         verts.setflags(write=False)
         tris.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "triangles", tris)
+        signed = 0.5 * element_geometry(self)[2]
+        if np.any(signed <= 0.0):
+            t = int(np.argmax(signed <= 0.0))
+            raise MeshError(f"triangle {t} is degenerate or clockwise "
+                            f"(signed area {signed[t]:g})")
 
     @property
     def n_vertices(self) -> int:
@@ -88,9 +82,15 @@ def generate_structured_mesh(n: int) -> Mesh:
     """n x n grid of cells on the unit square, each split along a diagonal.
 
     Produces 2 n^2 counterclockwise triangles in a deterministic ordering
-    (cells row by row, diagonal from lower-left to upper-right).
+    (cells row by row, diagonal from lower-left to upper-right). Refuses
+    an n whose float64 vertices and int64 triangles alone would take more
+    than MAX_LEVEL_BYTES.
     """
     check_parameter("levels", n, MeshError)
+    if 16 * (int(n) + 1) ** 2 + 48 * int(n) ** 2 > MAX_LEVEL_BYTES:
+        raise MeshError(f"levels is too large: the vertices and triangles "
+                        f"would take more than {MAX_LEVEL_BYTES / 2**30:g} "
+                        f"GiB")
     xs = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(xs, xs)
     vertices = np.column_stack([xx.ravel(), yy.ravel()])

@@ -6,6 +6,10 @@ velocity field eliminated element-wise):
     N(dPsi) ddPsi + c^2 Ks tld(Psi) + c^2 R tld(Lam) = load(t)
     Rt tld(Psi) + A tld(Lam) = 0,        tld(X) = X + (delta/c^2) dX
 
+The run starts from the HDG elliptic projections of psi(0) and dpsi/dt(0),
+driven by their Laplacians (ProblemDefinition), and from the acceleration
+that the first equation gives at t = 0 (compute_initial_acceleration).
+
 Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
 implicit Newmark equations, lagging the nonlinear mass: every pass maps the
 acceleration iterate x to g = G(x) by solving one condensed linear system
@@ -61,10 +65,6 @@ from .operators import (
 from .parameters import MAX_STEPS, check_parameter
 
 
-class InitializationError(SolverError):
-    """Discrete initial data could not be computed."""
-
-
 class NonconvergenceError(SolverError):
     """Corrector failed to reach tolerance within the iteration budget, or
     its change stopped being finite or stopped contracting."""
@@ -95,9 +95,10 @@ class NewmarkConfig:
 class ProblemDefinition:
     """Coefficients, initial data and forcing of one wave problem.
 
-    Initial data enter through the fields psi0/psi1 and their Laplacians
-    (vectorized callables of (x, y)); None means identically zero. The
-    forcing is a vectorized callable of (x, y, t) or None; see
+    The initial data psi(0) and d(psi)/dt(0) enter through their Laplacians
+    lap_psi0 and lap_psi1 (vectorized callables of (x, y)), which with the
+    homogeneous Dirichlet condition determine them; None means a zero
+    datum. The forcing is a vectorized callable of (x, y, t) or None; see
     load_function for forcings that also carry separable terms.
     """
 
@@ -105,9 +106,7 @@ class ProblemDefinition:
     k: float = 0.0
     delta: float = 0.0
     final_time: float = 1.0
-    psi0: Callable | None = None
     lap_psi0: Callable | None = None
-    psi1: Callable | None = None
     lap_psi1: Callable | None = None
     forcing: Callable | None = None
     exact_psi: Callable | None = None
@@ -179,18 +178,15 @@ def compute_initial_state(prob: ProblemDefinition,
     """Stationary HDG solves projecting the two initial data fields.
 
     Each field solves the mixed system driven by minus its Laplacian through
-    the stationary elimination, built once and only when a datum is given.
-    Accelerations are left at zero; see compute_initial_acceleration.
+    the stationary elimination, built once and only when a Laplacian is
+    given. Accelerations are left at zero; see compute_initial_acceleration.
     """
     lay = ops.layout
     static, levels = None, []
-    for f, lap in ((prob.psi0, prob.lap_psi0), (prob.psi1, prob.lap_psi1)):
-        if f is None:
+    for lap in (prob.lap_psi0, prob.lap_psi1):
+        if lap is None:
             levels.append((np.zeros(lay.n_scalar), np.zeros(lay.n_facet)))
             continue
-        if lap is None:
-            raise InitializationError(
-                "initial datum given without its Laplacian")
         if static is None:
             static = stationary_elimination(ops)
         source = assemble_load(lambda x, y, t: -lap(x, y), 0.0, ops.tables)
@@ -207,17 +203,15 @@ def compute_initial_acceleration(state: State, prob: ProblemDefinition,
     """Fill consistent initial accelerations into the state (in place).
 
     Solves the nonlinear-mass system driven by the t=0 load minus the
-    stiffness residual of the initial data.
+    stiffness residual of the initial data (stiffness_load).
     """
-    c2 = prob.c * prob.c
-    w = prob.delta / c2
-    psi_t = state.psi + w * state.dpsi
-    lam_t = state.lam + w * state.dlam
-    rhs = -c2 * (apply_blocks(ops.stiffness, psi_t) + ops.coupling @ lam_t)
-    if prob.forcing is not None:
-        rhs = rhs + assemble_load(prob.forcing, state.t, ops.tables)
-    nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
     lay = ops.layout
+    w = prob.delta / (prob.c * prob.c)
+    load = (np.zeros(lay.n_scalar) if prob.forcing is None
+            else assemble_load(prob.forcing, state.t, ops.tables))
+    rhs = stiffness_load(_axpy(w, state.dpsi, state.psi),
+                         _axpy(w, state.dlam, state.lam), load, prob.c, ops)
+    nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
     state.ddpsi = np.linalg.solve(
         nmass, rhs.reshape(lay.n_elements, lay.dim_scalar, 1)).reshape(-1)
     state.ddlam = consistent_traces(ops, state.ddpsi)
@@ -251,13 +245,15 @@ def load_function(forcing: Callable | None,
     return load
 
 
-def stiffness_load(pred: Prediction, load_next: np.ndarray, c: float,
+def stiffness_load(psi_tilde: np.ndarray, lam_tilde: np.ndarray,
+                   load: np.ndarray, c: float,
                    ops: AssembledOperators) -> np.ndarray:
-    """Corrector load: forcing minus stiffness applied to the predictions."""
-    rhs = apply_blocks(ops.stiffness, pred.psi_tilde)
-    rhs += ops.coupling @ pred.lam_tilde
+    """The load minus c^2 (Ks psi_tilde + R lam_tilde): the right side of the
+    corrector at the predictions and of the initial acceleration."""
+    rhs = apply_blocks(ops.stiffness, psi_tilde)
+    rhs += ops.coupling @ lam_tilde
     rhs *= -(c * c)
-    rhs += load_next
+    rhs += load
     return rhs
 
 
@@ -321,7 +317,8 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                                 f"{cond.mu!r}, refusing use with mu = {mu!r}")
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
-    ln = stiffness_load(pred, load(t_next), prob.c, ops)
+    ln = stiffness_load(pred.psi_tilde, pred.lam_tilde, load(t_next),
+                        prob.c, ops)
     ddpsi = state.ddpsi if start is None else start
     change = np.inf
     converged = False
@@ -447,8 +444,8 @@ class Discretization:
 
     Each part is built on first use inside run, through the names of this
     module, so the first run's setup includes it. The projected state is
-    reused while the four initial data callables are the same objects; every
-    run gets its own copies of its arrays.
+    reused while the two Laplacians of the initial data are the same
+    objects; every run gets its own copies of its arrays.
     """
 
     def __init__(self, mesh: Mesh, degree: int, tau_bar: float = 1.0,
@@ -471,7 +468,7 @@ class Discretization:
         """A copy of the projected initial data of prob
         (compute_initial_state), projected again only when one of the data
         callables is not the object it was at the last projection."""
-        data = (prob.psi0, prob.lap_psi0, prob.psi1, prob.lap_psi1)
+        data = (prob.lap_psi0, prob.lap_psi1)
         if self._initial is None or any(
                 a is not b for a, b in zip(data, self._initial[0])):
             self._initial = (data, compute_initial_state(prob, self.ops))

@@ -107,7 +107,9 @@ def facet_traces(basis: TriangleBasis, s: np.ndarray) -> np.ndarray:
 
 
 class ElementTables:
-    """Geometry and basis evaluations shared by all assembly routines."""
+    """Geometry and basis evaluations shared by all assembly routines. The
+    physical basis gradients, which only assembly and postprocessing read,
+    are formed on demand (physical_gradients)."""
 
     def __init__(self, mesh: Mesh, topo: FacetTopology, layout: DofLayout):
         p = layout.degree
@@ -119,7 +121,7 @@ class ElementTables:
         nonlinear_rule = triangle_quadrature(max(3 * p, 2))
         self.facet_rule = segment_quadrature(2 * p + 2)
 
-        self.phi, gphi = basis.eval(self.cell_rule.points)
+        self.phi, self.gphi = basis.eval(self.cell_rule.points)
         self.phi_nl = basis.eval_values(nonlinear_rule.points)
         self.mu = SegmentBasis(p).eval(self.facet_rule.points)
 
@@ -128,8 +130,6 @@ class ElementTables:
         # nonlinear-rule weights times |det J|, (ne, nq)
         self.weights_nl = nonlinear_rule.weights[None, :] * self.detj[:, None]
         self.xq = quadrature_points(mesh, self.cell_rule.points)
-        # physical gradients (ne, nq, d, 2)
-        self.gphys = np.einsum("eab,qib->eqia", self.jinv_t, gphi)
 
         self.trace = facet_traces(basis, self.facet_rule.points)
         # picks each element's own (local facet, orientation) entry from the
@@ -142,6 +142,11 @@ class ElementTables:
         self.facet_dofs = np.where(ifac[:, :, None] >= 0,
                                    ifac[:, :, None] * pf + np.arange(pf),
                                    -1).reshape(-1, 3 * pf)
+
+    def physical_gradients(self, gref: np.ndarray) -> np.ndarray:
+        """Gradients (ne, nq, dim, 2) in every element of the basis whose
+        reference gradients at nq points are gref (nq, dim, 2)."""
+        return np.einsum("eab,qib->eqia", self.jinv_t, gref)
 
     def at_nonlinear_points(self, u) -> np.ndarray:
         """Values (ne, nq) at the points of the nonlinear rule of the scalar
@@ -166,7 +171,7 @@ def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarra
     check_parameter("tau_mode", tau_mode, AssemblyError)
     nt = topo.elem_facets.shape[0]
     if tau_mode == "uniform":
-        return np.full((nt, 3), tau_bar)
+        return np.full((nt, 3), tau_bar, dtype=float)
     tau = np.zeros((nt, 3))
     tau[np.arange(nt), topo.stab_facet] = tau_bar
     return tau
@@ -280,7 +285,9 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
                        tau_bar: float = 1.0,
                        tau_mode: str = "single_facet") -> AssembledOperators:
     """Assemble all static matrices of the scheme at degree on mesh, whose
-    facet topology is topo."""
+    facet topology is topo. Raises AssemblyError for a degree, tau_bar or
+    tau_mode out of range, and for a tau_bar so large that the condensed
+    stiffness Ks or coupling R is not finite."""
     check_parameter("degree", degree, AssemblyError)
     layout = DofLayout(degree, mesh.n_triangles, topo.n_interior)
     tab = ElementTables(mesh, topo, layout)
@@ -288,7 +295,8 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     ne, d = layout.n_elements, layout.dim_scalar
     pf = layout.dim_facet
     w = tab.cell_rule.weights
-    phi, gphys, detj = tab.phi, tab.gphys, tab.detj
+    phi, detj = tab.phi, tab.detj
+    gphys = tab.physical_gradients(tab.gphi)
 
     mass_ref = phi.T @ (w[:, None] * phi)
     scalar_mass = detj[:, None, None] * mass_ref[None, :, :]
@@ -327,7 +335,11 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     vector_mass_inv = np.linalg.inv(vector_mass)
     bt_minv = np.matmul(divergence.transpose(0, 2, 1), vector_mass_inv)
     stiffness = boundary_penalty + np.matmul(bt_minv, divergence)
+    stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
     coupling_local = trace_scalar_local + bt_minv @ trace_vector_local
+    if not (np.isfinite(stiffness).all() and np.isfinite(coupling_local).all()):
+        raise AssemblyError(f"tau = {tau_bar} overflows the condensed "
+                            f"stiffness or coupling at degree {degree}")
     gram = _facet_facet(tab, trace_penalty, trace_vector_local.transpose(
         0, 2, 1) @ vector_mass_inv @ trace_vector_local)
     return AssembledOperators(
@@ -341,7 +353,7 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
         trace_vector_local=trace_vector_local,
         trace_scalar_local=trace_scalar_local,
         trace_penalty=trace_penalty,
-        stiffness=0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
+        stiffness=stiffness,
         coupling_local=coupling_local,
         coupling=_scalar_facet(tab, coupling_local),
         gram_solver=_factorize("facet Gram matrix", gram),

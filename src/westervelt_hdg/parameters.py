@@ -19,6 +19,11 @@ MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
 # h-rule
 MAX_STEPS = 10**7
 
+# the most bytes a mesh level may take, the memory of a large compute node:
+# config.level_bytes of a level a study runs, and the vertex and triangle
+# arrays of a structured mesh
+MAX_LEVEL_BYTES = 2**39
+
 # the range of every parameter that one value decides, checked by
 # check_parameter wherever it enters: name -> (description, choices, an
 # interval of finite values or "integer in" one[, the message's wording of
@@ -32,7 +37,8 @@ PARAMETERS = {
     "final_time": ("final time", "(0, inf)"),
     "degree": ("polynomial degree", f"integer in [0, {MAX_DEGREE}]"),
     # a basis also serves the postprocessed field, one degree above degree
-    "basis_degree": ("basis polynomial degree", "integer in [0, inf)"),
+    "basis_degree": ("basis polynomial degree",
+                     f"integer in [0, {MAX_DEGREE + 1}]"),
     "quadrature_order": ("quadrature order",
                          f"integer in [0, {MAX_QUADRATURE_ORDER}]"),
     "levels": ("elements per side", "integer in [1, inf)"),

@@ -58,15 +58,13 @@ def manufactured_problem(c: float = 100.0, k: float = 0.5,
     def shape_squared(x, y):
         return shape(x, y) ** 2
 
-    def psi1(x, y):
-        return a * w * shape(x, y)
-
+    # psi starts at 0 with the velocity a w shape, of this Laplacian
     def lap_psi1(x, y):
         return -2.0 * l * l * a * w * shape(x, y)
 
     return ProblemDefinition(
         c=c, k=k, delta=delta, final_time=final_time,
-        psi0=None, lap_psi0=None, psi1=psi1, lap_psi1=lap_psi1,
+        lap_psi1=lap_psi1,
         forcing=SeparableForcing((linear_factor, shape),
                                  (quadratic_factor, shape_squared)),
         exact_psi=exact_psi, exact_v=exact_v,
@@ -84,22 +82,15 @@ def delta_study_problem(delta: float, c: float = 1.0, k: float = 0.3,
     def shape(x, y):
         return np.sin(math.pi * x) * np.sin(math.pi * y)
 
-    def psi0(x, y):
-        return amplitude0 * shape(x, y)
-
     def lap_psi0(x, y):
         return -2.0 * pi2 * amplitude0 * shape(x, y)
-
-    def psi1(x, y):
-        return shape(x, y)
 
     def lap_psi1(x, y):
         return -2.0 * pi2 * shape(x, y)
 
     return ProblemDefinition(
         c=c, k=k, delta=delta, final_time=final_time,
-        psi0=psi0, lap_psi0=lap_psi0, psi1=psi1, lap_psi1=lap_psi1,
-        forcing=None,
+        lap_psi0=lap_psi0, lap_psi1=lap_psi1,
     )
 
 
@@ -121,6 +112,5 @@ def wavefront_problem(k: float = -10.0, c: float = 1500.0,
 
     return ProblemDefinition(
         c=c, k=k, delta=delta, final_time=final_time,
-        psi0=None, lap_psi0=None, psi1=None, lap_psi1=None,
         forcing=SeparableForcing((decay_factor, source)),
     )

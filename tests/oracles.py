@@ -833,7 +833,8 @@ def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     load = load_function(prob.forcing, ops.tables)
     pred = predictor(state, cfg, prob.delta, prob.c)
     t_next = state.t + cfg.dt
-    ln = stiffness_load(pred, load(t_next), prob.c, ops)
+    ln = stiffness_load(pred.psi_tilde, pred.lam_tilde, load(t_next),
+                        prob.c, ops)
     ddpsi = state.ddpsi if start is None else start
     for s in range(1, cfg.max_iterations + 1):
         ddpsi_new, ddlam = corrector_step(ddpsi, pred.dpsi_hat, ln, cfg, prob,

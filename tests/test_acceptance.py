@@ -159,7 +159,6 @@ def test_criterion_4_oracle_equivalence():
 
             prob = ProblemDefinition(
                 c=1.0,
-                psi0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
                 lap_psi0=lambda x, y: (-2.0 * np.pi ** 2
                                        * np.sin(np.pi * x)
                                        * np.sin(np.pi * y)))

@@ -15,7 +15,7 @@ from westervelt_hdg.basis import (
     segment_quadrature,
     triangle_quadrature,
 )
-from westervelt_hdg.parameters import MAX_QUADRATURE_ORDER
+from westervelt_hdg.parameters import MAX_DEGREE, MAX_QUADRATURE_ORDER
 
 
 @pytest.mark.parametrize("degree,dim", [(0, 1), (1, 3), (2, 6), (3, 10), (7, 36)])
@@ -167,6 +167,14 @@ class TestTriangleBasis:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError, match="basis_degree must be >= 0"):
             TriangleBasis(-1)
+
+
+@pytest.mark.parametrize("basis", [TriangleBasis, SegmentBasis])
+@pytest.mark.parametrize("degree", [MAX_DEGREE + 2, 10**30])
+def test_degree_above_the_postprocessed_field_rejected(basis, degree):
+    with pytest.raises(ValueError, match=f"basis_degree must be <= "
+                                         f"{MAX_DEGREE + 1}"):
+        basis(degree)
 
 
 class TestSegmentBasis:

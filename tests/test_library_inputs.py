@@ -41,17 +41,18 @@ ODD = (0.0, -0.0, 5.0e-324, -5.0e-324, math.nan, math.inf, -math.inf,
        1.0e308, -1.0e308, -1, True, False, np.True_, np.float64(math.nan),
        np.float32(1.0e-45), np.int64(-1), np.array([1.0]), np.array([2]),
        "1", "", None)
-# a huge integer, drawn only where it cannot ask for a huge mesh or basis
+# a huge integer, beyond every size cap
 HUGE = 10**30
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=100)
 
 
-def inputs(valid, huge=True):
-    """valid values, as Python and as numpy scalars, mixed with ODD."""
+def inputs(valid):
+    """valid values, as Python and as numpy scalars, mixed with ODD and
+    HUGE."""
     return st.one_of(valid, valid.map(lambda v: np.asarray(v)[()]),
-                     st.sampled_from(ODD + ((HUGE,) if huge else ())))
+                     st.sampled_from(ODD + (HUGE,)))
 
 
 # valid values of the parameters of a run on MESH
@@ -61,7 +62,13 @@ VALID = dict(c=st.floats(0.5, 2.0), k=st.floats(-0.5, 0.5),
              dt=st.sampled_from([0.01, 0.025]), gamma=st.floats(0.0, 1.0),
              beta=st.floats(0.0, 0.5), tol=st.sampled_from([1.0e-10, 1.0e-6]),
              max_iterations=st.integers(1, 30), degree=st.integers(0, 2),
-             tau_bar=st.floats(0.5, 4.0), tau_mode=st.sampled_from(TAU_MODES))
+             tau_bar=st.floats(0.5, np.finfo(float).max),
+             tau_mode=st.sampled_from(TAU_MODES))
+# the initial data, through their Laplacians
+LAPLACIANS = st.sampled_from([
+    None, lambda x, y: -2.0 * math.pi ** 2 * np.sin(math.pi * x)
+    * np.sin(math.pi * y), lambda x, y: np.full_like(x, -1.0)])
+DATA = dict(lap_psi0=LAPLACIANS, lap_psi1=LAPLACIANS)
 PROBLEM = ("c", "k", "delta", "final_time")
 NEWMARK = ("dt", "gamma", "beta", "tol", "max_iterations")
 DISCRETIZATION = ("degree", "tau_bar", "tau_mode")
@@ -89,7 +96,7 @@ def test_newmark_config(**kwargs):
 
 
 @SETTINGS
-@given(**drawn(*PROBLEM))
+@given(**drawn(*PROBLEM), **DATA)
 def test_problem_definition(**kwargs):
     outcome(lambda: ProblemDefinition(**kwargs), ValueError)
 
@@ -115,13 +122,13 @@ def test_build_condensed(**kwargs):
 
 
 @SETTINGS
-@given(n=inputs(st.integers(1, 3), huge=False))
+@given(n=inputs(st.integers(1, 3)))
 def test_generate_structured_mesh(n):
     outcome(lambda: generate_structured_mesh(n), MeshError)
 
 
 @SETTINGS
-@given(degree=inputs(st.integers(0, 4), huge=False))
+@given(degree=inputs(st.integers(0, 4)))
 def test_triangle_basis(degree):
     outcome(lambda: TriangleBasis(degree), ValueError)
 
@@ -129,13 +136,14 @@ def test_triangle_basis(degree):
 @settings(SETTINGS, max_examples=200)
 @given(values=st.fixed_dictionaries(VALID),
        odd=st.one_of(st.none(), st.tuples(st.sampled_from(sorted(VALID)),
-                                          st.sampled_from(ODD + (HUGE,)))))
-def test_run(values, odd):
+                                          st.sampled_from(ODD + (HUGE,)))),
+       data=st.fixed_dictionaries(DATA))
+def test_run(values, odd, data):
     # valid values, but for at most one parameter
     if odd is not None:
         values = {**values, odd[0]: odd[1]}
     prob = outcome(lambda: ProblemDefinition(
-        **{name: values[name] for name in PROBLEM}), ValueError)
+        **{name: values[name] for name in PROBLEM}, **data), ValueError)
     cfg = outcome(lambda: NewmarkConfig(
         **{name: values[name] for name in NEWMARK}), ValueError)
     if prob is None or cfg is None:

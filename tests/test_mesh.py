@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from westervelt_hdg import mesh as mesh_module
 from westervelt_hdg.mesh import (
     LOCAL_FACETS,
     Mesh,
@@ -46,6 +47,19 @@ class TestStructuredMesh:
     def test_invalid_subdivision(self):
         with pytest.raises(MeshError, match=">= 1"):
             generate_structured_mesh(0)
+
+    @pytest.mark.parametrize("n", [10**6, 10**30])
+    def test_level_over_the_byte_cap_refused(self, n):
+        with pytest.raises(MeshError, match="levels is too large"):
+            generate_structured_mesh(n)
+
+    def test_byte_cap_counts_vertices_and_triangles(self, monkeypatch):
+        # (n + 1)^2 float64 vertex pairs and 2 n^2 int64 index triples
+        monkeypatch.setattr(mesh_module, "MAX_LEVEL_BYTES",
+                            16 * 5**2 + 48 * 4**2)
+        assert generate_structured_mesh(4).n_triangles == 32
+        with pytest.raises(MeshError, match="levels is too large"):
+            generate_structured_mesh(5)
 
     def test_vertices_not_writable(self):
         mesh = generate_structured_mesh(2)

@@ -23,7 +23,6 @@ from westervelt_hdg.operators import (
 from westervelt_hdg.condensation import CondensationError, build_condensed
 from westervelt_hdg.newmark import (
     Discretization,
-    InitializationError,
     NewmarkConfig,
     NonconvergenceError,
     ProblemDefinition,
@@ -67,11 +66,8 @@ def random_consistent_state(lay, ops, rng, scale=0.01):
     )
 
 
-def bump(x, y):
-    return x * (1.0 - x) * y * (1.0 - y)
-
-
 def lap_bump(x, y):
+    """The Laplacian of x (1 - x) y (1 - y)."""
     return -2.0 * (y * (1.0 - y) + x * (1.0 - x))
 
 
@@ -99,13 +95,12 @@ class TestInitialState:
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, degree)
         prob = ProblemDefinition(
-            c=1.0, psi0=standing_wave, lap_psi0=lap_standing_wave,
-            psi1=bump, lap_psi1=lap_bump)
+            c=1.0, lap_psi0=lap_standing_wave, lap_psi1=lap_bump)
         state = compute_initial_state(prob, ops)
         seven = oracles.dense_seven(msh, topo, degree)
-        for f, lap, psi_got, lam_got in (
-                (prob.psi0, prob.lap_psi0, state.psi, state.lam),
-                (prob.psi1, prob.lap_psi1, state.dpsi, state.dlam)):
+        for lap, psi_got, lam_got in (
+                (prob.lap_psi0, state.psi, state.lam),
+                (prob.lap_psi1, state.dpsi, state.dlam)):
             source = assemble_load(lambda x, y, t: -lap(x, y), 0.0,
                                    ops.tables)
             v_d, psi_d, lam_d = oracles.dense_elliptic(seven, source)
@@ -113,20 +108,28 @@ class TestInitialState:
             assert np.max(np.abs(psi_got - psi_d)) <= 1e-11 * scale
             assert np.max(np.abs(lam_got - lam_d)) <= 1e-11 * scale
 
-    def test_missing_laplacian_rejected(self):
-        msh = generate_structured_mesh(1)
+    def test_laplacian_alone_is_projected(self):
+        # a datum enters through its Laplacian alone; the other stays zero
+        msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1)
-        prob = ProblemDefinition(c=1.0, psi0=bump)  # Laplacian not given
-        with pytest.raises(InitializationError, match="Laplacian"):
-            compute_initial_state(prob, ops)
+        state = compute_initial_state(
+            ProblemDefinition(c=1.0, lap_psi0=lap_standing_wave), ops)
+        source = assemble_load(lambda x, y, t: -lap_standing_wave(x, y), 0.0,
+                               ops.tables)
+        _, psi_d, lam_d = oracles.dense_elliptic(
+            oracles.dense_seven(msh, topo, 1), source)
+        scale = np.max(np.abs(psi_d))
+        assert scale > 0.0
+        assert np.max(np.abs(state.psi - psi_d)) <= 1e-11 * scale
+        assert np.max(np.abs(state.lam - lam_d)) <= 1e-11 * scale
+        assert not state.dpsi.any() and not state.dlam.any()
 
     def test_projection_error_decreases_with_resolution(self):
         errs = []
         for n in (2, 4):
             msh = generate_structured_mesh(n)
             topo, lay, ops, cond = build(msh, 1)
-            prob = ProblemDefinition(c=1.0, psi0=standing_wave,
-                                     lap_psi0=lap_standing_wave)
+            prob = ProblemDefinition(c=1.0, lap_psi0=lap_standing_wave)
             state = compute_initial_state(prob, ops)
             from westervelt_hdg.analysis import l2_error, scalar_field
             errs.append(l2_error(scalar_field(ops, state.psi),
@@ -233,7 +236,8 @@ class TestCorrector:
         state = random_consistent_state(lay, ops, rng)
         compute_initial_acceleration(state, prob, ops)
         pred = predictor(state, cfg, prob.delta, prob.c)
-        ln = stiffness_load(pred, np.zeros(lay.n_scalar), prob.c, ops)
+        ln = stiffness_load(pred.psi_tilde, pred.lam_tilde,
+                            np.zeros(lay.n_scalar), prob.c, ops)
         got_psi, got_lam = corrector_step(state.ddpsi, pred.dpsi_hat, ln, cfg,
                                           prob, ops, cond)
 
@@ -256,7 +260,7 @@ class TestCorrector:
         state = random_consistent_state(lay, ops, rng)
         pred = predictor(state, cfg, 1.0e-3, 2.0)
         load = rng.standard_normal(lay.n_scalar)
-        got = stiffness_load(pred, load, 2.0, ops)
+        got = stiffness_load(pred.psi_tilde, pred.lam_tilde, load, 2.0, ops)
         want = load - 4.0 * (
             block_diag_csr(ops.stiffness) @ pred.psi_tilde
             + ops.coupling @ pred.lam_tilde)
@@ -480,8 +484,7 @@ class TestDriver:
     def test_run_samples_observers_each_step(self):
         msh = generate_structured_mesh(2)
         prob = ProblemDefinition(
-            c=1.0, delta=1.0e-3, final_time=0.05,
-            psi0=bump, lap_psi0=lap_bump)
+            c=1.0, delta=1.0e-3, final_time=0.05, lap_psi0=lap_bump)
         cfg = NewmarkConfig(dt=0.01)
         times = []
         result = run(prob, Discretization(msh, 1), cfg,

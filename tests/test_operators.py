@@ -275,6 +275,8 @@ class TestMatrixStructure:
         topo = compute_facet_topology(msh)
         assert np.array_equal(tau_pattern(topo, 1.5, "uniform"),
                               np.full((msh.n_triangles, 3), 1.5))
+        # an integer beyond int64 gives floats, not Python objects
+        assert tau_pattern(topo, 10**30, "uniform").dtype == np.float64
 
     def test_tau_pattern_rejects_bad_inputs(self):
         topo = compute_facet_topology(generate_structured_mesh(1))
@@ -284,6 +286,16 @@ class TestMatrixStructure:
             tau_pattern(topo, np.inf, "uniform")
         with pytest.raises(AssemblyError, match="unknown tau mode"):
             tau_pattern(topo, 1.0, "everywhere")
+
+    @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
+    def test_overflowing_penalty_refused(self, tau_mode):
+        msh = generate_structured_mesh(2)
+        topo = compute_facet_topology(msh)
+        ops = assemble_operators(msh, topo, 1, 1.0e300, tau_mode)
+        assert np.isfinite(ops.stiffness).all()
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                AssemblyError, match=r"^tau = 1e\+308 overflows"):
+            assemble_operators(msh, topo, 1, 1.0e308, tau_mode)
 
 
 class TestNonlinearMass:
