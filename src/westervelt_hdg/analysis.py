@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .basis import TriangleBasis, scalar_space_dim, triangle_quadrature
 from .mesh import Mesh, element_geometry, quadrature_points
-from .newmark import State
+from .newmark import NewmarkConfig, State, corrected_state, predictor
 from .operators import AssembledOperators, NondegeneracyError
 
 
@@ -149,27 +150,57 @@ ENERGY_CHUNK = 4
 
 
 class History:
-    """The unknowns that energy reads of `rows` states, stacked along a
-    leading axis in the order they are recorded: t (S,), psi, dpsi and ddpsi
-    (S, n_scalar), lam and dlam (S, n_facet). Calling it with a State
+    """The states of one run, kept as the accelerations from which energy
+    replays them: t (S,) and one row ddpsi, ddlam (S, n_scalar + n_facet)
+    per state, plus a copy of the first state. Calling it with a State
     records that state in the next row, so it serves as an observer of
-    newmark.run; the arrays are allocated at the first call."""
+    newmark.run with the run's cfg and its coefficients delta and c; the
+    rows are allocated at the first call. Every later state must be the
+    next step, at exactly the previous t + cfg.dt, because chunks rebuilds
+    it with the run's own newmark.predictor and newmark.corrected_state."""
 
     FIELDS = ("psi", "dpsi", "ddpsi", "lam", "dlam")
 
-    def __init__(self, rows: int):
+    def __init__(self, rows: int, cfg: NewmarkConfig, delta: float, c: float):
         self.t = np.empty(rows)
         self.size = 0
+        self.cfg, self.delta, self.c = cfg, delta, c
 
     def __call__(self, state: State) -> None:
         if self.size == 0:
-            for name in self.FIELDS:
-                setattr(self, name, np.empty((self.t.size,
-                                              getattr(state, name).size)))
+            self.first = copy.deepcopy(state)
+            self.accelerations = np.empty(
+                (self.t.size, state.ddpsi.size + state.ddlam.size))
+        elif state.t != self.t[self.size - 1] + self.cfg.dt:
+            raise ValueError(
+                f"state at t = {state.t!r} is not the step of dt = "
+                f"{self.cfg.dt!r} after t = {self.t[self.size - 1]!r}: only "
+                f"consecutive steps of one run can be replayed")
+        ns = state.ddpsi.size
         self.t[self.size] = state.t
-        for name in self.FIELDS:
-            getattr(self, name)[self.size] = getattr(state, name)
+        self.accelerations[self.size, :ns] = state.ddpsi
+        self.accelerations[self.size, ns:] = state.ddlam
         self.size += 1
+
+    def chunks(self):
+        """The recorded states, replayed in order, in stacks of up to
+        ENERGY_CHUNK: tuples (t, psi, dpsi, ddpsi, lam, dlam) of arrays
+        whose leading axis runs over the states of the stack."""
+        state = self.first
+        ns = state.ddpsi.size
+        for start in range(0, self.size, ENERGY_CHUNK):
+            stop = min(start + ENERGY_CHUNK, self.size)
+            stacks = [np.empty((stop - start, getattr(state, name).size))
+                      for name in self.FIELDS]
+            for row in range(start, stop):
+                if row > 0:
+                    acc = self.accelerations[row]
+                    state = corrected_state(
+                        predictor(state, self.cfg, self.delta, self.c),
+                        acc[:ns], acc[ns:], self.cfg)
+                for stack, name in zip(stacks, self.FIELDS):
+                    stack[row - start] = getattr(state, name)
+            yield (self.t[start:stop], *stacks)
 
 
 def energy(states: History, ops: AssembledOperators, k: float, c: float):
@@ -181,27 +212,27 @@ def energy(states: History, ops: AssembledOperators, k: float, c: float):
     same functional one time-derivative higher, both with the weight
     1 + 2 k (d psi/dt). Raises NondegeneracyError, naming the first state
     and its elements, where that weight is not strictly positive. The
-    states go through in chunks of ENERGY_CHUNK.
+    states go through in the chunks of History.chunks.
     """
     lay = ops.layout
-    psi, dpsi, ddpsi, lam, dlam = (getattr(states, name)
-                                   for name in History.FIELDS)
     table, rows = _stored_energy_table(ops)
-    e0, e1 = np.empty(len(psi)), np.empty(len(psi))
-    for start in range(0, len(psi), ENERGY_CHUNK):
-        part = slice(start, start + ENERGY_CHUNK)
-        m = len(psi[part])
-        kin0, kin1 = _kinetic_energies(dpsi[part], ddpsi[part], k, ops.tables,
-                                       start, states.t[part])
+    e0, e1 = np.empty(len(states.t)), np.empty(len(states.t))
+    start = 0
+    for times, psi, dpsi, ddpsi, lam, dlam in states.chunks():
+        m = len(times)
+        part = slice(start, start + m)
+        kin0, kin1 = _kinetic_energies(dpsi, ddpsi, k, ops.tables, start,
+                                       times)
         # the columns: the m states' (psi, lam), then their (dpsi, dlam)
         cols = np.zeros((lay.n_scalar + lay.n_facet + 1, 2 * m))
-        cols[:lay.n_scalar] = np.concatenate([psi[part], dpsi[part]]).T
-        cols[lay.n_scalar:-1] = np.concatenate([lam[part], dlam[part]]).T
+        cols[:lay.n_scalar] = np.concatenate([psi, dpsi]).T
+        cols[lay.n_scalar:-1] = np.concatenate([lam, dlam]).T
         out = table @ cols[rows]
         del cols
         stored = np.einsum("eis,eis->s", out, out)
         e0[part] = 0.5 * kin0 + 0.5 * c * c * stored[:m]
         e1[part] = 0.5 * kin1 + 0.5 * c * c * stored[m:]
+        start += m
     return e0, e1
 
 

@@ -37,8 +37,7 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
     int32 row pointers of their CSR matrices and of the L and U factors of
     the facet Schur complement and the Gram matrix A, with 1.5 interior
     facets per element; the temporaries of assembly come on top. A stored
-    state (analysis.History) holds psi, dpsi and ddpsi and the facet
-    unknowns lam and dlam.
+    state (analysis.History) holds its accelerations ddpsi and ddlam.
     """
     d, pf = scalar_space_dim(degree), degree + 1
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
@@ -60,7 +59,7 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
         nonzeros = 9 * d * pf + fill  # W, -Wt, R and the factors
         # 144: the mesh and its topology
         return 2.0 * n ** 2 * (8 * dense + 12 * nonzeros + 4 * rows + 144
-                               + 8 * states * (3 * d + 3 * pf))
+                               + 8 * states * (d + 1.5 * pf))
     except OverflowError:
         return math.inf
 
@@ -141,7 +140,8 @@ class RunConfig:
     profile_samples: int = 257
 
     def validate(self, study: str | None = None) -> "RunConfig":
-        """Refuse a field outside its parameters.PARAMETERS range, a step
+        """Refuse a field outside its parameters.PARAMETERS range, levels
+        that do not strictly increase for the h-convergence study, a step
         that does not divide final_time into at most MAX_STEPS steps and,
         without dt, a level on which the h-rule of study (default: the study
         of kind; see level_steps) asks for more than MAX_STEPS steps; then a
@@ -157,6 +157,12 @@ class RunConfig:
         check_parameter("c^2", self.c * self.c, ConfigError)
         if not self.levels:
             raise ConfigError("levels must not be empty")
+        # the study takes its rates between consecutive levels
+        if (study or self.kind) == "h_convergence" and any(
+                a >= b for a, b in zip(self.levels, self.levels[1:])):
+            raise ConfigError(
+                f"levels must strictly increase for the h-convergence "
+                f"study, got {', '.join(map(str, self.levels))}")
         if self.dt is None:
             for n, steps in level_steps(self, study or self.kind).items():
                 if steps > MAX_STEPS:

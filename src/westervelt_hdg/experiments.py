@@ -191,8 +191,14 @@ def delta_convergence_study(cfg: RunConfig,
     All runs share one discretization of the first configured level, the
     initial data and the time step, so each run builds only its condensed
     operators and initial acceleration; differences are measured in the
-    scalar and vector mass norms.
+    scalar and vector mass norms. The deltas must be positive and strictly
+    decreasing, as the rates between consecutive runs need; others are
+    refused with ValueError before the first run.
     """
+    if not (all(d > 0.0 for d in deltas)
+            and all(a > b for a, b in zip(deltas, deltas[1:]))):
+        raise ValueError(f"deltas must be positive and strictly decreasing, "
+                         f"got {tuple(deltas)}")
     disc = _discretization(cfg, generate_structured_mesh(cfg.levels[0]))
     dt = level_dt(cfg, "delta_convergence")[cfg.levels[0]]
     ncfg = _newmark_config(cfg, dt)
@@ -301,16 +307,17 @@ _PROBLEMS = {"h_convergence": manufactured_problem,
 
 def single_run_study(cfg: RunConfig) -> SingleRunSummary:
     """One run of the configured problem family on its first mesh level,
-    recording the energy pair over time: the run stores the unknowns of
-    every state in a History, whose energies are evaluated after the time
-    loop."""
+    recording the energy pair over time: the run stores the accelerations
+    of every state in a History, which replays the states for their
+    energies after the time loop."""
     prob = _PROBLEMS[cfg.kind](c=cfg.c, k=cfg.k, delta=cfg.delta,
                                final_time=cfg.final_time)
     mesh = generate_structured_mesh(cfg.levels[0])
     dt = level_dt(cfg, "run")[cfg.levels[0]]
-    history = History(number_of_steps(cfg.final_time, dt) + 1)
-    result = run(prob, _discretization(cfg, mesh), _newmark_config(cfg, dt),
-                 history)
+    ncfg = _newmark_config(cfg, dt)
+    history = History(number_of_steps(cfg.final_time, dt) + 1, ncfg,
+                      prob.delta, prob.c)
+    result = run(prob, _discretization(cfg, mesh), ncfg, history)
     ops, state = result.ops, result.state
     mean_iterations = result.mean_iterations
     # the condensed operators are done with: free them for the energies

@@ -26,7 +26,9 @@ depth-one Anderson mixing x = g_s - a (g_s - g_{s-1}) of the last two
 images, with a minimizing the residual combination |f_s - a (f_s - f_{s-1})|,
 f = g - x. run() starts the second step from the extrapolated acceleration
 2 ddPsi_n - ddPsi_{n-1} and every later one from the quadratic extrapolation
-3 (ddPsi_n - ddPsi_{n-1}) + ddPsi_{n-2}.
+3 (ddPsi_n - ddPsi_{n-1}) + ddPsi_{n-2}. The accepted accelerations give the
+new state through the Newmark update corrected_state, so a run can be
+replayed from its accelerations alone (analysis.History).
 
 The load of a forcing with terms ((g_i, f_i), ...), f = sum_i g_i(t)
 f_i(x, y), is assembled once per spatial factor; any other forcing callable
@@ -133,6 +135,7 @@ class State:
 
 @dataclass(frozen=True)
 class Prediction:
+    t: float
     psi_hat: np.ndarray
     dpsi_hat: np.ndarray
     lam_hat: np.ndarray
@@ -150,7 +153,8 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def predictor(state: State, cfg: NewmarkConfig, delta: float,
               c: float) -> Prediction:
-    """Newmark predictions of values and velocities at the next time level."""
+    """Newmark predictions of values and velocities at the next time level,
+    t + dt."""
     dt = cfg.dt
     half = 0.5 * dt * dt * (1.0 - 2.0 * cfg.beta)
     psi_hat = _axpy(dt, state.dpsi, state.psi)
@@ -161,10 +165,27 @@ def predictor(state: State, cfg: NewmarkConfig, delta: float,
     dlam_hat = _axpy((1.0 - cfg.gamma) * dt, state.ddlam, state.dlam)
     w = delta / (c * c)
     return Prediction(
-        psi_hat=psi_hat, dpsi_hat=dpsi_hat, lam_hat=lam_hat,
+        t=state.t + dt, psi_hat=psi_hat, dpsi_hat=dpsi_hat, lam_hat=lam_hat,
         dlam_hat=dlam_hat,
         psi_tilde=_axpy(w, dpsi_hat, psi_hat),
         lam_tilde=_axpy(w, dlam_hat, lam_hat),
+    )
+
+
+def corrected_state(pred: Prediction, ddpsi: np.ndarray, ddlam: np.ndarray,
+                    cfg: NewmarkConfig) -> State:
+    """The Newmark update: the state at pred.t with the accepted
+    accelerations ddpsi and ddlam. A run and analysis.History's replay of it
+    both go through predictor and this function, so they round alike."""
+    bdt2, gdt = cfg.beta * cfg.dt * cfg.dt, cfg.gamma * cfg.dt
+    return State(
+        t=pred.t,
+        psi=_axpy(bdt2, ddpsi, pred.psi_hat),
+        dpsi=_axpy(gdt, ddpsi, pred.dpsi_hat),
+        ddpsi=ddpsi,
+        lam=_axpy(bdt2, ddlam, pred.lam_hat),
+        dlam=_axpy(gdt, ddlam, pred.dlam_hat),
+        ddlam=ddlam,
     )
 
 
@@ -267,8 +288,11 @@ def corrector_step(x: np.ndarray, dpsi_hat: np.ndarray, ln: np.ndarray,
     Lags the nonlinear mass at the velocity iterate
     theta = dpsi_hat + gamma dt x, applies its defect M - N(theta) to x
     without forming N, and solves the condensed linear system; ln is the
-    prediction-adjusted load from stiffness_load.
+    prediction-adjusted load from stiffness_load. With k = 0 the defect is
+    zero and ln is solved as it is.
     """
+    if prob.k == 0.0:
+        return condensed_solve(cond, ln)
     theta = _axpy(cfg.gamma * cfg.dt, x, dpsi_hat)
     rhs = nonlinear_defect(theta, x, prob.k, ops.tables)
     rhs += ln
@@ -316,8 +340,7 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
         raise CondensationError(f"condensed operators were built for mu = "
                                 f"{cond.mu!r}, refusing use with mu = {mu!r}")
     pred = predictor(state, cfg, prob.delta, prob.c)
-    t_next = state.t + cfg.dt
-    ln = stiffness_load(pred.psi_tilde, pred.lam_tilde, load(t_next),
+    ln = stiffness_load(pred.psi_tilde, pred.lam_tilde, load(pred.t),
                         prob.c, ops)
     ddpsi = state.ddpsi if start is None else start
     change = np.inf
@@ -379,17 +402,7 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
             f"{change:.3e})",
             step=step_index, iterations=iterations, last_change=change,
         )
-    bdt2, gdt = cfg.beta * cfg.dt * cfg.dt, cfg.gamma * cfg.dt
-    new = State(
-        t=t_next,
-        psi=_axpy(bdt2, ddpsi, pred.psi_hat),
-        dpsi=_axpy(gdt, ddpsi, pred.dpsi_hat),
-        ddpsi=ddpsi,
-        lam=_axpy(bdt2, ddlam, pred.lam_hat),
-        dlam=_axpy(gdt, ddlam, pred.dlam_hat),
-        ddlam=ddlam,
-    )
-    return new, iterations
+    return corrected_state(pred, ddpsi, ddlam, cfg), iterations
 
 
 def _nonfinite_error(change: float, ddpsi: np.ndarray,

@@ -1,5 +1,8 @@
 """Tests for field evaluation, error norms, postprocessing, and energies."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -13,7 +16,9 @@ from westervelt_hdg.operators import (
     assemble_operators,
 )
 from westervelt_hdg.condensation import build_condensed
+from westervelt_hdg.config import level_bytes
 from westervelt_hdg.newmark import (
+    Discretization,
     NewmarkConfig,
     ProblemDefinition,
     State,
@@ -21,7 +26,9 @@ from westervelt_hdg.newmark import (
     compute_initial_acceleration,
     consistent_traces,
     load_function,
+    run,
 )
+from westervelt_hdg.problems import manufactured_problem
 from westervelt_hdg.analysis import (
     ENERGY_CHUNK,
     DiscreteScalarField,
@@ -243,14 +250,22 @@ class TestPostprocess:
         assert np.max(np.abs(lo - hi)) == 0.0
 
 
-def stack(states) -> History:
-    history = History(len(states))
-    for state in states:
-        history(state)
-    return history
+class Stack:
+    """Arbitrary states, not steps of a run, in the chunks that
+    History.chunks yields."""
+
+    def __init__(self, states):
+        self.t = np.array([state.t for state in states])
+        self.fields = [np.array([getattr(state, name) for state in states])
+                       for name in History.FIELDS]
+
+    def chunks(self):
+        for start in range(0, len(self.t), ENERGY_CHUNK):
+            part = slice(start, start + ENERGY_CHUNK)
+            yield (self.t[part], *(f[part] for f in self.fields))
 
 
-# a one-row History, and a stack that ends in a partial chunk
+# a one-state stack, and one that ends in a partial chunk
 COUNTS = (1, 2 * ENERGY_CHUNK + 3)
 
 
@@ -265,7 +280,7 @@ class TestEnergy:
     def test_zero_state_has_zero_energy(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1)
-        (e0,), (e1,) = energy(stack([self.zero_state(lay)]), ops, 0.5, 1.0)
+        (e0,), (e1,) = energy(Stack([self.zero_state(lay)]), ops, 0.5, 1.0)
         assert e0 == 0.0 and e1 == 0.0
 
     def test_constant_velocity_closed_form(self):
@@ -276,7 +291,7 @@ class TestEnergy:
         state.dpsi = state.dpsi.reshape(lay.n_elements, -1)
         state.dpsi[:, 0] = 1.0 / np.sqrt(2.0)
         state.dpsi = state.dpsi.reshape(-1)
-        (e0,), (e1,) = energy(stack([state]), ops, 0.5, 1.0)
+        (e0,), (e1,) = energy(Stack([state]), ops, 0.5, 1.0)
         assert abs(e0 - 1.0) <= 1e-13
         assert e1 >= 0.0 and np.isfinite(e1)
 
@@ -288,7 +303,7 @@ class TestEnergy:
         state.dpsi[:, 0] = -2.0 / np.sqrt(2.0)
         state.dpsi = state.dpsi.reshape(-1)
         with pytest.raises(NondegeneracyError, match="nonpositive"):
-            energy(stack([state]), ops, 0.5, 1.0)
+            energy(Stack([state]), ops, 0.5, 1.0)
 
     def random_states(self, lay, rng, count, **scales):
         """count states with standard normal unknowns, each field scaled
@@ -318,7 +333,7 @@ class TestEnergy:
 
         for count in COUNTS:
             states = self.random_states(lay, rng, count)
-            e0, e1 = energy(stack(states), ops, 0.0, c)
+            e0, e1 = energy(Stack(states), ops, 0.0, c)
             for state, got0, got1 in zip(states, e0, e1):
                 want0 = 0.5 * state.dpsi @ seven["M"] @ state.dpsi \
                     + 0.5 * c * c * store(state.psi, state.lam)
@@ -341,7 +356,7 @@ class TestEnergy:
                                     tau_mode=tau_mode)
         for count in COUNTS:
             states = self.random_states(lay, rng, count, dpsi=0.0)
-            e0, _ = energy(stack(states), ops, 0.0, 1.0)
+            e0, _ = energy(Stack(states), ops, 0.0, 1.0)
             for state, got in zip(states, e0):
                 flux = seven["B"] @ state.psi + seven["E"] @ state.lam
                 store = flux @ np.linalg.solve(seven["Mv"], flux)
@@ -363,8 +378,8 @@ class TestEnergy:
             states = self.random_states(lay, rng, count, psi=0.0,
                                         dpsi=0.05, ddpsi=0.05, lam=0.0,
                                         dlam=0.0)
-            e0k, e1k = energy(stack(states), ops, k, 1.0)
-            e00, e10 = energy(stack(states), ops, 0.0, 1.0)
+            e0k, e1k = energy(Stack(states), ops, k, 1.0)
+            e00, e10 = energy(Stack(states), ops, 0.0, 1.0)
             for i, state in enumerate(states):
                 cube = quad_mixed = 0.0
                 for t in range(msh.n_triangles):
@@ -387,7 +402,7 @@ class TestEnergy:
         with pytest.raises(NondegeneracyError,
                            match=rf"^state {bad} \(t = 0\.5\): 1 \+ 2k\*theta "
                                  r"nonpositive") as err:
-            energy(stack(states), ops, 0.5, 1.0)
+            energy(Stack(states), ops, 0.5, 1.0)
         assert err.value.elements == (3,)
 
     def test_energy_conserved_without_damping_or_forcing(self):
@@ -405,14 +420,80 @@ class TestEnergy:
                       ddlam=np.zeros(lay.n_facet))
         compute_initial_acceleration(state, prob, ops)
         load = load_function(prob.forcing, ops.tables)
-        states = [state]
+        history = History(21, cfg, prob.delta, prob.c)
+        history(state)
         for step in range(20):
             state, _ = advance_step(state, cfg, prob, ops, cond, load,
                                     step_index=step)
-            states.append(state)
-        e0, _ = energy(stack(states), ops, 0.0, 1.0)
+            history(state)
+        e0, _ = energy(history, ops, 0.0, 1.0)
         assert e0[0] > 0.0
         assert np.max(np.abs(e0 - e0[0])) <= 1e-10 * e0[0]
+
+
+class TestHistory:
+    def recorded_run(self, steps, **coefficients):
+        """A History of the manufactured problem at n = 2, p = 2 over
+        `steps` steps, and deep copies of the states the run observed."""
+        cfg = NewmarkConfig(dt=1.0e-3)
+        prob = manufactured_problem(final_time=steps * cfg.dt, **coefficients)
+        history = History(steps + 1, cfg, prob.delta, prob.c)
+        states = []
+
+        def observe(state):
+            history(state)
+            states.append(copy.deepcopy(state))
+
+        result = run(prob, Discretization(generate_structured_mesh(2), 2),
+                     cfg, observe)
+        return history, states, result.ops
+
+    @pytest.mark.parametrize("coefficients", [
+        dict(k=0.5, delta=1.0e-3), dict(k=0.0, delta=0.0)])
+    def test_replay_equals_the_run_bit_for_bit(self, coefficients):
+        # 11 states: the last chunk is partial; k != 0 with forcing and
+        # delta > 0, and the linear undamped run
+        history, states, ops = self.recorded_run(10, **coefficients)
+        assert len(states) % ENERGY_CHUNK != 0
+        replayed = []
+        for times, *fields in history.chunks():
+            assert 1 <= len(times) <= ENERGY_CHUNK
+            for i, t in enumerate(times):
+                replayed.append((t, [f[i] for f in fields]))
+        assert len(replayed) == len(states)
+        for state, (t, fields) in zip(states, replayed):
+            assert t == state.t
+            for name, value in zip(History.FIELDS, fields):
+                assert np.array_equal(value, getattr(state, name)), name
+        k = coefficients["k"]
+        got, want = (energy(h, ops, k, 100.0) for h in (history,
+                                                       Stack(states)))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    def test_a_row_holds_the_two_accelerations(self):
+        history, states, ops = self.recorded_run(3)
+        lay = ops.layout
+        rows = len(states)
+        assert history.accelerations.shape == (rows,
+                                               lay.n_scalar + lay.n_facet)
+        # no other array grows with the states but t
+        per_state = sum(value.nbytes for value in vars(history).values()
+                        if isinstance(value, np.ndarray))
+        assert per_state == 8 * rows * (lay.n_scalar + lay.n_facet + 1)
+        estimate = level_bytes(2, 2, rows) - level_bytes(2, 2)
+        assert history.accelerations.nbytes <= estimate
+
+    def test_refuses_a_state_that_is_not_the_next_step(self):
+        msh = generate_structured_mesh(1)
+        lay = build(msh, 1)[1]
+        history = History(3, NewmarkConfig(dt=0.01), 0.0, 1.0)
+        state = TestEnergy().zero_state(lay)
+        history(state)
+        for t in (0.0, 0.02, np.nextafter(0.01, 1.0)):
+            with pytest.raises(ValueError, match="consecutive steps"):
+                history(dataclasses.replace(state, t=t))
+        history(dataclasses.replace(state, t=0.01))
+        assert history.size == 2
 
 
 class TestConvergenceRates:

@@ -1299,6 +1299,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("i/o error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("levels", ["2, 2", "4, 2"])
+    def test_h_convergence_levels_must_increase(self, tmp_path, capsys,
+                                                monkeypatch, levels):
+        def no_mesh(n):
+            raise AssertionError(f"mesh of level {n} built")
+
+        monkeypatch.setattr(experiments, "generate_structured_mesh", no_mesh)
+        cfg = self.write(tmp_path, "tiny.ini", TINY_H.replace(
+            "levels = 2", f"levels = {levels}"))
+        assert main(["h-convergence", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("configuration error: levels must strictly increase "
+                       f"for the h-convergence study, got {levels}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_run_memory_cap_counts_the_stored_states(self, tmp_path, capsys,
                                                       monkeypatch):
         def no_mesh(n):
@@ -1377,3 +1393,17 @@ def test_cli_survives_edge_values(command, edge, level, degree):
                         except ValueError:
                             continue
                         assert math.isfinite(number), (path.name, line)
+
+
+@pytest.mark.parametrize("deltas", [(1.0e-4, 1.0e-2), (1.0e-2, 1.0e-2),
+                                    (1.0e-2, 0.0), (1.0e-2, math.nan)])
+def test_delta_study_refuses_deltas_before_the_first_run(monkeypatch,
+                                                         deltas):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    cfg = parse_config(TINY_DELTA).validate()
+    with pytest.raises(ValueError, match=r"deltas must be positive and "
+                       r"strictly decreasing, got \(0\.01|\(0\.0001"):
+        experiments.delta_convergence_study(cfg, deltas)
