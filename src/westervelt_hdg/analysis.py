@@ -10,7 +10,8 @@ import numpy as np
 from .basis import TriangleBasis, scalar_space_dim, triangle_quadrature
 from .mesh import Mesh, element_geometry, quadrature_points
 from .newmark import NewmarkConfig, State, corrected_state, predictor
-from .operators import AssembledOperators, NondegeneracyError
+from .operators import (AssembledOperators, NondegeneracyError,
+                        refuse_nonpositive)
 
 
 @dataclass
@@ -154,19 +155,22 @@ class History:
     replays them: t (S,) and one row ddpsi, ddlam (S, n_scalar + n_facet)
     per state, plus a copy of the first state. Calling it with a State
     records that state in the next row, so it serves as an observer of
-    newmark.run with the run's cfg and its coefficients delta and c; the
-    rows are allocated at the first call. Every later state must be the
-    next step, at exactly the previous t + cfg.dt, because chunks rebuilds
-    it with the run's own newmark.predictor and newmark.corrected_state."""
+    newmark.run with the run's cfg; the rows are allocated at the first
+    call, and a state beyond them is refused. Every later state must be the
+    next step, at exactly the previous t + cfg.dt: chunks rebuilds it from
+    cfg alone with newmark.predictor and newmark.corrected_state."""
 
     FIELDS = ("psi", "dpsi", "ddpsi", "lam", "dlam")
 
-    def __init__(self, rows: int, cfg: NewmarkConfig, delta: float, c: float):
+    def __init__(self, rows: int, cfg: NewmarkConfig):
         self.t = np.empty(rows)
         self.size = 0
-        self.cfg, self.delta, self.c = cfg, delta, c
+        self.cfg = cfg
 
     def __call__(self, state: State) -> None:
+        if self.size == self.t.size:
+            raise ValueError(f"History holds rows = {self.t.size} states, "
+                             f"refusing one more at t = {state.t!r}")
         if self.size == 0:
             self.first = copy.deepcopy(state)
             self.accelerations = np.empty(
@@ -195,9 +199,8 @@ class History:
             for row in range(start, stop):
                 if row > 0:
                     acc = self.accelerations[row]
-                    state = corrected_state(
-                        predictor(state, self.cfg, self.delta, self.c),
-                        acc[:ns], acc[ns:], self.cfg)
+                    state = corrected_state(predictor(state, self.cfg),
+                                            acc[:ns], acc[ns:], self.cfg)
                 for stack, name in zip(stacks, self.FIELDS):
                     stack[row - start] = getattr(state, name)
             yield (self.t[start:stop], *stacks)
@@ -271,18 +274,17 @@ def _kinetic_energies(dpsi, ddpsi, k: float, tab, start: int, times):
     domain of stacked states (m, n_scalar), the first of which is state
     start."""
     m, d = len(dpsi), tab.layout.dim_scalar
-    ne = tab.layout.n_elements
     dpsi_q = (dpsi.reshape(-1, d) @ tab.phi_nl.T).reshape(m, -1)
     weight = 2.0 * k * dpsi_q
     weight += 1.0
     if np.min(weight) <= 0.0:
-        low = np.min(weight.reshape(m, ne, -1), axis=2)
-        s = int(np.argmax(np.min(low, axis=1) <= 0.0))
-        bad = np.flatnonzero(low[s] <= 0.0)
-        raise NondegeneracyError(
-            f"state {start + s} (t = {times[s]:.6g}): 1 + 2k*theta "
-            f"nonpositive (min {np.min(low[s]):.6g}) on elements "
-            f"{bad[:8].tolist()}", elements=bad)
+        s = int(np.argmax(np.min(weight, axis=1) <= 0.0))
+        try:
+            refuse_nonpositive(weight[s].reshape(tab.layout.n_elements, -1))
+        except NondegeneracyError as err:
+            raise NondegeneracyError(
+                f"state {start + s} (t = {times[s]:.6g}): {err}",
+                elements=err.elements) from err
     weight *= tab.weights_nl.reshape(-1)
     kin0 = np.einsum("sq,sq,sq->s", weight, dpsi_q, dpsi_q)
     ddpsi_q = (ddpsi.reshape(-1, d) @ tab.phi_nl.T).reshape(m, -1)

@@ -66,7 +66,6 @@ class LevelResult:
 
 @dataclass
 class ConvergenceReport:
-    degree: int
     levels: list[LevelResult] = field(default_factory=list)
     failures: list[str] = field(default_factory=list)
 
@@ -107,7 +106,7 @@ def h_convergence_study(cfg: RunConfig) -> ConvergenceReport:
     """Manufactured-solution refinement study at the configured degree."""
     prob = manufactured_problem(c=cfg.c, k=cfg.k, delta=cfg.delta,
                                 final_time=cfg.final_time)
-    report = ConvergenceReport(degree=cfg.degree)
+    report = ConvergenceReport()
     dts = level_dt(cfg, "h_convergence")
     for n in cfg.levels:
         mesh = generate_structured_mesh(n)
@@ -148,7 +147,6 @@ DELTA_FIT_RANGE = (1.0e-8, 1.0e-2)
 
 @dataclass
 class DeltaReport:
-    degree: int
     levels: list[DeltaLevel] = field(default_factory=list)
 
     def _fit(self, attr: str) -> float:
@@ -208,7 +206,7 @@ def delta_convergence_study(cfg: RunConfig,
     base = run(undamped, disc, ncfg).state
     ops = disc.ops
     base_vel = reconstruct_velocity(ops, base.psi, base.lam)
-    report = DeltaReport(degree=cfg.degree)
+    report = DeltaReport()
     for delta in deltas:
         res = run(replace(undamped, delta=delta), disc, ncfg).state
         dpsi = res.psi - base.psi
@@ -223,7 +221,6 @@ def delta_convergence_study(cfg: RunConfig,
 
 @dataclass
 class WavefrontResult:
-    mesh: Mesh
     dt: float
     profile_x: np.ndarray
     profile_nonlinear: np.ndarray
@@ -264,7 +261,7 @@ def wavefront_study(cfg: RunConfig) -> WavefrontResult:
     x = np.linspace(0.0, 1.0, cfg.profile_samples)
     pts = np.column_stack([x, np.full_like(x, 0.5)])
     return WavefrontResult(
-        mesh=mesh, dt=dt, profile_x=x,
+        dt=dt, profile_x=x,
         profile_nonlinear=profiles["nonlinear"].eval_at(pts),
         profile_linear=profiles["linear"].eval_at(pts),
         snapshots=snapshots,
@@ -315,8 +312,7 @@ def single_run_study(cfg: RunConfig) -> SingleRunSummary:
     mesh = generate_structured_mesh(cfg.levels[0])
     dt = level_dt(cfg, "run")[cfg.levels[0]]
     ncfg = _newmark_config(cfg, dt)
-    history = History(number_of_steps(cfg.final_time, dt) + 1, ncfg,
-                      prob.delta, prob.c)
+    history = History(number_of_steps(cfg.final_time, dt) + 1, ncfg)
     result = run(prob, _discretization(cfg, mesh), ncfg, history)
     ops, state = result.ops, result.state
     mean_iterations = result.mean_iterations

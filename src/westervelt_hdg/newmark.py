@@ -10,25 +10,28 @@ The run starts from the HDG elliptic projections of psi(0) and dpsi/dt(0),
 driven by their Laplacians (ProblemDefinition), and from the acceleration
 that the first equation gives at t = 0 (compute_initial_acceleration).
 
-Each step predicts (Psi, dPsi, Lam, dLam), then fixed-point-iterates the
-implicit Newmark equations, lagging the nonlinear mass: every pass maps the
-acceleration iterate x to g = G(x) by solving one condensed linear system
-whose matrix is frozen in the corrector's Elimination (corrector_step). With
-k = 0 the right side does not depend on x: a linear step reuses its first
-solve as the image of its second pass. Convergence is judged by the
-relative Euclidean change from x to g of the new-time solution, after at
-least two passes, and the step accepts g with the facet accelerations of
-the same solve; a change that is not finite stops the step at once, and so
+Each step predicts Psi, dPsi, Lam and dLam (predictor), forms the right side at
+their damped values (stiffness_load, the one place where delta enters), then
+fixed-point-iterates the implicit Newmark equations, lagging the nonlinear
+mass: every pass maps the acceleration iterate x to g = G(x) by solving one
+condensed linear system whose matrix is frozen in the corrector's Elimination
+(corrector_step). With k = 0 the right side does not depend on x: a linear
+step reuses its first solve as the image of its second pass. Convergence is
+judged by the relative Euclidean change from x to g of the new-time solution,
+after at least two passes, and the step accepts g with the facet accelerations
+of the same solve; a change that is not finite stops the step at once, and so
 does a change that grows on two consecutive passes (contraction ratio
 theta >= 1). In-place updates round as the whole-array formulas do: near a
-zero crossing of the solution the stop test turns on the change's last bit. The second pass starts from g_1; every later one from the
-depth-one Anderson mixing x = g_s - a (g_s - g_{s-1}) of the last two
-images, with a minimizing the residual combination |f_s - a (f_s - f_{s-1})|,
-f = g - x. run() starts the second step from the extrapolated acceleration
-2 ddPsi_n - ddPsi_{n-1} and every later one from the quadratic extrapolation
+zero crossing of the solution the stop test turns on the change's last bit. The
+second pass starts from g_1; every later one from the depth-one Anderson
+mixing x = g_s - a (g_s - g_{s-1}) of the last two images, with a minimizing
+the residual combination |f_s - a (f_s - f_{s-1})|, f = g - x. run() starts
+the second step from the extrapolated acceleration 2 ddPsi_n - ddPsi_{n-1} and
+every later one from the quadratic extrapolation
 3 (ddPsi_n - ddPsi_{n-1}) + ddPsi_{n-2}. The accepted accelerations give the
 new state through the Newmark update corrected_state, so a run can be
-replayed from its accelerations alone (analysis.History).
+replayed from its accelerations and its NewmarkConfig alone
+(analysis.History).
 
 The load of a forcing with terms ((g_i, f_i), ...), f = sum_i g_i(t)
 f_i(x, y), is assembled once per spatial factor; any other forcing callable
@@ -140,8 +143,6 @@ class Prediction:
     dpsi_hat: np.ndarray
     lam_hat: np.ndarray
     dlam_hat: np.ndarray
-    psi_tilde: np.ndarray
-    lam_tilde: np.ndarray
 
 
 def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -151,10 +152,9 @@ def _axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def predictor(state: State, cfg: NewmarkConfig, delta: float,
-              c: float) -> Prediction:
+def predictor(state: State, cfg: NewmarkConfig) -> Prediction:
     """Newmark predictions of values and velocities at the next time level,
-    t + dt."""
+    t + dt, which no coefficient enters: stiffness_load damps them."""
     dt = cfg.dt
     half = 0.5 * dt * dt * (1.0 - 2.0 * cfg.beta)
     psi_hat = _axpy(dt, state.dpsi, state.psi)
@@ -163,13 +163,8 @@ def predictor(state: State, cfg: NewmarkConfig, delta: float,
     lam_hat += half * state.ddlam
     dpsi_hat = _axpy((1.0 - cfg.gamma) * dt, state.ddpsi, state.dpsi)
     dlam_hat = _axpy((1.0 - cfg.gamma) * dt, state.ddlam, state.dlam)
-    w = delta / (c * c)
-    return Prediction(
-        t=state.t + dt, psi_hat=psi_hat, dpsi_hat=dpsi_hat, lam_hat=lam_hat,
-        dlam_hat=dlam_hat,
-        psi_tilde=_axpy(w, dpsi_hat, psi_hat),
-        lam_tilde=_axpy(w, dlam_hat, lam_hat),
-    )
+    return Prediction(t=state.t + dt, psi_hat=psi_hat, dpsi_hat=dpsi_hat,
+                      lam_hat=lam_hat, dlam_hat=dlam_hat)
 
 
 def corrected_state(pred: Prediction, ddpsi: np.ndarray, ddlam: np.ndarray,
@@ -227,11 +222,10 @@ def compute_initial_acceleration(state: State, prob: ProblemDefinition,
     stiffness residual of the initial data (stiffness_load).
     """
     lay = ops.layout
-    w = prob.delta / (prob.c * prob.c)
     load = (np.zeros(lay.n_scalar) if prob.forcing is None
             else assemble_load(prob.forcing, state.t, ops.tables))
-    rhs = stiffness_load(_axpy(w, state.dpsi, state.psi),
-                         _axpy(w, state.dlam, state.lam), load, prob.c, ops)
+    rhs = stiffness_load(state.psi, state.dpsi, state.lam, state.dlam, load,
+                         prob, ops)
     nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
     state.ddpsi = np.linalg.solve(
         nmass, rhs.reshape(lay.n_elements, lay.dim_scalar, 1)).reshape(-1)
@@ -266,14 +260,16 @@ def load_function(forcing: Callable | None,
     return load
 
 
-def stiffness_load(psi_tilde: np.ndarray, lam_tilde: np.ndarray,
-                   load: np.ndarray, c: float,
+def stiffness_load(psi: np.ndarray, dpsi: np.ndarray, lam: np.ndarray,
+                   dlam: np.ndarray, load: np.ndarray, prob: ProblemDefinition,
                    ops: AssembledOperators) -> np.ndarray:
-    """The load minus c^2 (Ks psi_tilde + R lam_tilde): the right side of the
-    corrector at the predictions and of the initial acceleration."""
-    rhs = apply_blocks(ops.stiffness, psi_tilde)
-    rhs += ops.coupling @ lam_tilde
-    rhs *= -(c * c)
+    """load - c^2 (Ks tld(psi) + R tld(lam)), tld(x) = x + (delta/c^2) dx:
+    the right side of the corrector at the predictions and of the initial
+    acceleration at the initial state; the one place that forms tld."""
+    w = prob.delta / (prob.c * prob.c)
+    rhs = apply_blocks(ops.stiffness, _axpy(w, dpsi, psi))
+    rhs += ops.coupling @ _axpy(w, dlam, lam)
+    rhs *= -(prob.c * prob.c)
     rhs += load
     return rhs
 
@@ -339,9 +335,9 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     if cond.mu != mu:
         raise CondensationError(f"condensed operators were built for mu = "
                                 f"{cond.mu!r}, refusing use with mu = {mu!r}")
-    pred = predictor(state, cfg, prob.delta, prob.c)
-    ln = stiffness_load(pred.psi_tilde, pred.lam_tilde, load(pred.t),
-                        prob.c, ops)
+    pred = predictor(state, cfg)
+    ln = stiffness_load(pred.psi_hat, pred.dpsi_hat, pred.lam_hat,
+                        pred.dlam_hat, load(pred.t), prob, ops)
     ddpsi = state.ddpsi if start is None else start
     change = np.inf
     converged = False

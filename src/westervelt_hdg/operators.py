@@ -360,7 +360,7 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     )
 
 
-def _refuse_nonpositive(coeff: np.ndarray) -> None:
+def refuse_nonpositive(coeff: np.ndarray) -> None:
     """Raise NondegeneracyError naming the elements where the values
     1 + 2 k theta (ne, nq) at the nonlinear points are not strictly
     positive, if any."""
@@ -382,7 +382,7 @@ def assemble_nonlinear_mass(theta: np.ndarray, k: float,
     nonlinear rule.
     """
     coeff = 1.0 + 2.0 * k * tables.at_nonlinear_points(theta)
-    _refuse_nonpositive(coeff)
+    refuse_nonpositive(coeff)
     phi = tables.phi_nl
     weights = coeff * tables.weights_nl
     return np.matmul((weights[:, :, None] * phi[None, :, :]).transpose(0, 2, 1),
@@ -403,7 +403,7 @@ def nonlinear_defect(theta: np.ndarray, a: np.ndarray, k: float,
     a_q = tables.at_nonlinear_points(a)
     if k != 0.0 and 1.0 + 2.0 * k * (
             theta_q.min() if k > 0.0 else theta_q.max()) <= 0.0:
-        _refuse_nonpositive(1.0 + 2.0 * k * theta_q)
+        refuse_nonpositive(1.0 + 2.0 * k * theta_q)
     # theta_q becomes -2k w theta a in place
     theta_q *= tables.weights_nl
     theta_q *= a_q

@@ -24,6 +24,9 @@ MAX_STEPS = 10**7
 # arrays of a structured mesh
 MAX_LEVEL_BYTES = 2**39
 
+# the most points of the wavefront profile, a few arrays of that many floats
+MAX_PROFILE_SAMPLES = 10**6
+
 # the range of every parameter that one value decides, checked by
 # check_parameter wherever it enters: name -> (description, choices, an
 # interval of finite values or "integer in" one[, the message's wording of
@@ -52,7 +55,8 @@ PARAMETERS = {
                      f"integer in [1, {MAX_STEPS}]"),
     "dt": ("time step", "(0, inf)"),
     "snapshot_times": ("snapshot time", "(-inf, inf)"),
-    "profile_samples": ("profile samples", "integer in [2, inf)"),
+    "profile_samples": ("profile samples",
+                        f"integer in [2, {MAX_PROFILE_SAMPLES}]"),
 }
 
 

@@ -831,10 +831,10 @@ def plain_advance(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     and without reusing the first solve when k = 0: every pass starts from
     the previous pass's acceleration and solves."""
     load = load_function(prob.forcing, ops.tables)
-    pred = predictor(state, cfg, prob.delta, prob.c)
+    pred = predictor(state, cfg)
     t_next = state.t + cfg.dt
-    ln = stiffness_load(pred.psi_tilde, pred.lam_tilde, load(t_next),
-                        prob.c, ops)
+    ln = stiffness_load(pred.psi_hat, pred.dpsi_hat, pred.lam_hat,
+                        pred.dlam_hat, load(t_next), prob, ops)
     ddpsi = state.ddpsi if start is None else start
     for s in range(1, cfg.max_iterations + 1):
         ddpsi_new, ddlam = corrector_step(ddpsi, pred.dpsi_hat, ln, cfg, prob,

@@ -101,7 +101,7 @@ def test_criterion_3_energy_conservation():
                   ddlam=np.zeros(lay.n_facet))
     compute_initial_acceleration(state, prob, ops)
     load = load_function(prob.forcing, ops.tables)
-    history = History(101, cfg, prob.delta, prob.c)
+    history = History(101, cfg)
     history(state)
     for step in range(100):
         state, _ = advance_step(state, cfg, prob, ops, cond, load,

@@ -420,7 +420,7 @@ class TestEnergy:
                       ddlam=np.zeros(lay.n_facet))
         compute_initial_acceleration(state, prob, ops)
         load = load_function(prob.forcing, ops.tables)
-        history = History(21, cfg, prob.delta, prob.c)
+        history = History(21, cfg)
         history(state)
         for step in range(20):
             state, _ = advance_step(state, cfg, prob, ops, cond, load,
@@ -437,7 +437,7 @@ class TestHistory:
         `steps` steps, and deep copies of the states the run observed."""
         cfg = NewmarkConfig(dt=1.0e-3)
         prob = manufactured_problem(final_time=steps * cfg.dt, **coefficients)
-        history = History(steps + 1, cfg, prob.delta, prob.c)
+        history = History(steps + 1, cfg)
         states = []
 
         def observe(state):
@@ -486,7 +486,7 @@ class TestHistory:
     def test_refuses_a_state_that_is_not_the_next_step(self):
         msh = generate_structured_mesh(1)
         lay = build(msh, 1)[1]
-        history = History(3, NewmarkConfig(dt=0.01), 0.0, 1.0)
+        history = History(3, NewmarkConfig(dt=0.01))
         state = TestEnergy().zero_state(lay)
         history(state)
         for t in (0.0, 0.02, np.nextafter(0.01, 1.0)):
@@ -494,6 +494,15 @@ class TestHistory:
                 history(dataclasses.replace(state, t=t))
         history(dataclasses.replace(state, t=0.01))
         assert history.size == 2
+
+    def test_refuses_a_state_beyond_its_rows(self):
+        # a run of 4 steps yields 5 states
+        history = History(3, NewmarkConfig(dt=0.01))
+        with pytest.raises(ValueError, match="rows = 3"):
+            run(ProblemDefinition(c=1.0, final_time=0.04),
+                Discretization(generate_structured_mesh(1), 1),
+                NewmarkConfig(dt=0.01), history)
+        assert history.size == 3
 
 
 class TestConvergenceRates:

@@ -67,7 +67,12 @@ from westervelt_hdg.operators import (
     assemble_operators,
     tau_pattern,
 )
-from westervelt_hdg.parameters import MAX_DEGREE, MAX_STEPS, PARAMETERS
+from westervelt_hdg.parameters import (
+    MAX_DEGREE,
+    MAX_PROFILE_SAMPLES,
+    MAX_STEPS,
+    PARAMETERS,
+)
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -200,6 +205,8 @@ class TestConfig:
         ("dt", -0.1, "dt must be positive"),
         ("snapshot_times", (-1.0,), "snapshot_times"),
         ("profile_samples", 1, "profile_samples"),
+        ("profile_samples", MAX_PROFILE_SAMPLES + 1,
+         "profile_samples must be <= 1000000"),
         ("degree", MAX_DEGREE + 1, "degree must be <="),
         ("c", math.nan, "c must be finite"),
         ("k", math.inf, "k must be finite"),
@@ -705,7 +712,7 @@ class TestStudyHelpers:
                                   f"singular on elements [0, 1")
 
     def test_convergence_report_csv(self):
-        rep = ConvergenceReport(degree=1)
+        rep = ConvergenceReport()
         rep.levels.append(LevelResult(n=4, h=0.5, dt=0.1, err_psi=1.0,
                                       err_v=2.0, err_star=4.0,
                                       mean_iterations=3.0))
@@ -726,7 +733,7 @@ class TestStudyHelpers:
         assert lines[3] == "# n=16: corrector stalled"
 
     def test_delta_report_slope_fit(self):
-        rep = DeltaReport(degree=1)
+        rep = DeltaReport()
         for d in (1.0e-2, 1.0e-4, 1.0e-6, 1.0e-8):
             rep.levels.append(DeltaLevel(delta=d, err_psi=3.0 * d,
                                          err_v=0.5 * d))
@@ -743,7 +750,7 @@ class TestStudyHelpers:
             assert float(line.split(",")[1]) == pytest.approx(1.0)
 
     def test_delta_report_too_few_points_is_nan(self):
-        rep = DeltaReport(degree=0)
+        rep = DeltaReport()
         rep.levels.append(DeltaLevel(delta=1.0e-4, err_psi=1.0, err_v=1.0))
         assert math.isnan(rep.slope_psi)
 
@@ -1048,6 +1055,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: degree must be <=")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_profile_samples_are_refused_before_any_run(
+            self, tmp_path, capsys, monkeypatch):
+        # np.linspace would fail on this count only after both runs
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve started")
+
+        monkeypatch.setattr(experiments, "run", no_solve)
+        cfg = self.write(tmp_path, "wf.ini",
+                         f"[output]\nprofile_samples = {10**20}\n")
+        assert main(["wavefront", "--config", str(cfg), "--p", "0",
+                     "--levels", "1", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"configuration error: profile_samples must be <= "
+            f"{MAX_PROFILE_SAMPLES} (profile samples), got {10**20}\n")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,key,value,degree,code", [

@@ -194,8 +194,7 @@ class TestPredictor:
         state = random_consistent_state(lay, ops, rng)
         state.ddpsi = rng.standard_normal(lay.n_scalar)
         state.ddlam = rng.standard_normal(lay.n_facet)
-        c, delta = 2.0, 5.0e-3
-        pred = predictor(state, cfg, delta, c)
+        pred = predictor(state, cfg)
         dt = cfg.dt
         half = 0.5 * dt * dt * (1.0 - 2.0 * cfg.beta)
         assert np.allclose(pred.psi_hat,
@@ -207,11 +206,6 @@ class TestPredictor:
         assert np.allclose(pred.lam_hat,
                            state.lam + dt * state.dlam + half * state.ddlam,
                            rtol=0.0, atol=1e-15)
-        w = delta / (c * c)
-        assert np.allclose(pred.psi_tilde, pred.psi_hat + w * pred.dpsi_hat,
-                           rtol=0.0, atol=1e-15)
-        assert np.allclose(pred.lam_tilde, pred.lam_hat + w * pred.dlam_hat,
-                           rtol=0.0, atol=1e-15)
 
     def test_zero_acceleration_is_taylor_step(self):
         rng = np.random.default_rng(10)
@@ -219,11 +213,10 @@ class TestPredictor:
         topo, lay, ops, cond = build(msh, 1)
         cfg = NewmarkConfig(dt=0.1)
         state = random_consistent_state(lay, ops, rng)
-        pred = predictor(state, cfg, 0.0, 1.0)
+        pred = predictor(state, cfg)
         assert np.allclose(pred.psi_hat, state.psi + cfg.dt * state.dpsi,
                            rtol=0.0, atol=1e-16)
         assert np.array_equal(pred.dpsi_hat, state.dpsi)
-        assert np.array_equal(pred.psi_tilde, pred.psi_hat)
 
 
 class TestCorrector:
@@ -235,9 +228,9 @@ class TestCorrector:
         prob = ProblemDefinition(c=1.0, k=0.3, delta=1.0e-3)
         state = random_consistent_state(lay, ops, rng)
         compute_initial_acceleration(state, prob, ops)
-        pred = predictor(state, cfg, prob.delta, prob.c)
-        ln = stiffness_load(pred.psi_tilde, pred.lam_tilde,
-                            np.zeros(lay.n_scalar), prob.c, ops)
+        pred = predictor(state, cfg)
+        ln = stiffness_load(pred.psi_hat, pred.dpsi_hat, pred.lam_hat,
+                            pred.dlam_hat, np.zeros(lay.n_scalar), prob, ops)
         got_psi, got_lam = corrector_step(state.ddpsi, pred.dpsi_hat, ln, cfg,
                                           prob, ops, cond)
 
@@ -256,16 +249,31 @@ class TestCorrector:
         rng = np.random.default_rng(15)
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 1, c=2.0, delta=1.0e-3, dt=0.01)
-        cfg = NewmarkConfig(dt=0.01)
+        cfg = NewmarkConfig(dt=0.02, gamma=0.6, beta=0.3)
         state = random_consistent_state(lay, ops, rng)
-        pred = predictor(state, cfg, 1.0e-3, 2.0)
+        state.ddpsi = rng.standard_normal(lay.n_scalar)
+        state.ddlam = rng.standard_normal(lay.n_facet)
+        pred = predictor(state, cfg)
         load = rng.standard_normal(lay.n_scalar)
-        got = stiffness_load(pred.psi_tilde, pred.lam_tilde, load, 2.0, ops)
-        want = load - 4.0 * (
-            block_diag_csr(ops.stiffness) @ pred.psi_tilde
-            + ops.coupling @ pred.lam_tilde)
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(
-            1.0, np.max(np.abs(want)))
+        undamped = ProblemDefinition(c=2.0)
+        for delta in (5.0e-3, 0.0):
+            got = stiffness_load(pred.psi_hat, pred.dpsi_hat, pred.lam_hat,
+                                 pred.dlam_hat, load,
+                                 ProblemDefinition(c=2.0, delta=delta), ops)
+            # the damped values x + (delta/c^2) dx of the predictions
+            w = delta / 4.0
+            psi_tilde = pred.psi_hat + w * pred.dpsi_hat
+            lam_tilde = pred.lam_hat + w * pred.dlam_hat
+            want = load - 4.0 * (
+                block_diag_csr(ops.stiffness) @ psi_tilde
+                + ops.coupling @ lam_tilde)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(
+                1.0, np.max(np.abs(want)))
+            # delta enters only through them, rounded as that sum is; with
+            # delta = 0 they are the predictions and the velocities drop out
+            assert np.array_equal(got, stiffness_load(
+                psi_tilde, np.zeros(lay.n_scalar), lam_tilde,
+                np.zeros(lay.n_facet), load, undamped, ops))
 
 
 class TestAdvance:
