@@ -10,7 +10,10 @@ discretization alone, so they are fields of the AssembledOperators that
 every elimination on them shares. The stationary solves of the initial data
 are the same system with Ks in place of M + mu Ks and mu = 1. For either
 block-diagonal matrix D, one routine (_eliminate) stores D^-1, W = D^-1 R
-and -Wt and factorizes the facet Schur complement A - mu Rt W, so a solve
+and -Wt and factorizes the facet Schur complement A - mu Rt W. W and the
+Schur complement are gathered through the block patterns that the
+operators' ElementTables sorted once, so an elimination sorts nothing. A
+solve
 
     z = D^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),   a_psi = z - mu (W a_lam)
 
@@ -27,9 +30,7 @@ import scipy.sparse as sp
 from .operators import (
     AssembledOperators,
     CondensationError,
-    _facet_facet,
     _factorize,
-    _scalar_facet,
     apply_blocks,
 )
 from .parameters import check_parameter
@@ -62,10 +63,10 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
     # Et Mv^-1 (E - B y) - Ft y = (A - G) - mu Rt D^-1 R with y = D^-1 mu R
     y_loc = block_inv @ (mu * r_loc)
     x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
-    schur = _facet_facet(ops.tables, ops.trace_penalty,
-                         e_loc.transpose(0, 2, 1) @ x_loc
-                         - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
-    elim = _scalar_facet(ops.tables, block_inv @ r_loc)
+    schur = ops.tables.facet_facet.assemble(
+        ops.trace_penalty, e_loc.transpose(0, 2, 1) @ x_loc
+        - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
+    elim = ops.tables.scalar_facet.assemble(block_inv @ r_loc)
     return Elimination(mu=mu, block_inv=block_inv, elim=elim,
                        minus_elim_t=-elim.T.tocsr(),
                        facet_solver=_factorize(name, schur))

@@ -7,9 +7,8 @@ import io
 import math
 from dataclasses import dataclass, replace
 
-from .basis import scalar_space_dim
 from .newmark import number_of_steps
-from .parameters import MAX_LEVEL_BYTES, MAX_STEPS, PARAMETERS, check_parameter
+from .parameters import MAX_STEPS, PARAMETERS, check_level, check_parameter
 
 # the mesh level at which the delta study anchors the h-rule
 DELTA_ANCHOR_LEVEL = 4
@@ -24,44 +23,6 @@ def h_rule_steps(coarse_steps: int, degree: int, h_ratio: float) -> int:
     coarse_steps steps on the anchor level, on a level whose mesh size is
     h_ratio times smaller than the anchor's."""
     return math.ceil(coarse_steps * h_ratio ** (0.5 * (degree + 2)) - 1.0e-9)
-
-
-def level_bytes(n: int, degree: int, states: int = 0) -> float:
-    """Estimated bytes of the level-n structured mesh (2 n^2 triangles), of
-    the element blocks, sparse matrices and facet factors stored for it at
-    degree and of `states` states of a monitored run.
-
-    Counts the float64 blocks of AssembledOperators, ElementTables (without
-    the physical gradients that assembly forms and drops) and the
-    corrector's Elimination, the value and int32 index of every nonzero and the
-    int32 row pointers of their CSR matrices and of the L and U factors of
-    the facet Schur complement and the Gram matrix A, with 1.5 interior
-    facets per element; the temporaries of assembly come on top. A stored
-    state (analysis.History) holds its accelerations ddpsi and ddlam.
-    """
-    d, pf = scalar_space_dim(degree), degree + 1
-    q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
-    q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
-    dense = (13 * d * d  # M, Mv, Mv^-1, B; (M + mu Ks)^-1 and Ks
-             + 12 * d * pf  # E, F and the blocks of R on the 3 pf facet dofs
-             + 1.5 * pf * pf + 3  # facet penalty, tau
-             + 2 * q + q_nl + 3 * pf + 8)  # geometry, dof map
-    rows = 2 * d + 7.5 * pf  # of W, R, -Wt and the four factors
-    try:
-        n = float(n)
-        # L + U nonzeros of both factors per element, fitted to the fill
-        # of the minimum degree ordering at n = 8...128, p = 0...3, and
-        # high beyond (21% at n = 256, p = 1); at p = 0 the perpendicular
-        # sides of an element couple through no entry of A, which fills
-        # in less
-        fill = (11.0 * n ** (1.0 / 3.0) if degree == 0
-                else 10.5 * pf * pf * math.sqrt(n))
-        nonzeros = 9 * d * pf + fill  # W, -Wt, R and the factors
-        # 144: the mesh and its topology
-        return 2.0 * n ** 2 * (8 * dense + 12 * nonzeros + 4 * rows + 144
-                               + 8 * states * (d + 1.5 * pf))
-    except OverflowError:
-        return math.inf
 
 
 def level_steps(cfg: "RunConfig", study: str) -> dict[int, float]:
@@ -145,10 +106,10 @@ class RunConfig:
         that does not divide final_time into at most MAX_STEPS steps and,
         without dt, a level on which the h-rule of study (default: the study
         of kind; see level_steps) asks for more than MAX_STEPS steps; then a
-        level of study whose level_bytes, with every state of the run for
-        study "run", exceed MAX_LEVEL_BYTES; and for the wavefront study a
-        snapshot time that is not a whole number of steps of its level's dt
-        (see number_of_steps) or is the same step as another."""
+        level of study that check_level refuses, with every state of the run
+        for study "run"; and for the wavefront study a snapshot time that is
+        not a whole number of steps of its level's dt (see number_of_steps)
+        or is the same step as another."""
         for key, (_, name, form) in _KEYS.items():
             value = getattr(self, name)
             for item in value if form in ("integers", "numbers") else [value]:
@@ -177,16 +138,8 @@ class RunConfig:
             except ValueError as err:
                 raise ConfigError(str(err)) from err
             # the run study stores every state for its energies
-            states = steps + 1 if study == "run" else 0
-            need = level_bytes(n, self.degree, states)
-            if need > MAX_LEVEL_BYTES:
-                raise ConfigError(
-                    f"level {n} needs an estimated {need / 2**30:.3g} GiB "
-                    f"for the mesh and its element blocks at degree "
-                    f"{self.degree}"
-                    + (f" and {states} stored states" if states else "")
-                    + f", more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use "
-                    f"coarser levels" + (" or fewer steps" if states else ""))
+            check_level(n, self.degree, steps + 1 if study == "run" else 0,
+                        ConfigError)
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if (study or self.kind) == "wavefront":

@@ -57,6 +57,7 @@ from .condensation import (
 from .mesh import Mesh, compute_facet_topology
 from .operators import (
     AssembledOperators,
+    AssemblyError,
     CondensationError,
     ElementTables,
     NondegeneracyError,
@@ -67,7 +68,7 @@ from .operators import (
     assemble_operators,
     nonlinear_defect,
 )
-from .parameters import MAX_STEPS, check_parameter
+from .parameters import MAX_STEPS, check_level, check_parameter
 
 
 class NonconvergenceError(SolverError):
@@ -452,7 +453,10 @@ class Discretization:
     the problem's coefficients and the time step.
 
     Each part is built on first use inside run, through the names of this
-    module, so the first run's setup includes it. The projected state is
+    module, so the first run's setup includes it. The first build refuses,
+    with AssemblyError, a degree or a level over the storage cap
+    (parameters.check_level, at the structured level of as many
+    triangles) before the topology is formed. The projected state is
     reused while the two Laplacians of the initial data are the same
     objects; every run gets its own copies of its arrays.
     """
@@ -467,6 +471,8 @@ class Discretization:
     @property
     def ops(self) -> AssembledOperators:
         if self._ops is None:
+            check_level(math.isqrt(self.mesh.n_triangles // 2), self.degree,
+                        0, AssemblyError)
             topo = compute_facet_topology(self.mesh)
             self._ops = assemble_operators(self.mesh, topo, self.degree,
                                            tau_bar=self.tau_bar,

@@ -23,6 +23,14 @@ dofs; they are zero on boundary facets and, for trace_scalar_local, on
 unstabilized sides. Vector dofs are stored per element as [x-component
 coeffs, y-component coeffs]. Facet dofs exist on interior facets only;
 homogeneous Dirichlet traces are hard zeros and never enter the system.
+
+Every sparse facet matrix is summed from blocks through one of the two
+BlockPatterns of ElementTables, sorted once by scatter_csr when the tables
+are built: scalar_facet (element blocks on scalar dof x facet dof: R and
+every W) and facet_facet (the facet penalty, then element blocks, on facet
+dof x facet dof: A and every facet Schur complement). An assembly is then
+one gather, with the terms of every entry added in the order given and
+exactly-zero sums dropped.
 """
 
 from __future__ import annotations
@@ -142,6 +150,17 @@ class ElementTables:
         self.facet_dofs = np.where(ifac[:, :, None] >= 0,
                                    ifac[:, :, None] * pf + np.arange(pf),
                                    -1).reshape(-1, 3 * pf)
+        # the patterns of every facet matrix, sorted once: element blocks on
+        # (scalar dof, facet dof), and the facet penalty then element blocks
+        # on (facet dof, facet dof)
+        self.scalar_facet = scatter_csr(
+            (layout.n_scalar, layout.n_facet),
+            (element_dofs(layout.n_elements, layout.dim_scalar),
+             self.facet_dofs))
+        diag = element_dofs(layout.n_interior_facets, pf)
+        self.facet_facet = scatter_csr((layout.n_facet, layout.n_facet),
+                                       (diag, diag),
+                                       (self.facet_dofs, self.facet_dofs))
 
     def physical_gradients(self, gref: np.ndarray) -> np.ndarray:
         """Gradients (ne, nq, dim, 2) in every element of the basis whose
@@ -210,55 +229,86 @@ def element_dofs(n_elements: int, dim: int) -> np.ndarray:
     return np.arange(n_elements * dim).reshape(n_elements, dim)
 
 
-def scatter_csr(shape, *parts) -> sp.csr_matrix:
-    """Sum blocks into one sparse matrix.
+@dataclass(frozen=True)
+class BlockPattern:
+    """The CSR pattern of a sum of blocks on fixed global indices, sorted
+    once by scatter_csr. Its arrays are read-only; a matrix that drops no
+    entry shares indices and indptr with it."""
 
-    Each part is (blocks (n, r, c), rows (n, r), cols (n, c)) with the global
-    row and column index of every block entry. Entries with a negative index
-    are dropped, duplicates are summed in the order given, and sums that
-    vanish are not stored.
+    shape: tuple[int, int]
+    block_shapes: tuple[tuple[int, ...], ...]
+    # position in the blocks, flattened one after the other, of the first
+    # term of every entry, and (entries, positions) of the second, third...
+    first: np.ndarray
+    later: tuple[tuple[np.ndarray, np.ndarray], ...]
+    indices: np.ndarray  # column of every entry, in row-major order
+    indptr: np.ndarray
+
+    def assemble(self, *blocks: np.ndarray) -> sp.csr_matrix:
+        """The sum of blocks, one per part of the pattern: the terms of each
+        entry are added left to right, like an element-by-element
+        accumulation, and sums that vanish are not stored."""
+        if tuple(b.shape for b in blocks) != self.block_shapes:
+            raise AssemblyError(
+                f"blocks of shapes {[b.shape for b in blocks]} do not fit a "
+                f"pattern of {list(self.block_shapes)}")
+        flat = np.concatenate([b.ravel() for b in blocks])
+        # take and put: fancy indexing would convert the int32 indices on
+        # every call
+        data = flat.take(self.first)
+        for entries, positions in self.later:
+            terms = data.take(entries)
+            terms += flat.take(positions)
+            data.put(entries, terms)
+        keep = data != 0.0
+        if keep.all():
+            return sp.csr_matrix((data, self.indices, self.indptr),
+                                 shape=self.shape)
+        # each row starts earlier by the entries dropped before it
+        indptr = self.indptr - np.searchsorted(np.flatnonzero(~keep),
+                                               self.indptr)
+        return sp.csr_matrix((data[keep], self.indices[keep],
+                              indptr.astype(self.indptr.dtype)),
+                             shape=self.shape)
+
+
+def scatter_csr(shape, *parts) -> BlockPattern:
+    """The pattern of a sparse matrix of shape summed from blocks.
+
+    Each part is (rows (n, r), cols (n, c)), the global row and column index
+    of every entry of its blocks (n, r, c). Entries with a negative index
+    are dropped, and the terms of an entry are summed in the order given.
     """
-    data, keys = [], []
-    for blocks, rows, cols in parts:
-        rr = np.broadcast_to(rows[:, :, None], blocks.shape)
-        cc = np.broadcast_to(cols[:, None, :], blocks.shape)
-        keep = (rr >= 0) & (cc >= 0)
-        data.append(blocks[keep])
-        keys.append(rr[keep] * shape[1] + cc[keep])
+    keys, block_shapes = [], []
+    for rows, cols in parts:
+        rr, cc = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+        block_shapes.append(rr.shape)
+        keys.append(np.where((rr >= 0) & (cc >= 0), rr * shape[1] + cc,
+                             -1).ravel())
     keys = np.concatenate(keys)
-    if keys.size == 0:
-        return sp.csr_matrix(shape)
-    order = np.argsort(keys, kind="stable")
-    keys, data = keys[order], np.concatenate(data)[order]
-    first = np.r_[True, keys[1:] != keys[:-1]]
-    # add.at adds repeated indices one at a time in the given order, so each
-    # sum is formed left to right like an element-by-element accumulation
-    sums = data[first]
-    np.add.at(sums, np.cumsum(first)[~first] - 1, data[~first])
-    keep = sums != 0.0
-    keys = keys[first][keep]
+    index = np.int32 if max(keys.size, *shape) < 2**31 else np.int64
+    kept = np.flatnonzero(keys >= 0)
+    order = kept[np.argsort(keys[kept], kind="stable")]
+    keys = keys[order]
+    # where each entry's terms start among the sorted ones, and how many
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    counts = np.diff(starts, append=keys.size)
+    later = []
+    for t in range(1, counts.max(initial=1)):
+        entries = np.flatnonzero(counts > t)
+        later.append((entries.astype(index),
+                      order[starts[entries] + t].astype(index)))
     # the keys are sorted and unique: row-major CSR order already
-    indptr = np.zeros(shape[0] + 1, dtype=keys.dtype)
-    np.cumsum(np.bincount(keys // shape[1], minlength=shape[0]),
-              out=indptr[1:])
-    return sp.csr_matrix((sums[keep], keys % shape[1], indptr), shape=shape)
-
-
-def _scalar_facet(tables: ElementTables, blocks: np.ndarray):
-    """(n_scalar, n_facet) matrix of element blocks on the facet columns."""
-    lay = tables.layout
-    return scatter_csr((lay.n_scalar, lay.n_facet), (
-        blocks, element_dofs(lay.n_elements, lay.dim_scalar),
-        tables.facet_dofs))
-
-
-def _facet_facet(tables: ElementTables, penalty: np.ndarray,
-                 blocks: np.ndarray):
-    """The facet penalty plus element blocks on the facet dofs."""
-    lay, cols = tables.layout, tables.facet_dofs
-    diag = element_dofs(lay.n_interior_facets, lay.dim_facet)
-    return scatter_csr((lay.n_facet, lay.n_facet),
-                       (penalty, diag, diag), (blocks, cols, cols))
+    keys = keys[starts]
+    first = order[starts].astype(index)
+    indices = (keys % shape[1]).astype(index)
+    indptr = np.searchsorted(keys, np.arange(shape[0] + 1) * shape[1])
+    indptr = indptr.astype(index)
+    for arr in (first, indices, indptr, *(a for pair in later for a in pair)):
+        arr.setflags(write=False)
+    return BlockPattern(shape=tuple(shape), block_shapes=tuple(block_shapes),
+                        first=first, later=tuple(later), indices=indices,
+                        indptr=indptr)
 
 
 class _EmptySolver:
@@ -340,8 +390,10 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     if not (np.isfinite(stiffness).all() and np.isfinite(coupling_local).all()):
         raise AssemblyError(f"tau = {tau_bar} overflows the condensed "
                             f"stiffness or coupling at degree {degree}")
-    gram = _facet_facet(tab, trace_penalty, trace_vector_local.transpose(
-        0, 2, 1) @ vector_mass_inv @ trace_vector_local)
+    gram = tab.facet_facet.assemble(
+        trace_penalty,
+        trace_vector_local.transpose(0, 2, 1) @ vector_mass_inv
+        @ trace_vector_local)
     return AssembledOperators(
         layout=layout,
         tables=tab,
@@ -355,7 +407,7 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
         trace_penalty=trace_penalty,
         stiffness=stiffness,
         coupling_local=coupling_local,
-        coupling=_scalar_facet(tab, coupling_local),
+        coupling=tab.scalar_facet.assemble(coupling_local),
         gram_solver=_factorize("facet Gram matrix", gram),
     )
 

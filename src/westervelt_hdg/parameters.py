@@ -20,8 +20,8 @@ MAX_DEGREE = max(p for p in range(MAX_QUADRATURE_ORDER)
 MAX_STEPS = 10**7
 
 # the most bytes a mesh level may take, the memory of a large compute node:
-# config.level_bytes of a level a study runs, and the vertex and triangle
-# arrays of a structured mesh
+# level_bytes of a level a study runs or a Discretization builds, and the
+# vertex and triangle arrays of a structured mesh
 MAX_LEVEL_BYTES = 2**39
 
 # the most points of the wavefront profile, a few arrays of that many floats
@@ -90,3 +90,62 @@ def check_parameter(name: str, value, error: type[Exception]) -> None:
         return
     raise error(f"{name} must be {requirement[0] if requirement else words} "
                 f"({description}), got {value}")
+
+
+def level_bytes(n: int, degree: int, states: int = 0) -> float:
+    """Estimated bytes of the level-n structured mesh (2 n^2 triangles), of
+    the element blocks, sparse matrices and facet factors stored for it at
+    degree and of `states` states of a monitored run.
+
+    Counts the float64 blocks of AssembledOperators, ElementTables (without
+    the physical gradients that assembly forms and drops) and the
+    corrector's Elimination; the values of R and W, which share the int32
+    index arrays of the scalar-facet pattern; the facet-facet pattern; the
+    value and int32 index of every nonzero and the int32 row pointers of -Wt
+    and of the L and U factors of the facet Schur complement and the Gram
+    matrix A, with 1.5 interior facets per element; the temporaries of
+    assembly come on top. A stored state (analysis.History) holds its
+    accelerations ddpsi and ddlam. degree must be valid (check_level).
+    """
+    d, pf = (degree + 1) * (degree + 2) // 2, degree + 1  # scalar, facet
+    q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
+    q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
+    dense = (13 * d * d  # M, Mv, Mv^-1, B; (M + mu Ks)^-1 and Ks
+             + 18 * d * pf  # E, F and R on the 3 pf facet dofs; W, R values
+             + 1.5 * pf * pf + 3  # facet penalty, tau
+             + 2 * q + q_nl + 3 * pf + 8)  # geometry, dof map
+    # the patterns: first term and column of every entry (3 d pf
+    # scalar-facet, 7.5 pf^2 facet-facet), the later terms of the 1.5 pf^2
+    # facet-facet entries on one facet (two more each, entry and position),
+    # and row pointers; the row pointers of -Wt and the four factors
+    ints = 6 * d * pf + 21 * pf * pf + d + 9 * pf
+    try:
+        n = float(n)
+        # L + U nonzeros of both factors per element, fitted to the fill
+        # of the minimum degree ordering at n = 8...128, p = 0...3, and
+        # high beyond (21% at n = 256, p = 1); at p = 0 the perpendicular
+        # sides of an element couple through no entry of A, which fills
+        # in less
+        fill = (11.0 * n ** (1.0 / 3.0) if degree == 0
+                else 10.5 * pf * pf * math.sqrt(n))
+        nonzeros = 3 * d * pf + fill  # -Wt and the factors
+        # 144: the mesh and its topology
+        return 2.0 * n ** 2 * (8 * dense + 12 * nonzeros + 4 * ints + 144
+                               + 8 * states * (d + 1.5 * pf))
+    except OverflowError:
+        return math.inf
+
+
+def check_level(n: int, degree: int, states: int,
+                error: type[Exception]) -> None:
+    """Raise error unless degree is a valid degree and level n at degree,
+    with `states` stored states, takes at most MAX_LEVEL_BYTES
+    (level_bytes)."""
+    check_parameter("degree", degree, error)
+    need = level_bytes(n, degree, states)
+    if need > MAX_LEVEL_BYTES:
+        raise error(f"level {n} needs an estimated {need / 2**30:.3g} GiB "
+                    f"for the mesh and its element blocks at degree {degree}"
+                    + (f" and {states} stored states" if states else "")
+                    + f", more than {MAX_LEVEL_BYTES / 2**30:g} GiB; use "
+                    f"coarser levels" + (" or fewer steps" if states else ""))

@@ -330,8 +330,9 @@ def facet_slice(lay: DofLayout, interior_idx: int) -> slice:
 def block_diag_csr(blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     """Expand (ne, r, c) blocks into the global block-diagonal sparse matrix."""
     ne, r, c = blocks.shape
-    return scatter_csr((ne * r, ne * c), (blocks, element_dofs(ne, r),
-                                          element_dofs(ne, c)))
+    pattern = scatter_csr((ne * r, ne * c),
+                          (element_dofs(ne, r), element_dofs(ne, c)))
+    return pattern.assemble(blocks)
 
 
 # ----------------------------------------------------------------------

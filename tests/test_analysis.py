@@ -16,7 +16,7 @@ from westervelt_hdg.operators import (
     assemble_operators,
 )
 from westervelt_hdg.condensation import build_condensed
-from westervelt_hdg.config import level_bytes
+from westervelt_hdg.parameters import level_bytes
 from westervelt_hdg.newmark import (
     Discretization,
     NewmarkConfig,

@@ -174,6 +174,23 @@ class TestSparsity:
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
 
+    def test_second_build_sorts_nothing(self, monkeypatch):
+        # the facet patterns are sorted once, when the operators are built
+        calls = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counted)
+        topo, lay, ops, cond = build(generate_structured_mesh(4), 1)
+        assert calls
+        calls.clear()
+        build_condensed(ops, 1.5, 0.0, 0.02, 0.5, 0.25)
+        stationary_elimination(ops)
+        assert not calls
+
 
     @pytest.mark.parametrize("degree", [1, 2])
     def test_factors_fill_less_than_colamd(self, degree, factored, grams):

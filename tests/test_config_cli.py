@@ -7,6 +7,7 @@ import dataclasses
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,12 +25,10 @@ from westervelt_hdg.cli import StudyFailure, main
 from westervelt_hdg.config import (
     _KEYS,
     DELTA_ANCHOR_LEVEL,
-    MAX_LEVEL_BYTES,
     ConfigError,
     RunConfig,
     default_config,
     h_rule_steps,
-    level_bytes,
     level_dt,
     parse_config,
     serialize_config,
@@ -62,6 +61,7 @@ from westervelt_hdg.newmark import (
 )
 from westervelt_hdg.operators import (
     AssemblyError,
+    BlockPattern,
     NondegeneracyError,
     SolverError,
     assemble_operators,
@@ -69,9 +69,11 @@ from westervelt_hdg.operators import (
 )
 from westervelt_hdg.parameters import (
     MAX_DEGREE,
+    MAX_LEVEL_BYTES,
     MAX_PROFILE_SAMPLES,
     MAX_STEPS,
     PARAMETERS,
+    level_bytes,
 )
 from westervelt_hdg.problems import (
     delta_study_problem,
@@ -339,22 +341,29 @@ class TestConfig:
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
     def test_level_bytes_counts_the_stored_arrays(self, degree, n):
         # every array the mesh, its topology, the assembled and condensed
-        # operators and the L and U of both facet factors hold, CSR index
-        # arrays included
+        # operators, the facet patterns and the L and U of both facet
+        # factors hold, CSR index arrays included; an array that a matrix
+        # shares with a pattern counts once
         msh = generate_structured_mesh(n)
         topo = compute_facet_topology(msh)
         ops = assemble_operators(msh, topo, degree)
         cond = build_condensed(ops, 1.0, 0.0, 0.01, 0.5, 0.25)
+        seen = []
 
         def nbytes(value):
             if isinstance(value, scipy.sparse.linalg.SuperLU):
                 return nbytes(value.L) + nbytes(value.U)
             if scipy.sparse.issparse(value):
-                return sum(a.nbytes for a in (value.data, value.indices,
-                                              value.indptr))
+                return nbytes((value.data, value.indices, value.indptr))
+            if isinstance(value, BlockPattern):
+                return nbytes(tuple(vars(value).values()))
             if isinstance(value, tuple):
                 return sum(nbytes(a) for a in value)
-            return value.nbytes if isinstance(value, np.ndarray) else 0
+            if not isinstance(value, np.ndarray) or any(
+                    np.shares_memory(value, a) for a in seen):
+                return 0
+            seen.append(value)
+            return value.nbytes
 
         held = sum(nbytes(value) for obj in (msh, topo, ops, ops.tables, cond)
                    for value in vars(obj).values())
@@ -857,16 +866,13 @@ profile_samples = 16
 """
 
 
-# config keys whose edge values the CLI must survive, with their sections
-EDGE_KEYS = {"c": "problem", "k": "problem", "delta": "problem",
-             "final_time": "problem", "tau": "discretization",
-             "gamma": "newmark", "beta": "newmark", "tol": "newmark",
-             "dt": "newmark"}
+# config keys whose edge values the CLI must survive
+EDGE_KEYS = ("c", "k", "delta", "final_time", "tau", "gamma", "beta", "tol",
+             "dt")
 EDGE_VALUES = (0.0, -1.0, math.nan, math.inf, 1.0e-320, 1.0e-300, 1.0e150,
                1.0e200, 1.0e300)
 # text keys, and texts that the INI syntax or a path may treat specially
-EDGE_TEXT_KEYS = {"kind": "problem", "tau_mode": "discretization",
-                  "directory": "output"}
+EDGE_TEXT_KEYS = ("kind", "tau_mode", "directory")
 EDGE_TEXTS = ("a%b", "%(c)s", "a;b", "a ;b", "a#b", "a #b", "[a", "a]b",
               "a\nb", "", "\u00fcn\u00efc\u00f8d\u00e9", "\u03c8\u2202t")
 CLI_COMMANDS = ("h-convergence", "delta-convergence", "wavefront", "run")
@@ -874,13 +880,13 @@ CLI_COMMANDS = ("h-convergence", "delta-convergence", "wavefront", "run")
 
 def edge_config(key, value):
     """Config text with final_time = 0.01 and at most 10 steps per run
-    (coarse_steps = 10 under the dt rule), overridden by key = value."""
+    (coarse_steps = 10 under the dt rule), overridden by key = value; each
+    key in its section of the config key table."""
     values = {"final_time": repr(0.01), "coarse_steps": "10", "dt": ""}
     values[key] = value if key in EDGE_TEXT_KEYS else repr(value)
     sections = {}
     for name, text in values.items():
-        section = {**EDGE_KEYS, **EDGE_TEXT_KEYS}.get(name, "newmark")
-        sections.setdefault(section, []).append(f"{name} = {text}")
+        sections.setdefault(_KEYS[name][0], []).append(f"{name} = {text}")
     return "".join(f"[{section}]\n" + "\n".join(lines) + "\n"
                    for section, lines in sections.items())
 
@@ -1095,8 +1101,9 @@ class TestCli:
     ])
     def test_edge_values_exit_with_one_line(self, tmp_path, capsys, command,
                                             key, value, degree, code):
-        # key "levels" passes its value to --levels instead of the file; a
-        # pair (value, levels) sets both
+        # key "levels" passes its value to --levels instead of the file,
+        # and its refusal names the level; a pair (value, levels) sets both
+        named = "level" if key == "levels" else key
         if key == "levels":
             key, value, levels = "final_time", 0.01, value
         elif isinstance(value, tuple):
@@ -1118,6 +1125,12 @@ class TestCli:
             return
         prefix = "configuration error: " if code == 2 else "solver failure: "
         assert err.startswith(prefix) and err.count("\n") == 1
+        if code == 2:
+            # a refusal names its key, so a row refused for another key, or
+            # as an unknown key, fails
+            assert re.search(rf"(^|\W){re.escape(named)}(\W|$)",
+                             err[len(prefix):]), err
+            assert not err.startswith(prefix + "unknown"), err
 
     def test_exit_3_on_non_finite_corrector_change(self, tmp_path, capsys):
         # delta = 1e300 turns the first corrector pass into NaN; the run

@@ -16,6 +16,7 @@ import oracles
 from oracles import block_diag_csr
 from westervelt_hdg.mesh import compute_facet_topology, generate_structured_mesh
 from westervelt_hdg.operators import (
+    AssemblyError,
     apply_blocks,
     assemble_load,
     assemble_operators,
@@ -38,9 +39,9 @@ from westervelt_hdg.newmark import (
     run,
     stiffness_load,
 )
-from westervelt_hdg import experiments, newmark, operators
-from westervelt_hdg.config import default_config
-from westervelt_hdg.parameters import MAX_STEPS
+from westervelt_hdg import experiments, newmark, operators, parameters
+from westervelt_hdg.config import ConfigError, default_config
+from westervelt_hdg.parameters import MAX_STEPS, level_bytes
 from westervelt_hdg.problems import (
     delta_study_problem,
     manufactured_problem,
@@ -789,6 +790,25 @@ class TestDiscretization:
         else:
             experiments.wavefront_study(self.WAVEFRONT)
         assert calls == counts
+
+    def test_first_build_refuses_a_level_over_the_cap(self, monkeypatch):
+        # the cap that RunConfig.validate applies, before any topology
+        def no_topology(mesh):
+            raise AssertionError("topology formed")
+
+        monkeypatch.setattr(parameters, "MAX_LEVEL_BYTES",
+                            level_bytes(4, 2))
+        assert Discretization(generate_structured_mesh(4), 2).ops
+        monkeypatch.setattr(newmark, "compute_facet_topology", no_topology)
+        for n, degree in ((5, 2), (4, 3)):
+            disc = Discretization(generate_structured_mesh(n), degree)
+            with pytest.raises(AssemblyError) as err:
+                disc.ops
+            with pytest.raises(ConfigError) as config_err:
+                dataclasses.replace(self.DELTA, levels=(n,),
+                                    degree=degree).validate()
+            assert str(err.value) == str(config_err.value)
+            assert str(err.value).startswith(f"level {n} needs an estimated ")
 
     def test_runs_get_their_own_initial_state(self):
         # overwriting the t = 0 state of one run must not reach the

@@ -52,9 +52,11 @@ def dense_trace_couplings(ops):
     lay, cols = ops.layout, ops.tables.facet_dofs
     ne, d = lay.n_elements, lay.dim_scalar
     e = scatter_csr((n_vector(lay), lay.n_facet),
-                    (ops.trace_vector_local, element_dofs(ne, 2 * d), cols))
+                    (element_dofs(ne, 2 * d), cols)).assemble(
+                        ops.trace_vector_local)
     f = scatter_csr((lay.n_scalar, lay.n_facet),
-                    (ops.trace_scalar_local, element_dofs(ne, d), cols))
+                    (element_dofs(ne, d), cols)).assemble(
+                        ops.trace_scalar_local)
     return e.toarray(), f.toarray()
 
 
@@ -256,9 +258,43 @@ class TestMatrixStructure:
                            [[2.0, 5.0]]])
         rows = np.array([[0], [0], [0], [1]])
         cols = np.array([[1, 0], [1, 0], [1, 0], [-1, 1]])
-        mat = scatter_csr((2, 2), (blocks, rows, cols))
+        mat = scatter_csr((2, 2), (rows, cols)).assemble(blocks)
         assert mat.nnz == 2
         assert mat.toarray().tolist() == [[4.0, 0.0], [0.0, 5.0]]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pattern_assembles_like_an_in_order_accumulation(self, seed):
+        # two parts of blocks on few rows and columns, so entries take up to
+        # a dozen terms; values that cancel exactly, in some orders only
+        rng = np.random.default_rng(seed)
+        shape = (6, 5)
+        sizes = ((9, 3, 2), (7, 2, 3))
+        parts = [(rng.integers(-1, shape[0], (n, r)),
+                  rng.integers(-1, shape[1], (n, c))) for n, r, c in sizes]
+        pattern = scatter_csr(shape, *parts)
+        for _ in range(3):
+            blocks = [rng.choice([1.0, -1.0, 0.5, -0.5, 1.0e-17, 0.0], size)
+                      for size in sizes]
+            dense, terms = np.zeros(shape), np.zeros(shape, dtype=int)
+            for block, (rows, cols) in zip(blocks, parts):
+                for b, i, j in np.ndindex(*block.shape):
+                    r, c = rows[b, i], cols[b, j]
+                    if r >= 0 and c >= 0:
+                        dense[r, c] += block[b, i, j]
+                        terms[r, c] += 1
+            mat = pattern.assemble(*blocks)
+            assert mat.toarray().tobytes() == dense.tobytes()
+            # exactly the nonzero sums are stored, in canonical CSR order
+            assert mat.nnz == np.count_nonzero(dense)
+            assert mat.has_canonical_format
+            assert terms.max() >= 3 and np.any((terms > 0) & (dense == 0.0))
+        # a matrix that drops no entry shares the pattern's index arrays
+        full = pattern.assemble(*(np.ones(size) for size in sizes))
+        assert full.nnz == np.count_nonzero(terms)
+        assert np.shares_memory(full.indices, pattern.indices)
+        assert np.shares_memory(full.indptr, pattern.indptr)
+        with pytest.raises(AssemblyError, match="do not fit a pattern"):
+            pattern.assemble(np.ones(sizes[0]))
 
     def test_tau_pattern_single_facet_one_entry_per_element(self):
         msh = generate_structured_mesh(3)
