@@ -244,8 +244,8 @@ def _stored_energy_table(ops: AssembledOperators):
     of [psi; lam; 0] that each element reads, such that the stored energy
     of a state x = [psi; lam] is the sum of squares of T x[rows].
 
-    The first 2d rows are C^-1 (B psi + E lam), with Mv = C C^T, whose
-    squares sum to v Mv v for the velocity v = -Mv^-1 (B psi + E lam); the
+    The first 2d rows are (B psi + E lam) / sqrt|det J|, whose squares sum
+    to v Mv v for the velocity v = -Mv^-1 (B psi + E lam), Mv = |det J| I; the
     other 3nq are sqrt(tau w) (lam - psi) at the facet quadrature points,
     with lam = 0 on boundary facets. The jump is taken at the points,
     because on a smooth state it is far smaller than psi S psi or lam G lam
@@ -257,9 +257,9 @@ def _stored_energy_table(ops: AssembledOperators):
     root_w = np.sqrt((ops.tau * tab.topo.facet_lengths[tab.topo.elem_facets])
                      [:, :, None] * tab.facet_rule.weights).reshape(ne, -1, 1)
     table = np.empty((ne, 2 * d + 3 * nq, d + 3 * pf))
-    chol = np.linalg.cholesky(ops.vector_mass)
-    table[:, :2 * d, :d] = np.linalg.solve(chol, ops.divergence)
-    table[:, :2 * d, d:] = np.linalg.solve(chol, ops.trace_vector_local)
+    root_detj = np.sqrt(tab.detj)[:, None, None]
+    table[:, :2 * d, :d] = ops.divergence / root_detj
+    table[:, :2 * d, d:] = ops.trace_vector_local / root_detj
     table[:, 2 * d:, :d] = -root_w * tab.trace[tab.sides].reshape(ne, -1, d)
     table[:, 2 * d:, d:] = root_w * np.kron(np.eye(3), tab.mu)
     ns, nf = lay.n_scalar, lay.n_facet

@@ -4,8 +4,9 @@ For a time step dt and Newmark weights (gamma, beta), the corrector solves
 
     (M + mu Ks) a_psi + mu R a_lam = rhs,      Rt a_psi + A a_lam = 0,
 
-with mu = c^2 dt^2 beta + delta gamma dt, Ks = S + Bt Mv^-1 B (element
-blocks), R = F + Bt Mv^-1 E and A = G + Et Mv^-1 E. Ks, R and A depend on the
+with mu = c^2 dt^2 beta + delta gamma dt, the masses M = Mv = |det J| I
+(ElementTables.detj), Ks = S + Bt B / |det J| (element blocks), R = F + Bt E
+/ |det J| and A = G + Et E / |det J|. Ks, R and A depend on the
 discretization alone, so they are fields of the AssembledOperators that
 every elimination on them shares. The stationary solves of the initial data
 are the same system with Ks in place of M + mu Ks and mu = 1. For either
@@ -60,9 +61,9 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
     """The Elimination of the element blocks D^-1; name is the facet Schur
     complement's in a factorization failure."""
     e_loc, r_loc = ops.trace_vector_local, ops.coupling_local
-    # Et Mv^-1 (E - B y) - Ft y = (A - G) - mu Rt D^-1 R with y = D^-1 mu R
+    # Et x - Ft y = (A - G) - mu Rt D^-1 R, y = D^-1 mu R, x = Mv^-1 (E - B y)
     y_loc = block_inv @ (mu * r_loc)
-    x_loc = ops.vector_mass_inv @ (e_loc - ops.divergence @ y_loc)
+    x_loc = (e_loc - ops.divergence @ y_loc) / ops.tables.detj[:, None, None]
     schur = ops.tables.facet_facet.assemble(
         ops.trace_penalty, e_loc.transpose(0, 2, 1) @ x_loc
         - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
@@ -82,7 +83,9 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
     check_parameter("c^2", c * c, CondensationError)
     mu = step_mu(c, delta, dt, gamma, beta)
     try:
-        shifted_inv = np.linalg.inv(ops.scalar_mass + mu * ops.stiffness)
+        shifted_inv = np.linalg.inv(ops.tables.detj[:, None, None]
+                                    * np.eye(ops.stiffness.shape[1])
+                                    + mu * ops.stiffness)
     except np.linalg.LinAlgError as err:
         raise CondensationError(
             f"element block M + mu Ks singular (mu = {mu:g})") from err
@@ -125,4 +128,4 @@ def reconstruct_velocity(ops: AssembledOperators, psi: np.ndarray,
     lam_e = ops.tables.facet_values(lam).ravel()
     rhs = (apply_blocks(ops.divergence, psi)
            + apply_blocks(ops.trace_vector_local, lam_e))
-    return -apply_blocks(ops.vector_mass_inv, rhs)
+    return -rhs / np.repeat(ops.tables.detj, 2 * ops.layout.dim_scalar)

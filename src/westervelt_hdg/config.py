@@ -138,8 +138,8 @@ class RunConfig:
             except ValueError as err:
                 raise ConfigError(str(err)) from err
             # the run study stores every state for its energies
-            check_level(n, self.degree, steps + 1 if study == "run" else 0,
-                        ConfigError)
+            check_level(n, self.degree, self.tau_mode,
+                        steps + 1 if study == "run" else 0, ConfigError)
         if any(not 0.0 <= t <= self.final_time for t in self.snapshot_times):
             raise ConfigError("snapshot_times must lie in [0, final_time]")
         if (study or self.kind) == "wavefront":

@@ -472,7 +472,7 @@ class Discretization:
     def ops(self) -> AssembledOperators:
         if self._ops is None:
             check_level(math.isqrt(self.mesh.n_triangles // 2), self.degree,
-                        0, AssemblyError)
+                        self.tau_mode, 0, AssemblyError)
             topo = compute_facet_topology(self.mesh)
             self._ops = assemble_operators(self.mesh, topo, self.degree,
                                            tau_bar=self.tau_bar,

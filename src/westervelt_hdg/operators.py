@@ -2,20 +2,20 @@
 
 Unknowns per element: a scalar polynomial (the acoustic potential), a vector
 polynomial (its gradient proxy), and per interior facet a polynomial trace.
-The assembled bilinear forms, with w/r/mu running over scalar/vector/facet
-test functions, all stored as blocks:
+The basis is orthonormal and every element affine, so the masses (psi, w)_K
+and (v, r)_K (Mv) are |det J| I, ElementTables.detj, and are not stored. The
+other bilinear forms, with w/r/mu running over scalar/vector/facet test
+functions, are stored as blocks:
 
-    scalar_mass        (psi, w)_K                   element, (ne, d, d)
-    vector_mass        (v, r)_K                     element, (ne, 2d, 2d)
     divergence         (psi, div r)_K               element, (ne, 2d, d)
     trace_vector_local -(lam, [r . n])_F            element, (ne, 2d, 3pf)
     trace_scalar_local -(tau lam, w)_{dK interior}  element, (ne, d, 3pf)
     trace_penalty      (tau lam, mu)_{dK interior}  facet, (n_interior, pf, pf)
 
-and, with the velocity eliminated, Ks = S + Bt Mv^-1 B (stiffness), R = F +
-Bt Mv^-1 E (coupling_local; coupling in CSR) and A = G + Et Mv^-1 E
-(factored in gram_solver), B, E, F, G being the blocks above and S the
-boundary penalty (tau psi, w)_{dK}.
+and, with the velocity eliminated, Ks = S + Bt B / |det J| (stiffness), R =
+F + Bt E / |det J| (coupling_local; coupling in CSR) and A = G + Et E /
+|det J| (factored in gram_solver), B, E, F, G being the blocks above and S
+the boundary penalty (tau psi, w)_{dK}.
 
 The columns of the two trace couplings run over the element's three facets
 in the order of ElementTables.facet_dofs, which maps them to global facet
@@ -203,9 +203,6 @@ class AssembledOperators:
     layout: DofLayout
     tables: ElementTables
     tau: np.ndarray  # (ne, 3)
-    scalar_mass: np.ndarray  # (ne, d, d)
-    vector_mass: np.ndarray  # (ne, 2d, 2d)
-    vector_mass_inv: np.ndarray  # (ne, 2d, 2d)
     divergence: np.ndarray  # (ne, 2d, d) B
     trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E, facet_dofs columns
     trace_scalar_local: np.ndarray  # (ne, d, 3pf) F, facet_dofs columns
@@ -348,12 +345,6 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     phi, detj = tab.phi, tab.detj
     gphys = tab.physical_gradients(tab.gphi)
 
-    mass_ref = phi.T @ (w[:, None] * phi)
-    scalar_mass = detj[:, None, None] * mass_ref[None, :, :]
-    vector_mass = np.zeros((ne, 2 * d, 2 * d))
-    vector_mass[:, :d, :d] = scalar_mass
-    vector_mass[:, d:, d:] = scalar_mass
-
     # divergence[e, comp*d + i, j] = int_K phi_j d(phi_i)/d(x_comp);
     # the (comp, i) flattening matches the vector dof layout
     div = np.einsum("q,qj,eqic->ecij", w, phi, gphys) * detj[:, None, None, None]
@@ -382,25 +373,21 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     np.add.at(trace_penalty, topo.interior_index[topo.elem_facets][interior],
               tau_len[interior] * mu_mass)
 
-    vector_mass_inv = np.linalg.inv(vector_mass)
-    bt_minv = np.matmul(divergence.transpose(0, 2, 1), vector_mass_inv)
+    # Bt and Et times Mv^-1 = I / |det J|
+    bt_minv = divergence.transpose(0, 2, 1) / detj[:, None, None]
+    et_minv = trace_vector_local.transpose(0, 2, 1) / detj[:, None, None]
     stiffness = boundary_penalty + np.matmul(bt_minv, divergence)
     stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
     coupling_local = trace_scalar_local + bt_minv @ trace_vector_local
     if not (np.isfinite(stiffness).all() and np.isfinite(coupling_local).all()):
         raise AssemblyError(f"tau = {tau_bar} overflows the condensed "
                             f"stiffness or coupling at degree {degree}")
-    gram = tab.facet_facet.assemble(
-        trace_penalty,
-        trace_vector_local.transpose(0, 2, 1) @ vector_mass_inv
-        @ trace_vector_local)
+    gram = tab.facet_facet.assemble(trace_penalty,
+                                    et_minv @ trace_vector_local)
     return AssembledOperators(
         layout=layout,
         tables=tab,
         tau=tau,
-        scalar_mass=scalar_mass,
-        vector_mass=vector_mass,
-        vector_mass_inv=vector_mass_inv,
         divergence=divergence,
         trace_vector_local=trace_vector_local,
         trace_scalar_local=trace_scalar_local,

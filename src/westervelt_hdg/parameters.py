@@ -92,25 +92,27 @@ def check_parameter(name: str, value, error: type[Exception]) -> None:
                 f"({description}), got {value}")
 
 
-def level_bytes(n: int, degree: int, states: int = 0) -> float:
+def level_bytes(n: int, degree: int, states: int = 0,
+                tau_mode: str = "single_facet") -> float:
     """Estimated bytes of the level-n structured mesh (2 n^2 triangles), of
     the element blocks, sparse matrices and facet factors stored for it at
-    degree and of `states` states of a monitored run.
+    degree under tau_mode and of `states` states of a monitored run.
 
-    Counts the float64 blocks of AssembledOperators, ElementTables (without
-    the physical gradients that assembly forms and drops) and the
-    corrector's Elimination; the values of R and W, which share the int32
-    index arrays of the scalar-facet pattern; the facet-facet pattern; the
-    value and int32 index of every nonzero and the int32 row pointers of -Wt
-    and of the L and U factors of the facet Schur complement and the Gram
-    matrix A, with 1.5 interior facets per element; the temporaries of
-    assembly come on top. A stored state (analysis.History) holds its
-    accelerations ddpsi and ddlam. degree must be valid (check_level).
+    Counts the float64 blocks of AssembledOperators (the masses are |det J| I
+    and not stored), ElementTables (without the physical gradients that
+    assembly forms and drops) and the corrector's Elimination; the values of
+    R and W, which share the int32 index arrays of the scalar-facet pattern;
+    the facet-facet pattern; the value and int32 index of every nonzero and
+    the int32 row pointers of -Wt and of the L and U factors of the facet
+    Schur complement and the Gram matrix A, with 1.5 interior facets per
+    element; the temporaries of assembly come on top. A stored state
+    (analysis.History) holds its accelerations ddpsi and ddlam. degree must
+    be valid (check_level).
     """
     d, pf = (degree + 1) * (degree + 2) // 2, degree + 1  # scalar, facet
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
     q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
-    dense = (13 * d * d  # M, Mv, Mv^-1, B; (M + mu Ks)^-1 and Ks
+    dense = (4 * d * d  # B; (M + mu Ks)^-1 and Ks
              + 18 * d * pf  # E, F and R on the 3 pf facet dofs; W, R values
              + 1.5 * pf * pf + 3  # facet penalty, tau
              + 2 * q + q_nl + 3 * pf + 8)  # geometry, dof map
@@ -123,10 +125,11 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
         n = float(n)
         # L + U nonzeros of both factors per element, fitted to the fill
         # of the minimum degree ordering at n = 8...128, p = 0...3, and
-        # high beyond (21% at n = 256, p = 1); at p = 0 the perpendicular
-        # sides of an element couple through no entry of A, which fills
-        # in less
-        fill = (11.0 * n ** (1.0 / 3.0) if degree == 0
+        # high beyond (21% at n = 256, p = 1); at p = 0 under single-facet
+        # stabilization the perpendicular sides of an element couple
+        # through no entry of A, which fills in less
+        fill = (11.0 * n ** (1.0 / 3.0)
+                if degree == 0 and tau_mode == "single_facet"
                 else 10.5 * pf * pf * math.sqrt(n))
         nonzeros = 3 * d * pf + fill  # -Wt and the factors
         # 144: the mesh and its topology
@@ -136,13 +139,13 @@ def level_bytes(n: int, degree: int, states: int = 0) -> float:
         return math.inf
 
 
-def check_level(n: int, degree: int, states: int,
+def check_level(n: int, degree: int, tau_mode: str, states: int,
                 error: type[Exception]) -> None:
-    """Raise error unless degree is a valid degree and level n at degree,
-    with `states` stored states, takes at most MAX_LEVEL_BYTES
-    (level_bytes)."""
+    """Raise error unless degree is a valid degree and level n at degree
+    under tau_mode, with `states` stored states, takes at most
+    MAX_LEVEL_BYTES (level_bytes)."""
     check_parameter("degree", degree, error)
-    need = level_bytes(n, degree, states)
+    need = level_bytes(n, degree, states, tau_mode)
     if need > MAX_LEVEL_BYTES:
         raise error(f"level {n} needs an estimated {need / 2**30:.3g} GiB "
                     f"for the mesh and its element blocks at degree {degree}"

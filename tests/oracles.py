@@ -327,6 +327,13 @@ def facet_slice(lay: DofLayout, interior_idx: int) -> slice:
     return slice(interior_idx * d, (interior_idx + 1) * d)
 
 
+def jacobian_mass(ops: AssembledOperators, components: int = 1) -> np.ndarray:
+    """The scalar (components = 1) or vector (2) mass |det J| I that the
+    package does not store, as a dense global matrix."""
+    return np.diag(np.repeat(ops.tables.detj,
+                             components * ops.layout.dim_scalar))
+
+
 def block_diag_csr(blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     """Expand (ne, r, c) blocks into the global block-diagonal sparse matrix."""
     ne, r, c = blocks.shape

@@ -127,8 +127,8 @@ def test_criterion_4_oracle_equivalence():
             seven = oracles.dense_seven(msh, topo, degree, tau_bar=1.5)
             e_dense, f_dense = dense_trace_couplings(ops)
             pairs = [
-                (block_diag_csr(ops.scalar_mass).toarray(), seven["M"]),
-                (block_diag_csr(ops.vector_mass).toarray(), seven["Mv"]),
+                (oracles.jacobian_mass(ops), seven["M"]),
+                (oracles.jacobian_mass(ops, 2), seven["Mv"]),
                 (block_diag_csr(ops.divergence).toarray(), seven["B"]),
                 # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
                 (block_diag_csr(ops.stiffness).toarray(),

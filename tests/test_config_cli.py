@@ -337,16 +337,17 @@ class TestConfig:
             encoding="utf-8")).validate("run")
         assert written.k == 0.25
 
+    @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
     @pytest.mark.parametrize("n", [8, 32])
     @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-    def test_level_bytes_counts_the_stored_arrays(self, degree, n):
+    def test_level_bytes_counts_the_stored_arrays(self, degree, n, tau_mode):
         # every array the mesh, its topology, the assembled and condensed
         # operators, the facet patterns and the L and U of both facet
         # factors hold, CSR index arrays included; an array that a matrix
         # shares with a pattern counts once
         msh = generate_structured_mesh(n)
         topo = compute_facet_topology(msh)
-        ops = assemble_operators(msh, topo, degree)
+        ops = assemble_operators(msh, topo, degree, tau_mode=tau_mode)
         cond = build_condensed(ops, 1.0, 0.0, 0.01, 0.5, 0.25)
         seen = []
 
@@ -367,7 +368,7 @@ class TestConfig:
 
         held = sum(nbytes(value) for obj in (msh, topo, ops, ops.tables, cond)
                    for value in vars(obj).values())
-        assert held <= level_bytes(n, degree) <= 1.15 * held
+        assert held <= level_bytes(n, degree, tau_mode=tau_mode) <= 1.15 * held
 
     def test_level_cap(self):
         base = default_config("h_convergence")

@@ -16,6 +16,7 @@ from oracles import (
     block_diag_csr,
     facet_slice,
     hdg_project,
+    jacobian_mass,
     n_vector,
     scalar_slice,
     vector_slice,
@@ -128,8 +129,8 @@ class TestSevenMatrices:
                                   tau_mode=tau_mode)
         e_dense, f_dense = dense_trace_couplings(ops)
         pairs = [
-            (block_diag_csr(ops.scalar_mass).toarray(), ora["M"]),
-            (block_diag_csr(ops.vector_mass).toarray(), ora["Mv"]),
+            (jacobian_mass(ops), ora["M"]),
+            (jacobian_mass(ops, 2), ora["Mv"]),
             (block_diag_csr(ops.divergence).toarray(), ora["B"]),
             # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
             (block_diag_csr(ops.stiffness).toarray(),
@@ -147,8 +148,8 @@ class TestSevenMatrices:
         msh = oracles.perturbed_mesh(3, seed=90 + degree)
         topo, lay, ops = build(msh, degree, tau_bar=1.0)
         ora = oracles.dense_seven(msh, topo, degree)
-        assert np.max(np.abs(block_diag_csr(ops.scalar_mass).toarray()
-                             - ora["M"])) <= 1e-12
+        assert np.max(np.abs(jacobian_mass(ops) - ora["M"])) <= 1e-12
+        assert np.max(np.abs(jacobian_mass(ops, 2) - ora["Mv"])) <= 1e-12
         assert np.max(np.abs(block_diag_csr(ops.divergence).toarray()
                              - ora["B"])) <= 1e-12
         e_dense, f_dense = dense_trace_couplings(ops)
@@ -194,23 +195,19 @@ class TestMatrixStructure:
         # the reference basis is orthonormal, so affine elements give det(J) I
         msh = oracles.perturbed_mesh(2, seed=5)
         topo, lay, ops = build(msh, 2)
+        ora = oracles.dense_seven(msh, topo, 2)
+        d = lay.dim_scalar
         for t in range(msh.n_triangles):
-            want = ops.tables.detj[t] * np.eye(lay.dim_scalar)
-            assert np.max(np.abs(ops.scalar_mass[t] - want)) <= 1e-13
+            block = ora["M"][t * d:(t + 1) * d, t * d:(t + 1) * d]
+            want = ops.tables.detj[t] * np.eye(d)
+            assert np.max(np.abs(block - want)) <= 1e-13
 
     def test_unit_triangle_lowest_order_mass(self):
         msh = unit_right_triangle()
         topo, lay, ops = build(msh, 0)
-        assert ops.scalar_mass.shape == (1, 1, 1)
-        assert abs(ops.scalar_mass[0, 0, 0] - 1.0) <= 1e-15
-
-    def test_vector_mass_inverse(self):
-        msh = oracles.perturbed_mesh(2, seed=7)
-        topo, lay, ops = build(msh, 2)
-        eye = np.eye(2 * lay.dim_scalar)
-        for t in range(msh.n_triangles):
-            prod = ops.vector_mass[t] @ ops.vector_mass_inv[t]
-            assert np.max(np.abs(prod - eye)) <= 1e-12
+        mass = assemble_nonlinear_mass(np.zeros(1), 0.0, ops.tables)
+        assert mass.shape == (1, 1, 1)
+        assert abs(mass[0, 0, 0] - 1.0) <= 1e-15
 
     def test_divergence_form_value_constant_field(self):
         # b(1, (x, 0)) = integral of div (x, 0) = area of the domain
@@ -237,8 +234,8 @@ class TestMatrixStructure:
         topo, lay, ops1 = build(msh, 1, tau_bar=1.0)
         topo, lay, ops2 = build(msh, 1, tau_bar=3.5)
         # the boundary penalty S = Ks - Bt Mv^-1 B
-        bt_b = (ops1.divergence.transpose(0, 2, 1) @ ops1.vector_mass_inv
-                @ ops1.divergence)
+        bt_b = (ops1.divergence.transpose(0, 2, 1) @ ops1.divergence
+                / ops1.tables.detj[:, None, None])
         assert np.max(np.abs((ops2.stiffness - bt_b)
                              - 3.5 * (ops1.stiffness - bt_b))) <= 1e-13
         e1, f1 = dense_trace_couplings(ops1)
@@ -246,8 +243,7 @@ class TestMatrixStructure:
         assert np.max(np.abs(f2 - 3.5 * f1)) <= 1e-13
         assert np.max(np.abs(ops2.trace_penalty
                              - 3.5 * ops1.trace_penalty)) <= 1e-13
-        # mass, divergence, and the vector trace do not involve tau
-        assert np.array_equal(ops1.scalar_mass, ops2.scalar_mass)
+        # the divergence and the vector trace do not involve tau
         assert np.array_equal(ops1.divergence, ops2.divergence)
         assert np.array_equal(e1, e2)
 
@@ -340,7 +336,8 @@ class TestNonlinearMass:
         topo, lay, ops = build(msh, 2)
         n_blocks = assemble_nonlinear_mass(np.zeros(lay.n_scalar), 0.7,
                                            ops.tables)
-        assert np.max(np.abs(n_blocks - ops.scalar_mass)) <= 1e-13
+        want = ops.tables.detj[:, None, None] * np.eye(lay.dim_scalar)
+        assert np.max(np.abs(n_blocks - want)) <= 1e-13
 
     def test_constant_state_scales_scalar_mass(self):
         msh = generate_structured_mesh(2)
@@ -352,7 +349,8 @@ class TestNonlinearMass:
         for t in range(msh.n_triangles):
             theta[scalar_slice(lay, t).start] = theta0 / np.sqrt(2.0)
         n_blocks = assemble_nonlinear_mass(theta, k, ops.tables)
-        want = (1.0 + 2.0 * k * theta0) * ops.scalar_mass
+        want = ((1.0 + 2.0 * k * theta0) * ops.tables.detj[:, None, None]
+                * np.eye(lay.dim_scalar))
         assert np.max(np.abs(n_blocks - want)) <= 1e-13
 
     @pytest.mark.parametrize("degree", [0, 1, 2])
