@@ -217,8 +217,7 @@ def energy(states: History, ops: AssembledOperators, k: float, c: float):
     and its elements, where that weight is not strictly positive. The
     states go through in the chunks of History.chunks.
     """
-    lay = ops.layout
-    table, rows = _stored_energy_table(ops)
+    table = _stored_energy_table(ops)
     e0, e1 = np.empty(len(states.t)), np.empty(len(states.t))
     start = 0
     for times, psi, dpsi, ddpsi, lam, dlam in states.chunks():
@@ -227,11 +226,8 @@ def energy(states: History, ops: AssembledOperators, k: float, c: float):
         kin0, kin1 = _kinetic_energies(dpsi, ddpsi, k, ops.tables, start,
                                        times)
         # the columns: the m states' (psi, lam), then their (dpsi, dlam)
-        cols = np.zeros((lay.n_scalar + lay.n_facet + 1, 2 * m))
-        cols[:lay.n_scalar] = np.concatenate([psi, dpsi]).T
-        cols[lay.n_scalar:-1] = np.concatenate([lam, dlam]).T
-        out = table @ cols[rows]
-        del cols
+        out = table @ ops.tables.element_values(
+            np.concatenate([psi, dpsi]).T, np.concatenate([lam, dlam]).T)
         stored = np.einsum("eis,eis->s", out, out)
         e0[part] = 0.5 * kin0 + 0.5 * c * c * stored[:m]
         e1[part] = 0.5 * kin1 + 0.5 * c * c * stored[m:]
@@ -239,10 +235,10 @@ def energy(states: History, ops: AssembledOperators, k: float, c: float):
     return e0, e1
 
 
-def _stored_energy_table(ops: AssembledOperators):
-    """Element blocks T (ne, 2d + 3nq, d + 3pf) and the rows (ne, d + 3pf)
-    of [psi; lam; 0] that each element reads, such that the stored energy
-    of a state x = [psi; lam] is the sum of squares of T x[rows].
+def _stored_energy_table(ops: AssembledOperators) -> np.ndarray:
+    """Element blocks T (ne, 2d + 3nq, d + 3pf) such that the stored energy
+    of a state (psi, lam) is the sum of squares of T applied to its
+    ElementTables.element_values.
 
     The first 2d rows are (B psi + E lam) / sqrt|det J|, whose squares sum
     to v Mv v for the velocity v = -Mv^-1 (B psi + E lam), Mv = |det J| I; the
@@ -253,20 +249,14 @@ def _stored_energy_table(ops: AssembledOperators):
     """
     tab, lay = ops.tables, ops.layout
     ne, d, pf = lay.n_elements, lay.dim_scalar, lay.dim_facet
-    nq = tab.facet_rule.weights.size
     root_w = np.sqrt((ops.tau * tab.topo.facet_lengths[tab.topo.elem_facets])
                      [:, :, None] * tab.facet_rule.weights).reshape(ne, -1, 1)
-    table = np.empty((ne, 2 * d + 3 * nq, d + 3 * pf))
-    root_detj = np.sqrt(tab.detj)[:, None, None]
-    table[:, :2 * d, :d] = ops.divergence / root_detj
-    table[:, :2 * d, d:] = ops.trace_vector_local / root_detj
+    table = np.empty((ne, 2 * d + root_w.shape[1], d + 3 * pf))
+    table[:, :2 * d] = np.concatenate([ops.divergence, ops.trace_vector_local],
+                                      2) / np.sqrt(tab.detj)[:, None, None]
     table[:, 2 * d:, :d] = -root_w * tab.trace[tab.sides].reshape(ne, -1, d)
     table[:, 2 * d:, d:] = root_w * np.kron(np.eye(3), tab.mu)
-    ns, nf = lay.n_scalar, lay.n_facet
-    rows = np.concatenate([np.arange(ns).reshape(ne, d),
-                           np.where(tab.facet_dofs >= 0, ns + tab.facet_dofs,
-                                    ns + nf)], axis=1)
-    return table, rows
+    return table
 
 
 def _kinetic_energies(dpsi, ddpsi, k: float, tab, start: int, times):

@@ -5,14 +5,13 @@ For a time step dt and Newmark weights (gamma, beta), the corrector solves
     (M + mu Ks) a_psi + mu R a_lam = rhs,      Rt a_psi + A a_lam = 0,
 
 with mu = c^2 dt^2 beta + delta gamma dt, the masses M = Mv = |det J| I
-(ElementTables.detj), Ks = S + Bt B / |det J| (element blocks), R = F + Bt E
-/ |det J| and A = G + Et E / |det J|. Ks, R and A depend on the
-discretization alone, so they are fields of the AssembledOperators that
-every elimination on them shares. The stationary solves of the initial data
-are the same system with Ks in place of M + mu Ks and mu = 1. For either
-block-diagonal matrix D, one routine (_eliminate) stores D^-1, W = D^-1 R
-and -Wt and factorizes the facet Schur complement A - mu Rt W. W and the
-Schur complement are gathered through the block patterns that the
+(ElementTables.detj), the element blocks [Ks | R] (scalar_row), Ks = S + Bt
+B / |det J| and R = F + Bt E / |det J|, and A = G + Et E / |det J|: fields
+of the AssembledOperators, which every elimination on them shares. The
+stationary solves of the initial data are the same system with Ks in place
+of M + mu Ks and mu = 1. For either block-diagonal matrix D, one routine
+(_eliminate) stores D^-1, W = D^-1 R and -Wt and factorizes the facet Schur
+complement A - mu Rt W, both gathered through the block patterns that the
 operators' ElementTables sorted once, so an elimination sorts nothing. A
 solve
 
@@ -60,7 +59,8 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
                name: str) -> Elimination:
     """The Elimination of the element blocks D^-1; name is the facet Schur
     complement's in a factorization failure."""
-    e_loc, r_loc = ops.trace_vector_local, ops.coupling_local
+    e_loc = ops.trace_vector_local
+    r_loc = ops.scalar_row[:, :, ops.layout.dim_scalar:]
     # Et x - Ft y = (A - G) - mu Rt D^-1 R, y = D^-1 mu R, x = Mv^-1 (E - B y)
     y_loc = block_inv @ (mu * r_loc)
     x_loc = (e_loc - ops.divergence @ y_loc) / ops.tables.detj[:, None, None]
@@ -82,10 +82,10 @@ def build_condensed(ops: AssembledOperators, c: float, delta: float,
         check_parameter(name, value, CondensationError)
     check_parameter("c^2", c * c, CondensationError)
     mu = step_mu(c, delta, dt, gamma, beta)
+    d = ops.layout.dim_scalar
     try:
-        shifted_inv = np.linalg.inv(ops.tables.detj[:, None, None]
-                                    * np.eye(ops.stiffness.shape[1])
-                                    + mu * ops.stiffness)
+        shifted_inv = np.linalg.inv(ops.tables.detj[:, None, None] * np.eye(d)
+                                    + mu * ops.scalar_row[:, :, :d])
     except np.linalg.LinAlgError as err:
         raise CondensationError(
             f"element block M + mu Ks singular (mu = {mu:g})") from err
@@ -98,15 +98,16 @@ def stationary_elimination(ops: AssembledOperators) -> Elimination:
     Refuses Ks blocks whose smallest eigenvalue is subnormal or at most d eps
     times their largest: their inverse overflows or has no correct digit.
     """
-    eig = np.linalg.eigvalsh(ops.stiffness)
-    d, fp = ops.stiffness.shape[1], np.finfo(float)
+    d, fp = ops.layout.dim_scalar, np.finfo(float)
+    stiffness = ops.scalar_row[:, :, :d]
+    eig = np.linalg.eigvalsh(stiffness)
     bad = np.flatnonzero(~(eig[:, 0] > np.maximum(d * fp.eps * eig[:, -1],
                                                   fp.tiny)))
     if bad.size:
         raise CondensationError(
             f"condensed stiffness block singular on elements {bad[:8].tolist()}"
             f" (smallest eigenvalue subnormal or <= {d} eps x largest)")
-    return _eliminate(ops, np.linalg.inv(ops.stiffness), 1.0,
+    return _eliminate(ops, np.linalg.inv(stiffness), 1.0,
                       "stationary facet Schur complement")
 
 
@@ -125,7 +126,7 @@ def condensed_solve(elim: Elimination,
 def reconstruct_velocity(ops: AssembledOperators, psi: np.ndarray,
                          lam: np.ndarray) -> np.ndarray:
     """Element-wise velocity solve Mv v = -(B psi + E lam)."""
-    lam_e = ops.tables.facet_values(lam).ravel()
+    lam_e = ops.tables.element_values(psi, lam)[:, ops.layout.dim_scalar:]
     rhs = (apply_blocks(ops.divergence, psi)
            + apply_blocks(ops.trace_vector_local, lam_e))
     return -rhs / np.repeat(ops.tables.detj, 2 * ops.layout.dim_scalar)

@@ -186,8 +186,15 @@ def corrected_state(pred: Prediction, ddpsi: np.ndarray, ddlam: np.ndarray,
 
 
 def consistent_traces(ops: AssembledOperators, psi: np.ndarray) -> np.ndarray:
-    """Facet values satisfying the trace constraint for given scalar data."""
-    return ops.gram_solver.solve(-(ops.coupling.T @ psi))
+    """The facet values lam of the trace constraint A lam = -Rt psi, each
+    entry of Rt psi summed from the blocks of R in scalar dof order."""
+    d = ops.layout.dim_scalar
+    terms = ops.scalar_row[:, :, d:] * psi.reshape(-1, d, 1)
+    # boundary columns fall in the last bin, which is dropped
+    cols = ops.tables.element_rows[:, None, d:] - ops.layout.n_scalar
+    return ops.gram_solver.solve(-np.bincount(
+        np.broadcast_to(cols, terms.shape).ravel(), terms.ravel(),
+        minlength=ops.layout.n_facet + 1)[:-1])
 
 
 def compute_initial_state(prob: ProblemDefinition,
@@ -268,8 +275,8 @@ def stiffness_load(psi: np.ndarray, dpsi: np.ndarray, lam: np.ndarray,
     the right side of the corrector at the predictions and of the initial
     acceleration at the initial state; the one place that forms tld."""
     w = prob.delta / (prob.c * prob.c)
-    rhs = apply_blocks(ops.stiffness, _axpy(w, dpsi, psi))
-    rhs += ops.coupling @ _axpy(w, dlam, lam)
+    rhs = apply_blocks(ops.scalar_row, ops.tables.element_values(
+        _axpy(w, dpsi, psi), _axpy(w, dlam, lam)))
     rhs *= -(prob.c * prob.c)
     rhs += load
     return rhs
@@ -499,10 +506,11 @@ def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
     step; it must not modify the state.
     """
     ops = disc.ops
-    cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
-                           cfg.beta)
+    # the stationary elimination of the projection is freed before this one
     state = disc.initial_state(prob)
     compute_initial_acceleration(state, prob, ops)
+    cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
+                           cfg.beta)
     load = load_function(prob.forcing, ops.tables)
     n_steps = number_of_steps(prob.final_time, cfg.dt)
     result = RunResult(state=state, ops=ops, cond=cond)

@@ -12,25 +12,24 @@ functions, are stored as blocks:
     trace_scalar_local -(tau lam, w)_{dK interior}  element, (ne, d, 3pf)
     trace_penalty      (tau lam, mu)_{dK interior}  facet, (n_interior, pf, pf)
 
-and, with the velocity eliminated, Ks = S + Bt B / |det J| (stiffness), R =
-F + Bt E / |det J| (coupling_local; coupling in CSR) and A = G + Et E /
+and, with the velocity eliminated, the element rows [Ks | R] (scalar_row),
+Ks = S + Bt B / |det J| and R = F + Bt E / |det J|, and A = G + Et E /
 |det J| (factored in gram_solver), B, E, F, G being the blocks above and S
 the boundary penalty (tau psi, w)_{dK}.
 
-The columns of the two trace couplings run over the element's three facets
-in the order of ElementTables.facet_dofs, which maps them to global facet
-dofs; they are zero on boundary facets and, for trace_scalar_local, on
-unstabilized sides. Vector dofs are stored per element as [x-component
-coeffs, y-component coeffs]. Facet dofs exist on interior facets only;
-homogeneous Dirichlet traces are hard zeros and never enter the system.
+The facet columns of E, F and R run over the element's three local facets,
+pf modes each; they are zero on boundary facets and, for F, on unstabilized
+sides. ElementTables.element_rows maps the columns of scalar_row, the
+element's scalar dofs and then these, into [psi; lam; 0]. Vector dofs are
+stored per element as [x-component coeffs, y-component coeffs]. Facet dofs
+exist on interior facets only; homogeneous Dirichlet traces are hard zeros.
 
 Every sparse facet matrix is summed from blocks through one of the two
-BlockPatterns of ElementTables, sorted once by scatter_csr when the tables
-are built: scalar_facet (element blocks on scalar dof x facet dof: R and
-every W) and facet_facet (the facet penalty, then element blocks, on facet
-dof x facet dof: A and every facet Schur complement). An assembly is then
-one gather, with the terms of every entry added in the order given and
-exactly-zero sums dropped.
+BlockPatterns of ElementTables, sorted once by scatter_csr: scalar_facet
+(element blocks on scalar dof x facet dof: every W) and facet_facet (the
+facet penalty, then element blocks, on facet dof x facet dof: A and every
+facet Schur complement). An assembly is then one gather, with the terms of
+every entry added in the order given and exactly-zero sums dropped.
 """
 
 from __future__ import annotations
@@ -147,20 +146,23 @@ class ElementTables:
         # flattened to (ne, 3 pf); -1 on boundary facets
         pf = layout.dim_facet
         ifac = topo.interior_index[topo.elem_facets]
-        self.facet_dofs = np.where(ifac[:, :, None] >= 0,
-                                   ifac[:, :, None] * pf + np.arange(pf),
-                                   -1).reshape(-1, 3 * pf)
+        facet_dofs = np.where(ifac[:, :, None] >= 0,
+                              ifac[:, :, None] * pf + np.arange(pf),
+                              -1).reshape(-1, 3 * pf)
+        # each element's entries of [psi; lam; 0]: its scalar dofs, then its
+        # facet dofs, boundary facets on the trailing zero
+        scalar = element_dofs(layout.n_elements, layout.dim_scalar)
+        self.element_rows = np.concatenate([scalar, layout.n_scalar + np.where(
+            facet_dofs >= 0, facet_dofs, layout.n_facet)], axis=1)
         # the patterns of every facet matrix, sorted once: element blocks on
         # (scalar dof, facet dof), and the facet penalty then element blocks
         # on (facet dof, facet dof)
-        self.scalar_facet = scatter_csr(
-            (layout.n_scalar, layout.n_facet),
-            (element_dofs(layout.n_elements, layout.dim_scalar),
-             self.facet_dofs))
+        self.scalar_facet = scatter_csr((layout.n_scalar, layout.n_facet),
+                                        (scalar, facet_dofs))
         diag = element_dofs(layout.n_interior_facets, pf)
         self.facet_facet = scatter_csr((layout.n_facet, layout.n_facet),
                                        (diag, diag),
-                                       (self.facet_dofs, self.facet_dofs))
+                                       (facet_dofs, facet_dofs))
 
     def physical_gradients(self, gref: np.ndarray) -> np.ndarray:
         """Gradients (ne, nq, dim, 2) in every element of the basis whose
@@ -177,11 +179,12 @@ class ElementTables:
                                 f"expected ({lay.n_scalar},)")
         return u.reshape(lay.n_elements, lay.dim_scalar) @ self.phi_nl.T
 
-    def facet_values(self, lam: np.ndarray) -> np.ndarray:
-        """Facet coefficients seen by each element, (ne, 3 pf) in the order
-        of facet_dofs; zero on boundary facets."""
-        # index -1 (boundary facets) picks the appended zero
-        return np.append(lam, 0.0)[self.facet_dofs]
+    def element_values(self, psi: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """The scalar then facet coefficients of each element, (ne, d + 3 pf,
+        ...) in the order of element_rows, of psi (n_scalar, ...) and lam
+        (n_facet, ...); zero on boundary facets."""
+        zero = np.zeros((1, *np.shape(psi)[1:]))
+        return np.concatenate([psi, lam, zero])[self.element_rows]
 
 
 def tau_pattern(topo: FacetTopology, tau_bar: float, tau_mode: str) -> np.ndarray:
@@ -204,12 +207,10 @@ class AssembledOperators:
     tables: ElementTables
     tau: np.ndarray  # (ne, 3)
     divergence: np.ndarray  # (ne, 2d, d) B
-    trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E, facet_dofs columns
-    trace_scalar_local: np.ndarray  # (ne, d, 3pf) F, facet_dofs columns
+    trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E
+    trace_scalar_local: np.ndarray  # (ne, d, 3pf) F
     trace_penalty: np.ndarray  # (n_interior, pf, pf) G
-    stiffness: np.ndarray  # (ne, d, d) Ks
-    coupling_local: np.ndarray  # (ne, d, 3pf) R, facet_dofs columns
-    coupling: sp.csr_matrix  # (n_scalar, n_facet) R
+    scalar_row: np.ndarray  # (ne, d, d + 3pf) [Ks | R], element_rows columns
     gram_solver: object = field(repr=False)
 
 
@@ -377,9 +378,10 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     bt_minv = divergence.transpose(0, 2, 1) / detj[:, None, None]
     et_minv = trace_vector_local.transpose(0, 2, 1) / detj[:, None, None]
     stiffness = boundary_penalty + np.matmul(bt_minv, divergence)
-    stiffness = 0.5 * (stiffness + stiffness.transpose(0, 2, 1))
-    coupling_local = trace_scalar_local + bt_minv @ trace_vector_local
-    if not (np.isfinite(stiffness).all() and np.isfinite(coupling_local).all()):
+    scalar_row = np.concatenate(
+        [0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
+         trace_scalar_local + bt_minv @ trace_vector_local], axis=2)
+    if not np.isfinite(scalar_row).all():
         raise AssemblyError(f"tau = {tau_bar} overflows the condensed "
                             f"stiffness or coupling at degree {degree}")
     gram = tab.facet_facet.assemble(trace_penalty,
@@ -392,9 +394,7 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
         trace_vector_local=trace_vector_local,
         trace_scalar_local=trace_scalar_local,
         trace_penalty=trace_penalty,
-        stiffness=stiffness,
-        coupling_local=coupling_local,
-        coupling=tab.scalar_facet.assemble(coupling_local),
+        scalar_row=scalar_row,
         gram_solver=_factorize("facet Gram matrix", gram),
     )
 

@@ -99,23 +99,23 @@ def level_bytes(n: int, degree: int, states: int = 0,
     degree under tau_mode and of `states` states of a monitored run.
 
     Counts the float64 blocks of AssembledOperators (the masses are |det J| I
-    and not stored), ElementTables (without the physical gradients that
-    assembly forms and drops) and the corrector's Elimination; the values of
-    R and W, which share the int32 index arrays of the scalar-facet pattern;
-    the facet-facet pattern; the value and int32 index of every nonzero and
-    the int32 row pointers of -Wt and of the L and U factors of the facet
-    Schur complement and the Gram matrix A, with 1.5 interior facets per
-    element; the temporaries of assembly come on top. A stored state
-    (analysis.History) holds its accelerations ddpsi and ddlam. degree must
-    be valid (check_level).
+    and not stored), ElementTables (with its int64 dof map, without the
+    physical gradients that assembly forms and drops) and the corrector's
+    Elimination; the values of W, which shares the int32 index arrays of the
+    scalar-facet pattern; the facet-facet pattern; the value and int32 index
+    of every nonzero and the int32 row pointers of -Wt and of the L and U
+    factors of the facet Schur complement and the Gram matrix A, with 1.5
+    interior facets per element; assembly's temporaries come on top. A
+    stored state (analysis.History) holds its accelerations ddpsi and ddlam.
+    degree must be valid (check_level).
     """
     d, pf = (degree + 1) * (degree + 2) // 2, degree + 1  # scalar, facet
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
     q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
     dense = (4 * d * d  # B; (M + mu Ks)^-1 and Ks
-             + 18 * d * pf  # E, F and R on the 3 pf facet dofs; W, R values
+             + 15 * d * pf  # E, F and R on the 3 pf facet dofs; W values
              + 1.5 * pf * pf + 3  # facet penalty, tau
-             + 2 * q + q_nl + 3 * pf + 8)  # geometry, dof map
+             + 2 * q + q_nl + 8 + d + 3 * pf)  # geometry, element_rows
     # the patterns: first term and column of every entry (3 d pf
     # scalar-facet, 7.5 pf^2 facet-facet), the later terms of the 1.5 pf^2
     # facet-facet entries on one facet (two more each, entry and position),

@@ -342,6 +342,36 @@ def block_diag_csr(blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     return pattern.assemble(blocks)
 
 
+def facet_dofs(ops: AssembledOperators) -> np.ndarray:
+    """The global facet dof (ne, 3 pf) of every facet column of the element
+    blocks, -1 on boundary facets: the facet part of
+    ElementTables.element_rows."""
+    lay = ops.layout
+    cols = ops.tables.element_rows[:, lay.dim_scalar:] - lay.n_scalar
+    return np.where(cols < lay.n_facet, cols, -1)
+
+
+def stiffness_blocks(ops: AssembledOperators) -> np.ndarray:
+    """The Ks blocks (ne, d, d) of the stored element rows [Ks | R]."""
+    return ops.scalar_row[:, :, :ops.layout.dim_scalar]
+
+
+def global_scalar_row(ops: AssembledOperators) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """The stored element rows [Ks | R] summed through
+    ElementTables.element_rows into the dense global Ks (n_scalar, n_scalar)
+    and R (n_scalar, n_facet); the trailing zero column of the boundary
+    facets must receive nothing."""
+    lay = ops.layout
+    ns = lay.n_scalar
+    pattern = scatter_csr((ns, ns + lay.n_facet + 1),
+                          (element_dofs(lay.n_elements, lay.dim_scalar),
+                           ops.tables.element_rows))
+    row = pattern.assemble(ops.scalar_row).toarray()
+    assert not row[:, -1].any()
+    return row[:, :ns], row[:, ns:-1]
+
+
 # ----------------------------------------------------------------------
 # dense matrices
 
@@ -885,9 +915,9 @@ def expression_advance(state: State, cfg: NewmarkConfig,
     dpsi_hat = state.dpsi + (1.0 - cfg.gamma) * dt * state.ddpsi
     dlam_hat = state.dlam + (1.0 - cfg.gamma) * dt * state.ddlam
     w = prob.delta / c2
-    ln = load(state.t + dt) - c2 * (
-        apply_blocks(ops.stiffness, psi_hat + w * dpsi_hat)
-        + ops.coupling @ (lam_hat + w * dlam_hat))
+    ln = load(state.t + dt) - c2 * apply_blocks(
+        ops.scalar_row,
+        tab.element_values(psi_hat + w * dpsi_hat, lam_hat + w * dlam_hat))
     x = state.ddpsi if start is None else start
     scale = cfg.beta * dt * dt
     x_old = g_old = f_old = None

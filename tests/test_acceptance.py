@@ -126,13 +126,15 @@ def test_criterion_4_oracle_equivalence():
             topo, lay, ops = build_ops(msh, degree, tau_bar=1.5)
             seven = oracles.dense_seven(msh, topo, degree, tau_bar=1.5)
             e_dense, f_dense = dense_trace_couplings(ops)
+            ks, r = oracles.global_scalar_row(ops)
+            condensed = oracles.dense_condensed(seven, 0.0)
             pairs = [
                 (oracles.jacobian_mass(ops), seven["M"]),
                 (oracles.jacobian_mass(ops, 2), seven["Mv"]),
                 (block_diag_csr(ops.divergence).toarray(), seven["B"]),
                 # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
-                (block_diag_csr(ops.stiffness).toarray(),
-                 oracles.dense_condensed(seven, 0.0)["Ks"]),
+                (ks, condensed["Ks"]),
+                (r, condensed["R"]),
                 (e_dense, seven["E"]),
                 (f_dense, seven["F"]),
                 (block_diag_csr(ops.trace_penalty).toarray(), seven["G"]),

@@ -118,13 +118,12 @@ class TestAgainstDenseElimination:
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
         seven, dc = dense_pieces(msh, degree, cond.mu, tau_mode=tau_mode)
 
-        assert np.max(np.abs(block_diag_csr(ops.stiffness).toarray()
-                             - dc["Ks"])) <= 1e-12
+        ks, r = oracles.global_scalar_row(ops)
+        assert np.max(np.abs(ks - dc["Ks"])) <= 1e-12
         shifted_inv = np.linalg.inv(dc["shifted"])
         assert np.max(np.abs(block_diag_csr(cond.block_inv).toarray()
                              - shifted_inv)) <= 1e-11
-        assert np.max(np.abs(np.asarray(ops.coupling.todense())
-                             - dc["R"])) <= 1e-12
+        assert np.max(np.abs(r - dc["R"])) <= 1e-12
         assert np.max(np.abs(grams[0].toarray() - dc["A"])) <= 1e-12
         assert np.max(np.abs(factored[0].toarray() - dc["schur"])) <= 1e-12
 
@@ -170,7 +169,7 @@ class TestSparsity:
         topo, lay, ops, cond = build(msh, degree, tau_mode=tau_mode)
         stationary_elimination(ops)
         assert len(factored) == 2
-        for mat in (*factored, *grams, ops.coupling):
+        for mat in (*factored, *grams, cond.elim):
             assert mat.nnz > 0
             assert np.count_nonzero(mat.data == 0.0) == 0
 
@@ -224,7 +223,7 @@ class TestSpectralStructure:
     def test_condensed_stiffness_blocks_symmetric(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops, cond = build(msh, 2)
-        stiffness = ops.stiffness
+        stiffness = oracles.stiffness_blocks(ops)
         assert np.max(np.abs(stiffness
                              - stiffness.transpose(0, 2, 1))) == 0.0
 
@@ -238,8 +237,9 @@ class TestSpectralStructure:
         schur1, schur2, static = (m.toarray() for m in factored)
         for dt in (0.05, 0.005):
             mu = condensation.step_mu(2.0, 1.0e-3, dt, 0.5, 0.25)
-            condensation._eliminate(ops, np.linalg.inv(mu * ops.stiffness),
-                                    mu, "massless Schur complement")
+            condensation._eliminate(
+                ops, np.linalg.inv(mu * oracles.stiffness_blocks(ops)), mu,
+                "massless Schur complement")
             d_static = np.abs(factored[-1].toarray() - static)
             assert np.max(d_static) <= 1e-12 * np.max(np.abs(static))
         d_facet = np.abs(schur1 - schur2)
@@ -287,10 +287,10 @@ class TestSolves:
         topo, lay, ops, cond = build(msh, 2, delta=5.0e-4, dt=0.01)
         rhs = rng.standard_normal(lay.n_scalar)
         a_psi, a_lam = condensed_solve(cond, rhs)
-        shifted = oracles.jacobian_mass(ops) \
-            + cond.mu * block_diag_csr(ops.stiffness)
-        r1 = shifted @ a_psi + cond.mu * (ops.coupling @ a_lam) - rhs
-        r2 = ops.coupling.T @ a_psi + grams[0] @ a_lam
+        ks, r = oracles.global_scalar_row(ops)
+        shifted = oracles.jacobian_mass(ops) + cond.mu * ks
+        r1 = shifted @ a_psi + cond.mu * (r @ a_lam) - rhs
+        r2 = r.T @ a_psi + grams[0] @ a_lam
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(r1)) <= 1e-11 * scale
         assert np.max(np.abs(r2)) <= 1e-11 * scale
@@ -333,7 +333,7 @@ class TestGuards:
         topo = compute_facet_topology(msh)
         ops = assemble_operators(msh, topo, 0)
         lay = ops.layout
-        ops.stiffness[0][:] = 0.0
+        oracles.stiffness_blocks(ops)[0] = 0.0
         cond = build_condensed(ops, 1.0, 0.0, 0.1, 0.5, 0.25)
         with pytest.raises(CondensationError,
                            match=r"stiffness block singular on elements \[0\]"):
@@ -351,7 +351,8 @@ class TestGuards:
         a_psi, a_lam = condensed_solve(cond, rhs)
         assert a_lam.shape == (0,)
         want = np.linalg.solve(ops.tables.detj[0] * np.eye(lay.dim_scalar)
-                               + cond.mu * ops.stiffness[0], rhs)
+                               + cond.mu * oracles.stiffness_blocks(ops)[0],
+                               rhs)
         assert np.max(np.abs(a_psi - want)) <= 1e-12
         v = reconstruct_velocity(ops, a_psi, a_lam)
         assert v.shape == (n_vector(lay),)

@@ -17,6 +17,12 @@ the same name also counts. Two exemptions:
 - RunResult.cond, which the benchmark harness reads for the facet
   factorization of every run.
 
+Each operator has one representation: no field of AssembledOperators or
+ElementTables is a scipy.sparse matrix. Ks and R are stored once, as the
+element blocks [Ks | R] whose columns follow ElementTables.element_rows;
+sparse matrices are summed from blocks only where a solve needs them: the
+facet matrices that are factored, and W and -Wt of an Elimination.
+
 No range goes dead or is misspelled: every row of parameters.PARAMETERS is
 the literal name of some check_parameter call or a key of the config file,
 and every literal name passed to check_parameter is a row.
@@ -32,7 +38,11 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import scipy.sparse
+
 from westervelt_hdg.config import _KEYS
+from westervelt_hdg.mesh import compute_facet_topology, generate_structured_mesh
+from westervelt_hdg.operators import assemble_operators
 from westervelt_hdg.parameters import PARAMETERS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -142,6 +152,16 @@ def test_every_method_is_referenced():
               for node in methods(cls)
               if used[node.name] <= references(node)[node.name]]
     assert not unused, f"methods referenced nowhere in the package: {unused}"
+
+
+def test_no_operator_field_is_a_sparse_matrix():
+    msh = generate_structured_mesh(2)
+    ops = assemble_operators(msh, compute_facet_topology(msh), 1)
+    sparse = [f"{type(obj).__name__}.{name}"
+              for obj in (ops, ops.tables)
+              for name, value in vars(obj).items()
+              if scipy.sparse.issparse(value)]
+    assert not sparse, f"operator fields stored as sparse matrices: {sparse}"
 
 
 def test_every_parameter_row_is_checked():

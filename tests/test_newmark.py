@@ -8,13 +8,14 @@ predictor-corrector bookkeeping.
 import copy
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 import oracles
-from oracles import block_diag_csr
-from westervelt_hdg.mesh import compute_facet_topology, generate_structured_mesh
+from westervelt_hdg.mesh import (Mesh, compute_facet_topology,
+                                 generate_structured_mesh)
 from westervelt_hdg.operators import (
     AssemblyError,
     assemble_load,
@@ -256,6 +257,7 @@ class TestCorrector:
         pred = predictor(state, cfg)
         load = rng.standard_normal(lay.n_scalar)
         undamped = ProblemDefinition(c=2.0)
+        ks, r = oracles.global_scalar_row(ops)
         for delta in (5.0e-3, 0.0):
             got = stiffness_load(pred.psi_hat, pred.dpsi_hat, pred.lam_hat,
                                  pred.dlam_hat, load,
@@ -264,9 +266,7 @@ class TestCorrector:
             w = delta / 4.0
             psi_tilde = pred.psi_hat + w * pred.dpsi_hat
             lam_tilde = pred.lam_hat + w * pred.dlam_hat
-            want = load - 4.0 * (
-                block_diag_csr(ops.stiffness) @ psi_tilde
-                + ops.coupling @ lam_tilde)
+            want = load - 4.0 * (ks @ psi_tilde + r @ lam_tilde)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(
                 1.0, np.max(np.abs(want)))
             # delta enters only through them, rounded as that sum is; with
@@ -353,9 +353,30 @@ class TestAdvance:
         state, _ = advance_step(state, cfg, prob, ops, cond, load)
         gram = oracles.dense_condensed(oracles.dense_seven(msh, topo, 1),
                                        0.0)["A"]
-        resid = ops.coupling.T @ state.ddpsi + gram @ state.ddlam
+        _, r = oracles.global_scalar_row(ops)
+        resid = r.T @ state.ddpsi + gram @ state.ddlam
         scale = max(np.max(np.abs(state.ddpsi)), 1e-30)
         assert np.max(np.abs(resid)) <= 1e-11 * scale
+
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_consistent_traces_match_dense_solve(self, degree):
+        rng = np.random.default_rng(61 + degree)
+        msh = oracles.perturbed_mesh(3, seed=12)
+        topo, lay, ops, cond = build(msh, degree)
+        dc = oracles.dense_condensed(oracles.dense_seven(msh, topo, degree),
+                                     0.0)
+        psi = rng.standard_normal(lay.n_scalar)
+        want = np.linalg.solve(dc["A"], -dc["R"].T @ psi)
+        got = consistent_traces(ops, psi)
+        assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_consistent_traces_without_interior_facets_are_empty(self):
+        msh = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                   np.array([[0, 1, 2]]))
+        topo, lay, ops, cond = build(msh, 2)
+        assert lay.n_facet == 0
+        lam = consistent_traces(ops, np.ones(lay.n_scalar))
+        assert lam.shape == (0,)
 
     @pytest.mark.parametrize("c,dt", [(1.0, 0.02), (2.0, 0.01)])
     def test_mismatched_condensation_rejected(self, c, dt):
@@ -808,6 +829,43 @@ class TestDiscretization:
                                     degree=degree).validate()
             assert str(err.value) == str(config_err.value)
             assert str(err.value).startswith(f"level {n} needs an estimated ")
+
+    def test_run_projects_before_it_builds_the_corrector(self, monkeypatch):
+        # the initial data are projected and accelerated first, so the
+        # stationary elimination is freed before the corrector's is built
+        # and their facet factors are never held together
+        calls, static = [], []
+        for name in ("assemble_operators", "compute_initial_state",
+                     "stationary_elimination", "compute_initial_acceleration",
+                     "build_condensed", "number_of_steps"):
+            def recording(*args, name=name, fn=getattr(newmark, name),
+                          **kwargs):
+                calls.append(name)
+                if name == "build_condensed":
+                    assert static[0]() is None
+                out = fn(*args, **kwargs)
+                if name == "stationary_elimination":
+                    static.append(weakref.ref(out))
+                return out
+
+            monkeypatch.setattr(newmark, name, recording)
+        prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=0.02)
+        run(prob, Discretization(generate_structured_mesh(2), 1),
+            NewmarkConfig(dt=0.01))
+        assert calls == ["assemble_operators", "compute_initial_state",
+                         "stationary_elimination",
+                         "compute_initial_acceleration", "build_condensed",
+                         "number_of_steps"]
+
+    def test_run_refuses_what_build_condensed_refuses(self):
+        # a coefficient that escaped ProblemDefinition's check is refused
+        # with build_condensed's message, now after the projection
+        prob = delta_study_problem(0.0, c=1.0, k=0.3, final_time=0.02)
+        object.__setattr__(prob, "c", math.inf)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                CondensationError, match=r"^c must be finite \(wave speed\)"):
+            run(prob, Discretization(generate_structured_mesh(2), 1),
+                NewmarkConfig(dt=0.01))
 
     def test_runs_get_their_own_initial_state(self):
         # overwriting the t = 0 state of one run must not reach the

@@ -50,7 +50,7 @@ def build(msh, degree, tau_bar=1.0, tau_mode="single_facet"):
 def dense_trace_couplings(ops):
     """E and F as dense global matrices, scattered from their element
     blocks through the facet dof map."""
-    lay, cols = ops.layout, ops.tables.facet_dofs
+    lay, cols = ops.layout, oracles.facet_dofs(ops)
     ne, d = lay.n_elements, lay.dim_scalar
     e = scatter_csr((n_vector(lay), lay.n_facet),
                     (element_dofs(ne, 2 * d), cols)).assemble(
@@ -128,13 +128,15 @@ class TestSevenMatrices:
         ora = oracles.dense_seven(msh, topo, degree, tau_bar=2.5,
                                   tau_mode=tau_mode)
         e_dense, f_dense = dense_trace_couplings(ops)
+        ks, r = oracles.global_scalar_row(ops)
+        condensed = oracles.dense_condensed(ora, 0.0)
         pairs = [
             (jacobian_mass(ops), ora["M"]),
             (jacobian_mass(ops, 2), ora["Mv"]),
             (block_diag_csr(ops.divergence).toarray(), ora["B"]),
             # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
-            (block_diag_csr(ops.stiffness).toarray(),
-             oracles.dense_condensed(ora, 0.0)["Ks"]),
+            (ks, condensed["Ks"]),
+            (r, condensed["R"]),
             (e_dense, ora["E"]),
             (f_dense, ora["F"]),
             (block_diag_csr(ops.trace_penalty).toarray(), ora["G"]),
@@ -155,9 +157,10 @@ class TestSevenMatrices:
         e_dense, f_dense = dense_trace_couplings(ops)
         assert np.max(np.abs(e_dense - ora["E"])) <= 1e-12
         assert np.max(np.abs(f_dense - ora["F"])) <= 1e-12
-        assert np.max(np.abs(block_diag_csr(ops.stiffness).toarray()
-                             - oracles.dense_condensed(ora, 0.0)["Ks"])
-                      ) <= 1e-12
+        ks, r = oracles.global_scalar_row(ops)
+        condensed = oracles.dense_condensed(ora, 0.0)
+        assert np.max(np.abs(ks - condensed["Ks"])) <= 1e-12
+        assert np.max(np.abs(r - condensed["R"])) <= 1e-12
         assert np.max(np.abs(block_diag_csr(ops.trace_penalty).toarray()
                              - ora["G"])) <= 1e-12
 
@@ -188,6 +191,49 @@ class TestSevenMatrices:
         e_scat, f_scat = dense_trace_couplings(ops)
         assert np.max(np.abs(e_dense - e_scat)) == 0.0
         assert np.max(np.abs(f_dense - f_scat)) == 0.0
+
+
+class TestElementRows:
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_rows_list_the_scalar_then_the_facet_dofs(self, degree):
+        msh = oracles.perturbed_mesh(3, seed=23)
+        topo, lay, ops = build(msh, degree)
+        rows, d = ops.tables.element_rows, lay.dim_scalar
+        ns, nf = lay.n_scalar, lay.n_facet
+        assert rows.shape == (lay.n_elements, d + 3 * lay.dim_facet)
+        # each scalar dof once, in element order
+        assert np.array_equal(rows[:, :d].ravel(), np.arange(ns))
+        # each interior facet dof in exactly two elements; boundary facets
+        # on the trailing zero of [psi; lam; 0]
+        facet = rows[:, d:]
+        assert facet.min() >= ns and facet.max() <= ns + nf
+        assert np.array_equal(np.bincount(facet.ravel() - ns)[:nf],
+                              np.full(nf, 2))
+        # local facet by local facet, pf modes each, as the topology says
+        pf = lay.dim_facet
+        for e, lf in np.ndindex(lay.n_elements, 3):
+            fid = topo.elem_facets[e, lf]
+            got = facet[e, lf * pf:(lf + 1) * pf]
+            if topo.is_interior[fid]:
+                want = facet_slice(lay, topo.interior_index[fid])
+                assert got.tolist() == list(range(ns + want.start,
+                                                  ns + want.stop))
+            else:
+                assert got.tolist() == [ns + nf] * pf
+
+    def test_element_values_read_zero_on_boundary_columns(self):
+        rng = np.random.default_rng(24)
+        msh = generate_structured_mesh(3)
+        topo, lay, ops = build(msh, 1)
+        tab, d = ops.tables, lay.dim_scalar
+        psi = rng.uniform(1.0, 2.0, lay.n_scalar)
+        lam = rng.uniform(1.0, 2.0, lay.n_facet)
+        vals = tab.element_values(psi, lam)
+        assert np.array_equal(vals[:, :d].ravel(), psi)
+        cols = oracles.facet_dofs(ops)
+        inner = cols >= 0
+        assert np.array_equal(vals[:, d:][inner], lam[cols[inner]])
+        assert (~inner).any() and not vals[:, d:][~inner].any()
 
 
 class TestMatrixStructure:
@@ -236,8 +282,8 @@ class TestMatrixStructure:
         # the boundary penalty S = Ks - Bt Mv^-1 B
         bt_b = (ops1.divergence.transpose(0, 2, 1) @ ops1.divergence
                 / ops1.tables.detj[:, None, None])
-        assert np.max(np.abs((ops2.stiffness - bt_b)
-                             - 3.5 * (ops1.stiffness - bt_b))) <= 1e-13
+        ks1, ks2 = (oracles.stiffness_blocks(ops) for ops in (ops1, ops2))
+        assert np.max(np.abs((ks2 - bt_b) - 3.5 * (ks1 - bt_b))) <= 1e-13
         e1, f1 = dense_trace_couplings(ops1)
         e2, f2 = dense_trace_couplings(ops2)
         assert np.max(np.abs(f2 - 3.5 * f1)) <= 1e-13
@@ -324,7 +370,7 @@ class TestMatrixStructure:
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
         ops = assemble_operators(msh, topo, 1, 1.0e300, tau_mode)
-        assert np.isfinite(ops.stiffness).all()
+        assert np.isfinite(ops.scalar_row).all()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 AssemblyError, match=r"^tau = 1e\+308 overflows"):
             assemble_operators(msh, topo, 1, 1.0e308, tau_mode)
