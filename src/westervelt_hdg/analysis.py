@@ -240,20 +240,20 @@ def _stored_energy_table(ops: AssembledOperators) -> np.ndarray:
     of a state (psi, lam) is the sum of squares of T applied to its
     ElementTables.element_values.
 
-    The first 2d rows are (B psi + E lam) / sqrt|det J|, whose squares sum
-    to v Mv v for the velocity v = -Mv^-1 (B psi + E lam), Mv = |det J| I; the
-    other 3nq are sqrt(tau w) (lam - psi) at the facet quadrature points,
-    with lam = 0 on boundary facets. The jump is taken at the points,
-    because on a smooth state it is far smaller than psi S psi or lam G lam
-    and their quadratic-form expansion would cancel it away.
+    The first 2d rows are the element rows [B | E] (velocity_row) over
+    sqrt|det J|: their squares sum to v Mv v for the velocity v = -Mv^-1
+    (B psi + E lam), Mv = |det J| I. The other 3nq are sqrt(tau w) (lam -
+    psi) at the facet quadrature points, with lam = 0 on boundary facets.
+    The jump is taken at the points, because on a smooth state it is far
+    smaller than psi S psi or lam G lam and their quadratic-form expansion
+    would cancel it away.
     """
     tab, lay = ops.tables, ops.layout
     ne, d, pf = lay.n_elements, lay.dim_scalar, lay.dim_facet
     root_w = np.sqrt((ops.tau * tab.topo.facet_lengths[tab.topo.elem_facets])
                      [:, :, None] * tab.facet_rule.weights).reshape(ne, -1, 1)
     table = np.empty((ne, 2 * d + root_w.shape[1], d + 3 * pf))
-    table[:, :2 * d] = np.concatenate([ops.divergence, ops.trace_vector_local],
-                                      2) / np.sqrt(tab.detj)[:, None, None]
+    table[:, :2 * d] = ops.velocity_row / np.sqrt(tab.detj)[:, None, None]
     table[:, 2 * d:, :d] = -root_w * tab.trace[tab.sides].reshape(ne, -1, d)
     table[:, 2 * d:, d:] = root_w * np.kron(np.eye(3), tab.mu)
     return table

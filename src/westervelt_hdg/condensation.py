@@ -4,16 +4,16 @@ For a time step dt and Newmark weights (gamma, beta), the corrector solves
 
     (M + mu Ks) a_psi + mu R a_lam = rhs,      Rt a_psi + A a_lam = 0,
 
-with mu = c^2 dt^2 beta + delta gamma dt, the masses M = Mv = |det J| I
-(ElementTables.detj), the element blocks [Ks | R] (scalar_row), Ks = S + Bt
-B / |det J| and R = F + Bt E / |det J|, and A = G + Et E / |det J|: fields
-of the AssembledOperators, which every elimination on them shares. The
-stationary solves of the initial data are the same system with Ks in place
-of M + mu Ks and mu = 1. For either block-diagonal matrix D, one routine
-(_eliminate) stores D^-1, W = D^-1 R and -Wt and factorizes the facet Schur
-complement A - mu Rt W, both gathered through the block patterns that the
-operators' ElementTables sorted once, so an elimination sorts nothing. A
-solve
+with mu = c^2 dt^2 beta + delta gamma dt, the mass M = |det J| I
+(ElementTables.detj), the element rows [Ks | R] (scalar_row) and the facet
+Gram matrix A = sum_K A_K (facet_block): fields of the AssembledOperators,
+which every elimination on them shares. The stationary solves of the
+initial data are the same system with Ks in place of M + mu Ks and mu = 1.
+For either block-diagonal matrix D, one routine (_eliminate) forms W_K =
+D_K^-1 R_K once per element, stores D^-1, W and -Wt and factorizes the
+facet Schur complement, summed from the element blocks A_K - mu R_Kt W_K;
+both are gathered through the block patterns that the operators'
+ElementTables sorted once, so an elimination sorts nothing. A solve
 
     z = D^-1 rhs,   a_lam = (A - mu Rt W)^-1 (-Wt rhs),   a_psi = z - mu (W a_lam)
 
@@ -59,15 +59,11 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
                name: str) -> Elimination:
     """The Elimination of the element blocks D^-1; name is the facet Schur
     complement's in a factorization failure."""
-    e_loc = ops.trace_vector_local
     r_loc = ops.scalar_row[:, :, ops.layout.dim_scalar:]
-    # Et x - Ft y = (A - G) - mu Rt D^-1 R, y = D^-1 mu R, x = Mv^-1 (E - B y)
-    y_loc = block_inv @ (mu * r_loc)
-    x_loc = (e_loc - ops.divergence @ y_loc) / ops.tables.detj[:, None, None]
+    w_loc = block_inv @ r_loc
     schur = ops.tables.facet_facet.assemble(
-        ops.trace_penalty, e_loc.transpose(0, 2, 1) @ x_loc
-        - ops.trace_scalar_local.transpose(0, 2, 1) @ y_loc)
-    elim = ops.tables.scalar_facet.assemble(block_inv @ r_loc)
+        ops.facet_block - mu * (r_loc.transpose(0, 2, 1) @ w_loc))
+    elim = ops.tables.scalar_facet.assemble(w_loc)
     return Elimination(mu=mu, block_inv=block_inv, elim=elim,
                        minus_elim_t=-elim.T.tocsr(),
                        facet_solver=_factorize(name, schur))
@@ -126,7 +122,5 @@ def condensed_solve(elim: Elimination,
 def reconstruct_velocity(ops: AssembledOperators, psi: np.ndarray,
                          lam: np.ndarray) -> np.ndarray:
     """Element-wise velocity solve Mv v = -(B psi + E lam)."""
-    lam_e = ops.tables.element_values(psi, lam)[:, ops.layout.dim_scalar:]
-    rhs = (apply_blocks(ops.divergence, psi)
-           + apply_blocks(ops.trace_vector_local, lam_e))
+    rhs = apply_blocks(ops.velocity_row, ops.tables.element_values(psi, lam))
     return -rhs / np.repeat(ops.tables.detj, 2 * ops.layout.dim_scalar)

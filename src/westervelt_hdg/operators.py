@@ -5,31 +5,37 @@ polynomial (its gradient proxy), and per interior facet a polynomial trace.
 The basis is orthonormal and every element affine, so the masses (psi, w)_K
 and (v, r)_K (Mv) are |det J| I, ElementTables.detj, and are not stored. The
 other bilinear forms, with w/r/mu running over scalar/vector/facet test
-functions, are stored as blocks:
+functions, are
 
-    divergence         (psi, div r)_K               element, (ne, 2d, d)
-    trace_vector_local -(lam, [r . n])_F            element, (ne, 2d, 3pf)
-    trace_scalar_local -(tau lam, w)_{dK interior}  element, (ne, d, 3pf)
-    trace_penalty      (tau lam, mu)_{dK interior}  facet, (n_interior, pf, pf)
+    B  (psi, div r)_K                 E  -(lam, [r . n])_F
+    F  -(tau lam, w)_{dK interior}    G  (tau lam, mu)_{dK interior}
+    S  (tau psi, w)_{dK}
 
-and, with the velocity eliminated, the element rows [Ks | R] (scalar_row),
-Ks = S + Bt B / |det J| and R = F + Bt E / |det J|, and A = G + Et E /
-|det J| (factored in gram_solver), B, E, F, G being the blocks above and S
-the boundary penalty (tau psi, w)_{dK}.
+and, with the velocity eliminated, each element stores three blocks:
 
-The facet columns of E, F and R run over the element's three local facets,
-pf modes each; they are zero on boundary facets and, for F, on unstabilized
-sides. ElementTables.element_rows maps the columns of scalar_row, the
-element's scalar dofs and then these, into [psi; lam; 0]. Vector dofs are
-stored per element as [x-component coeffs, y-component coeffs]. Facet dofs
-exist on interior facets only; homogeneous Dirichlet traces are hard zeros.
+    velocity_row  [B | E]                                   (ne, 2d, d + 3pf)
+    scalar_row    [Ks | R], Ks = S + Bt B / |det J|,
+                  R = F + Bt E / |det J|                    (ne, d, d + 3pf)
+    facet_block   A_K = G_K + Et E / |det J|                (ne, 3pf, 3pf)
 
-Every sparse facet matrix is summed from blocks through one of the two
-BlockPatterns of ElementTables, sorted once by scatter_csr: scalar_facet
-(element blocks on scalar dof x facet dof: every W) and facet_facet (the
-facet penalty, then element blocks, on facet dof x facet dof: A and every
-facet Schur complement). An assembly is then one gather, with the terms of
-every entry added in the order given and exactly-zero sums dropped.
+where G_K puts the penalty tau |F| (mu_m, mu_n)_F of each interior side on
+its own diagonal block, so that the facet Gram matrix is A = sum_K A_K
+(factored in gram_solver).
+
+The facet columns of E, F, R and A_K run over the element's three local
+facets, pf modes each; they are zero on boundary facets and, for F and G_K,
+on unstabilized sides. ElementTables.element_rows maps the columns of
+velocity_row and scalar_row, the element's scalar dofs and then these, into
+[psi; lam; 0]. Vector dofs are stored per element as [x-component coeffs,
+y-component coeffs]. Facet dofs exist on interior facets only; homogeneous
+Dirichlet traces are hard zeros.
+
+Every sparse facet matrix is summed from element blocks through one of the
+two BlockPatterns of ElementTables, sorted once by scatter_csr:
+scalar_facet (scalar dof x facet dof: every W) and facet_facet (facet dof x
+facet dof: A and every facet Schur complement). An assembly is then one
+gather, with the terms of every entry added in element order and
+exactly-zero sums dropped.
 """
 
 from __future__ import annotations
@@ -155,13 +161,10 @@ class ElementTables:
         self.element_rows = np.concatenate([scalar, layout.n_scalar + np.where(
             facet_dofs >= 0, facet_dofs, layout.n_facet)], axis=1)
         # the patterns of every facet matrix, sorted once: element blocks on
-        # (scalar dof, facet dof), and the facet penalty then element blocks
-        # on (facet dof, facet dof)
+        # (scalar dof, facet dof) and on (facet dof, facet dof)
         self.scalar_facet = scatter_csr((layout.n_scalar, layout.n_facet),
                                         (scalar, facet_dofs))
-        diag = element_dofs(layout.n_interior_facets, pf)
         self.facet_facet = scatter_csr((layout.n_facet, layout.n_facet),
-                                       (diag, diag),
                                        (facet_dofs, facet_dofs))
 
     def physical_gradients(self, gref: np.ndarray) -> np.ndarray:
@@ -206,11 +209,9 @@ class AssembledOperators:
     layout: DofLayout
     tables: ElementTables
     tau: np.ndarray  # (ne, 3)
-    divergence: np.ndarray  # (ne, 2d, d) B
-    trace_vector_local: np.ndarray  # (ne, 2d, 3pf) E
-    trace_scalar_local: np.ndarray  # (ne, d, 3pf) F
-    trace_penalty: np.ndarray  # (n_interior, pf, pf) G
+    velocity_row: np.ndarray  # (ne, 2d, d + 3pf) [B | E], element_rows columns
     scalar_row: np.ndarray  # (ne, d, d + 3pf) [Ks | R], element_rows columns
+    facet_block: np.ndarray  # (ne, 3pf, 3pf) A_K, its facet columns
     gram_solver: object = field(repr=False)
 
 
@@ -366,17 +367,20 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     normals = (interior[:, :, None] * topo.normals).transpose(0, 2, 1)
     trace_vector_local = -(normals[:, :, None, :, None] * cmat[:, None]
                            ).reshape(ne, 2 * d, 3 * pf)
-    trace_scalar_local = -((tau * interior)[:, None, :, None] * cmat
+    tau_in = tau * interior  # zero on boundary facets
+    trace_scalar_local = -(tau_in[:, None, :, None] * cmat
                            ).reshape(ne, d, 3 * pf)
-    # both sides of each interior facet, in element order
-    trace_penalty = np.zeros((topo.n_interior, pf, pf))
-    mu_mass = tab.mu.T @ (wf[:, None] * tab.mu)
-    np.add.at(trace_penalty, topo.interior_index[topo.elem_facets][interior],
-              tau_len[interior] * mu_mass)
 
     # Bt and Et times Mv^-1 = I / |det J|
     bt_minv = divergence.transpose(0, 2, 1) / detj[:, None, None]
     et_minv = trace_vector_local.transpose(0, 2, 1) / detj[:, None, None]
+    # A_K = G_K + Et Mv^-1 E, G_K each interior side's penalty on its own
+    # diagonal block
+    facet_block = et_minv @ trace_vector_local
+    by_facet = facet_block.reshape(ne, 3, pf, 3, pf)  # a view
+    mu_mass = tab.mu.T @ (wf[:, None] * tab.mu)
+    for lf in range(3):
+        by_facet[:, lf, :, lf] += (tau_in * length)[:, lf, None, None] * mu_mass
     stiffness = boundary_penalty + np.matmul(bt_minv, divergence)
     scalar_row = np.concatenate(
         [0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
@@ -384,18 +388,15 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     if not np.isfinite(scalar_row).all():
         raise AssemblyError(f"tau = {tau_bar} overflows the condensed "
                             f"stiffness or coupling at degree {degree}")
-    gram = tab.facet_facet.assemble(trace_penalty,
-                                    et_minv @ trace_vector_local)
     return AssembledOperators(
         layout=layout,
         tables=tab,
         tau=tau,
-        divergence=divergence,
-        trace_vector_local=trace_vector_local,
-        trace_scalar_local=trace_scalar_local,
-        trace_penalty=trace_penalty,
+        velocity_row=np.concatenate([divergence, trace_vector_local], axis=2),
         scalar_row=scalar_row,
-        gram_solver=_factorize("facet Gram matrix", gram),
+        facet_block=facet_block,
+        gram_solver=_factorize("facet Gram matrix",
+                               tab.facet_facet.assemble(facet_block)),
     )
 
 

@@ -98,11 +98,12 @@ def level_bytes(n: int, degree: int, states: int = 0,
     the element blocks, sparse matrices and facet factors stored for it at
     degree under tau_mode and of `states` states of a monitored run.
 
-    Counts the float64 blocks of AssembledOperators (the masses are |det J| I
-    and not stored), ElementTables (with its int64 dof map, without the
-    physical gradients that assembly forms and drops) and the corrector's
-    Elimination; the values of W, which shares the int32 index arrays of the
-    scalar-facet pattern; the facet-facet pattern; the value and int32 index
+    Counts the float64 element blocks of AssembledOperators, [B | E],
+    [Ks | R] and A_K (the masses are |det J| I and not stored),
+    ElementTables (with its int64 dof map, without the physical gradients
+    that assembly forms and drops) and the corrector's Elimination; the
+    values of W, which shares the int32 index arrays of the scalar-facet
+    pattern; the one-part facet-facet pattern; the value and int32 index
     of every nonzero and the int32 row pointers of -Wt and of the L and U
     factors of the facet Schur complement and the Gram matrix A, with 1.5
     interior facets per element; assembly's temporaries come on top. A
@@ -113,14 +114,14 @@ def level_bytes(n: int, degree: int, states: int = 0,
     q = (degree + 2) ** 2  # points of the cell rule, order 2p + 2
     q_nl = (max(3 * degree, 2) // 2 + 1) ** 2  # of the nonlinear rule
     dense = (4 * d * d  # B; (M + mu Ks)^-1 and Ks
-             + 15 * d * pf  # E, F and R on the 3 pf facet dofs; W values
-             + 1.5 * pf * pf + 3  # facet penalty, tau
+             + 12 * d * pf  # E and R on the 3 pf facet dofs; W values
+             + 9 * pf * pf + 3  # A_K, tau
              + 2 * q + q_nl + 8 + d + 3 * pf)  # geometry, element_rows
     # the patterns: first term and column of every entry (3 d pf
-    # scalar-facet, 7.5 pf^2 facet-facet), the later terms of the 1.5 pf^2
-    # facet-facet entries on one facet (two more each, entry and position),
-    # and row pointers; the row pointers of -Wt and the four factors
-    ints = 6 * d * pf + 21 * pf * pf + d + 9 * pf
+    # scalar-facet, 7.5 pf^2 facet-facet), the second term of the 1.5 pf^2
+    # facet-facet entries on one facet (entry and position), and row
+    # pointers; the row pointers of -Wt and the four factors
+    ints = 6 * d * pf + 18 * pf * pf + d + 9 * pf
     try:
         n = float(n)
         # L + U nonzeros of both factors per element, fitted to the fill

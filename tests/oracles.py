@@ -372,6 +372,28 @@ def global_scalar_row(ops: AssembledOperators) -> tuple[np.ndarray,
     return row[:, :ns], row[:, ns:-1]
 
 
+def global_velocity_row(ops: AssembledOperators) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """The stored element rows [B | E] summed through
+    ElementTables.element_rows into the dense global B (n_vector, n_scalar)
+    and E (n_vector, n_facet); the trailing zero column of the boundary
+    facets must receive nothing."""
+    lay = ops.layout
+    ns = lay.n_scalar
+    pattern = scatter_csr((n_vector(lay), ns + lay.n_facet + 1),
+                          (element_dofs(lay.n_elements, 2 * lay.dim_scalar),
+                           ops.tables.element_rows))
+    row = pattern.assemble(ops.velocity_row).toarray()
+    assert not row[:, -1].any()
+    return row[:, :ns], row[:, ns:-1]
+
+
+def gram_matrix(ops: AssembledOperators) -> np.ndarray:
+    """The facet Gram matrix A = sum_K A_K, dense, summed from the stored
+    facet blocks."""
+    return ops.tables.facet_facet.assemble(ops.facet_block).toarray()
+
+
 # ----------------------------------------------------------------------
 # dense matrices
 

@@ -15,11 +15,10 @@ import numpy.polynomial.polynomial as npoly
 import pytest
 
 import oracles
-from oracles import block_diag_csr, hdg_project
+from oracles import hdg_project
 from test_operators import (
     build as build_ops,
     commutativity_residual,
-    dense_trace_couplings,
     polyder2d,
     rand_poly2,
 )
@@ -125,19 +124,19 @@ def test_criterion_4_oracle_equivalence():
             rng = np.random.default_rng(100 * mi + degree)
             topo, lay, ops = build_ops(msh, degree, tau_bar=1.5)
             seven = oracles.dense_seven(msh, topo, degree, tau_bar=1.5)
-            e_dense, f_dense = dense_trace_couplings(ops)
+            b, e = oracles.global_velocity_row(ops)
             ks, r = oracles.global_scalar_row(ops)
             condensed = oracles.dense_condensed(seven, 0.0)
             pairs = [
                 (oracles.jacobian_mass(ops), seven["M"]),
                 (oracles.jacobian_mass(ops, 2), seven["Mv"]),
-                (block_diag_csr(ops.divergence).toarray(), seven["B"]),
-                # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
+                (b, seven["B"]),
+                (e, seven["E"]),
+                # Ks = S + Bt Mv^-1 B, R = F + Bt Mv^-1 E and A = G + Et
+                # Mv^-1 E: S, F and G are not stored
                 (ks, condensed["Ks"]),
                 (r, condensed["R"]),
-                (e_dense, seven["E"]),
-                (f_dense, seven["F"]),
-                (block_diag_csr(ops.trace_penalty).toarray(), seven["G"]),
+                (oracles.gram_matrix(ops), condensed["A"]),
             ]
             for got, want in pairs:
                 assert got.shape == want.shape

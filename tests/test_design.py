@@ -18,10 +18,13 @@ the same name also counts. Two exemptions:
   factorization of every run.
 
 Each operator has one representation: no field of AssembledOperators or
-ElementTables is a scipy.sparse matrix. Ks and R are stored once, as the
-element blocks [Ks | R] whose columns follow ElementTables.element_rows;
-sparse matrices are summed from blocks only where a solve needs them: the
-facet matrices that are factored, and W and -Wt of an Elimination.
+ElementTables is a scipy.sparse matrix. Every array of AssembledOperators
+but the stabilization table tau is an element block, one per element, on
+the columns of ElementTables.element_rows ([B | E] and [Ks | R]) or on
+their facet part (A_K); the facet-facet BlockPattern that sums the A_K has
+one part. Sparse matrices are summed from blocks only where a solve needs
+them: the facet matrices that are factored, and W and -Wt of an
+Elimination.
 
 No range goes dead or is misspelled: every row of parameters.PARAMETERS is
 the literal name of some check_parameter call or a key of the config file,
@@ -38,6 +41,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import scipy.sparse
 
 from westervelt_hdg.config import _KEYS
@@ -162,6 +166,20 @@ def test_no_operator_field_is_a_sparse_matrix():
               for name, value in vars(obj).items()
               if scipy.sparse.issparse(value)]
     assert not sparse, f"operator fields stored as sparse matrices: {sparse}"
+
+
+def test_every_operator_array_is_an_element_block():
+    # n = 3: 18 elements and 21 interior facets
+    msh = generate_structured_mesh(3)
+    ops = assemble_operators(msh, compute_facet_topology(msh), 1)
+    lay = ops.layout
+    columns = {lay.dim_scalar + 3 * lay.dim_facet, 3 * lay.dim_facet}
+    stray = [f"{name} {value.shape}" for name, value in vars(ops).items()
+             if isinstance(value, np.ndarray) and name != "tau"
+             and not (value.shape[0] == lay.n_elements
+                      and value.shape[-1] in columns)]
+    assert not stray, f"operator arrays off the element dof map: {stray}"
+    assert len(ops.tables.facet_facet.block_shapes) == 1
 
 
 def test_every_parameter_row_is_checked():

@@ -29,11 +29,9 @@ from westervelt_hdg.operators import (
     DofLayout,
     NondegeneracyError,
     ElementTables,
-    apply_blocks,
     assemble_load,
     assemble_nonlinear_mass,
     assemble_operators,
-    element_dofs,
     nonlinear_defect,
     scatter_csr,
     tau_pattern,
@@ -45,20 +43,6 @@ def build(msh, degree, tau_bar=1.0, tau_mode="single_facet"):
     ops = assemble_operators(msh, topo, degree, tau_bar=tau_bar,
                              tau_mode=tau_mode)
     return topo, ops.layout, ops
-
-
-def dense_trace_couplings(ops):
-    """E and F as dense global matrices, scattered from their element
-    blocks through the facet dof map."""
-    lay, cols = ops.layout, oracles.facet_dofs(ops)
-    ne, d = lay.n_elements, lay.dim_scalar
-    e = scatter_csr((n_vector(lay), lay.n_facet),
-                    (element_dofs(ne, 2 * d), cols)).assemble(
-                        ops.trace_vector_local)
-    f = scatter_csr((lay.n_scalar, lay.n_facet),
-                    (element_dofs(ne, d), cols)).assemble(
-                        ops.trace_scalar_local)
-    return e.toarray(), f.toarray()
 
 
 def unit_right_triangle():
@@ -104,7 +88,7 @@ def commutativity_residual(ops, psi, v, div_v, order=30):
     """
     lay, tab = ops.layout, ops.tables
     psi_c, v_c, _ = hdg_project(psi, v, ops, quad_order=order)
-    bh_proj = apply_blocks(ops.divergence.transpose(0, 2, 1), v_c)
+    bh_proj = oracles.global_velocity_row(ops)[0].T @ v_c
     bh_exact = oracles.oracle_load(tab.mesh, lay.degree,
                                    lambda x, y, t: div_v(x, y), order=order)
     sh_proj = oracles.dense_seven(tab.mesh, tab.topo, lay.degree)["S"] @ psi_c
@@ -127,19 +111,19 @@ class TestSevenMatrices:
         topo, lay, ops = build(msh, degree, tau_bar=2.5, tau_mode=tau_mode)
         ora = oracles.dense_seven(msh, topo, degree, tau_bar=2.5,
                                   tau_mode=tau_mode)
-        e_dense, f_dense = dense_trace_couplings(ops)
+        b, e = oracles.global_velocity_row(ops)
         ks, r = oracles.global_scalar_row(ops)
         condensed = oracles.dense_condensed(ora, 0.0)
         pairs = [
             (jacobian_mass(ops), ora["M"]),
             (jacobian_mass(ops, 2), ora["Mv"]),
-            (block_diag_csr(ops.divergence).toarray(), ora["B"]),
-            # Ks = S + Bt Mv^-1 B: the boundary penalty S is not stored
+            (b, ora["B"]),
+            (e, ora["E"]),
+            # Ks = S + Bt Mv^-1 B, R = F + Bt Mv^-1 E and A = G + Et Mv^-1
+            # E: S, F and G are not stored
             (ks, condensed["Ks"]),
             (r, condensed["R"]),
-            (e_dense, ora["E"]),
-            (f_dense, ora["F"]),
-            (block_diag_csr(ops.trace_penalty).toarray(), ora["G"]),
+            (oracles.gram_matrix(ops), condensed["A"]),
         ]
         for got, want in pairs:
             assert got.shape == want.shape
@@ -152,17 +136,15 @@ class TestSevenMatrices:
         ora = oracles.dense_seven(msh, topo, degree)
         assert np.max(np.abs(jacobian_mass(ops) - ora["M"])) <= 1e-12
         assert np.max(np.abs(jacobian_mass(ops, 2) - ora["Mv"])) <= 1e-12
-        assert np.max(np.abs(block_diag_csr(ops.divergence).toarray()
-                             - ora["B"])) <= 1e-12
-        e_dense, f_dense = dense_trace_couplings(ops)
-        assert np.max(np.abs(e_dense - ora["E"])) <= 1e-12
-        assert np.max(np.abs(f_dense - ora["F"])) <= 1e-12
+        b, e = oracles.global_velocity_row(ops)
+        assert np.max(np.abs(b - ora["B"])) <= 1e-12
+        assert np.max(np.abs(e - ora["E"])) <= 1e-12
         ks, r = oracles.global_scalar_row(ops)
         condensed = oracles.dense_condensed(ora, 0.0)
         assert np.max(np.abs(ks - condensed["Ks"])) <= 1e-12
         assert np.max(np.abs(r - condensed["R"])) <= 1e-12
-        assert np.max(np.abs(block_diag_csr(ops.trace_penalty).toarray()
-                             - ora["G"])) <= 1e-12
+        assert np.max(np.abs(oracles.gram_matrix(ops)
+                             - condensed["A"])) <= 1e-12
 
     def test_tau_table_matches_oracle_selection(self):
         msh = oracles.perturbed_mesh(2, seed=11)
@@ -174,23 +156,25 @@ class TestSevenMatrices:
         msh = generate_structured_mesh(2)
         topo, lay, ops = build(msh, 2)
         e_dense = np.zeros((n_vector(lay), lay.n_facet))
-        f_dense = np.zeros((lay.n_scalar, lay.n_facet))
-        pf = lay.dim_facet
+        r_dense = np.zeros((lay.n_scalar, lay.n_facet))
+        d, pf = lay.dim_scalar, lay.dim_facet
         for t in range(lay.n_elements):
             for lf in range(3):
                 fid = topo.elem_facets[t, lf]
-                e_blk = ops.trace_vector_local[t, :, lf * pf:(lf + 1) * pf]
-                f_blk = ops.trace_scalar_local[t, :, lf * pf:(lf + 1) * pf]
+                cols = slice(d + lf * pf, d + (lf + 1) * pf)
+                e_blk = ops.velocity_row[t, :, cols]
+                r_blk = ops.scalar_row[t, :, cols]
                 if not topo.is_interior[fid]:
                     assert np.max(np.abs(e_blk)) == 0.0
-                    assert np.max(np.abs(f_blk)) == 0.0
+                    assert np.max(np.abs(r_blk)) == 0.0
                     continue
                 cols = facet_slice(lay, topo.interior_index[fid])
                 e_dense[vector_slice(lay, t), cols] += e_blk
-                f_dense[scalar_slice(lay, t), cols] += f_blk
-        e_scat, f_scat = dense_trace_couplings(ops)
+                r_dense[scalar_slice(lay, t), cols] += r_blk
+        e_scat = oracles.global_velocity_row(ops)[1]
+        r_scat = oracles.global_scalar_row(ops)[1]
         assert np.max(np.abs(e_dense - e_scat)) == 0.0
-        assert np.max(np.abs(f_dense - f_scat)) == 0.0
+        assert np.max(np.abs(r_dense - r_scat)) == 0.0
 
 
 class TestElementRows:
@@ -262,7 +246,7 @@ class TestMatrixStructure:
         psi_c = oracles.l2_project_scalar(msh, 1, lambda x, y: np.ones_like(x))
         v_c = oracles.l2_project_vector(
             msh, 1, lambda x, y: (x, np.zeros_like(x)))
-        val = v_c @ apply_blocks(ops.divergence, psi_c)
+        val = v_c @ (oracles.global_velocity_row(ops)[0] @ psi_c)
         assert abs(val - 0.5) <= 1e-14
 
     def test_divergence_form_value_quadratic_field(self):
@@ -272,26 +256,24 @@ class TestMatrixStructure:
         psi_c = oracles.l2_project_scalar(msh, 2, lambda x, y: x)
         v_c = oracles.l2_project_vector(
             msh, 2, lambda x, y: (x * x, np.zeros_like(x)))
-        val = v_c @ apply_blocks(ops.divergence, psi_c)
+        val = v_c @ (oracles.global_velocity_row(ops)[0] @ psi_c)
         assert abs(val - 2.0 * oracles.monomial_moment(2, 0)) <= 1e-14
 
     def test_penalty_scales_linearly_in_tau_bar(self):
         msh = generate_structured_mesh(2)
         topo, lay, ops1 = build(msh, 1, tau_bar=1.0)
         topo, lay, ops2 = build(msh, 1, tau_bar=3.5)
-        # the boundary penalty S = Ks - Bt Mv^-1 B
-        bt_b = (ops1.divergence.transpose(0, 2, 1) @ ops1.divergence
-                / ops1.tables.detj[:, None, None])
-        ks1, ks2 = (oracles.stiffness_blocks(ops) for ops in (ops1, ops2))
-        assert np.max(np.abs((ks2 - bt_b) - 3.5 * (ks1 - bt_b))) <= 1e-13
-        e1, f1 = dense_trace_couplings(ops1)
-        e2, f2 = dense_trace_couplings(ops2)
-        assert np.max(np.abs(f2 - 3.5 * f1)) <= 1e-13
-        assert np.max(np.abs(ops2.trace_penalty
-                             - 3.5 * ops1.trace_penalty)) <= 1e-13
         # the divergence and the vector trace do not involve tau
-        assert np.array_equal(ops1.divergence, ops2.divergence)
-        assert np.array_equal(e1, e2)
+        assert np.array_equal(ops1.velocity_row, ops2.velocity_row)
+        # [S | F] = [Ks | R] - Bt Mv^-1 [B | E], G_K = A_K - Et Mv^-1 E
+        d = lay.dim_scalar
+        row = ops1.velocity_row / np.sqrt(ops1.tables.detj)[:, None, None]
+        gram = row.transpose(0, 2, 1) @ row
+        bt_row, et_e = gram[:, :d], gram[:, d:, d:]
+        assert np.max(np.abs((ops2.scalar_row - bt_row)
+                             - 3.5 * (ops1.scalar_row - bt_row))) <= 1e-13
+        assert np.max(np.abs((ops2.facet_block - et_e)
+                             - 3.5 * (ops1.facet_block - et_e))) <= 1e-13
 
     def test_scatter_sums_duplicates_in_given_order(self):
         # (1e-17 + 1) - 1 is exactly zero in the given order, so the entry
