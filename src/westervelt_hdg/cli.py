@@ -1,7 +1,8 @@
 """Command line front end for the study recipes.
 
 Exit codes: 0 on success, 2 for configuration problems (including argparse
-usage errors and a tau whose penalty overflows), 3 when the solver fails
+usage errors and a tau whose penalty overflows or swamps the facet
+system), 3 when the solver fails
 with an operators.SolverError (the corrector does not converge,
 1 + 2k d(psi)/dt loses positivity, a facet system cannot be factored; for
 the refinement study: on every level), 4 for filesystem problems. Exit
@@ -194,7 +195,8 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):
             _COMMANDS[args.command][2](cfg, out)
     except (ConfigError, AssemblyError) as exc:
-        # an AssemblyError here is a tau whose penalty overflows
+        # an AssemblyError here is a tau whose penalty overflows or swamps
+        # the facet system
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -26,11 +26,15 @@ zero crossing of the solution the stop test turns on the change's last bit. The
 second pass starts from g_1; every later one from the depth-one Anderson
 mixing x = g_s - a (g_s - g_{s-1}) of the last two images, with a minimizing
 the residual combination |f_s - a (f_s - f_{s-1})|, f = g - x. run() starts
-the second step from the extrapolated acceleration 2 ddPsi_n - ddPsi_{n-1} and
-every later one from the quadratic extrapolation
-3 (ddPsi_n - ddPsi_{n-1}) + ddPsi_{n-2}. The accepted accelerations give the
-new state through the Newmark update corrected_state, so a run can be
-replayed from its accelerations and its NewmarkConfig alone
+each step from an extrapolation of the accepted accelerations a_n = ddPsi_n
+(ExtrapolatedStart): of order m = 0..5, a_n + nabla a_n + ... + nabla^m a_n
+in backward differences. The first three steps take the orders 0, 1 and 2
+(a_0, 2 a_n - a_{n-1}, 3 (a_n - a_{n-1}) + a_{n-2}); every later one the
+order whose past starts lay closest to the accelerations then accepted, in an
+exponential average of the Euclidean distances (weight 0.99 on the past).
+With k = 0 the start does not matter, and run forms none. The accepted
+accelerations give the new state through the Newmark update corrected_state,
+so a run can be replayed from its accelerations and its NewmarkConfig alone
 (analysis.History).
 
 The load of a forcing with terms ((g_i, f_i), ...), f = sum_i g_i(t)
@@ -497,6 +501,75 @@ class Discretization:
         return copy.deepcopy(self._initial[1])
 
 
+# the orders of the corrector's starts, constant up to quintic, and the
+# weight of an order's score on its previous value
+START_ORDERS = 6
+SCORE_DECAY = 0.99
+
+
+class ExtrapolatedStart:
+    """The corrector's starts: extrapolations of the accepted accelerations.
+
+    The order-m start is a_n + nabla a_n + ... + nabla^m a_n, m = 0..5, from
+    the backward differences of the accelerations accepted so far, a_0
+    first. Accepting a_{n+1} differences it into the table in place; its
+    new nabla^{m+1} a_{n+1} is the error of the order-m start, and each
+    order's score is the exponential average, weight SCORE_DECAY on the old
+    score, of the norms of its errors, from its first error on. The first
+    three starts have the orders 0, 1 and 2 (a_0, the linear and the
+    quadratic extrapolation); every later one the lowest-scored order.
+
+    nabla^0..nabla^5 are the rows base, base + 1, ... (mod 7) of one
+    (7, n) array, held as a list of row views. Accepting writes a_{n+1} to
+    the row before base, makes it the new base and replaces each later row
+    by its difference from the row before; the last becomes nabla^6, the
+    quintic's error. No other row is copied.
+    """
+
+    def __init__(self, a0: np.ndarray):
+        self._rows = list(np.zeros((START_ORDERS + 1, a0.size)))
+        self._rows[0][:] = a0
+        self._base = 0
+        self.scores = [math.inf] * START_ORDERS  # inf: not scored yet
+        self.accepted = 0  # accelerations accepted after a_0
+
+    def _row(self, j: int) -> np.ndarray:
+        """The row of nabla^j a_n, j = 0..6 (nabla^6 after an accept)."""
+        return self._rows[(self._base + j) % len(self._rows)]
+
+    def order(self) -> int:
+        """The order of the next start."""
+        if self.accepted < 3:
+            return self.accepted
+        return min(range(START_ORDERS), key=self.scores.__getitem__)
+
+    def extrapolate(self, order: int) -> np.ndarray:
+        """The start of the given order, its terms added from nabla^0 up."""
+        start = self._row(0).copy()
+        for j in range(1, order + 1):
+            start += self._row(j)
+        return start
+
+    def accept(self, a: np.ndarray) -> None:
+        """Difference the accepted acceleration a into the table and score
+        every order whose error it determines; rows that a_0 and the
+        accepted accelerations do not determine yet are left alone."""
+        self.accepted += 1
+        self._base = (self._base - 1) % len(self._rows)
+        prev = self._row(0)
+        prev[:] = a
+        for j in range(1, min(self.accepted, START_ORDERS) + 1):
+            # nabla^j a_{n+1} = nabla^{j-1} a_{n+1} - nabla^{j-1} a_n, the
+            # error of the order j - 1 start
+            row = self._row(j)
+            np.subtract(prev, row, out=row)
+            error, old = math.sqrt(row.dot(row)), self.scores[j - 1]
+            self.scores[j - 1] = (
+                error if old == math.inf
+                else SCORE_DECAY * old + (1.0 - SCORE_DECAY) * error)
+            prev = row
+
+
 def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
         observe: Callable[[State], None] | None = None) -> RunResult:
     """Initialize and march the scheme to the final time on disc, building
@@ -516,19 +589,14 @@ def run(prob: ProblemDefinition, disc: Discretization, cfg: NewmarkConfig,
     result = RunResult(state=state, ops=ops, cond=cond)
     if observe is not None:
         observe(state)
-    history = []  # accelerations one and two steps back
+    # with k = 0 the corrector's image does not depend on its start
+    starts = ExtrapolatedStart(state.ddpsi) if prob.k != 0.0 else None
     for step in range(n_steps):
-        if not history:
-            start = None
-        elif len(history) == 1:
-            start = 2.0 * state.ddpsi - history[0]
-        else:
-            start = state.ddpsi - history[0]
-            start *= 3.0
-            start += history[1]
-        history = [state.ddpsi] + history[:1]
+        start = None if starts is None else starts.extrapolate(starts.order())
         state, iters = advance_step(state, cfg, prob, ops, cond, load,
                                     step_index=step, start=start)
+        if starts is not None:
+            starts.accept(state.ddpsi)
         result.iterations.append(iters)
         if observe is not None:
             observe(state)

@@ -55,7 +55,7 @@ from .basis import (
 )
 from .mesh import (LOCAL_FACETS, FacetTopology, Mesh, element_geometry,
                    quadrature_points)
-from .parameters import check_parameter
+from .parameters import MAX_PENALTY_RATIO, check_parameter
 
 
 class AssemblyError(Exception):
@@ -335,8 +335,10 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
                        tau_mode: str = "single_facet") -> AssembledOperators:
     """Assemble all static matrices of the scheme at degree on mesh, whose
     facet topology is topo. Raises AssemblyError for a degree, tau_bar or
-    tau_mode out of range, and for a tau_bar so large that the condensed
-    stiffness Ks or coupling R is not finite."""
+    tau_mode out of range, for a tau_bar so large that the condensed
+    stiffness Ks or coupling R is not finite, and for one whose facet
+    penalty G_K exceeds the rest of A_K, largest entry against largest
+    entry, by more than parameters.MAX_PENALTY_RATIO."""
     check_parameter("degree", degree, AssemblyError)
     layout = DofLayout(degree, mesh.n_triangles, topo.n_interior)
     tab = ElementTables(mesh, topo, layout)
@@ -379,8 +381,12 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     facet_block = et_minv @ trace_vector_local
     by_facet = facet_block.reshape(ne, 3, pf, 3, pf)  # a view
     mu_mass = tab.mu.T @ (wf[:, None] * tab.mu)
+    side_penalty = tau_in * length
+    # the largest entries of G_K and of the rest of A_K
+    penalty = np.max(side_penalty) * np.max(np.abs(mu_mass))
+    coupling = max(facet_block.max(), -facet_block.min())
     for lf in range(3):
-        by_facet[:, lf, :, lf] += (tau_in * length)[:, lf, None, None] * mu_mass
+        by_facet[:, lf, :, lf] += side_penalty[:, lf, None, None] * mu_mass
     stiffness = boundary_penalty + np.matmul(bt_minv, divergence)
     scalar_row = np.concatenate(
         [0.5 * (stiffness + stiffness.transpose(0, 2, 1)),
@@ -388,6 +394,11 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     if not np.isfinite(scalar_row).all():
         raise AssemblyError(f"tau = {tau_bar} overflows the condensed "
                             f"stiffness or coupling at degree {degree}")
+    if penalty > MAX_PENALTY_RATIO * coupling:
+        raise AssemblyError(
+            f"tau = {tau_bar} makes the facet penalty {penalty / coupling:.3g} "
+            f"times the rest of A_K at degree {degree}, above "
+            f"{MAX_PENALTY_RATIO:g}")
     return AssembledOperators(
         layout=layout,
         tables=tab,

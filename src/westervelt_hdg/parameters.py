@@ -24,6 +24,12 @@ MAX_STEPS = 10**7
 # vertex and triangle arrays of a structured mesh
 MAX_LEVEL_BYTES = 2**39
 
+# the most the facet penalty G_K may exceed the rest of A_K, Et E / |det J|
+# (largest entries): A_K then keeps that part to about 2e-4 relative. Beyond
+# it the errors of a run drift on rounding (from tau = 1e13 on a p = 0,
+# n = 2 study, penalty ratio 1.8e12) and then its facet factors turn singular
+MAX_PENALTY_RATIO = 1.0e12
+
 # the most points of the wavefront profile, a few arrays of that many floats
 MAX_PROFILE_SAMPLES = 10**6
 

@@ -984,25 +984,46 @@ def expression_advance(state: State, cfg: NewmarkConfig,
 
 def plain_run(prob: ProblemDefinition, disc: Discretization,
               cfg: NewmarkConfig, advance=plain_advance,
-              ) -> tuple[State, list[int]]:
+              orders: list | None = None) -> tuple[State, list[int]]:
     """newmark.run with the steps of advance (plain_advance or
-    expression_advance) and the same starts (a_0, then 2 a_n - a_{n-1},
-    then 3 (a_n - a_{n-1}) + a_{n-2}); returns the final state and the
-    passes of every step. Only the operators of disc are used; everything
-    else is built here."""
+    expression_advance) and the same starts; returns the final state and the
+    passes of every step, and appends the order of every start to orders
+    when given. Only the operators of disc are used; everything else is
+    built here.
+
+    The starts restate newmark.ExtrapolatedStart as whole-array expressions
+    of the backward differences D[j] = nabla^j a_n, j = 0..5: the order-m
+    start is D[0] + ... + D[m]; accepting a_{n+1} gives the differences
+    a_{n+1}, a_{n+1} - D[0], ... of which the (m+1)-th is the error of the
+    order-m start, scored by an exponential average with weight 0.99 on the
+    old score. Steps 0, 1 and 2 start from the orders 0, 1 and 2, every later
+    one from the lowest score; with k = 0 no start is formed."""
     ops = disc.ops
     cond = build_condensed(ops, prob.c, prob.delta, cfg.dt, cfg.gamma,
                            cfg.beta)
     state = compute_initial_state(prob, ops)
     compute_initial_acceleration(state, prob, ops)
-    back, passes = [], []  # accelerations one and two steps back
+    table = np.zeros((6, state.ddpsi.size))
+    table[0] = state.ddpsi
+    scores = np.full(6, np.inf)
+    passes = []
     for step in range(number_of_steps(prob.final_time, cfg.dt)):
-        if len(back) == 2:
-            start = 3.0 * (state.ddpsi - back[0]) + back[1]
-        else:
-            start = 2.0 * state.ddpsi - back[0] if back else None
-        back = [state.ddpsi] + back[:1]
+        start = None
+        if prob.k != 0.0:
+            order = step if step < 3 else int(np.argmin(scores))
+            start = sum(table[1:order + 1], table[0])
+            if orders is not None:
+                orders.append(order)
         state, iters = advance(state, cfg, prob, ops, cond,
                                step_index=step, start=start)
         passes.append(iters)
+        new = [state.ddpsi]
+        for row in table:
+            new.append(new[-1] - row)
+        errors = np.array([np.linalg.norm(d) for d in new[1:]])
+        table = np.array(new[:6])
+        scored = slice(0, min(step + 1, 6))
+        scores[scored] = np.where(
+            np.isinf(scores[scored]), errors[scored],
+            0.99 * scores[scored] + (1.0 - 0.99) * errors[scored])
     return state, passes

@@ -1085,8 +1085,9 @@ class TestCli:
         ("h-convergence", "c", 1.0e-300, 0, 2),
         ("h-convergence", "dt", 1.0e300, 0, 2),
         ("h-convergence", "tau", 1.0e-320, 0, 3),
-        ("h-convergence", "tau", 1.0e200, 2, 3),
-        ("h-convergence", "tau", 1.0e150, 1, 3),
+        # the facet penalty swamps the rest of A_K
+        ("h-convergence", "tau", 1.0e200, 2, 2),
+        ("h-convergence", "tau", 1.0e150, 1, 2),
         # the boundary penalty overflows the condensed stiffness
         ("h-convergence", "tau", 1.0e308, 1, 2),
         ("wavefront", "final_time", 1.0e-320, 0, 2),
@@ -1193,6 +1194,40 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tau", [1.0e16, 1.0e60, 1.0e300])
+    def test_tau_whose_penalty_swamps_the_facet_block_exits_2(
+            self, tmp_path, capsys, tau):
+        # on this study the facet penalty is 0.177 tau times the rest of
+        # A_K; above MAX_PENALTY_RATIO its error drifts on rounding
+        # (2.88e-3 at 1e16, 2.13e-3 at 1e60 and 1e300, where tau <= 1e12
+        # gives 1.3109e-3) or its facet factor is singular
+        text = TINY_H.replace("levels = 2", f"levels = 2\ntau = {tau!r}")
+        out = tmp_path / "out"
+        assert main(["h-convergence", "--config",
+                     str(self.write(tmp_path, "tau.ini", text)),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: tau = {tau} makes the "
+                              f"facet penalty ")
+        assert err.endswith(" above 1e+12\n") and err.count("\n") == 1
+        assert not (out / "h_convergence_p0.csv").exists()
+
+    def test_tau_below_the_penalty_ratio_runs(self, tmp_path):
+        # tau = 1e12 keeps the penalty 1.8e11 times the rest of A_K, and
+        # the error of tau = 1e8 to 1e-6
+        errors = []
+        for tau in (1.0e8, 1.0e12):
+            text = TINY_H.replace("levels = 2", f"levels = 2\ntau = {tau!r}")
+            out = tmp_path / f"out{tau:g}"
+            assert main(["h-convergence", "--config",
+                         str(self.write(tmp_path, "tau.ini", text)),
+                         "--out", str(out)]) == 0
+            row = (out / "h_convergence_p0.csv").read_text(
+                encoding="utf-8").splitlines()[1]
+            errors.append(float(row.split(",")[2]))
+        assert errors[1] == pytest.approx(errors[0], rel=1e-6)
+        assert errors[1] == pytest.approx(1.3109e-3, rel=1e-4)
 
     def test_failing_level_yields_annotated_partial_table(self, tmp_path,
                                                           monkeypatch):

@@ -527,10 +527,11 @@ class TestDriver:
             np.mean(result.iterations))
 
     def test_extrapolated_start_saves_passes(self):
-        # run() starts the second step from 2 a_n - a_{n-1} and every later
-        # one from 3 (a_n - a_{n-1}) + a_{n-2}; a chain of advance_step
-        # calls starts each step from a_n and must reach the same solution,
-        # to the corrector tolerance, in more passes
+        # run() starts the second and third steps from the linear and the
+        # quadratic extrapolation and every later one from the
+        # extrapolation that has lately predicted best (ExtrapolatedStart);
+        # a chain of advance_step calls starts each step from a_n and must
+        # reach the same solution, to the corrector tolerance, in more passes
         msh = generate_structured_mesh(4)
         prob = manufactured_problem(c=1.0, k=0.3, delta=1.0e-3,
                                     omega=2.0 * np.pi, final_time=0.2)
@@ -599,6 +600,61 @@ class TestDriver:
         for name in ("psi", "dpsi", "ddpsi", "lam", "dlam", "ddlam"):
             assert np.array_equal(getattr(result.state, name),
                                   getattr(want, name)), name
+
+    def test_run_starts_from_the_oracle_orders_bit_for_bit(self,
+                                                           monkeypatch):
+        # at p = 0 the scores pick the linear start again at step 3, then
+        # the cubic and the quartic: the in-place difference table of
+        # ExtrapolatedStart must start every step as oracles.plain_run's
+        # whole-array table does, to the last bit
+        picked = []
+        extrapolate = newmark.ExtrapolatedStart.extrapolate
+
+        def spy(self, order):
+            picked.append(order)
+            return extrapolate(self, order)
+
+        monkeypatch.setattr(newmark.ExtrapolatedStart, "extrapolate", spy)
+        msh = generate_structured_mesh(4)
+        prob = manufactured_problem(c=1.0, k=0.3, delta=1.0e-3,
+                                    omega=2.0 * np.pi, final_time=0.1)
+        cfg = NewmarkConfig(dt=5.0e-3)
+        result = run(prob, Discretization(msh, 0), cfg)
+        orders = []
+        want, passes = oracles.plain_run(
+            prob, Discretization(msh, 0), cfg,
+            advance=oracles.expression_advance, orders=orders)
+        assert picked == orders
+        assert orders[:4] == [0, 1, 2, 1]
+        assert set(orders) == {0, 1, 2, 3, 4}
+        assert result.iterations == passes
+        for name in ("psi", "dpsi", "ddpsi", "lam", "dlam", "ddlam"):
+            assert np.array_equal(getattr(result.state, name),
+                                  getattr(want, name)), name
+
+    def test_linear_run_forms_no_start(self, monkeypatch):
+        # with k = 0 the corrector's image does not depend on its start, so
+        # run builds no ExtrapolatedStart; with k != 0 it builds one and
+        # extrapolates once per step
+        made, extrapolated = [], []
+
+        class Spy(newmark.ExtrapolatedStart):
+            def __init__(self, a0):
+                made.append(1)
+                super().__init__(a0)
+
+            def extrapolate(self, order):
+                extrapolated.append(order)
+                return super().extrapolate(order)
+
+        monkeypatch.setattr(newmark, "ExtrapolatedStart", Spy)
+        msh = generate_structured_mesh(4)
+        for k, want in ((0.0, 0), (0.3, 1)):
+            prob = manufactured_problem(c=1.0, k=k, delta=1.0e-3,
+                                        omega=2.0 * np.pi, final_time=0.05)
+            result = run(prob, Discretization(msh, 1), NewmarkConfig(dt=0.01))
+            assert len(made) == want
+            assert len(extrapolated) == want * len(result.iterations)
 
     def test_contraction_monitor_stops_a_growing_change(self):
         # single-facet stabilization at tau = 1 and p = 0 drives the delta
@@ -709,6 +765,76 @@ class TestDriver:
         prob = ProblemDefinition(c=1.0, final_time=0.02)
         result = run(prob, Discretization(msh, 0), NewmarkConfig(dt=0.01))
         assert len(result.iterations) == 2
+
+
+class TestExtrapolatedStart:
+    @staticmethod
+    def accepted(values):
+        """An ExtrapolatedStart that has accepted values[1:] after
+        values[0]."""
+        starts = newmark.ExtrapolatedStart(values[0])
+        for a in values[1:]:
+            starts.accept(a)
+        return starts
+
+    @pytest.mark.parametrize("order", range(newmark.START_ORDERS))
+    def test_order_m_start_is_exact_on_degree_m_sequences(self, order):
+        rng = np.random.default_rng(10 + order)
+        coeffs = rng.standard_normal((order + 1, 40))
+        seq = [sum(c * n ** i for i, c in enumerate(coeffs))
+               for n in range(10)]
+        starts = self.accepted(seq[:9])
+        want = seq[9]
+        got = starts.extrapolate(order)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if order > 0:
+            # one order less misses the leading term
+            lower = starts.extrapolate(order - 1)
+            assert np.max(np.abs(lower - want)) > 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("accepted", [1, 2, 5, 6, 7, 12])
+    def test_starts_match_the_binomial_form(self, accepted):
+        # a_n + nabla a_n + ... + nabla^m a_n
+        #   = sum_j (-1)^j C(m + 1, j + 1) a_{n-j}, j = 0..m
+        rng = np.random.default_rng(accepted)
+        seq = list(rng.standard_normal((accepted + 1, 30)))
+        starts = self.accepted(seq)
+        scale = max(np.max(np.abs(a)) for a in seq)
+        for m in range(min(accepted, newmark.START_ORDERS - 1) + 1):
+            want = sum((-1) ** j * math.comb(m + 1, j + 1) * seq[-1 - j]
+                       for j in range(m + 1))
+            assert np.max(np.abs(starts.extrapolate(m) - want)) <= (
+                1e-13 * 2 ** m * scale), m
+
+    def test_scores_average_the_start_errors(self):
+        # each order is scored from the step whose acceleration first
+        # determines its error, by the norm of that error and then an
+        # exponential average; the first three starts have orders 0, 1, 2
+        # and every later one the lowest score
+        rng = np.random.default_rng(7)
+        n = np.arange(30)[:, None]
+        seq = (np.sin(0.3 * n + rng.uniform(0, 6, 20))
+               + 1e-3 * rng.standard_normal((30, 20)))
+        starts = newmark.ExtrapolatedStart(seq[0])
+        want = [math.inf] * newmark.START_ORDERS
+        for step, a in enumerate(seq[1:]):
+            assert starts.order() == (
+                step if step < 3 else int(np.argmin(want)))
+            errors = [np.linalg.norm(a - starts.extrapolate(m))
+                      for m in range(newmark.START_ORDERS)]
+            starts.accept(a)
+            for m in range(min(step + 1, newmark.START_ORDERS)):
+                want[m] = errors[m] if want[m] == math.inf else (
+                    newmark.SCORE_DECAY * want[m]
+                    + (1.0 - newmark.SCORE_DECAY) * errors[m])
+            assert starts.scores == pytest.approx(want, rel=1e-12)
+
+    def test_accept_does_not_keep_the_accepted_array(self):
+        seq = list(np.random.default_rng(3).standard_normal((4, 10)))
+        starts = self.accepted(seq)
+        start = starts.extrapolate(3)
+        seq[-1][:] = 0.0
+        assert np.array_equal(starts.extrapolate(3), start)
 
 
 class TestValidation:

@@ -5,6 +5,8 @@ constructions in oracles.py, which build the same objects from symbolic
 basis functions and an independent quadrature.
 """
 
+import re
+
 import numpy as np
 import numpy.polynomial.polynomial as npoly
 import pytest
@@ -351,11 +353,24 @@ class TestMatrixStructure:
     def test_overflowing_penalty_refused(self, tau_mode):
         msh = generate_structured_mesh(2)
         topo = compute_facet_topology(msh)
-        ops = assemble_operators(msh, topo, 1, 1.0e300, tau_mode)
-        assert np.isfinite(ops.scalar_row).all()
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 AssemblyError, match=r"^tau = 1e\+308 overflows"):
             assemble_operators(msh, topo, 1, 1.0e308, tau_mode)
+
+    @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
+    def test_penalty_that_swamps_the_facet_block_refused(self, tau_mode):
+        # at p = 1 on the n = 2 mesh the largest penalty entry of A_K is
+        # 0.0589 tau times the largest entry of Et E / |det J|
+        msh = generate_structured_mesh(2)
+        topo = compute_facet_topology(msh)
+        ops = assemble_operators(msh, topo, 1, 1.0e13, tau_mode)
+        assert np.isfinite(ops.scalar_row).all()
+        for tau in (1.0e16, 1.0e60, 1.0e300):
+            with pytest.raises(AssemblyError, match=(
+                    rf"^tau = {re.escape(str(tau))} makes the facet penalty "
+                    rf"[0-9.]+e\+[0-9]+ times the rest of A_K at degree 1, "
+                    rf"above 1e\+12$")):
+                assemble_operators(msh, topo, 1, tau, tau_mode)
 
 
 class TestNonlinearMass:
