@@ -72,12 +72,13 @@ def _eliminate(ops: AssembledOperators, block_inv: np.ndarray, mu: float,
 def build_condensed(ops: AssembledOperators, c: float, delta: float,
                     dt: float, gamma: float, beta: float) -> Elimination:
     """The corrector's elimination, D = M + mu Ks with mu = step_mu(c,
-    delta, dt, gamma, beta)."""
+    delta, dt, gamma, beta); refuses a mu that is not finite."""
     for name, value in (("c", c), ("delta", delta), ("dt", dt),
                         ("gamma", gamma), ("beta", beta)):
         check_parameter(name, value, CondensationError)
     check_parameter("c^2", c * c, CondensationError)
     mu = step_mu(c, delta, dt, gamma, beta)
+    check_parameter("mu", mu, CondensationError)
     d = ops.layout.dim_scalar
     try:
         shifted_inv = np.linalg.inv(ops.tables.detj[:, None, None] * np.eye(d)

@@ -7,6 +7,7 @@ import io
 import math
 from dataclasses import dataclass, replace
 
+from .condensation import step_mu
 from .newmark import number_of_steps
 from .parameters import MAX_STEPS, PARAMETERS, check_level, check_parameter
 
@@ -105,8 +106,9 @@ class RunConfig:
         that do not strictly increase for the h-convergence study, a step
         that does not divide final_time into at most MAX_STEPS steps and,
         without dt, a level on which the h-rule of study (default: the study
-        of kind; see level_steps) asks for more than MAX_STEPS steps; then a
-        level of study that check_level refuses, with every state of the run
+        of kind; see level_steps) asks for more than MAX_STEPS steps; a step
+        whose weight mu (condensation.step_mu) is not finite; then a level
+        of study that check_level refuses, with every state of the run
         for study "run"; and for the wavefront study a snapshot time that is
         not a whole number of steps of its level's dt (see number_of_steps)
         or is the same step as another."""
@@ -137,6 +139,8 @@ class RunConfig:
                 steps = number_of_steps(self.final_time, dt)
             except ValueError as err:
                 raise ConfigError(str(err)) from err
+            check_parameter("mu", step_mu(self.c, self.delta, dt, self.gamma,
+                                          self.beta), ConfigError)
             # the run study stores every state for its energies
             check_level(n, self.degree, self.tau_mode,
                         steps + 1 if study == "run" else 0, ConfigError)

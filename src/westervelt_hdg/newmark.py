@@ -190,15 +190,12 @@ def corrected_state(pred: Prediction, ddpsi: np.ndarray, ddlam: np.ndarray,
 
 
 def consistent_traces(ops: AssembledOperators, psi: np.ndarray) -> np.ndarray:
-    """The facet values lam of the trace constraint A lam = -Rt psi, each
-    entry of Rt psi summed from the blocks of R in scalar dof order."""
-    d = ops.layout.dim_scalar
-    terms = ops.scalar_row[:, :, d:] * psi.reshape(-1, d, 1)
-    # boundary columns fall in the last bin, which is dropped
-    cols = ops.tables.element_rows[:, None, d:] - ops.layout.n_scalar
-    return ops.gram_solver.solve(-np.bincount(
-        np.broadcast_to(cols, terms.shape).ravel(), terms.ravel(),
-        minlength=ops.layout.n_facet + 1)[:-1])
+    """The facet values lam of the trace constraint A lam = -Rt psi, with R
+    gathered from its element blocks through the scalar-facet pattern; each
+    entry of Rt psi is summed in scalar dof order."""
+    r_loc = ops.scalar_row[:, :, ops.layout.dim_scalar:]
+    return ops.gram_solver.solve(
+        -(ops.tables.scalar_facet.assemble(r_loc).T @ psi))
 
 
 def compute_initial_state(prob: ProblemDefinition,
@@ -238,7 +235,13 @@ def compute_initial_acceleration(state: State, prob: ProblemDefinition,
             else assemble_load(prob.forcing, state.t, ops.tables))
     rhs = stiffness_load(state.psi, state.dpsi, state.lam, state.dlam, load,
                          prob, ops)
-    nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
+    try:
+        nmass = assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
+    except NondegeneracyError as err:
+        raise NondegeneracyError(
+            f"initial acceleration (t = {state.t:g}): {err}",
+            elements=err.elements,
+        ) from err
     state.ddpsi = np.linalg.solve(
         nmass, rhs.reshape(lay.n_elements, lay.dim_scalar, 1)).reshape(-1)
     state.ddlam = consistent_traces(ops, state.ddpsi)
@@ -413,16 +416,24 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     return corrected_state(pred, ddpsi, ddlam, cfg), iterations
 
 
-def _nonfinite_error(change: float, ddpsi: np.ndarray,
-                     ops: AssembledOperators, step_index: int,
-                     iteration: int) -> NonconvergenceError:
+def _nonfinite_error(change: float, g: np.ndarray, ops: AssembledOperators,
+                     step_index: int, iteration: int) -> NonconvergenceError:
+    """The report of a corrector change that is not finite: it names the
+    elements of the image g with non-finite accelerations or, when g is
+    finite and the change's norm overflowed, those holding its largest
+    |acceleration|."""
     lay = ops.layout
-    bad = np.flatnonzero(~np.isfinite(
-        ddpsi.reshape(lay.n_elements, lay.dim_scalar)).all(axis=1))
+    blocks = g.reshape(lay.n_elements, lay.dim_scalar)
+    bad = np.flatnonzero(~np.isfinite(blocks).all(axis=1))
+    where = f"non-finite accelerations on elements {bad[:8].tolist()}"
+    if not bad.size:
+        peak = np.abs(blocks).max(axis=1)
+        bad = np.flatnonzero(peak == peak.max())
+        where = (f"the change's norm overflowed; largest |acceleration| "
+                 f"{peak.max():.3g} on elements {bad[:8].tolist()}")
     return NonconvergenceError(
         f"corrector change {change} is not finite at step {step_index}, "
-        f"corrector iteration {iteration}; non-finite accelerations on "
-        f"elements {bad[:8].tolist()}",
+        f"corrector iteration {iteration}; {where}",
         step=step_index, iterations=iteration, last_change=change,
         elements=bad,
     )

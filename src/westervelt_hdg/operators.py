@@ -24,18 +24,20 @@ its own diagonal block, so that the facet Gram matrix is A = sum_K A_K
 
 The facet columns of E, F, R and A_K run over the element's three local
 facets, pf modes each; they are zero on boundary facets and, for F and G_K,
-on unstabilized sides. ElementTables.element_rows maps the columns of
-velocity_row and scalar_row, the element's scalar dofs and then these, into
-[psi; lam; 0]. Vector dofs are stored per element as [x-component coeffs,
-y-component coeffs]. Facet dofs exist on interior facets only; homogeneous
-Dirichlet traces are hard zeros.
+on unstabilized sides. ElementTables.element_rows, the one facet dof map,
+maps the columns of velocity_row and scalar_row, the element's scalar dofs
+and then these, into [psi; lam; 0]: boundary facets map to the trailing
+zero, one past the last facet dof. Vector dofs are stored per element as
+[x-component coeffs, y-component coeffs]. Facet dofs exist on interior
+facets only; homogeneous Dirichlet traces are hard zeros.
 
 Every sparse facet matrix is summed from element blocks through one of the
-two BlockPatterns of ElementTables, sorted once by scatter_csr:
-scalar_facet (scalar dof x facet dof: every W) and facet_facet (facet dof x
-facet dof: A and every facet Schur complement). An assembly is then one
-gather, with the terms of every entry added in element order and
-exactly-zero sums dropped.
+two BlockPatterns of ElementTables, sorted once by scatter_csr on the facet
+part of that map: scalar_facet (scalar dof x facet dof: every W, and R for
+the Rt psi of the initial traces) and facet_facet (facet dof x facet dof: A
+and every facet Schur complement). Both drop the boundary facets, whose
+index lies on the bound. An assembly is then one gather, with the terms of
+every entry added in element order and exactly-zero sums dropped.
 """
 
 from __future__ import annotations
@@ -148,24 +150,23 @@ class ElementTables:
         # picks each element's own (local facet, orientation) entry from the
         # leading axes of trace and of tables built from it
         self.sides = (np.arange(3)[None, :], topo.elem_facet_forward.astype(int))
-        # global facet dof of every (element, local facet, facet mode),
-        # flattened to (ne, 3 pf); -1 on boundary facets
-        pf = layout.dim_facet
-        ifac = topo.interior_index[topo.elem_facets]
-        facet_dofs = np.where(ifac[:, :, None] >= 0,
-                              ifac[:, :, None] * pf + np.arange(pf),
-                              -1).reshape(-1, 3 * pf)
+        # the facet dof map: the global facet dof of every (element, local
+        # facet, facet mode), flattened to (ne, 3 pf); n_facet, one past the
+        # last, on boundary facets
+        pf, nf = layout.dim_facet, layout.n_facet
+        ifac = topo.interior_index[topo.elem_facets][:, :, None]
+        facet = np.where(ifac >= 0, ifac * pf + np.arange(pf),
+                         nf).reshape(-1, 3 * pf)
         # each element's entries of [psi; lam; 0]: its scalar dofs, then its
         # facet dofs, boundary facets on the trailing zero
         scalar = element_dofs(layout.n_elements, layout.dim_scalar)
-        self.element_rows = np.concatenate([scalar, layout.n_scalar + np.where(
-            facet_dofs >= 0, facet_dofs, layout.n_facet)], axis=1)
+        self.element_rows = np.concatenate([scalar, layout.n_scalar + facet],
+                                           axis=1)
         # the patterns of every facet matrix, sorted once: element blocks on
-        # (scalar dof, facet dof) and on (facet dof, facet dof)
-        self.scalar_facet = scatter_csr((layout.n_scalar, layout.n_facet),
-                                        (scalar, facet_dofs))
-        self.facet_facet = scatter_csr((layout.n_facet, layout.n_facet),
-                                       (facet_dofs, facet_dofs))
+        # (scalar dof, facet dof) and on (facet dof, facet dof); both drop
+        # the boundary facets, which lie on the bound nf
+        self.scalar_facet = scatter_csr((layout.n_scalar, nf), scalar, facet)
+        self.facet_facet = scatter_csr((nf, nf), facet, facet)
 
     def physical_gradients(self, gref: np.ndarray) -> np.ndarray:
         """Gradients (ne, nq, dim, 2) in every element of the basis whose
@@ -235,23 +236,22 @@ class BlockPattern:
     entry shares indices and indptr with it."""
 
     shape: tuple[int, int]
-    block_shapes: tuple[tuple[int, ...], ...]
-    # position in the blocks, flattened one after the other, of the first
-    # term of every entry, and (entries, positions) of the second, third...
+    block_shape: tuple[int, int, int]
+    # position in the flattened blocks of the first term of every entry,
+    # and (entries, positions) of the second, third...
     first: np.ndarray
     later: tuple[tuple[np.ndarray, np.ndarray], ...]
     indices: np.ndarray  # column of every entry, in row-major order
     indptr: np.ndarray
 
-    def assemble(self, *blocks: np.ndarray) -> sp.csr_matrix:
-        """The sum of blocks, one per part of the pattern: the terms of each
-        entry are added left to right, like an element-by-element
-        accumulation, and sums that vanish are not stored."""
-        if tuple(b.shape for b in blocks) != self.block_shapes:
-            raise AssemblyError(
-                f"blocks of shapes {[b.shape for b in blocks]} do not fit a "
-                f"pattern of {list(self.block_shapes)}")
-        flat = np.concatenate([b.ravel() for b in blocks])
+    def assemble(self, blocks: np.ndarray) -> sp.csr_matrix:
+        """The sum of blocks: the terms of each entry are added in block
+        order, like an element-by-element accumulation, and sums that
+        vanish are not stored."""
+        if blocks.shape != self.block_shape:
+            raise AssemblyError(f"blocks of shape {blocks.shape} do not fit "
+                                f"a pattern of {self.block_shape}")
+        flat = blocks.ravel()
         # take and put: fancy indexing would convert the int32 indices on
         # every call
         data = flat.take(self.first)
@@ -271,20 +271,14 @@ class BlockPattern:
                              shape=self.shape)
 
 
-def scatter_csr(shape, *parts) -> BlockPattern:
-    """The pattern of a sparse matrix of shape summed from blocks.
-
-    Each part is (rows (n, r), cols (n, c)), the global row and column index
-    of every entry of its blocks (n, r, c). Entries with a negative index
-    are dropped, and the terms of an entry are summed in the order given.
-    """
-    keys, block_shapes = [], []
-    for rows, cols in parts:
-        rr, cc = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
-        block_shapes.append(rr.shape)
-        keys.append(np.where((rr >= 0) & (cc >= 0), rr * shape[1] + cc,
-                             -1).ravel())
-    keys = np.concatenate(keys)
+def scatter_csr(shape, rows, cols) -> BlockPattern:
+    """The pattern of a sparse matrix of shape summed from blocks (n, r, c)
+    whose entry (b, i, j) lies on row rows[b, i] and column cols[b, j]. An
+    entry whose row or column lies outside shape, negative or on the bound,
+    is dropped; the terms of an entry are summed in block order."""
+    rr, cc = np.broadcast_arrays(rows[:, :, None], cols[:, None, :])
+    inside = (rr >= 0) & (rr < shape[0]) & (cc >= 0) & (cc < shape[1])
+    keys = np.where(inside, rr * shape[1] + cc, -1).ravel()
     index = np.int32 if max(keys.size, *shape) < 2**31 else np.int64
     kept = np.flatnonzero(keys >= 0)
     order = kept[np.argsort(keys[kept], kind="stable")]
@@ -305,7 +299,7 @@ def scatter_csr(shape, *parts) -> BlockPattern:
     indptr = indptr.astype(index)
     for arr in (first, indices, indptr, *(a for pair in later for a in pair)):
         arr.setflags(write=False)
-    return BlockPattern(shape=tuple(shape), block_shapes=tuple(block_shapes),
+    return BlockPattern(shape=tuple(shape), block_shape=rr.shape,
                         first=first, later=tuple(later), indices=indices,
                         indptr=indptr)
 

@@ -60,6 +60,8 @@ PARAMETERS = {
     "coarse_steps": ("time steps on the anchor level",
                      f"integer in [1, {MAX_STEPS}]"),
     "dt": ("time step", "(0, inf)"),
+    # 0 in the explicit scheme, beta = 0 without damping
+    "mu": ("step weight c^2 dt^2 beta + delta gamma dt", "[0, inf)"),
     "snapshot_times": ("snapshot time", "(-inf, inf)"),
     "profile_samples": ("profile samples",
                         f"integer in [2, {MAX_PROFILE_SAMPLES}]"),
@@ -109,7 +111,7 @@ def level_bytes(n: int, degree: int, states: int = 0,
     ElementTables (with its int64 dof map, without the physical gradients
     that assembly forms and drops) and the corrector's Elimination; the
     values of W, which shares the int32 index arrays of the scalar-facet
-    pattern; the one-part facet-facet pattern; the value and int32 index
+    pattern; the facet-facet pattern; the value and int32 index
     of every nonzero and the int32 row pointers of -Wt and of the L and U
     factors of the facet Schur complement and the Gram matrix A, with 1.5
     interior facets per element; assembly's temporaries come on top. A

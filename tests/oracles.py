@@ -337,8 +337,8 @@ def jacobian_mass(ops: AssembledOperators, components: int = 1) -> np.ndarray:
 def block_diag_csr(blocks: np.ndarray) -> scipy.sparse.csr_matrix:
     """Expand (ne, r, c) blocks into the global block-diagonal sparse matrix."""
     ne, r, c = blocks.shape
-    pattern = scatter_csr((ne * r, ne * c),
-                          (element_dofs(ne, r), element_dofs(ne, c)))
+    pattern = scatter_csr((ne * r, ne * c), element_dofs(ne, r),
+                          element_dofs(ne, c))
     return pattern.assemble(blocks)
 
 
@@ -365,8 +365,8 @@ def global_scalar_row(ops: AssembledOperators) -> tuple[np.ndarray,
     lay = ops.layout
     ns = lay.n_scalar
     pattern = scatter_csr((ns, ns + lay.n_facet + 1),
-                          (element_dofs(lay.n_elements, lay.dim_scalar),
-                           ops.tables.element_rows))
+                          element_dofs(lay.n_elements, lay.dim_scalar),
+                          ops.tables.element_rows)
     row = pattern.assemble(ops.scalar_row).toarray()
     assert not row[:, -1].any()
     return row[:, :ns], row[:, ns:-1]
@@ -381,8 +381,8 @@ def global_velocity_row(ops: AssembledOperators) -> tuple[np.ndarray,
     lay = ops.layout
     ns = lay.n_scalar
     pattern = scatter_csr((n_vector(lay), ns + lay.n_facet + 1),
-                          (element_dofs(lay.n_elements, 2 * lay.dim_scalar),
-                           ops.tables.element_rows))
+                          element_dofs(lay.n_elements, 2 * lay.dim_scalar),
+                          ops.tables.element_rows)
     row = pattern.assemble(ops.velocity_row).toarray()
     assert not row[:, -1].any()
     return row[:, :ns], row[:, ns:-1]

@@ -103,6 +103,16 @@ class TestShiftParameter:
         with pytest.raises(CondensationError, match=match):
             build_condensed(ops, c, delta, dt, 0.5, 0.25)
 
+    def test_step_weight_must_be_finite(self):
+        # each parameter is in range, but c^2 dt^2 beta overflows
+        topo, lay, ops, cond = build(generate_structured_mesh(1), 0)
+        with pytest.raises(CondensationError, match=r"^mu must be finite "
+                           r"\(step weight c\^2 dt\^2 beta \+ delta gamma "
+                           r"dt\), got inf$"):
+            build_condensed(ops, 1.0, 0.0, 1.0e299, 0.5, 0.25)
+        # mu = 0, the explicit scheme without damping, is valid
+        assert build_condensed(ops, 1.0, 0.0, 0.1, 0.5, 0.0).mu == 0.0
+
 
 MESH_CASES = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2)]
 

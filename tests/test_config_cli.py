@@ -524,9 +524,9 @@ class TestParameterRanges:
                 if form in ("integer", "integers")} == {
             name for name, (_, allowed, *_) in PARAMETERS.items()
             if str(allowed).startswith("integer in ") and name in _KEYS}
-        # the rows that no key sets: c^2, and the ranges of the bases and
-        # quadrature rules
-        assert set(PARAMETERS) - set(_KEYS) == {"c^2", "basis_degree",
+        # the rows that no key sets: c^2 and mu, which the file's keys
+        # determine, and the ranges of the bases and quadrature rules
+        assert set(PARAMETERS) - set(_KEYS) == {"c^2", "mu", "basis_degree",
                                                 "quadrature_order"}
 
 
@@ -1146,6 +1146,25 @@ class TestCli:
         assert err.startswith("solver failure: corrector change nan is not "
                               "finite at step 0, corrector iteration 1;")
         assert "elements [" in err and err.count("\n") == 1
+
+    def test_exit_2_when_the_step_weight_overflows(self, tmp_path, capsys):
+        # 10 steps of dt = 1e299 are valid, but mu = c^2 dt^2 beta + delta
+        # gamma dt is not finite: the facet Schur complement would be
+        # singular
+        text = ("[problem]\nkind = h_convergence\nfinal_time = 1e300\n"
+                "[newmark]\ndt = 1e299\n")
+        cfg = self.write(tmp_path, "mu.ini", text)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--levels", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: mu must be finite (step weight c^2 dt^2 "
+            "beta + delta gamma dt), got inf\n")
+        assert not out.exists()
+        with pytest.raises(ConfigError, match=r"^mu must be finite"):
+            dataclasses.replace(default_config("h_convergence"),
+                                final_time=1.0e300, dt=1.0e299,
+                                levels=(2,)).validate()
 
     SINGLE_FACET_DELTA = ("[discretization]\ntau = 1.0\n"
                           "tau_mode = single_facet\nlevels = 16\n"

@@ -21,10 +21,11 @@ Each operator has one representation: no field of AssembledOperators or
 ElementTables is a scipy.sparse matrix. Every array of AssembledOperators
 but the stabilization table tau is an element block, one per element, on
 the columns of ElementTables.element_rows ([B | E] and [Ks | R]) or on
-their facet part (A_K); the facet-facet BlockPattern that sums the A_K has
-one part. Sparse matrices are summed from blocks only where a solve needs
-them: the facet matrices that are factored, and W and -Wt of an
-Elimination.
+their facet part (A_K); the facet-facet BlockPattern that sums the A_K
+takes blocks of the shape of facet_block. Sparse matrices are summed from
+blocks only where a solve or product needs them: the facet matrices that
+are factored, W and -Wt of an Elimination, and R for the Rt psi of the
+initial traces.
 
 No range goes dead or is misspelled: every row of parameters.PARAMETERS is
 the literal name of some check_parameter call or a key of the config file,
@@ -179,7 +180,7 @@ def test_every_operator_array_is_an_element_block():
              and not (value.shape[0] == lay.n_elements
                       and value.shape[-1] in columns)]
     assert not stray, f"operator arrays off the element dof map: {stray}"
-    assert len(ops.tables.facet_facet.block_shapes) == 1
+    assert ops.tables.facet_facet.block_shape == ops.facet_block.shape
 
 
 def test_every_parameter_row_is_checked():

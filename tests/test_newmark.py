@@ -164,6 +164,19 @@ class TestInitialAcceleration:
         assert np.max(np.abs(state.ddpsi - ddpsi_d)) <= 1e-11 * scale
         assert np.max(np.abs(state.ddlam - ddlam_d)) <= 1e-11 * scale
 
+    def test_nondegeneracy_failure_names_the_initial_acceleration(self):
+        # k = 1e300 makes 1 + 2k dpsi(0) negative on some elements at t = 0
+        prob = manufactured_problem(k=1.0e300, final_time=0.01)
+        ops = Discretization(generate_structured_mesh(2), 1).ops
+        state = compute_initial_state(prob, ops)
+        with pytest.raises(operators.NondegeneracyError) as bare:
+            operators.assemble_nonlinear_mass(state.dpsi, prob.k, ops.tables)
+        with pytest.raises(operators.NondegeneracyError) as exc:
+            compute_initial_acceleration(state, prob, ops)
+        assert str(exc.value) == f"initial acceleration (t = 0): {bare.value}"
+        assert exc.value.elements == bare.value.elements
+        assert len(exc.value.elements) > 0
+
     def test_forcing_toggle(self):
         rng = np.random.default_rng(3)
         msh = generate_structured_mesh(2)
@@ -424,6 +437,21 @@ class TestAdvance:
         assert len(err.elements) > 0
         assert f"corrector iteration {err.iterations}" in str(err)
         assert str(err.elements[0]) in str(err)
+
+    def test_overflowing_change_of_a_finite_image_names_elements(self):
+        # k = 1e300 gives a finite first image, max |g| about 1.5e297, but
+        # g . g overflows: the report names the elements of the largest |g|
+        prob = manufactured_problem(k=1.0e300, final_time=0.01)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NonconvergenceError, match="not finite") as exc:
+            run(prob, Discretization(generate_structured_mesh(1), 0),
+                NewmarkConfig(dt=0.005))
+        err = exc.value
+        assert err.step == 0 and err.iterations == 1
+        assert "the change's norm overflowed" in str(err)
+        assert "non-finite accelerations" not in str(err)
+        assert len(err.elements) > 0
+        assert f"on elements {list(err.elements)}" in str(err)
 
 
 class TestLinearLimit:

@@ -279,48 +279,58 @@ class TestMatrixStructure:
 
     def test_scatter_sums_duplicates_in_given_order(self):
         # (1e-17 + 1) - 1 is exactly zero in the given order, so the entry
-        # is not stored; the entry with a negative column index is dropped
+        # is not stored; the entries with a negative column index or one
+        # equal to the bound are dropped
         blocks = np.array([[[1.0e-17, 4.0]], [[1.0, 0.0]], [[-1.0, 0.0]],
-                           [[2.0, 5.0]]])
-        rows = np.array([[0], [0], [0], [1]])
-        cols = np.array([[1, 0], [1, 0], [1, 0], [-1, 1]])
-        mat = scatter_csr((2, 2), (rows, cols)).assemble(blocks)
+                           [[2.0, 5.0]], [[3.0, 6.0]]])
+        rows = np.array([[0], [0], [0], [1], [1]])
+        cols = np.array([[1, 0], [1, 0], [1, 0], [-1, 1], [2, 1]])
+        mat = scatter_csr((2, 2), rows, cols).assemble(blocks)
         assert mat.nnz == 2
-        assert mat.toarray().tolist() == [[4.0, 0.0], [0.0, 5.0]]
+        assert mat.toarray().tolist() == [[4.0, 0.0], [0.0, 11.0]]
+
+    def test_scatter_drops_rows_on_the_bound(self):
+        # row 2 of a two-row matrix, like the boundary facets of
+        # ElementTables.element_rows, would otherwise wrap onto row 3's
+        # key, past the end; no entry of it is stored
+        blocks = np.array([[[1.0, 2.0], [3.0, 4.0]]])
+        pattern = scatter_csr((2, 2), np.array([[2, 1]]), np.array([[0, 2]]))
+        mat = pattern.assemble(blocks)
+        assert mat.toarray().tolist() == [[0.0, 0.0], [3.0, 0.0]]
+        assert pattern.indptr.tolist() == [0, 0, 1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_pattern_assembles_like_an_in_order_accumulation(self, seed):
-        # two parts of blocks on few rows and columns, so entries take up to
-        # a dozen terms; values that cancel exactly, in some orders only
+        # many blocks on few rows and columns, so entries take up to a
+        # dozen terms; values that cancel exactly, in some orders only;
+        # indices from -1 to the bound, both outside the shape
         rng = np.random.default_rng(seed)
         shape = (6, 5)
-        sizes = ((9, 3, 2), (7, 2, 3))
-        parts = [(rng.integers(-1, shape[0], (n, r)),
-                  rng.integers(-1, shape[1], (n, c))) for n, r, c in sizes]
-        pattern = scatter_csr(shape, *parts)
+        size = (28, 3, 2)
+        rows = rng.integers(-1, shape[0] + 1, size[:2])
+        cols = rng.integers(-1, shape[1] + 1, (size[0], size[2]))
+        pattern = scatter_csr(shape, rows, cols)
         for _ in range(3):
-            blocks = [rng.choice([1.0, -1.0, 0.5, -0.5, 1.0e-17, 0.0], size)
-                      for size in sizes]
+            blocks = rng.choice([1.0, -1.0, 1.0e-17, 0.0], size)
             dense, terms = np.zeros(shape), np.zeros(shape, dtype=int)
-            for block, (rows, cols) in zip(blocks, parts):
-                for b, i, j in np.ndindex(*block.shape):
-                    r, c = rows[b, i], cols[b, j]
-                    if r >= 0 and c >= 0:
-                        dense[r, c] += block[b, i, j]
-                        terms[r, c] += 1
-            mat = pattern.assemble(*blocks)
+            for b, i, j in np.ndindex(*size):
+                r, c = rows[b, i], cols[b, j]
+                if 0 <= r < shape[0] and 0 <= c < shape[1]:
+                    dense[r, c] += blocks[b, i, j]
+                    terms[r, c] += 1
+            mat = pattern.assemble(blocks)
             assert mat.toarray().tobytes() == dense.tobytes()
             # exactly the nonzero sums are stored, in canonical CSR order
             assert mat.nnz == np.count_nonzero(dense)
             assert mat.has_canonical_format
             assert terms.max() >= 3 and np.any((terms > 0) & (dense == 0.0))
         # a matrix that drops no entry shares the pattern's index arrays
-        full = pattern.assemble(*(np.ones(size) for size in sizes))
+        full = pattern.assemble(np.ones(size))
         assert full.nnz == np.count_nonzero(terms)
         assert np.shares_memory(full.indices, pattern.indices)
         assert np.shares_memory(full.indptr, pattern.indptr)
         with pytest.raises(AssemblyError, match="do not fit a pattern"):
-            pattern.assemble(np.ones(sizes[0]))
+            pattern.assemble(np.ones((size[0], size[2], size[1])))
 
     def test_tau_pattern_single_facet_one_entry_per_element(self):
         msh = generate_structured_mesh(3)
