@@ -115,7 +115,6 @@ class TriangleBasis:
 
     def __init__(self, degree: int):
         check_parameter("basis_degree", degree, ValueError)
-        self.degree = degree
         self.dim = scalar_space_dim(degree)
         # (m, n) Dubiner mode pairs grouped by total degree
         self.modes = [(m, d - m) for d in range(degree + 1) for m in range(d + 1)]
@@ -140,16 +139,9 @@ class TriangleBasis:
             pow_m1 = one_m_b ** (m - 1) if m > 0 else np.ones_like(b)
             vals[:, idx] = 2.0 * math.sqrt(2.0) * fa * gb * (1.0 - b) ** m
             # d/dr and d/ds on the biunit triangle (Hesthaven-Warburton)
-            dr = dfa * gb
-            if m > 0:
-                dr = dr * pow_m1
-            ds = dfa * gb * one_p_a
-            if m > 0:
-                ds = ds * pow_m1
-            tmp = dgb * pow_m
-            if m > 0:
-                tmp = tmp - 0.5 * m * gb * pow_m1
-            ds = ds + fa * tmp
+            dr = dfa * gb * pow_m1
+            ds = (dfa * gb * one_p_a * pow_m1
+                  + fa * (dgb * pow_m - 0.5 * m * gb * pow_m1))
             # unit-triangle gradient picks up d(r,s)/d(x,y) = 2 I and the
             # factor 2 that orthonormalizes on the smaller element
             grads[:, idx, 0] = 4.0 * scale * dr
@@ -165,7 +157,6 @@ class SegmentBasis:
 
     def __init__(self, degree: int):
         check_parameter("basis_degree", degree, ValueError)
-        self.degree = degree
         self.dim = degree + 1
 
     def eval(self, points: np.ndarray) -> np.ndarray:

@@ -70,8 +70,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = default_config(kind or "h_convergence")
     if args.config is not None:
         try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except OSError as exc:
+            # a byte-order mark is not part of the text
+            text = Path(args.config).read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {args.config}: {exc}") from exc
         # the run command takes its kind (and defaults) from the file itself;
         # parse_config refuses a kind other than its base's

@@ -186,12 +186,3 @@ def compute_facet_topology(mesh: Mesh) -> FacetTopology:
         n_interior=n_interior,
     )
 
-
-def mesh_size(mesh: Mesh) -> float:
-    """The mesh size h, the largest element diameter."""
-    verts = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-    e0 = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
-    e1 = np.linalg.norm(verts[:, 2] - verts[:, 1], axis=1)
-    e2 = np.linalg.norm(verts[:, 0] - verts[:, 2], axis=1)
-    return float(np.maximum(e0, np.maximum(e1, e2)).max())
-

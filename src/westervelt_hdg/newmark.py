@@ -330,6 +330,7 @@ def _change_metric(cfg: NewmarkConfig, pred: Prediction, diff: np.ndarray,
     return num / den if den > 0.0 else num
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                  ops: AssembledOperators, cond: Elimination,
                  load: Callable[[float], np.ndarray], step_index: int = 0,
@@ -345,6 +346,8 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
     change is not finite, grows on two consecutive passes, or stays above
     the tolerance for cfg.max_iterations passes, and CondensationError when
     cond was built for another mu than prob and cfg give (build_condensed).
+    The step reports a change that is not finite itself, so numpy's
+    overflow and invalid-value warnings stay silent inside it.
     """
     mu = step_mu(prob.c, prob.delta, cfg.dt, cfg.gamma, cfg.beta)
     if cond.mu != mu:
@@ -355,8 +358,6 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                         pred.dlam_hat, load(pred.t), prob, ops)
     ddpsi = state.ddpsi if start is None else start
     change = np.inf
-    converged = False
-    iterations = 0
     rising = 0  # consecutive passes with theta >= 1
     # the previous pass's image g and residual f = g - x
     g_old = f_old = None
@@ -377,11 +378,9 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
         change = _change_metric(cfg, pred, f, g)
         if not math.isfinite(change):
             raise _nonfinite_error(change, g, ops, step_index, s)
-        iterations = s
         if change < cfg.tol and s >= 2:
-            converged = True
-            ddpsi = g
-            break
+            return corrected_state(pred, g, ddlam, cfg), s
+        # a zero last change is pass 1's (later ones returned): rising is 0
         if s >= 2 and last_change > 0.0:
             theta = change / last_change
             rising = rising + 1 if theta >= 1.0 else 0
@@ -392,8 +391,6 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                     f"relative change {change:.3e})",
                     step=step_index, iterations=s, last_change=change,
                 )
-        else:
-            rising = 0
         x_next = g
         if s >= 2:
             # depth-one Anderson mixing of the last two passes
@@ -406,14 +403,12 @@ def advance_step(state: State, cfg: NewmarkConfig, prob: ProblemDefinition,
                 np.subtract(g, x_next, out=x_next)
         g_old, f_old = g, f
         ddpsi = x_next
-    if not converged:
-        raise NonconvergenceError(
-            f"corrector did not converge within {cfg.max_iterations} "
-            f"iterations at step {step_index} (last relative change "
-            f"{change:.3e})",
-            step=step_index, iterations=iterations, last_change=change,
-        )
-    return corrected_state(pred, ddpsi, ddlam, cfg), iterations
+    raise NonconvergenceError(
+        f"corrector did not converge within {cfg.max_iterations} "
+        f"iterations at step {step_index} (last relative change "
+        f"{change:.3e})",
+        step=step_index, iterations=cfg.max_iterations, last_change=change,
+    )
 
 
 def _nonfinite_error(change: float, g: np.ndarray, ops: AssembledOperators,
@@ -530,9 +525,9 @@ class ExtrapolatedStart:
     three starts have the orders 0, 1 and 2 (a_0, the linear and the
     quadratic extrapolation); every later one the lowest-scored order.
 
-    nabla^0..nabla^5 are the rows base, base + 1, ... (mod 7) of one
-    (7, n) array, held as a list of row views. Accepting writes a_{n+1} to
-    the row before base, makes it the new base and replaces each later row
+    nabla^0..nabla^5 are the first six of the seven rows of one (7, n)
+    array, held as a list of row views. Accepting rotates the list, so the
+    last row comes first, writes a_{n+1} to it and replaces each later row
     by its difference from the row before; the last becomes nabla^6, the
     quintic's error. No other row is copied.
     """
@@ -540,13 +535,8 @@ class ExtrapolatedStart:
     def __init__(self, a0: np.ndarray):
         self._rows = list(np.zeros((START_ORDERS + 1, a0.size)))
         self._rows[0][:] = a0
-        self._base = 0
         self.scores = [math.inf] * START_ORDERS  # inf: not scored yet
         self.accepted = 0  # accelerations accepted after a_0
-
-    def _row(self, j: int) -> np.ndarray:
-        """The row of nabla^j a_n, j = 0..6 (nabla^6 after an accept)."""
-        return self._rows[(self._base + j) % len(self._rows)]
 
     def order(self) -> int:
         """The order of the next start."""
@@ -556,9 +546,9 @@ class ExtrapolatedStart:
 
     def extrapolate(self, order: int) -> np.ndarray:
         """The start of the given order, its terms added from nabla^0 up."""
-        start = self._row(0).copy()
-        for j in range(1, order + 1):
-            start += self._row(j)
+        start = self._rows[0].copy()
+        for row in self._rows[1:order + 1]:
+            start += row
         return start
 
     def accept(self, a: np.ndarray) -> None:
@@ -566,13 +556,13 @@ class ExtrapolatedStart:
         every order whose error it determines; rows that a_0 and the
         accepted accelerations do not determine yet are left alone."""
         self.accepted += 1
-        self._base = (self._base - 1) % len(self._rows)
-        prev = self._row(0)
+        self._rows.insert(0, self._rows.pop())
+        prev = self._rows[0]
         prev[:] = a
         for j in range(1, min(self.accepted, START_ORDERS) + 1):
             # nabla^j a_{n+1} = nabla^{j-1} a_{n+1} - nabla^{j-1} a_n, the
             # error of the order j - 1 start
-            row = self._row(j)
+            row = self._rows[j]
             np.subtract(prev, row, out=row)
             error, old = math.sqrt(row.dot(row)), self.scores[j - 1]
             self.scores[j - 1] = (

@@ -324,6 +324,7 @@ def _factorize(name: str, matrix: sp.spmatrix):
             f"{err}") from err
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
                        tau_bar: float = 1.0,
                        tau_mode: str = "single_facet") -> AssembledOperators:
@@ -332,7 +333,8 @@ def assemble_operators(mesh: Mesh, topo: FacetTopology, degree: int,
     tau_mode out of range, for a tau_bar so large that the condensed
     stiffness Ks or coupling R is not finite, and for one whose facet
     penalty G_K exceeds the rest of A_K, largest entry against largest
-    entry, by more than parameters.MAX_PENALTY_RATIO."""
+    entry, by more than parameters.MAX_PENALTY_RATIO. The error reports an
+    overflow, so numpy's overflow and invalid-value warnings stay silent."""
     check_parameter("degree", degree, AssemblyError)
     layout = DofLayout(degree, mesh.n_triangles, topo.n_interior)
     tab = ElementTables(mesh, topo, layout)

@@ -327,15 +327,29 @@ class TestConfig:
         assert err.startswith("configuration error: cannot read ")
         assert err.count("\n") == 1
 
-    def test_config_file_is_read(self, tmp_path):
+    # utf-8-sig writes a byte-order mark first
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_config_file_is_read(self, tmp_path, encoding):
         path = tmp_path / "cfg.ini"
-        path.write_text("[problem]\nk = 0.25\n", encoding="utf-8")
+        path.write_text("[problem]\nk = 0.25\n", encoding=encoding)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--p", "0", "--levels",
                      "1", "--out", str(out)]) == 0
         written = parse_config((out / "config.ini").read_text(
             encoding="utf-8")).validate("run")
         assert written.k == 0.25
+
+    def test_config_file_not_utf8_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"\xff\xfe[problem]\n")
+        out = tmp_path / "out"
+        assert main(["h-convergence", "--config", str(path), "--out",
+                     str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: cannot read {path}: ")
+        assert "codec can't decode" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("tau_mode", ["single_facet", "uniform"])
     @pytest.mark.parametrize("n", [8, 32])

@@ -33,7 +33,9 @@ and every literal name passed to check_parameter is a row.
 
 No name in the README goes stale: every backticked `module.name` of
 README.md whose module is one of the package resolves to an attribute of
-that module (the file name config.ini excepted).
+that module (the file name config.ini excepted). Its Python examples run
+as written, but for the first, the default refinement study, which is only
+compiled.
 """
 
 import ast
@@ -213,3 +215,19 @@ def test_every_readme_reference_resolves():
             stale.append(span)
     assert checked > 10
     assert not stale, f"README names that do not resolve: {stale}"
+
+
+def test_readme_python_examples_run():
+    # the first example is the default refinement study, which acceptance
+    # criterion 1 already runs: it is only compiled
+    first, runs, forcing = re.findall(r"```python\n(.*?)```",
+                                      README.read_text(encoding="utf-8"),
+                                      flags=re.S)
+    compile(first, "README.md", "exec")
+    scope = {}
+    exec(compile(runs, "README.md", "exec"), scope)
+    assert len(scope["finals"]) == 2
+    assert all(np.isfinite(state.psi).all() for state in scope["finals"])
+    scope = {}
+    exec(compile(forcing, "README.md", "exec"), scope)
+    assert callable(scope["forcing"])
